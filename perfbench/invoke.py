@@ -9,8 +9,10 @@ the run is traced: public functions are wrapped at the names `ultgen.cli`,
 `ultgen.cases`, `ultgen.interp` and `ultgen.cutlang.parser` call them
 through, each call records a span (name, start, end, parent) in memory, and
 the spans are written to SPANS.jsonl after the run. Nothing under `src/`
-changes. RESULT.json receives the exit code, wall time, peak RSS and, when
-traced, the per-layer metrics.
+changes. Host speed is sampled during the run (hostspeed.py). RESULT.json
+receives the exit code, the raw wall time, the host slowdown, the wall time
+corrected for it, peak RSS and, when traced, the per-layer metrics, whose
+times are corrected the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+
+import hostspeed  # noqa: E402
 
 import ultgen.cli as cli  # noqa: E402
 import ultgen.cases as cases_mod  # noqa: E402
@@ -223,6 +227,16 @@ class Tracer:
                 fh.write(json.dumps({"name": name, "start": start, "end": end, "parent": parent}) + "\n")
 
 
+def _corrected(name: str, value: float, slowdown: float) -> float:
+    """A layer metric at quiet-host speed: times shrink by the slowdown,
+    rates grow by it, counts stay."""
+    if name.endswith("_per_s"):
+        return value * slowdown
+    if name.endswith("_s"):
+        return value / slowdown
+    return value
+
+
 def main(argv: list[str]) -> int:
     result_path = Path(argv[0])
     rest = argv[1:]
@@ -238,13 +252,26 @@ def main(argv: list[str]) -> int:
     if spans_path is not None:
         tracer = Tracer()
         tracer.install()
+    sampler = hostspeed.Sampler()
+    sampler.start()
     start = time.perf_counter()
     code = cli.main(args)
     wall = time.perf_counter() - start
+    sampler.stop()
+    slowdown = sampler.slowdown()
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    result = {"exit_code": code, "wall_s": wall, "peak_rss_mb": rss_mb}
+    result = {
+        "exit_code": code,
+        "raw_wall_s": wall,
+        "slowdown": slowdown,
+        "wall_s": (wall - sampler.spent_s()) / slowdown,
+        "peak_rss_mb": rss_mb,
+    }
     if tracer is not None:
-        result["layers"] = tracer.metrics(wall)
+        result["layers"] = {
+            name: _corrected(name, value, slowdown)
+            for name, value in tracer.metrics(wall).items()
+        }
         result["shape"] = tracer.shape(cli.build_parser().parse_args(args).budget)
         tracer.write_spans(spans_path)
     result_path.write_text(json.dumps(result), encoding="utf-8")

@@ -4,10 +4,14 @@
 
 Generates the workload's inputs from the seed, then runs `ultgen run` in
 fresh processes, each into a fresh output directory, until `--seconds` have
-passed (at least MIN_INVOCATIONS times). After each invocation it measures
-set-up time once: a fresh interpreter importing `ultgen.cli` and building
-its parser. After the timed
-part it checks every artifact (see check.py) and that repeated invocations
+passed (at least MIN_INVOCATIONS times). Each process samples the speed of
+the host core it runs on and corrects its times for it (hostspeed.py), so
+drifts of host speed do not show as drifts of the program. `wall_s` is the
+lower quartile of the corrected wall times: contention the correction
+misses only ever adds time. After each invocation it measures set-up time
+once: a fresh interpreter importing `ultgen.cli` and building its parser,
+corrected the same way; `setup_s` is the median. After the timed part it
+checks every artifact (see check.py) and that repeated invocations
 wrote identical bytes. The last line of stdout is one JSON object:
 {"correct", "attempted", "failed", "metrics"}. With --trace 0 the metrics
 are the end-to-end ones listed in BENCHMARK.json; with --trace 1, the
@@ -34,7 +38,7 @@ import gen
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-SETUP_CMD = [sys.executable, "-c", "import ultgen.cli as c; c.build_parser()"]
+SETUP_CMD = [sys.executable, str(HERE / "setup_probe.py")]
 MIN_INVOCATIONS = 3
 CHILD_TIMEOUT_S = 150
 
@@ -58,21 +62,23 @@ def _env() -> dict:
 
 def probe_setup(env: dict) -> float:
     """Time for a fresh interpreter to import ultgen.cli and build its
-    argument parser. The wait blocks without a timeout, because
-    `subprocess` polls a timed wait in steps of up to 50 ms, which would
-    quantize the measurement; a timer kills a child that hangs."""
+    argument parser, corrected for host speed as the probe sampled it. The
+    wait blocks without a timeout, because `subprocess` polls a timed wait
+    in steps of up to 50 ms, which would quantize the measurement; a timer
+    kills a child that hangs."""
     start = time.perf_counter()
-    proc = subprocess.Popen(SETUP_CMD, env=env)
+    proc = subprocess.Popen(SETUP_CMD, env=env, stdout=subprocess.PIPE, text=True)
     guard = threading.Timer(CHILD_TIMEOUT_S, proc.kill)
     guard.start()
     try:
-        code = proc.wait()
+        out, _ = proc.communicate()
     finally:
         guard.cancel()
     elapsed = time.perf_counter() - start
-    if code != 0:
-        raise BenchError(f"set-up probe exited {code}")
-    return elapsed
+    if proc.returncode != 0:
+        raise BenchError(f"set-up probe exited {proc.returncode}")
+    slowdown, spent = map(float, out.split())
+    return (elapsed - spent) / slowdown
 
 
 def invoke(env: dict, work: Path, i: int, inputs: dict, seed: int, traced: bool) -> tuple[dict, Path]:
@@ -93,6 +99,10 @@ def invoke(env: dict, work: Path, i: int, inputs: dict, seed: int, traced: bool)
     if proc.returncode != 0:
         raise BenchError(f"invocation {i} failed:\n{proc.stderr[-2000:]}")
     return json.loads(result.read_text(encoding="utf-8")), out
+
+
+def lower_quartile(values) -> float:
+    return statistics.quantiles(values, n=4, method="inclusive")[0]
 
 
 def _report(line: str) -> None:
@@ -131,16 +141,16 @@ def run(args: argparse.Namespace, work: Path) -> int:
             failed_ids.add(i)
         (traced if is_traced else plain).append(result)
         if not args.trace:
-            # spread set-up probes over the run, so host speed drifts hit
-            # them the way they hit the invocations
+            # one set-up probe per invocation, spread over the run
             setups.append(probe_setup(env))
-        _report(f"invocation {i}{' traced' if is_traced else ''}: {result['wall_s']:.3f} s")
+        _report(f"invocation {i}{' traced' if is_traced else ''}: {result['wall_s']:.3f} s "
+                f"(raw {result['raw_wall_s']:.3f} s, host slowdown {result['slowdown']:.3f})")
         i += 1
         enough = len(plain) >= MIN_INVOCATIONS and (not args.trace or len(traced) >= MIN_INVOCATIONS)
-        # stop when another invocation would end past the deadline by more
-        # than half of it, so a run lasts about --seconds
+        # stop when another invocation as long as this one would end past
+        # the deadline, so a run never lasts much more than --seconds
         now = time.monotonic()
-        if enough and now + 0.5 * (now - began) >= deadline:
+        if enough and now + (now - began) >= deadline:
             break
 
     errors, facts = check.check_artifacts(inputs["src"], first_out, plain[0]["exit_code"])
@@ -150,23 +160,27 @@ def run(args: argparse.Namespace, work: Path) -> int:
     for f in failures[:20]:
         _report(f"FAIL {f}")
 
-    wall = statistics.median(r["wall_s"] for r in plain)
+    wall = lower_quartile(r["wall_s"] for r in plain)
+    _report(f"{len(plain)} untraced invocations: corrected wall {wall:.3f} s (lower quartile), "
+            f"raw {statistics.median(r['raw_wall_s'] for r in plain):.3f} s, "
+            f"host slowdown {statistics.median(r['slowdown'] for r in plain):.3f}")
     if args.trace:
         shutil.copy(work / "spans.jsonl", work.parent / f"spans-{args.workload}.jsonl")
         metrics = {
             name: statistics.median(r["layers"][name] for r in traced)
             for name in traced[0]["layers"]
         }
-        traced_wall = statistics.median(r["wall_s"] for r in traced)
+        traced_wall = lower_quartile(r["wall_s"] for r in traced)
         metrics["trace.overhead_pct"] = 100.0 * (traced_wall / wall - 1.0)
         shape = traced[0]["shape"]
         _report("shape: " + "  ".join(f"{k}={v:.4g}" for k, v in shape.items()))
+        median_traced = statistics.median(r["wall_s"] for r in traced)
         shares = sorted(
-            ((k[:-2], v / traced_wall) for k, v in metrics.items()
+            ((k[:-2], v / median_traced) for k, v in metrics.items()
              if k.endswith("_s") and not k.endswith("_per_s") and not k.startswith("cases.select")),
             key=lambda kv: -kv[1],
         )
-        _report("share of traced wall: " + "  ".join(f"{k} {100 * v:.1f}%" for k, v in shares))
+        _report("share of median traced wall: " + "  ".join(f"{k} {100 * v:.1f}%" for k, v in shares))
     elif facts:
         metrics = {
             "wall_s": wall,
