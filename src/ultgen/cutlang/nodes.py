@@ -245,6 +245,12 @@ class SourceUnit:
     # grammar, where unknown names are treated as extern declarations.
     implicit_externs: frozenset[str] = field(default_factory=frozenset, compare=False)
 
+    def __post_init__(self) -> None:
+        # name -> first ClassDecl of that name among decls[:_indexed]. Not a
+        # dataclass field, so equality, repr and walk() ignore it.
+        self._class_index: dict[str, ClassDecl] = {}
+        self._indexed = 0
+
     @property
     def classes(self) -> list[ClassDecl]:
         return [d for d in self.decls if isinstance(d, ClassDecl)]
@@ -254,10 +260,17 @@ class SourceUnit:
         return [d for d in self.decls if isinstance(d, ExternDecl)]
 
     def class_named(self, name: str) -> Optional[ClassDecl]:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
+        """The first class declared with this name, or None.
+
+        ``decls`` is append-only (the parser appends while it reads), so
+        the index only has to take in declarations added since last time.
+        """
+        if self._indexed < len(self.decls):
+            for d in self.decls[self._indexed :]:
+                if isinstance(d, ClassDecl):
+                    self._class_index.setdefault(d.name, d)
+            self._indexed = len(self.decls)
+        return self._class_index.get(name)
 
     def extern_names(self) -> frozenset[str]:
         return frozenset(e.name for e in self.externs) | self.implicit_externs

@@ -1,10 +1,18 @@
 """Deterministic big-step interpreter for CUT-lang method bodies.
 
-Runs one test case against one method without compilation: parameters and
-scalar fields come from the case, dependency calls return scripted mock
-values, and every evaluated decision/condition contributes an outcome pair.
-Crashes (failed assert, integer division by zero, unscripted call, fuel
-exhaustion) terminate the run and are data on the trace, not Python errors.
+Runs one test case against one method: parameters and scalar fields come
+from the case, dependency calls return scripted mock values, and every
+evaluated decision/condition contributes an outcome pair. Crashes (failed
+assert, integer division by zero, unscripted call, fuel exhaustion)
+terminate the run and are data on the trace, not Python errors.
+
+On its first run a CaseEvaluator compiles the method body once into nested
+Python closures, one per AST node, so no case pays for dispatch on node
+types. Everything a node's behaviour depends on is resolved while
+compiling: the `(id, True)`/`(id, False)` outcome pairs a decision or
+condition records, the operator, whether arithmetic is on int or float,
+void call sites and the crash event (kind and source span) of each assert,
+division and call site.
 
 Semantics pinned here and mirrored by the independent test oracle:
   - int is 64-bit two's complement; arithmetic wraps, division truncates
@@ -20,8 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .cutlang.nodes import (
     INT_MAX,
@@ -34,6 +42,7 @@ from .cutlang.nodes import (
     CallExpr,
     ClassDecl,
     Expr,
+    ExprStmt,
     FieldRef,
     FloatLit,
     If,
@@ -47,6 +56,7 @@ from .cutlang.nodes import (
     Stmt,
     Unary,
     While,
+    walk,
 )
 from .cutlang.printer import print_method
 from .decisions import Decision, extract_decisions
@@ -96,6 +106,9 @@ class ExecutionTrace:
         return self.terminal == "Normal"
 
 
+_OUT_OF_FUEL = Event(FUEL_EXHAUSTED)
+
+
 class _Crash(Exception):
     def __init__(self, event: Event):
         self.event = event
@@ -106,13 +119,40 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+class _State:
+    """What one run mutates: variables, mock cursors, fuel and outcomes."""
+
+    __slots__ = ("params", "fields", "scripts", "call_counts", "fuel", "outcomes")
+
+    def __init__(
+        self,
+        params: dict[str, Scalar],
+        fields: dict[str, Scalar],
+        scripts: dict[tuple[str, str], list[Scalar]],
+        fuel: int,
+    ):
+        self.params = params
+        self.fields = fields
+        self.scripts = scripts
+        self.call_counts: dict[tuple[str, str], int] = {}
+        self.fuel = fuel
+        self.outcomes: set[tuple[str, bool]] = set()
+
+
+_Code = Callable[[_State], object]
+
+
 def method_fingerprint(class_name: str, method: MethodDecl) -> str:
     text = f"{class_name}\n{print_method(method)}\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+_SIGN = 1 << 63
+_MASK = (1 << 64) - 1
+
+
 def _wrap_int(v: int) -> int:
-    return ((v + (1 << 63)) & ((1 << 64) - 1)) - (1 << 63)
+    return ((v + _SIGN) & _MASK) - _SIGN
 
 
 def _int_div(a: int, b: int) -> int:
@@ -131,11 +171,224 @@ def _float_div(a: float, b: float) -> float:
     return a / b
 
 
+def _fits(type_name: str, value: Scalar) -> bool:
+    if type_name == "int":
+        return type(value) is int and INT_MIN <= value <= INT_MAX
+    if type_name == "bool":
+        return type(value) is bool
+    if type_name == "float":
+        return type(value) is float
+    return False
+
+
+def _type_error(type_name: str, value: Scalar, what: str) -> ContractViolation:
+    return ContractViolation(f"{what} must be {type_name}, got {value!r}")
+
+
+# Operator -> closure factory over the compiled operands. Operands run left
+# to right, so mock scripts are consumed in source order.
+_COMPARE: dict[str, Callable[[_Code, _Code], _Code]] = {
+    "==": lambda a, b: lambda st: a(st) == b(st),
+    "!=": lambda a, b: lambda st: a(st) != b(st),
+    "<": lambda a, b: lambda st: a(st) < b(st),
+    "<=": lambda a, b: lambda st: a(st) <= b(st),
+    ">": lambda a, b: lambda st: a(st) > b(st),
+    ">=": lambda a, b: lambda st: a(st) >= b(st),
+}
+_INT_ARITH: dict[str, Callable[[_Code, _Code], _Code]] = {
+    "+": lambda a, b: lambda st: ((a(st) + b(st) + _SIGN) & _MASK) - _SIGN,
+    "-": lambda a, b: lambda st: ((a(st) - b(st) + _SIGN) & _MASK) - _SIGN,
+    "*": lambda a, b: lambda st: ((a(st) * b(st) + _SIGN) & _MASK) - _SIGN,
+}
+_FLOAT_ARITH: dict[str, Callable[[_Code, _Code], _Code]] = {
+    "+": lambda a, b: lambda st: a(st) + b(st),
+    "-": lambda a, b: lambda st: a(st) - b(st),
+    "*": lambda a, b: lambda st: a(st) * b(st),
+    "/": lambda a, b: lambda st: _float_div(a(st), b(st)),
+}
+
+
+def _nothing(st: _State) -> None:
+    """A void call site, or the value of a bare `return;`."""
+    return None
+
+
+def _recorder(code: _Code, outcome_id: str) -> _Code:
+    """Wrap a bool-valued closure so it records its outcome pair."""
+    true_pair, false_pair = (outcome_id, True), (outcome_id, False)
+
+    def record(st: _State) -> bool:
+        if code(st):
+            st.outcomes.add(true_pair)
+            return True
+        st.outcomes.add(false_pair)
+        return False
+
+    return record
+
+
+class _Compiler:
+    """Compiles one method body into closures over a _State."""
+
+    def __init__(
+        self, decisions: list[Decision], site_types: dict[tuple[str, str], str]
+    ):
+        self.decision_ids = {id(d.expr): d.id for d in decisions}
+        self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
+        self.site_types = site_types
+
+    def block(self, block: Block) -> _Code:
+        steps = tuple(self.stmt(s) for s in block.stmts)
+
+        def run_block(st: _State) -> None:
+            for step in steps:
+                if st.fuel <= 0:
+                    raise _Crash(_OUT_OF_FUEL)
+                st.fuel -= 1
+                step(st)
+
+        return run_block
+
+    def stmt(self, s: Stmt) -> _Code:
+        """A statement's closure; its block charges the statement's fuel."""
+        if isinstance(s, If):
+            cond = self.decision(s.cond)
+            then = self.block(s.then)
+            els = self.block(s.els) if s.els is not None else None
+
+            def run_if(st: _State) -> None:
+                if cond(st):
+                    then(st)
+                elif els is not None:
+                    els(st)
+
+            return run_if
+        if isinstance(s, While):
+            cond = self.decision(s.cond)
+            body = self.block(s.body)
+
+            def run_while(st: _State) -> None:
+                while True:
+                    if st.fuel <= 0:
+                        raise _Crash(_OUT_OF_FUEL)
+                    st.fuel -= 1
+                    if not cond(st):
+                        return
+                    body(st)
+
+            return run_while
+        if isinstance(s, Assert):
+            cond = self.decision(s.cond)
+            failure = Event(ASSERT_FAILURE, s.span)
+
+            def run_assert(st: _State) -> None:
+                if not cond(st):
+                    raise _Crash(failure)
+
+            return run_assert
+        if isinstance(s, Return):
+            value = self.expr(s.value) if s.value is not None else _nothing
+
+            def run_return(st: _State) -> None:
+                raise _ReturnSignal(value(st))
+
+            return run_return
+        if isinstance(s, Assign):
+            name = s.target.name
+            rhs = self.expr(s.value)
+            if isinstance(s.target, ParamRef):
+
+                def assign_param(st: _State) -> None:
+                    st.params[name] = rhs(st)
+
+                return assign_param
+
+            def assign_field(st: _State) -> None:
+                st.fields[name] = rhs(st)
+
+            return assign_field
+        if isinstance(s, ExprStmt):
+            return self.expr(s.expr)
+        raise AssertionError(f"unhandled statement {s!r}")
+
+    def decision(self, cond: Expr) -> _Code:
+        return _recorder(self.expr(cond), self.decision_ids[id(cond)])
+
+    def expr(self, e: Expr) -> _Code:
+        code = self._expr(e)
+        cond_id = self.atom_ids.get(id(e))
+        return code if cond_id is None else _recorder(code, cond_id)
+
+    def _expr(self, e: Expr) -> _Code:
+        if isinstance(e, (IntLit, FloatLit, BoolLit)):
+            value = e.value
+            return lambda st: value
+        if isinstance(e, ParamRef):
+            name = e.name
+            return lambda st: st.params[name]
+        if isinstance(e, FieldRef):
+            name = e.name
+            return lambda st: st.fields[name]
+        if isinstance(e, CallExpr):
+            return self._call(e)
+        if isinstance(e, Unary):
+            operand = self.expr(e.operand)
+            return lambda st: not operand(st)
+        if isinstance(e, Binary):
+            return self._binary(e)
+        raise AssertionError(f"unhandled expression {e!r}")
+
+    def _call(self, e: CallExpr) -> _Code:
+        key = (e.receiver.name, e.method)
+        if self.site_types.get(key) == "void":
+            return _nothing
+        unmocked = Event(UNMOCKED_CALL, e.span)
+
+        def call(st: _State) -> Scalar:
+            script = st.scripts.get(key)
+            if not script:
+                raise _Crash(unmocked)
+            n = st.call_counts.get(key, 0)
+            st.call_counts[key] = n + 1
+            return script[min(n, len(script) - 1)]
+
+        return call
+
+    def _binary(self, e: Binary) -> _Code:
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        op = e.op
+        if op == "&&":
+            return lambda st: bool(right(st)) if left(st) else False
+        if op == "||":
+            return lambda st: True if left(st) else bool(right(st))
+        if op in _COMPARE:
+            return _COMPARE[op](left, right)
+        if e.type_ == "float":
+            return _FLOAT_ARITH[op](left, right)
+        if e.type_ != "int":
+            raise AssertionError(f"arithmetic on {e.type_} slipped past the checker")
+        if op in _INT_ARITH:
+            return _INT_ARITH[op](left, right)
+        div_by_zero = Event(DIV_BY_ZERO, e.span)
+
+        def int_div(st: _State) -> int:
+            a = left(st)
+            b = right(st)
+            if b == 0:
+                raise _Crash(div_by_zero)
+            return _int_div(a, b)
+
+        return int_div
+
+
 class CaseEvaluator:
     """Prepared executor for one (class, method): parse once, run many cases.
 
     Exposes the method's decisions and an AST fingerprint so traces can be
-    checked for consistency before coverage aggregation.
+    checked for consistency before coverage aggregation. The body is
+    compiled on the first `run`, so evaluators that never run a case (such
+    as those of decision-free methods) pay nothing for it.
     """
 
     def __init__(
@@ -160,12 +413,9 @@ class CaseEvaluator:
         self.fuel = fuel
         self.decisions: list[Decision] = extract_decisions(method, class_name)
         self.fingerprint = method_fingerprint(class_name, method)
-        self._atom_ids: dict[int, str] = {
-            id(c.atom): c.id for d in self.decisions for c in d.conditions
-        }
-        self._decision_ids: dict[int, str] = {id(d.expr): d.id for d in self.decisions}
         self._scalar_fields, self._ref_fields = self._effective_fields(unit, cls)
         self._site_types = self._call_site_types()
+        self._body: Optional[_Code] = None  # set by _compile on the first run
 
     @staticmethod
     def _find_method(
@@ -201,43 +451,67 @@ class CaseEvaluator:
 
     def _call_site_types(self) -> dict[tuple[str, str], str]:
         """Static return type per (field, method) call key in the body."""
-        from .cutlang.nodes import walk
-
         out: dict[tuple[str, str], str] = {}
         for node in walk(self.method.body):
             if isinstance(node, CallExpr):
                 out[(node.receiver.name, node.method)] = node.type_ or "int"
         return out
 
+    def _compile(self) -> _Code:
+        """Compile the body and the per-case invariants of validation."""
+        self._param_types = {p.name: p.type for p in self.method.params}
+        self._param_names = frozenset(self._param_types)
+        # Value type per value-returning call site; any other mock key goes
+        # through the full checks of _checked_mock_type.
+        self._mock_types = {k: t for k, t in self._site_types.items() if t != "void"}
+        self._field_defaults = {
+            name: TYPE_DEFAULTS[t] for name, t in self._scalar_fields.items()
+        }
+        self._body = _Compiler(self.decisions, self._site_types).block(
+            self.method.body
+        )
+        return self._body
+
     # -- case validation ---------------------------------------------------
 
     def _validate(self, case: "TestCase") -> None:
-        declared = {p.name: p.type for p in self.method.params}
+        declared = self._param_types
         given = case.param_values
-        missing = sorted(set(declared) - set(given))
-        if missing:
-            raise ContractViolation(f"missing parameter values: {missing}")
-        extra = sorted(set(given) - set(declared))
-        if extra:
+        if given.keys() != self._param_names:
+            missing = sorted(self._param_names - set(given))
+            if missing:
+                raise ContractViolation(f"missing parameter values: {missing}")
+            extra = sorted(set(given) - self._param_names)
             raise ContractViolation(f"unknown parameters: {extra}")
         for name, value in given.items():
-            self._check_scalar(declared[name], value, f"parameter {name!r}")
+            if not _fits(declared[name], value):
+                raise _type_error(declared[name], value, f"parameter {name!r}")
         for name, value in case.field_values.items():
             if name not in self._scalar_fields:
                 raise ContractViolation(f"unknown scalar field {name!r}")
-            self._check_scalar(self._scalar_fields[name], value, f"field {name!r}")
+            if not _fits(self._scalar_fields[name], value):
+                raise _type_error(self._scalar_fields[name], value, f"field {name!r}")
         for key, script in case.mock_plan.items():
-            f_name, m_name = key
-            if f_name not in self._ref_fields:
-                raise ContractViolation(f"mock key {key} names no reference field")
-            ret = self._site_types.get(key)
-            if ret == "void":
-                raise ContractViolation(f"call {f_name}->{m_name}() returns void")
-            if not script:
+            expect = self._mock_types.get(key)
+            if expect is None:
+                expect = self._checked_mock_type(key, script)
+            elif not script:
                 raise ContractViolation(f"empty mock script for {key}")
-            expect = ret if ret is not None else self._dep_return_type(key)
             for value in script:
-                self._check_scalar(expect, value, f"mock {f_name}->{m_name}()")
+                if not _fits(expect, value):
+                    raise _type_error(expect, value, f"mock {key[0]}->{key[1]}()")
+
+    def _checked_mock_type(self, key: tuple[str, str], script: list[Scalar]) -> str:
+        """The scripted type of a mock key with no value-returning call site
+        in the body, after every check on the key, in order."""
+        f_name, m_name = key
+        if f_name not in self._ref_fields:
+            raise ContractViolation(f"mock key {key} names no reference field")
+        if self._site_types.get(key) == "void":
+            raise ContractViolation(f"call {f_name}->{m_name}() returns void")
+        if not script:
+            raise ContractViolation(f"empty mock script for {key}")
+        return self._dep_return_type(key)
 
     def _dep_return_type(self, key: tuple[str, str]) -> str:
         f_name, m_name = key
@@ -249,201 +523,29 @@ class CaseEvaluator:
             raise ContractViolation(f"no scriptable method for mock key {key}")
         return m.return_type
 
-    @staticmethod
-    def _check_scalar(type_name: str, value: Scalar, what: str) -> None:
-        if type_name == "int":
-            ok = type(value) is int and INT_MIN <= value <= INT_MAX
-        elif type_name == "bool":
-            ok = type(value) is bool
-        elif type_name == "float":
-            ok = type(value) is float
-        else:
-            ok = False
-        if not ok:
-            raise ContractViolation(f"{what} must be {type_name}, got {value!r}")
-
     # -- execution ---------------------------------------------------------
 
     def run(self, case: "TestCase") -> ExecutionTrace:
+        body = self._body if self._body is not None else self._compile()
         self._validate(case)
-        params: dict[str, Scalar] = dict(case.param_values)
-        fields_env: dict[str, Scalar] = {
-            name: TYPE_DEFAULTS[t] for name, t in self._scalar_fields.items()
-        }
+        fields_env = dict(self._field_defaults)
         fields_env.update(case.field_values)
-        state = _State(
-            params=params,
-            fields=fields_env,
-            scripts={k: list(v) for k, v in case.mock_plan.items()},
-            fuel=self.fuel,
-        )
-        outcomes: set[tuple[str, bool]] = set()
-        state.outcomes = outcomes
+        state = _State(dict(case.param_values), fields_env, case.mock_plan, self.fuel)
         crash: Optional[Event] = None
         ret: Optional[Scalar] = None
         try:
-            self._exec_block(self.method.body, state)
+            body(state)
         except _ReturnSignal as r:
             ret = r.value
         except _Crash as c:
             crash = c.event
-        events = (crash,) if crash is not None else ()
         return ExecutionTrace(
             case_id=case.id,
-            outcomes=frozenset(outcomes),
-            events=events,
+            outcomes=frozenset(state.outcomes),
+            events=(crash,) if crash is not None else (),
             terminal="Crashed" if crash is not None else "Normal",
             crash=crash,
             steps=self.fuel - state.fuel,
             return_value=None if crash is not None else ret,
             fingerprint=self.fingerprint,
         )
-
-    def _exec_block(self, block: Block, st: "_State") -> None:
-        for stmt in block.stmts:
-            self._exec_stmt(stmt, st)
-
-    def _exec_stmt(self, stmt: Stmt, st: "_State") -> None:
-        st.charge()
-        if isinstance(stmt, If):
-            value = self._eval_decision(stmt.cond, st)
-            if value:
-                self._exec_block(stmt.then, st)
-            elif stmt.els is not None:
-                self._exec_block(stmt.els, st)
-            return
-        if isinstance(stmt, While):
-            while True:
-                st.charge()
-                if not self._eval_decision(stmt.cond, st):
-                    return
-                self._exec_block(stmt.body, st)
-        if isinstance(stmt, Assert):
-            value = self._eval_decision(stmt.cond, st)
-            if not value:
-                raise _Crash(Event(ASSERT_FAILURE, stmt.span))
-            return
-        if isinstance(stmt, Return):
-            value = self._eval(stmt.value, st) if stmt.value is not None else None
-            raise _ReturnSignal(value)
-        if isinstance(stmt, Assign):
-            value = self._eval(stmt.value, st)
-            if isinstance(stmt.target, ParamRef):
-                st.params[stmt.target.name] = value
-            else:
-                st.fields[stmt.target.name] = value
-            return
-        # ExprStmt
-        self._eval(stmt.expr, st)
-
-    def _eval_decision(self, cond: Expr, st: "_State") -> bool:
-        value = self._eval(cond, st)
-        st.outcomes.add((self._decision_ids[id(cond)], value))
-        return value
-
-    def _eval(self, e: Expr, st: "_State") -> Scalar:
-        value = self._eval_inner(e, st)
-        cond_id = self._atom_ids.get(id(e))
-        if cond_id is not None:
-            st.outcomes.add((cond_id, value))
-        return value
-
-    def _eval_inner(self, e: Expr, st: "_State") -> Scalar:
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, FloatLit):
-            return e.value
-        if isinstance(e, BoolLit):
-            return e.value
-        if isinstance(e, ParamRef):
-            return st.params[e.name]
-        if isinstance(e, FieldRef):
-            return st.fields[e.name]
-        if isinstance(e, CallExpr):
-            return self._eval_call(e, st)
-        if isinstance(e, Unary):
-            return not self._eval(e.operand, st)
-        if isinstance(e, Binary):
-            return self._eval_binary(e, st)
-        raise AssertionError(f"unhandled expression {e!r}")
-
-    def _eval_call(self, e: CallExpr, st: "_State") -> Optional[Scalar]:
-        key = (e.receiver.name, e.method)
-        if self._site_types.get(key) == "void":
-            return None
-        script = st.scripts.get(key)
-        if not script:
-            raise _Crash(Event(UNMOCKED_CALL, e.span))
-        idx = min(st.call_counts.get(key, 0), len(script) - 1)
-        st.call_counts[key] = st.call_counts.get(key, 0) + 1
-        return script[idx]
-
-    def _eval_binary(self, e: Binary, st: "_State") -> Scalar:
-        if e.op == "&&":
-            if not self._eval(e.left, st):
-                return False
-            return bool(self._eval(e.right, st))
-        if e.op == "||":
-            if self._eval(e.left, st):
-                return True
-            return bool(self._eval(e.right, st))
-        left = self._eval(e.left, st)
-        right = self._eval(e.right, st)
-        op = e.op
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        if isinstance(left, bool) or isinstance(right, bool):
-            raise AssertionError("arithmetic on bool slipped past the checker")
-        if isinstance(left, int):
-            if op == "+":
-                return _wrap_int(left + right)
-            if op == "-":
-                return _wrap_int(left - right)
-            if op == "*":
-                return _wrap_int(left * right)
-            if right == 0:
-                raise _Crash(Event(DIV_BY_ZERO, e.span))
-            return _int_div(left, right)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        return _float_div(left, right)
-
-
-@dataclass
-class _State:
-    params: dict[str, Scalar]
-    fields: dict[str, Scalar]
-    scripts: dict[tuple[str, str], list[Scalar]]
-    fuel: int
-    call_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    outcomes: set = field(default_factory=set)
-
-    def charge(self) -> None:
-        if self.fuel <= 0:
-            raise _Crash(Event(FUEL_EXHAUSTED))
-        self.fuel -= 1
-
-
-def evaluate_case(
-    unit: SourceUnit,
-    class_name: str,
-    method_name: str,
-    case: "TestCase",
-    fuel: int = DEFAULT_FUEL,
-) -> ExecutionTrace:
-    """One-shot convenience wrapper around CaseEvaluator."""
-    return CaseEvaluator(unit, class_name, method_name, fuel).run(case)

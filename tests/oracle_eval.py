@@ -1,13 +1,22 @@
 """Independent evaluation oracle for differential testing.
 
 This reimplements CUT-lang runtime semantics from the documented contract
-(docs/cutlang.md) with deliberately different machinery than the shipped
-evaluator: statements and expressions are compiled to Python closures
-instead of tree-walked, 64-bit wrapping goes through struct packing
-instead of mask arithmetic, truncating division is derived from floor
-division by post-correction, and condition splitting is an independent
-recursion. Agreement between the two implementations on outcome sets,
-terminal state, crash kind, and return value is the equivalence oracle.
+(docs/cutlang.md). Like the shipped evaluator it compiles each method to
+Python closures, so that alone makes it no independent witness. What stays
+deliberately different is the machinery behind the semantics:
+  - 64-bit wrapping goes through struct packing, not mask arithmetic;
+  - truncating division is derived from floor division by post-correction,
+    not from the quotient of absolute values;
+  - condition splitting is its own recursion (`atoms_of`), not
+    `ultgen.decisions.split_conditions`, and decision ids are numbered
+    here, not taken from `extract_decisions`;
+  - fuel is a separate counter, charged by each statement closure itself
+    rather than by the enclosing block;
+  - arithmetic picks int or float from the runtime value, not from the
+    checker's static type, and void call sites come from the dependency
+    class, not from the call node's type.
+Agreement between the two implementations on outcome sets, terminal state,
+crash kind, return value and fuel consumed is the equivalence oracle.
 """
 
 from __future__ import annotations
@@ -135,6 +144,7 @@ class OracleResult:
     terminal: str
     crash_kind: Optional[str]
     return_value: object
+    steps: int  # fuel consumed
 
 
 def scalars_equal(a, b) -> bool:
@@ -412,4 +422,5 @@ class OracleEvaluator:
             terminal="Crashed" if crash_kind is not None else "Normal",
             crash_kind=crash_kind,
             return_value=None if crash_kind is not None else ret,
+            steps=self.fuel - env.fuel[0],
         )

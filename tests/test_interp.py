@@ -7,7 +7,26 @@ from hypothesis import given, strategies as st
 
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
 from ultgen.cases import TestCase
-from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
+from ultgen.cutlang import INT_MAX, INT_MIN, parse_source, print_method
+from ultgen.cutlang.nodes import (
+    Assert,
+    Assign,
+    Binary,
+    Block,
+    BoolLit,
+    CallExpr,
+    ExprStmt,
+    FieldRef,
+    FloatLit,
+    If,
+    IntLit,
+    MethodDecl,
+    Param,
+    ParamRef,
+    Return,
+    Unary,
+    While,
+)
 from ultgen.errors import ContractViolation, UnknownClass, UnknownTarget
 from ultgen.interp import CaseEvaluator
 
@@ -301,6 +320,7 @@ def agree(trace, result):
         and trace.terminal == result.terminal
         and (trace.crash.kind if trace.crash else None) == result.crash_kind
         and scalars_equal(trace.return_value, result.return_value)
+        and trace.steps == result.steps
     )
 
 
@@ -360,3 +380,146 @@ def test_fuel_boundary_matches_oracle(fuel):
     trace = CaseEvaluator(unit, "M", "looping", fuel=fuel).run(c)
     result = OracleEvaluator(unit, "M", "looping", fuel=fuel).run(c)
     assert agree(trace, result), fuel
+
+
+# --- differential net on generated programs -------------------------------
+#
+# Random well-typed methods of one class: params a, b (int), p (bool) and
+# x (float), fields n (int), on (bool) and level (float), and a dependency
+# with int, bool, float and void methods. Extreme literals make int64 wrap
+# and float overflow likely, and `/` meets zero divisors from the cases.
+# While conditions are random, so loops that never end run into a fuel
+# limit drawn small. Programs are printed and re-parsed, so the evaluators
+# see checker-typed trees with real spans.
+
+GEN_HEAD = """
+class Dep {
+public:
+    int get() { return 0; }
+    bool ok() { return true; }
+    float temp() { return 0.0; }
+    void nudge() {}
+};
+
+class G {
+public:
+    Dep* d;
+    int n;
+    bool on;
+    float level;
+"""
+
+_CMP_OPS = ["==", "!=", "<", "<=", ">", ">="]
+
+
+def _dep_call(method):
+    return CallExpr(FieldRef("d"), method)
+
+
+def _gen_assign(name, value):
+    target = FieldRef(name) if name in ("n", "on", "level") else ParamRef(name)
+    return Assign(target, value)
+
+
+_gen_int = st.recursive(
+    st.one_of(
+        st.integers(min_value=-9, max_value=9).map(IntLit),
+        st.sampled_from([INT_MAX, INT_MIN, 1 << 62, 3037000500]).map(IntLit),
+        st.sampled_from(["a", "b"]).map(ParamRef),
+        st.builds(FieldRef, st.just("n")),
+        st.builds(_dep_call, st.just("get")),
+    ),
+    lambda kids: st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), kids, kids),
+    max_leaves=4,
+)
+
+_gen_float = st.recursive(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64).map(FloatLit),
+        st.sampled_from([0.0, -0.0, 1e308]).map(FloatLit),
+        st.builds(ParamRef, st.just("x")),
+        st.builds(FieldRef, st.just("level")),
+        st.builds(_dep_call, st.just("temp")),
+    ),
+    lambda kids: st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), kids, kids),
+    max_leaves=3,
+)
+
+_gen_bool = st.recursive(
+    st.one_of(
+        st.booleans().map(BoolLit),
+        st.builds(ParamRef, st.just("p")),
+        st.builds(FieldRef, st.just("on")),
+        st.builds(_dep_call, st.just("ok")),
+        st.builds(Binary, st.sampled_from(_CMP_OPS), _gen_int, _gen_int),
+        st.builds(Binary, st.sampled_from(_CMP_OPS), _gen_float, _gen_float),
+    ),
+    lambda kids: st.one_of(
+        st.builds(Binary, st.sampled_from(["&&", "||", "==", "!="]), kids, kids),
+        st.builds(Unary, st.just("!"), kids),
+    ),
+    max_leaves=6,
+)
+
+_gen_stmt = st.deferred(
+    lambda: st.one_of(
+        st.builds(_gen_assign, st.sampled_from(["a", "b", "n"]), _gen_int),
+        st.builds(_gen_assign, st.sampled_from(["p", "on"]), _gen_bool),
+        st.builds(_gen_assign, st.sampled_from(["x", "level"]), _gen_float),
+        st.builds(If, _gen_bool, _gen_block, st.none() | _gen_block),
+        st.builds(While, _gen_bool, _gen_block),
+        st.builds(Assert, _gen_bool),
+        st.builds(ExprStmt, st.sampled_from(["nudge", "get"]).map(_dep_call)),
+        st.builds(Return, _gen_int),
+    )
+)
+
+_gen_block = st.lists(_gen_stmt, max_size=3).map(Block)
+
+
+@st.composite
+def _gen_case(draw):
+    params = {
+        "a": draw(_ints), "b": draw(_ints), "p": draw(st.booleans()), "x": draw(_floats),
+    }
+    fields = {
+        name: _value_for(t, draw)
+        for name, t in (("n", "int"), ("on", "bool"), ("level", "float"))
+        if draw(st.booleans())
+    }
+    mocks = {}
+    for method, t in (("get", "int"), ("ok", "bool"), ("temp", "float")):
+        if draw(st.integers(min_value=0, max_value=3)):  # 1 in 4 unmocked
+            n = draw(st.integers(min_value=1, max_value=3))
+            mocks[("d", method)] = [_value_for(t, draw) for _ in range(n)]
+    return TestCase(
+        id="gen",
+        target=("G", "m"),
+        param_values=params,
+        field_values=fields,
+        mock_plan=mocks,
+        origin="Configured",
+    )
+
+
+@st.composite
+def _gen_program(draw):
+    """(source text, fuel, cases) for one generated method G.m."""
+    stmts = draw(st.lists(_gen_stmt, min_size=1, max_size=4))
+    stmts.append(Return(draw(_gen_int)))
+    params = [Param("a", "int"), Param("b", "int"), Param("p", "bool"), Param("x", "float")]
+    method = MethodDecl("m", params, "int", Block(stmts))
+    text = GEN_HEAD + print_method(method, indent=1) + "\n};\n"
+    fuel = draw(st.one_of(st.integers(min_value=1, max_value=20), st.just(300)))
+    cases = draw(st.lists(_gen_case(), min_size=1, max_size=3))
+    return text, fuel, cases
+
+
+@given(_gen_program())
+def test_generated_programs_match_oracle(packed):
+    text, fuel, cases = packed
+    unit = parse_source(text, path="<gen>")
+    evaluator = CaseEvaluator(unit, "G", "m", fuel=fuel)
+    oracle = OracleEvaluator(unit, "G", "m", fuel=fuel)
+    for c in cases:
+        assert agree(evaluator.run(c), oracle.run(c)), (text, c)
