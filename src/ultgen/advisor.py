@@ -7,9 +7,12 @@ per-component recommended coverage with a highlight flag when it exceeds
 the current level.
 
 The model is logistic regression trained by full-batch gradient descent in
-pure Python. That is deliberate: with three features there is nothing to
-vectorize, and staying off BLAS keeps training bitwise reproducible across
-machines, which the determinism contract requires.
+pure Python. Staying off BLAS keeps training bitwise reproducible across
+machines, which the determinism contract requires. ``loss_and_gradient`` is
+the hot loop, so it makes one fused pass per epoch with the three features
+unrolled, but it keeps every float operation in the same per-sample order:
+reordering, ``sum`` (compensated on 3.12+) or ``math.fsum`` would change
+the trained bits.
 """
 
 from __future__ import annotations
@@ -379,29 +382,45 @@ def loss_and_gradient(
     l2: float = L2_PENALTY,
 ) -> tuple[float, tuple[float, float, float], float]:
     """Mean cross-entropy with (l2/2)*||w||^2 on weights only, and its
-    analytic gradient."""
+    analytic gradient. Labels are 0 or 1."""
+    exp = math.exp
+    log = math.log
+    w0, w1, w2 = weights
     n = len(samples)
-    grad_w = [0.0, 0.0, 0.0]
+    g0 = g1 = g2 = 0.0
     grad_b = 0.0
     loss = 0.0
-    eps = 1e-12
-    for features, label in samples:
+    for (x0, x1, x2), label in samples:
         z = bias
-        for w, x in zip(weights, features):
-            z += w * x
-        p = sigmoid(z)
-        q = min(max(p, eps), 1.0 - eps)
-        loss -= label * math.log(q) + (1 - label) * math.log(1.0 - q)
+        z += w0 * x0
+        z += w1 * x1
+        z += w2 * x2
+        if z >= 0:
+            p = 1.0 / (1.0 + exp(-z))
+        else:
+            ez = exp(z)
+            p = ez / (1.0 + ez)
+        q = min(max(p, 1e-12), 1.0 - 1e-12)
+        # The other term of the cross-entropy is 0 * log(...), a -0.0 that
+        # adds nothing: the clamp keeps both logs finite and nonzero.
+        if label:
+            loss -= log(q)
+        else:
+            loss -= log(1.0 - q)
         diff = p - label
-        for j, x in enumerate(features):
-            grad_w[j] += diff * x
+        g0 += diff * x0
+        g1 += diff * x1
+        g2 += diff * x2
         grad_b += diff
     loss /= n
-    for j in range(3):
-        grad_w[j] = grad_w[j] / n + l2 * weights[j]
-        loss += 0.5 * l2 * weights[j] * weights[j]
+    g0 = g0 / n + l2 * w0
+    loss += 0.5 * l2 * w0 * w0
+    g1 = g1 / n + l2 * w1
+    loss += 0.5 * l2 * w1 * w1
+    g2 = g2 / n + l2 * w2
+    loss += 0.5 * l2 * w2 * w2
     grad_b /= n
-    return loss, (grad_w[0], grad_w[1], grad_w[2]), grad_b
+    return loss, (g0, g1, g2), grad_b
 
 
 def train_model(trends: Sequence[ComponentTrend]) -> ModelParams:

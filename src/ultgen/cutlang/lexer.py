@@ -1,14 +1,17 @@
 """Tokenizer for the CUT-lang class subset.
 
-Comments (``//``, ``/* */``) and preprocessor-style ``#`` lines are skipped
-as trivia. Numbers are unsigned here; the parser folds a leading ``-`` into
-negative literals where the grammar allows it.
+Comments (``//``, ``/* */``) and preprocessor-style ``#`` lines (a ``#`` in
+column 1) are skipped as trivia; they are the only place where non-ASCII
+text is allowed. Each token is one match of ``_TOKEN_RE`` and its column is
+its offset from the start of its line. Numbers are unsigned here; the
+parser folds a leading ``-`` into negative literals where the grammar
+allows it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+import re
+from typing import NamedTuple, Optional, Union
 
 from ..errors import ParseError
 
@@ -63,8 +66,11 @@ PUNCT = [
 ]
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token. A NamedTuple rather than a frozen dataclass: the lexer
+    builds one per token, and a frozen dataclass's ``__init__`` (one
+    ``object.__setattr__`` per field) took about half of ``tokenize``."""
+
     kind: str  # "ident", "keyword", "int", "float", "punct", "eof"
     text: str
     pos: int
@@ -79,94 +85,87 @@ class Token:
         return self.kind == "keyword" and self.text == text
 
 
+# One alternative per token class, each a single capturing group whose
+# number is the match's ``lastindex``. Comment openers come before the "/"
+# of PUNCT, which keeps its longest-first order. Identifiers and numbers are
+# ASCII only, as docs/cutlang.md defines them.
+_TOKEN_RE = re.compile(
+    "|".join(
+        [
+            r"(\n)",
+            r"([ \t\r]+)",
+            r"(//[^\n]*)",
+            r"(/\*)",
+            r"([A-Za-z_][A-Za-z0-9_]*)",
+            r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)",
+            r"(#[^\n]*)",
+            "(" + "|".join(map(re.escape, PUNCT)) + ")",
+        ]
+    )
+)
+(_NEWLINE, _BLANK, _LINE_COMMENT, _BLOCK_COMMENT,
+ _WORD, _NUMBER, _HASH_LINE, _PUNCT) = range(1, 9)
+# A number may not run straight into an identifier or a second point.
+_NUMBER_TAIL = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.")
+
+
 def tokenize(source: str, path: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos = 0
     line = 1
-    col = 1
+    line_start = 0
     n = len(source)
-
-    def err(message: str, at_line: int, at_col: int) -> ParseError:
-        return ParseError(message, line=at_line, column=at_col, path=path)
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#" and col == 1:
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise err("unterminated block comment", start_line, start_col)
-            for c in source[i : end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            text = source[start:i]
+    while pos < n:
+        m = match(source, pos)
+        group = m.lastindex if m is not None else None
+        if group == _WORD:
+            end = m.end()
+            text = source[pos:end]
             kind = "keyword" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, start, line, col))
-            col += i - start
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and source[i].isdigit():
-                i += 1
-            is_float = False
-            if i < n and source[i] == "." and i + 1 < n and source[i + 1].isdigit():
-                is_float = True
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    is_float = True
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            text = source[start:i]
-            if i < n and (source[i].isalpha() or source[i] == "_" or source[i] == "."):
-                raise err(f"malformed number {text + source[i]!r}", line, start_col)
-            if is_float:
-                tokens.append(Token("float", text, start, line, start_col, float(text)))
+            append(Token(kind, text, pos, line, pos - line_start + 1))
+        elif group == _BLANK:
+            end = m.end()
+        elif group == _PUNCT:
+            end = m.end()
+            append(Token("punct", m.group(), pos, line, pos - line_start + 1))
+        elif group == _NEWLINE:
+            end = pos + 1
+            line += 1
+            line_start = end
+        elif group == _NUMBER:
+            end = m.end()
+            text = source[pos:end]
+            column = pos - line_start + 1
+            if end < n and source[end] in _NUMBER_TAIL:
+                message = f"malformed number {text + source[end]!r}"
+                raise ParseError(message, line=line, column=column, path=path)
+            if text.isdigit():
+                append(Token("int", text, pos, line, column, int(text)))
             else:
-                tokens.append(Token("int", text, start, line, start_col, int(text)))
-            col = start_col + (i - start)
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, i, line, col))
-                i += len(p)
-                col += len(p)
-                break
+                append(Token("float", text, pos, line, column, float(text)))
+        elif group == _LINE_COMMENT or (group == _HASH_LINE and pos == line_start):
+            end = m.end()
+        elif group == _BLOCK_COMMENT:
+            close = source.find("*/", pos + 2)
+            if close < 0:
+                raise ParseError(
+                    "unterminated block comment",
+                    line=line, column=pos - line_start + 1, path=path,
+                )
+            end = close + 2
+            newlines = source.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = source.rfind("\n", pos, end) + 1
         else:
-            raise err(f"unexpected character {ch!r}", line, col)
+            # No token starts here, or a '#' that does not open its line.
+            raise ParseError(
+                f"unexpected character {source[pos]!r}",
+                line=line, column=pos - line_start + 1, path=path,
+            )
+        pos = end
 
-    tokens.append(Token("eof", "", n, line, col))
+    tokens.append(Token("eof", "", n, line, n - line_start + 1))
     return tokens

@@ -7,6 +7,7 @@ of differently formatted but identical programs compare equal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
@@ -284,13 +285,20 @@ class DependencyRef:
     extern: bool = False
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """Field names of a node class; dataclasses.fields() is too slow to call
+    once per visited node."""
+    return tuple(f.name for f in fields(cls))
+
+
 def walk(node: object) -> Iterator[object]:
     """Yield ``node`` and every AST node reachable from it, pre-order."""
     yield node
     if not hasattr(node, "__dataclass_fields__"):
         return
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in _field_names(type(node)):
+        value = getattr(node, name)
         if isinstance(value, (Span, RefType)):
             continue
         if isinstance(value, list):

@@ -428,6 +428,52 @@ def test_gradient_matches_finite_differences():
         assert abs(numeric - grad_b) <= 1e-4 * max(1.0, abs(numeric))
 
 
+def _reference_loss_and_gradient(weights, bias, samples, l2=advisor.L2_PENALTY):
+    """The generic formula the fused loop must reproduce bit for bit."""
+    n = len(samples)
+    grad_w = [0.0, 0.0, 0.0]
+    grad_b = 0.0
+    loss = 0.0
+    eps = 1e-12
+    for features, label in samples:
+        z = bias
+        for w, x in zip(weights, features):
+            z += w * x
+        p = sigmoid(z)
+        q = min(max(p, eps), 1.0 - eps)
+        loss -= label * math.log(q) + (1 - label) * math.log(1.0 - q)
+        diff = p - label
+        for j, x in enumerate(features):
+            grad_w[j] += diff * x
+        grad_b += diff
+    loss /= n
+    for j in range(3):
+        grad_w[j] = grad_w[j] / n + l2 * weights[j]
+        loss += 0.5 * l2 * weights[j] * weights[j]
+    grad_b /= n
+    return loss, (grad_w[0], grad_w[1], grad_w[2]), grad_b
+
+
+_unit = st.floats(0.0, 1.0)
+_coef = st.floats(-60.0, 60.0)
+
+
+@given(
+    samples=st.lists(
+        st.tuples(st.tuples(_unit, _unit, _unit), st.integers(0, 1)),
+        min_size=1,
+        max_size=12,
+    ),
+    weights=st.tuples(_coef, _coef, _coef),
+    bias=_coef,
+)
+def test_loss_and_gradient_bit_exact_against_reference(samples, weights, bias):
+    # Coefficients up to 60 saturate the sigmoid, so the clamp is hit too.
+    assert loss_and_gradient(weights, bias, samples) == _reference_loss_and_gradient(
+        weights, bias, samples
+    )
+
+
 def test_l2_hits_weights_not_bias():
     samples = _random_samples(SplitMix64(7), 6)
     w = [2.0, -1.0, 0.5]
@@ -500,6 +546,12 @@ def test_train_insufficient_data():
 
 def test_train_is_deterministic():
     assert train_model(learned_fixture_trends()) == learned_model()
+
+
+def test_train_model_bit_exact_against_reference(monkeypatch):
+    expected = learned_model()
+    monkeypatch.setattr(advisor, "loss_and_gradient", _reference_loss_and_gradient)
+    assert train_model(learned_fixture_trends()) == expected
 
 
 def test_learned_model_recovers_planted_rule():

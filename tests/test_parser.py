@@ -30,6 +30,7 @@ from ultgen.cutlang import (
     print_unit,
     tokenize,
 )
+from ultgen.cutlang.lexer import KEYWORDS, PUNCT
 from ultgen.errors import (
     DuplicateName,
     ParseError,
@@ -64,6 +65,94 @@ def test_tokenize_reports_position():
 def test_unterminated_block_comment_rejected():
     with pytest.raises(ParseError):
         tokenize("int x; /* never closed")
+
+
+def test_eof_column_after_trailing_comment():
+    source = "class A { int f() { return 1; } // tail"
+    assert tokenize(source)[-1].column == len(source) + 1
+    with pytest.raises(ParseError) as info:
+        parse_source(source, path="t.cut")
+    assert str(info.value) == (
+        "t.cut:1:40: expected a member declaration, found end of input"
+    )
+    assert tokenize("int x;\n#pragma once")[-1].column == 13
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("int \u00e9;", "t.cut:1:5: unexpected character '\u00e9'"),
+        ("int x = \u0663;", "t.cut:1:9: unexpected character '\u0663'"),
+        ("x = \u00b2;", "t.cut:1:5: unexpected character '\u00b2'"),
+        ("x1\u0663 = 0;", "t.cut:1:3: unexpected character '\u0663'"),
+        ("int x; #pragma", "t.cut:1:8: unexpected character '#'"),
+    ],
+)
+def test_tokenize_rejects_characters_outside_the_grammar(source, message):
+    with pytest.raises(ParseError) as info:
+        tokenize(source, "t.cut")
+    assert str(info.value) == message
+
+
+_IDENT_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+_EXPONENT = st.tuples(
+    st.sampled_from(["e", "E"]), st.sampled_from(["", "+", "-"]), _DIGITS
+).map("".join)
+_TOKEN_TEXT = st.one_of(
+    st.tuples(
+        st.sampled_from(_IDENT_START),
+        st.text(alphabet=_IDENT_START + "0123456789", max_size=5),
+    )
+    .map("".join)
+    .filter(lambda text: text not in KEYWORDS)
+    .map(lambda text: ("ident", text)),
+    st.sampled_from(sorted(KEYWORDS)).map(lambda text: ("keyword", text)),
+    _DIGITS.map(lambda text: ("int", text)),
+    st.one_of(
+        st.tuples(_DIGITS, _DIGITS, st.just("") | _EXPONENT).map(
+            lambda parts: parts[0] + "." + parts[1] + parts[2]
+        ),
+        st.tuples(_DIGITS, _EXPONENT).map("".join),
+    ).map(lambda text: ("float", text)),
+    st.sampled_from(PUNCT).map(lambda text: ("punct", text)),
+)
+# Every separator starts with a blank or a newline, so no two tokens merge
+# and a "/" token never runs into a comment opener.
+_COMMENT_TEXT = st.text(alphabet="ab */#\u8fd8", max_size=6).filter(
+    lambda text: "*/" not in text
+)
+_SEPARATOR_PART = st.one_of(
+    st.sampled_from([" ", "\t", "\r", "\n", "  "]),
+    _COMMENT_TEXT.map(lambda text: " //" + text + "\n"),
+    st.tuples(_COMMENT_TEXT, _COMMENT_TEXT).map(
+        lambda pair: " /*" + pair[0] + "\n" + pair[1] + " */"
+    ),
+    _COMMENT_TEXT.map(lambda text: "\n#" + text + "\n"),
+)
+_SEPARATOR = st.lists(_SEPARATOR_PART, min_size=1, max_size=3).map("".join)
+_TRAILER = st.sampled_from(["", "\n", " // tail", "\n#tail", " /* x\n */ "])
+
+
+@given(
+    drawn=st.lists(st.tuples(_TOKEN_TEXT, _SEPARATOR), max_size=25),
+    lead=st.sampled_from(["", "#lead\n", "\n ", "/* x */"]),
+    trailer=_TRAILER,
+)
+def test_tokenize_positions_match_source(drawn, lead, trailer):
+    parts = [lead]
+    for i, ((_, text), separator) in enumerate(drawn):
+        parts.append(text)
+        parts.append(separator if i + 1 < len(drawn) else trailer)
+    source = "".join(parts)
+    tokens = tokenize(source)
+    expected = [token for token, _ in drawn] + [("eof", "")]
+    assert [(t.kind, t.text) for t in tokens] == expected
+    for t in tokens:
+        assert source[t.pos : t.pos + len(t.text)] == t.text
+        assert t.line == source.count("\n", 0, t.pos) + 1
+        assert t.column == t.pos - (source.rfind("\n", 0, t.pos) + 1) + 1
+    assert tokens[-1].pos == len(source)
 
 
 # --- basic declarations ---------------------------------------------------
