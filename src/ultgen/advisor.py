@@ -400,7 +400,9 @@ def loss_and_gradient(
         else:
             ez = exp(z)
             p = ez / (1.0 + ez)
-        q = min(max(p, 1e-12), 1.0 - 1e-12)
+        # min(max(p, 1e-12), 1.0 - 1e-12) without two builtin calls; a NaN
+        # falls through both tests and stays NaN, as it does there.
+        q = 1e-12 if p < 1e-12 else (1.0 - 1e-12 if p > 1.0 - 1e-12 else p)
         # The other term of the cross-entropy is 0 * log(...), a -0.0 that
         # adds nothing: the clamp keeps both logs finite and nonzero.
         if label:

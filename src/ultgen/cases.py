@@ -41,7 +41,7 @@ DEFAULT_SEED = 42
 _RANDOM_POOL_VALUES = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class TestCase:
     id: str
     target: tuple[str, str]  # (class, method)
@@ -428,66 +428,75 @@ def fuzz_candidates(
     product = 1
     for s in sizes:
         product *= s
+    # build_axes puts every param axis before every mock axis.
+    n_params = sum(1 for a in axes if a.kind == "param")
+    param_names = [a.name for a in axes[:n_params]]
+    param_pools = [a.pool for a in axes[:n_params]]
+    mock_keys = [a.name for a in axes[n_params:]]
+    mock_pools = [a.pool for a in axes[n_params:]]
+    target = (class_name, method.name)
+    id_prefix = f"fz-{class_name}.{method.name}-"
 
     def build(vector: Sequence[int], index: int) -> TestCase:
-        params: dict[str, Scalar] = {}
-        mocks: dict[MockKey, list[Scalar]] = {}
-        for axis, i in zip(axes, vector):
-            if axis.kind == "param":
-                params[axis.name] = axis.pool[i]
-            else:
-                mocks[axis.name] = [axis.pool[i]]
         return TestCase(
-            id=f"fz-{class_name}.{method.name}-{index:04d}",
-            target=(class_name, method.name),
-            param_values=params,
-            field_values={},
-            mock_plan=mocks,
-            origin=FUZZED,
-            seed_info=(seed, index),
+            f"{id_prefix}{index:04d}",
+            target,
+            {n: pool[i] for n, pool, i in zip(param_names, param_pools, vector)},
+            {},
+            {
+                k: [pool[i]]
+                for k, pool, i in zip(mock_keys, mock_pools, vector[n_params:])
+            },
+            FUZZED,
+            (seed, index),
         )
 
     emitted = 0
-    emitted_vectors = 0
 
     # phase 0: all defaults, then every pool value alone
-    zeros = tuple(0 for _ in axes)
-    solo: list[tuple[int, ...]] = [zeros]
+    vec = [0] * len(axes)
+    yield build(vec, emitted)
+    emitted += 1
     for d, size in enumerate(sizes):
         for v in range(1, size):
-            solo.append(zeros[:d] + (v,) + zeros[d + 1 :])
-    for vec in solo:
-        if emitted >= budget:
-            return
-        yield build(vec, emitted)
-        emitted += 1
-        emitted_vectors += 1
+            if emitted >= budget:
+                return
+            vec[d] = v
+            yield build(vec, emitted)
+            emitted += 1
+        vec[d] = 0
 
-    # phase 1: mixed-radix count, axis 0 fastest, skipping phase-0 vectors
+    # phase 1: mixed-radix count, axis 0 fastest, skipping phase-0 vectors.
+    # `vec` is an odometer over the pool product and `nonzero` counts its
+    # nonzero digits; a digit of a size-1 axis is always 0.
     remaining = budget - emitted
     phase1_cap = remaining if product <= budget else (remaining * 3) // 4
     counter = 0
     taken = 0
+    nonzero = 0
     while counter < product and taken < phase1_cap:
-        n = counter
         counter += 1
-        vec = []
-        for s in sizes:
-            vec.append(n % s)
-            n //= s
-        if sum(1 for i in vec if i) <= 1:
-            continue  # already emitted in phase 0
-        yield build(tuple(vec), emitted)
-        emitted += 1
-        emitted_vectors += 1
-        taken += 1
-    if emitted_vectors >= product:
+        if nonzero > 1:  # vectors with at most one nonzero came in phase 0
+            yield build(vec, emitted)
+            emitted += 1
+            taken += 1
+        for d, size in enumerate(sizes):
+            digit = vec[d] + 1
+            if digit < size:
+                vec[d] = digit
+                if digit == 1:
+                    nonzero += 1
+                break
+            if vec[d]:
+                nonzero -= 1
+            vec[d] = 0
+    if emitted >= product:
         return  # complete enumeration, nothing new can follow
 
     # phase 2: random pool-index vectors
+    below = rng.below
     while emitted < budget:
-        vec = tuple(rng.below(s) for s in sizes)
-        yield build(vec, emitted)
+        yield build([below(s) for s in sizes], emitted)
         emitted += 1
 
 
@@ -534,8 +543,10 @@ def greedy_select(
             except ContractViolation:
                 invalid.append(case.id)
                 continue
-            new_pairs = (trace.outcomes & valid) - covered
             new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
+            if not new_crash and trace.outcomes <= covered:
+                continue  # nothing new, so `covered` is still short of `valid`
+            new_pairs = (trace.outcomes & valid) - covered
             if new_pairs or new_crash:
                 kept.append(case)
                 traces.append(trace)

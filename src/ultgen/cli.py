@@ -51,7 +51,7 @@ from .cases import (
 from .coverage import MethodCoverage, aggregate_report, all_pairs, compute_coverage
 from .cutlang.nodes import SourceUnit
 from .cutlang.parser import parse_source
-from .decisions import decisions_table, extract_decisions
+from .decisions import Decision, decisions_table, extract_decisions
 from .errors import UltgenError, UnknownClass, UnknownTarget
 from .interp import CaseEvaluator
 from .scaffold import (
@@ -290,7 +290,10 @@ def _load_case_file(path: str) -> list[TestCase]:
     return cases
 
 
-def _method_row(mc: MethodCoverage, uncovered: list[str]) -> dict:
+def _method_row(mc: MethodCoverage, decisions: Sequence[Decision]) -> dict:
+    """One method's row of a coverage report; `decisions` are the method's,
+    whose outcome pairs not in `mc` are listed as uncovered."""
+    uncovered = sorted(_pair_label(p) for p in all_pairs(decisions) - mc.pairs_covered)
     return {
         "method": mc.method,
         "conditions": mc.conditions_total,
@@ -334,11 +337,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             traces, evaluator.decisions,
             f"{class_name}.{method_name}", evaluator.fingerprint,
         )
-        uncovered = sorted(
-            _pair_label(p) for p in all_pairs(evaluator.decisions) - mc.pairs_covered
-        )
         methods.append(mc)
-        rows.append(_method_row(mc, uncovered))
+        rows.append(_method_row(mc, evaluator.decisions))
 
     report = aggregate_report(methods)
     payload = {
@@ -571,13 +571,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             config = load_case_config(_read_text(args.config), unit)
         all_cases: list[TestCase] = []
         methods: list[MethodCoverage] = []
+        rows: list[dict] = []  # built here, so no method's decisions outlive it
         configured_total = 0
         kept_total = 0
         candidates_total = 0
         for cls_name in classes:
             cls = unit.class_named(cls_name)
             for m in public_methods(cls):
-                _, configured, result = _select_cases(
+                evaluator, configured, result = _select_cases(
                     unit, cls_name, m.name, config, args.budget, seed
                 )
                 all_cases.extend(configured)
@@ -586,6 +587,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 kept_total += len(result.kept)
                 candidates_total += result.candidates_run
                 methods.append(result.coverage)
+                rows.append(_method_row(result.coverage, evaluator.decisions))
         with open(out_dir / "cases.jsonl", "w", encoding="utf-8") as fh:
             for case in all_cases:
                 fh.write(json.dumps(case_to_json(case)) + "\n")
@@ -598,9 +600,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     with _stage("coverage"):
         report = aggregate_report(methods)
-        rows = []
-        for mc in methods:
-            rows.append(_method_row(mc, []))
         coverage_payload = {
             "methods": rows,
             "functional_pct": report.functional_pct,

@@ -277,14 +277,6 @@ class SourceUnit:
         return frozenset(e.name for e in self.externs) | self.implicit_externs
 
 
-@dataclass(frozen=True)
-class DependencyRef:
-    """A resolved dependency edge; ``extern`` marks classes declared name-only."""
-
-    class_name: str
-    extern: bool = False
-
-
 @functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
     """Field names of a node class; dataclasses.fields() is too slow to call

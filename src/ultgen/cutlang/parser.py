@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..errors import DuplicateName, ParseError, TypeCheckError, UnknownClass
+from ..errors import DuplicateName, ParseError, TypeCheckError
 from .lexer import Token, tokenize
 from .nodes import (
     INT_MAX,
@@ -26,7 +26,6 @@ from .nodes import (
     BoolLit,
     CallExpr,
     ClassDecl,
-    DependencyRef,
     Expr,
     ExprStmt,
     ExternDecl,
@@ -756,14 +755,3 @@ def parse_source(text: str, path: str = "<string>", fixture: bool = False) -> So
     unit = _Parser(tokens, path, fixture).parse_unit()
     _Resolver(unit, path, fixture).run()
     return unit
-
-
-def list_dependencies(unit: SourceUnit, class_name: str) -> frozenset[DependencyRef]:
-    """Direct dependencies of a class: the ref field types it declares."""
-    cls = unit.class_named(class_name)
-    if cls is None:
-        raise UnknownClass(f"class {class_name!r} not found in {unit.path}")
-    externs = unit.extern_names()
-    return frozenset(
-        DependencyRef(name, extern=name in externs) for name in cls.dependencies
-    )

@@ -27,7 +27,6 @@ from .nodes import (
     Return,
     SourceUnit,
     Stmt,
-    TestBlock,
     Unary,
     While,
 )
@@ -163,9 +162,3 @@ def print_unit(unit: SourceUnit) -> str:
         _block(tb.body, 0, out)
         parts.append("\n".join(out))
     return "\n\n".join(parts) + ("\n" if parts else "")
-
-
-def print_test_block(tb: TestBlock) -> str:
-    out = [f"TEST_F({tb.fixture}, {tb.name})"]
-    _block(tb.body, 0, out)
-    return "\n".join(out)

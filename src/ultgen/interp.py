@@ -29,7 +29,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
 from .cutlang.nodes import (
     INT_MAX,
@@ -56,10 +57,9 @@ from .cutlang.nodes import (
     Stmt,
     Unary,
     While,
-    walk,
 )
 from .cutlang.printer import print_method
-from .decisions import Decision, extract_decisions
+from .decisions import Decision, extract_decisions, method_call_sites
 from .errors import ContractViolation, UnknownClass, UnknownTarget
 
 if TYPE_CHECKING:
@@ -90,20 +90,21 @@ class Event:
         return (self.kind, self.site.line, self.site.column)
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     case_id: str
     outcomes: frozenset[tuple[str, bool]]  # (decision or condition id, value)
-    events: tuple[Event, ...]
-    terminal: str  # "Normal" | "Crashed"
     crash: Optional[Event]
     steps: int
-    return_value: Optional[Scalar]
+    return_value: Optional[Scalar]  # None after a crash
     fingerprint: str
 
     @property
+    def terminal(self) -> str:
+        return "Normal" if self.crash is None else "Crashed"
+
+    @property
     def passed(self) -> bool:
-        return self.terminal == "Normal"
+        return self.crash is None
 
 
 _OUT_OF_FUEL = Event(FUEL_EXHAUSTED)
@@ -414,7 +415,6 @@ class CaseEvaluator:
         self.decisions: list[Decision] = extract_decisions(method, class_name)
         self.fingerprint = method_fingerprint(class_name, method)
         self._scalar_fields, self._ref_fields = self._effective_fields(unit, cls)
-        self._site_types = self._call_site_types()
         self._body: Optional[_Code] = None  # set by _compile on the first run
 
     @staticmethod
@@ -449,13 +449,12 @@ class CaseEvaluator:
                     scalars[f.name] = f.type
         return scalars, refs
 
-    def _call_site_types(self) -> dict[tuple[str, str], str]:
-        """Static return type per (field, method) call key in the body."""
-        out: dict[tuple[str, str], str] = {}
-        for node in walk(self.method.body):
-            if isinstance(node, CallExpr):
-                out[(node.receiver.name, node.method)] = node.type_ or "int"
-        return out
+    @cached_property
+    def _site_types(self) -> dict[tuple[str, str], str]:
+        """Static return type per (field, method) call key in the body, in
+        pre-order of first use. Built on first use, so evaluators that never
+        run or expand a case skip the walk."""
+        return {key: node.type_ or "int" for key, node in method_call_sites(self.method)}
 
     def _compile(self) -> _Code:
         """Compile the body and the per-case invariants of validation."""
@@ -540,12 +539,6 @@ class CaseEvaluator:
         except _Crash as c:
             crash = c.event
         return ExecutionTrace(
-            case_id=case.id,
-            outcomes=frozenset(state.outcomes),
-            events=(crash,) if crash is not None else (),
-            terminal="Crashed" if crash is not None else "Normal",
-            crash=crash,
-            steps=self.fuel - state.fuel,
-            return_value=None if crash is not None else ret,
-            fingerprint=self.fingerprint,
+            case.id, frozenset(state.outcomes), crash, self.fuel - state.fuel,
+            ret, self.fingerprint,
         )

@@ -54,28 +54,6 @@ class ScaffoldBundle:
     anchor_line_count: int
     warnings: tuple[str, ...] = ()
 
-    @property
-    def fixture_text(self) -> str:
-        return self.files[0][1]
-
-    @property
-    def test_class_text(self) -> str:
-        return self.files[1][1]
-
-    @property
-    def mock_texts(self) -> dict[str, str]:
-        out = {}
-        for name, text in self.files[2:]:
-            dep = name[len("mock_") : -len(".h")]
-            out[dep] = text
-        return out
-
-    def file_text(self, name: str) -> str:
-        for fname, text in self.files:
-            if fname == name:
-                return text
-        raise KeyError(name)
-
 
 def fixture_file_name(class_name: str) -> str:
     return f"{class_name.lower()}_test_fixture.h"
@@ -342,14 +320,3 @@ def merge_bundle(
         anchor_line_count=anchor,
         warnings=bundle.warnings,
     )
-
-
-def bundle_source_text(unit: SourceUnit, bundle: ScaffoldBundle) -> str:
-    """Original unit plus all generated texts, for self-consistency parsing
-    under the fixture grammar (all names resolve in one combined source)."""
-    from .cutlang.printer import print_unit
-
-    parts = [print_unit(unit)]
-    for _, text in bundle.files:
-        parts.append(text)
-    return "\n".join(parts)

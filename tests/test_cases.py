@@ -5,9 +5,12 @@ import math
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ultgen.cases import (
     DEFAULT_BUDGET,
+    FUZZED,
     TestCase,
     build_axes,
     case_from_json,
@@ -189,6 +192,98 @@ def test_bad_budget_rejected(unit, evaluator):
         next(fuzz_candidates("A", evaluator.method, evaluator.decisions, budget=0))
 
 
+def _reference_candidates(class_name, method, decisions, budget, seed, pool_overrides):
+    """The stream as first written: every phase-1 vector re-derived from its
+    counter by % and //. fuzz_candidates must reproduce it exactly."""
+    rng = SplitMix64(seed)
+    axes = build_axes(method, decisions, rng, pool_overrides)
+    sizes = [len(a.pool) for a in axes]
+    product = 1
+    for s in sizes:
+        product *= s
+
+    def build(vector, index):
+        params = {}
+        mocks = {}
+        for axis, i in zip(axes, vector):
+            if axis.kind == "param":
+                params[axis.name] = axis.pool[i]
+            else:
+                mocks[axis.name] = [axis.pool[i]]
+        return TestCase(
+            id=f"fz-{class_name}.{method.name}-{index:04d}",
+            target=(class_name, method.name),
+            param_values=params,
+            field_values={},
+            mock_plan=mocks,
+            origin=FUZZED,
+            seed_info=(seed, index),
+        )
+
+    emitted = 0
+    zeros = tuple(0 for _ in axes)
+    solo = [zeros]
+    for d, size in enumerate(sizes):
+        for v in range(1, size):
+            solo.append(zeros[:d] + (v,) + zeros[d + 1 :])
+    for vec in solo:
+        if emitted >= budget:
+            return
+        yield build(vec, emitted)
+        emitted += 1
+    remaining = budget - emitted
+    phase1_cap = remaining if product <= budget else (remaining * 3) // 4
+    counter = 0
+    taken = 0
+    while counter < product and taken < phase1_cap:
+        n = counter
+        counter += 1
+        vec = []
+        for s in sizes:
+            vec.append(n % s)
+            n //= s
+        if sum(1 for i in vec if i) <= 1:
+            continue
+        yield build(tuple(vec), emitted)
+        emitted += 1
+        taken += 1
+    if emitted >= product:
+        return
+    while emitted < budget:
+        vec = tuple(rng.below(s) for s in sizes)
+        yield build(vec, emitted)
+        emitted += 1
+
+
+def _stream_record(cases):
+    """Everything a case file shows of a stream, dict order included."""
+    return [
+        (c.id, c.target, list(c.param_values.items()), c.field_values,
+         list(c.mock_plan.items()), c.origin, c.seed_info)
+        for c in cases
+    ]
+
+
+# Size-1 pools make the product fit the budget more often and put digits
+# that never leave 0 between ones that roll over.
+@example(method="steps", budget=300, seed=42, x=[1, 2], f=[0.5], go=[True, False])
+@example(method="steps", budget=40, seed=42, x=[1], f=None, go=[True])
+@given(
+    method=st.sampled_from(["steps", "plain"]),
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+    x=st.none() | st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    f=st.none() | st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    go=st.none() | st.lists(st.booleans(), min_size=1, max_size=3),
+)
+def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go):
+    evaluator = CaseEvaluator(unit, "A", method)
+    overrides = {k: v for k, v in (("x", x), ("f", f), ("go", go)) if v is not None}
+    args = ("A", evaluator.method, evaluator.decisions, budget, seed, overrides)
+    got = _stream_record(fuzz_candidates(*args))
+    assert got == _stream_record(_reference_candidates(*args))
+
+
 # --- greedy selection -----------------------------------------------------
 
 def test_greedy_keeps_only_novel_candidates(unit, evaluator):
@@ -240,19 +335,21 @@ def test_greedy_without_decisions_runs_nothing(unit):
     assert result.candidates_run == 0
 
 
-def test_greedy_crash_kinds_dedupe_by_site():
-    src = """
-    class A {
-    public:
-        int half(int y) {
-            if (y > 100) {
-                return 0;
-            }
-            return 10 / y;
+HALF_SRC = """
+class A {
+public:
+    int half(int y) {
+        if (y > 100) {
+            return 0;
         }
-    };
-    """
-    u = parse_source(src, path="<crash>")
+        return 10 / y;
+    }
+};
+"""
+
+
+def test_greedy_crash_kinds_dedupe_by_site():
+    u = parse_source(HALF_SRC, path="<crash>")
     evaluator = CaseEvaluator(u, "A", "half")
     # the override forces a second division-by-zero candidate
     result = greedy_select(
@@ -267,6 +364,31 @@ def test_greedy_crash_kinds_dedupe_by_site():
     assert result.candidates_run == 3
     crashes = [t for t in result.traces if t.crash]
     assert len(crashes) == 1  # only the first DivByZero at that site is kept
+
+
+def test_greedy_pins_kept_invalid_and_traces():
+    u = parse_source(HALF_SRC, path="<greedy>")
+    evaluator = CaseEvaluator(u, "A", "half")
+
+    def case(n, y):
+        return TestCase(f"c{n}", ("A", "half"), {"y": y}, {}, {}, FUZZED)
+
+    stream = [
+        case(0, 5),  # D1 false, returns: new pairs
+        case(1, 6),  # the same pairs again
+        case(2, 0),  # the same pairs, but a new DivByZero
+        case(3, 0),  # that crash again
+        case(4, 1.5),  # not an int: ContractViolation
+        case(5, 200),  # D1 true: full coverage, so selection stops
+        case(6, 7),
+    ]
+    result = greedy_select(iter(stream), evaluator)
+    assert [c.id for c in result.kept] == ["c0", "c2", "c5"]
+    assert result.invalid == ("c4",)
+    assert result.candidates_run == 6
+    assert result.traces == tuple(evaluator.run(c) for c in result.kept)
+    assert [t.terminal for t in result.traces] == ["Normal", "Crashed", "Normal"]
+    assert result.coverage.percent == 100.0
 
 
 # --- serialization --------------------------------------------------------

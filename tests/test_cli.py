@@ -599,6 +599,27 @@ def test_run_exits_two_below_threshold(invoke, corpus_dir, tmp_path):
     assert manifest["exit_code"] == 2
 
 
+def test_run_uncovered_matches_coverage_subcommand(invoke, corpus_dir, tmp_path):
+    out_dir = tmp_path / "out"
+    with pytest.warns(ExternDependencyWarning):
+        code, _, _ = invoke("run", corpus_dir, "-o", out_dir, "--threshold", "0")
+    assert code == 0
+    run_rows = json.loads((out_dir / "coverage.json").read_text())["methods"]
+    # `run` parses the sorted sources joined by newlines as one unit
+    joined = tmp_path / "corpus.cut"
+    joined.write_text(
+        "\n".join(p.read_text() for p in sorted(corpus_dir.glob("*.cut")))
+    )
+    code, out, _ = invoke(
+        "coverage", joined, "--cases", out_dir / "cases.jsonl",
+        "--threshold", "0", "--json",
+    )
+    assert code == 0
+    replayed = {r["method"]: r["uncovered"] for r in json.loads(out)["methods"]}
+    assert {r["method"]: r["uncovered"] for r in run_rows} == replayed
+    assert any(replayed.values())  # LruCache.admit:D2:F is out of reach
+
+
 def test_run_seed_flag_lands_in_manifest(invoke, project_dir, history_dir, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = _run_project(
