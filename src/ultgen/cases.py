@@ -24,9 +24,9 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, all_pairs, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, MethodDecl, RefType, SourceUnit
-from .decisions import Decision, extract_decisions, method_call_sites
+from .decisions import Decision, extract_decisions
 from .errors import ContractViolation, SchemaError, UnknownTarget
-from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS
+from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, _fits
 from .rng import SplitMix64
 
 Scalar = Union[int, float, bool]
@@ -132,19 +132,12 @@ class CaseConfig:
 
 def _coerce(type_name: str, value: object, path: str) -> Scalar:
     """JSON value -> typed scalar; ints coerce to float for float inputs."""
-    if type_name == "int":
-        if type(value) is int and INT_MIN <= value <= INT_MAX:
-            return value
-    elif type_name == "bool":
-        if type(value) is bool:
-            return value
-    elif type_name == "float":
-        if type(value) is float:
-            return value
-        if type(value) is int:
-            return float(value)
-        if value in ("Infinity", "-Infinity", "NaN"):
-            return float(value)
+    if _fits(type_name, value):
+        return value
+    if type_name == "float" and (
+        type(value) is int or value in ("Infinity", "-Infinity", "NaN")
+    ):
+        return float(value)
     raise SchemaError(f"{path}: expected {type_name}, got {value!r}")
 
 
@@ -379,13 +372,15 @@ class _Axis:
 def build_axes(
     method: MethodDecl,
     decisions: Sequence[Decision],
+    site_types: dict[MockKey, str],
     rng: SplitMix64,
     pool_overrides: Optional[dict[str, list[Scalar]]] = None,
 ) -> list[_Axis]:
     """Fuzzing axes with their pools: params in declaration order, then
-    value-returning call sites in body pre-order. Pool overrides replace
-    the derived pool for the named parameter. Consumes three values from
-    `rng` per non-overridden int/float axis, in axis order."""
+    value-returning call sites in body pre-order of first use, the order of
+    `site_types` (CaseEvaluator._site_types). Pool overrides replace the
+    derived pool for the named parameter. Consumes three values from `rng`
+    per non-overridden int/float axis, in axis order."""
     overrides = pool_overrides or {}
     axes: list[_Axis] = []
     for p in method.params:
@@ -394,12 +389,7 @@ def build_axes(
             continue
         lits = _literals_for(decisions, p.type, param=p.name)
         axes.append(_Axis("param", p.name, tuple(_build_pool(p.type, lits, rng))))
-    seen: set[MockKey] = set()
-    for key, node in method_call_sites(method):
-        if key in seen:
-            continue
-        seen.add(key)
-        ret = node.type_ or "int"
+    for key, ret in site_types.items():
         if ret == "void":
             continue
         lits = _literals_for(decisions, ret, call=key)
@@ -408,14 +398,13 @@ def build_axes(
 
 
 def fuzz_candidates(
-    class_name: str,
-    method: MethodDecl,
-    decisions: Sequence[Decision],
+    evaluator: CaseEvaluator,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
     pool_overrides: Optional[dict[str, list[Scalar]]] = None,
 ) -> Iterator[TestCase]:
-    """Deterministic stream of at most `budget` fuzz candidates.
+    """Deterministic stream of at most `budget` fuzz candidates for the
+    evaluator's method.
 
     The stream ends early when the whole pool product has been enumerated;
     otherwise it is padded to `budget` with random pool-index draws.
@@ -423,7 +412,10 @@ def fuzz_candidates(
     if budget < 1:
         raise ContractViolation("fuzz budget must be >= 1")
     rng = SplitMix64(seed)
-    axes = build_axes(method, decisions, rng, pool_overrides)
+    class_name, method = evaluator.class_name, evaluator.method
+    axes = build_axes(
+        method, evaluator.decisions, evaluator._site_types, rng, pool_overrides
+    )
     sizes = [len(a.pool) for a in axes]
     product = 1
     for s in sizes:

@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -55,6 +56,7 @@ from .decisions import Decision, decisions_table, extract_decisions
 from .errors import UltgenError, UnknownClass, UnknownTarget
 from .interp import CaseEvaluator
 from .scaffold import (
+    ExternDependencyWarning,
     ScaffoldBundle,
     generate_scaffold,
     measure_generation_ratio,
@@ -229,8 +231,7 @@ def _select_cases(
             if (c, m) == (class_name, method_name)
         }
     candidates = fuzz_candidates(
-        class_name, evaluator.method, evaluator.decisions,
-        budget=budget, seed=seed, pool_overrides=overrides,
+        evaluator, budget=budget, seed=seed, pool_overrides=overrides
     )
     result = greedy_select(candidates, evaluator, preseed=preseed)
     return evaluator, configured, result
@@ -732,7 +733,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            # Each note also comes back in bundle.warnings, which the
+            # subcommands print as their own `warning:` line.
+            warnings.simplefilter("ignore", ExternDependencyWarning)
+            return args.func(args)
     except UltgenError as e:
         print(f"ultgen: error: {e}", file=sys.stderr)
         return 1

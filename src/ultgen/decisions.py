@@ -94,6 +94,15 @@ def split_conditions(expr: Expr) -> list[Expr]:
     return atoms
 
 
+# Shared by every condition with an empty set: on CPython 3.11 each call of
+# frozenset(), with or without an empty argument, allocates a new object.
+_EMPTY: frozenset = frozenset()
+
+
+def _frozen(items: set) -> frozenset:
+    return frozenset(items) if items else _EMPTY
+
+
 def classify_atom(atom: Expr) -> tuple[str, frozenset[str], frozenset[CallSite], frozenset[Literal]]:
     """Driver class plus the referenced params/calls and literal constants."""
     params: set[str] = set()
@@ -120,7 +129,7 @@ def classify_atom(atom: Expr) -> tuple[str, frozenset[str], frozenset[CallSite],
         # Only fields or constants decide this atom; constant-only atoms
         # land here too since neither policy bucket can apply to them.
         driver = FIELD_DRIVEN
-    return driver, frozenset(params), frozenset(calls), frozenset(literals)
+    return driver, _frozen(params), _frozen(calls), _frozen(literals)
 
 
 def _predicates(block: Block) -> Iterator[tuple[str, Expr, Span]]:

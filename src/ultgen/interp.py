@@ -6,13 +6,25 @@ evaluated decision/condition contributes an outcome pair. Crashes (failed
 assert, integer division by zero, unscripted call, fuel exhaustion)
 terminate the run and are data on the trace, not Python errors.
 
-On its first run a CaseEvaluator compiles the method body once into nested
-Python closures, one per AST node, so no case pays for dispatch on node
-types. Everything a node's behaviour depends on is resolved while
-compiling: the `(id, True)`/`(id, False)` outcome pairs a decision or
-condition records, the operator, whether arithmetic is on int or float,
-void call sites and the crash event (kind and source span) of each assert,
-division and call site.
+A CaseEvaluator runs its method on one of two compiled tiers. Everything a
+node's behaviour depends on is resolved while compiling, in both: the
+`(id, True)`/`(id, False)` outcome pairs a decision or condition records,
+the operator, whether arithmetic is on int or float, void call sites and
+the crash event (kind and source span) of each assert, division and call
+site.
+  - Cold tier: on its first run the evaluator compiles the body into nested
+    Python closures, one per AST node. This is cheap to build, so methods
+    that run a few short cases pay little.
+  - Generated tier: once the method's cases have taken HOT_STEPS steps in
+    total, the evaluator writes the body as the source of one Python
+    function, compiles it, and runs every later case through it. A case
+    that reaches HOT_STEPS midway stops there and runs again from the start
+    on the new tier, so no method runs more than HOT_STEPS steps cold. Variables,
+    mock cursors and fuel are its locals, and no step makes a call to
+    dispatch a node. The source holds no text from the input: every value
+    is an argument of the function that builds it. A body nested deeper
+    than CPython compiles stays on the cold tier.
+Both tiers give the same trace for every case, steps included.
 
 Semantics pinned here and mirrored by the independent test oracle:
   - int is 64-bit two's complement; arithmetic wraps, division truncates
@@ -68,6 +80,14 @@ if TYPE_CHECKING:
 Scalar = Union[int, float, bool]
 
 DEFAULT_FUEL = 10000
+
+# Cumulative steps after which a method's later cases run generated code.
+# Promoting once the steps run cold would have paid for the compile keeps
+# the total within about twice the cost of the best choice made in
+# hindsight (the ski-rental argument). Measured on the benchmark's fuzz
+# trees (CPython 3.11): promotion costs 470-750 us per method and saves
+# 0.29-0.71 us per step, a break-even of 1,000-1,700 steps.
+HOT_STEPS = 2048
 
 TYPE_DEFAULTS: dict[str, Scalar] = {"int": 0, "bool": False, "float": 0.0}
 
@@ -131,16 +151,24 @@ class _State:
         fields: dict[str, Scalar],
         scripts: dict[tuple[str, str], list[Scalar]],
         fuel: int,
+        outcomes: set[tuple[str, bool]],
     ):
         self.params = params
         self.fields = fields
         self.scripts = scripts
         self.call_counts: dict[tuple[str, str], int] = {}
         self.fuel = fuel
-        self.outcomes: set[tuple[str, bool]] = set()
+        self.outcomes = outcomes
 
 
 _Code = Callable[[_State], object]
+
+# What both tiers compile a method to: (params, fields, scripts, outcomes,
+# fuel) -> (crash, return value, fuel left). `fields` holds only the case's
+# field values, and the run adds its outcome pairs to `outcomes`.
+_Runner = Callable[
+    [dict, dict, dict, set, int], tuple[Optional[Event], Optional[Scalar], int]
+]
 
 
 def method_fingerprint(class_name: str, method: MethodDecl) -> str:
@@ -161,6 +189,12 @@ def _int_div(a: int, b: int) -> int:
     if (a < 0) != (b < 0):
         q = -q
     return _wrap_int(q)
+
+
+def _checked_int_div(a: int, b: int, div_by_zero: Event) -> int:
+    if b == 0:
+        raise _Crash(div_by_zero)
+    return _int_div(a, b)
 
 
 def _float_div(a: float, b: float) -> float:
@@ -228,14 +262,39 @@ def _recorder(code: _Code, outcome_id: str) -> _Code:
     return record
 
 
+def _outcome_ids(decisions: list[Decision]) -> tuple[dict[int, str], dict[int, str]]:
+    """Decision ids and condition ids keyed by the id() of their AST node."""
+    return (
+        {id(d.expr): d.id for d in decisions},
+        {id(c.atom): c.id for d in decisions for c in d.conditions},
+    )
+
+
+def _cold_runner(body: _Code, field_defaults: dict[str, Scalar]) -> _Runner:
+    """The closure-compiled body behind the runner signature."""
+
+    def run_cold(params, fields, scripts, outcomes, fuel):
+        env = dict(field_defaults)
+        env.update(fields)
+        st = _State(dict(params), env, scripts, fuel, outcomes)
+        try:
+            body(st)
+        except _ReturnSignal as r:
+            return None, r.value, st.fuel
+        except _Crash as c:
+            return c.event, None, st.fuel
+        return None, None, st.fuel
+
+    return run_cold
+
+
 class _Compiler:
     """Compiles one method body into closures over a _State."""
 
     def __init__(
         self, decisions: list[Decision], site_types: dict[tuple[str, str], str]
     ):
-        self.decision_ids = {id(d.expr): d.id for d in decisions}
-        self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
+        self.decision_ids, self.atom_ids = _outcome_ids(decisions)
         self.site_types = site_types
 
     def block(self, block: Block) -> _Code:
@@ -372,15 +431,226 @@ class _Compiler:
         if op in _INT_ARITH:
             return _INT_ARITH[op](left, right)
         div_by_zero = Event(DIV_BY_ZERO, e.span)
+        return lambda st: _checked_int_div(left(st), right(st), div_by_zero)
 
-        def int_div(st: _State) -> int:
-            a = left(st)
-            b = right(st)
-            if b == 0:
-                raise _Crash(div_by_zero)
-            return _int_div(a, b)
 
-        return int_div
+# -- generated tier ----------------------------------------------------------
+
+
+def _unmocked(event: Event) -> Scalar:
+    raise _Crash(event)
+
+
+# The only names generated source reads besides its own numbered ones.
+_GENERATED_GLOBALS = {
+    "_Crash": _Crash,
+    "_OUT_OF_FUEL": _OUT_OF_FUEL,
+    "_div": _checked_int_div,
+    "_fdiv": _float_div,
+    "_unmocked": _unmocked,
+}
+
+# Operators are looked up here, never copied from the AST, so the source
+# holds only fixed text.
+_PY_COMPARE = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
+_PY_ARITH = {"+": "+", "-": "-", "*": "*"}
+# In-range results skip the mask; `t` is read right after each assignment.
+_WRAP = (
+    "(t if -9223372036854775808 <= (t := {}) <= 9223372036854775807"
+    " else ((t + 9223372036854775808) & 18446744073709551615)"
+    " - 9223372036854775808)"
+)
+_CHARGE = ("if fuel <= 0: return _OUT_OF_FUEL, None, 0", "fuel -= 1")
+
+
+class _Emitter:
+    """Writes one method body as the source of a single Python function.
+
+    The source is `def _make(k0, k1, ...): def _run(params, fields, scripts,
+    outcomes, fuel): ...; return _run`. Every value taken from the method
+    (literal, outcome pair, crash event, parameter or field name, mock key,
+    field default) is one of the `k<i>` arguments, in the order the emitter
+    meets it, so the text holds only fixed keywords, operators and numbered
+    names. Parameters and fields live in locals `v<i>`, each mock key in a
+    cursor `c<i>` with its last value `l<i>`.
+    """
+
+    def __init__(
+        self,
+        decisions: list[Decision],
+        site_types: dict[tuple[str, str], str],
+        field_defaults: dict[str, Scalar],
+    ):
+        self.decision_ids, self.atom_ids = _outcome_ids(decisions)
+        self.site_types = site_types
+        self.field_defaults = field_defaults
+        self.consts: list[object] = []
+        self.prologue: list[str] = []
+        self.lines: list[str] = []
+        self.vars: dict[tuple[type, str], str] = {}
+        self.cursors: dict[tuple[str, str], str] = {}
+
+    def generate(self, body: Block) -> tuple[str, list[object]]:
+        """The source of `_make` for a body and the values of its k<i>."""
+        self.block(body, 3)
+        pad = " " * 8
+        source = "\n".join(
+            [
+                f"def _make({', '.join(f'k{i}' for i in range(len(self.consts)))}):",
+                "    def _run(params, fields, scripts, outcomes, fuel):",
+                pad + "add = outcomes.add",
+                *(pad + line for line in self.prologue),
+                pad + "try:",
+                *self.lines,
+                pad + "except _Crash as e:",
+                pad + "    return e.event, None, fuel",
+                pad + "return None, None, fuel",
+                "    return _run",
+                "",
+            ]
+        )
+        return source, self.consts
+
+    def const(self, value: object) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def emit(self, depth: int, line: str) -> None:
+        self.lines.append("    " * depth + line)
+
+    # -- statements --------------------------------------------------------
+
+    def block(self, block: Block, depth: int) -> None:
+        if not block.stmts:
+            self.emit(depth, "pass")
+        for s in block.stmts:
+            for line in _CHARGE:
+                self.emit(depth, line)
+            self.stmt(s, depth)
+
+    def stmt(self, s: Stmt, depth: int) -> None:
+        if isinstance(s, If):
+            test, yes, no = self.decision(s.cond)
+            self.emit(depth, f"if {test}:")
+            self.emit(depth + 1, yes)
+            self.block(s.then, depth + 1)
+            self.emit(depth, "else:")
+            self.emit(depth + 1, no)
+            if s.els is not None:
+                self.block(s.els, depth + 1)
+        elif isinstance(s, While):
+            test, yes, no = self.decision(s.cond)
+            self.emit(depth, "while True:")
+            for line in _CHARGE:
+                self.emit(depth + 1, line)
+            self.emit(depth + 1, f"if not {test}:")
+            self.emit(depth + 2, no)
+            self.emit(depth + 2, "break")
+            self.emit(depth + 1, yes)
+            self.block(s.body, depth + 1)
+        elif isinstance(s, Assert):
+            test, yes, no = self.decision(s.cond)
+            failure = self.const(Event(ASSERT_FAILURE, s.span))
+            self.emit(depth, f"if not {test}:")
+            self.emit(depth + 1, no)
+            self.emit(depth + 1, f"return {failure}, None, fuel")
+            self.emit(depth, yes)
+        elif isinstance(s, Return):
+            value = self.expr(s.value) if s.value is not None else "None"
+            self.emit(depth, f"return None, {value}, fuel")
+        elif isinstance(s, Assign):
+            self.emit(depth, f"{self.var(s.target)} = {self.expr(s.value)}")
+        elif isinstance(s, ExprStmt):
+            self.emit(depth, self.expr(s.expr))
+        else:
+            raise AssertionError(f"unhandled statement {s!r}")
+
+    def decision(self, cond: Expr) -> tuple[str, str, str]:
+        """(test, statement on true, statement on false) of a predicate."""
+        did = self.decision_ids[id(cond)]
+        cond_id = self.atom_ids.get(id(cond))
+        if cond_id is None:
+            test, ids = self.expr(cond), [did]
+        else:  # a one-condition decision records both pairs in the branch
+            test, ids = self._expr(cond), [cond_id, did]
+        yes = "; ".join(f"add({self.const((i, True))})" for i in ids)
+        no = "; ".join(f"add({self.const((i, False))})" for i in ids)
+        return test, yes, no
+
+    # -- expressions -------------------------------------------------------
+
+    def var(self, ref: Union[ParamRef, FieldRef]) -> str:
+        key = (type(ref), ref.name)
+        name = self.vars.get(key)
+        if name is None:
+            name = self.vars[key] = f"v{len(self.vars)}"
+            if isinstance(ref, ParamRef):
+                self.prologue.append(f"{name} = params[{self.const(ref.name)}]")
+            else:
+                default = self.const(self.field_defaults[ref.name])
+                self.prologue.append(
+                    f"{name} = fields.get({self.const(ref.name)}, {default})"
+                )
+        return name
+
+    def expr(self, e: Expr) -> str:
+        code = self._expr(e)
+        cond_id = self.atom_ids.get(id(e))
+        if cond_id is None:
+            return code
+        t, f = self.const((cond_id, True)), self.const((cond_id, False))
+        return f"((add({t}) or True) if {code} else (add({f}) or False))"
+
+    def _expr(self, e: Expr) -> str:
+        if isinstance(e, (IntLit, FloatLit, BoolLit)):
+            return self.const(e.value)
+        if isinstance(e, (ParamRef, FieldRef)):
+            return self.var(e)
+        if isinstance(e, CallExpr):
+            return self._call(e)
+        if isinstance(e, Unary):
+            return f"(not {self.expr(e.operand)})"
+        if isinstance(e, Binary):
+            return self._binary(e)
+        raise AssertionError(f"unhandled expression {e!r}")
+
+    def _call(self, e: CallExpr) -> str:
+        key = (e.receiver.name, e.method)
+        if self.site_types.get(key) == "void":
+            return "None"
+        cursor = self.cursors.get(key)
+        if cursor is None:
+            cursor = self.cursors[key] = str(len(self.cursors))
+            self.prologue += [
+                f"c{cursor} = scripts.get({self.const(key)})",
+                f"if c{cursor}: l{cursor} = c{cursor}[-1]; c{cursor} = iter(c{cursor})",
+                f"else: c{cursor} = l{cursor} = None",
+            ]
+        unmocked = self.const(Event(UNMOCKED_CALL, e.span))
+        return (
+            f"(next(c{cursor}, l{cursor}) if c{cursor} is not None"
+            f" else _unmocked({unmocked}))"
+        )
+
+    def _binary(self, e: Binary) -> str:
+        left = self.expr(e.left)
+        right = self.expr(e.right)
+        op = e.op
+        if op == "&&":
+            return f"({left} and {right})"
+        if op == "||":
+            return f"({left} or {right})"
+        if op in _PY_COMPARE:
+            return f"({left} {_PY_COMPARE[op]} {right})"
+        if e.type_ == "float":
+            if op == "/":
+                return f"_fdiv({left}, {right})"
+            return f"({left} {_PY_ARITH[op]} {right})"
+        if e.type_ != "int":
+            raise AssertionError(f"arithmetic on {e.type_} slipped past the checker")
+        if op in _PY_ARITH:
+            return _WRAP.format(f"{left} {_PY_ARITH[op]} {right}")
+        return f"_div({left}, {right}, {self.const(Event(DIV_BY_ZERO, e.span))})"
 
 
 class CaseEvaluator:
@@ -415,7 +685,9 @@ class CaseEvaluator:
         self.decisions: list[Decision] = extract_decisions(method, class_name)
         self.fingerprint = method_fingerprint(class_name, method)
         self._scalar_fields, self._ref_fields = self._effective_fields(unit, cls)
-        self._body: Optional[_Code] = None  # set by _compile on the first run
+        self._runner: Optional[_Runner] = None  # set by _compile on the first run
+        # Steps the cold tier may still take; None once the method is promoted.
+        self._cold_left: Optional[int] = HOT_STEPS
 
     @staticmethod
     def _find_method(
@@ -456,8 +728,8 @@ class CaseEvaluator:
         run or expand a case skip the walk."""
         return {key: node.type_ or "int" for key, node in method_call_sites(self.method)}
 
-    def _compile(self) -> _Code:
-        """Compile the body and the per-case invariants of validation."""
+    def _compile(self) -> _Runner:
+        """Compile the cold tier and the per-case invariants of validation."""
         self._param_types = {p.name: p.type for p in self.method.params}
         self._param_names = frozenset(self._param_types)
         # Value type per value-returning call site; any other mock key goes
@@ -466,10 +738,25 @@ class CaseEvaluator:
         self._field_defaults = {
             name: TYPE_DEFAULTS[t] for name, t in self._scalar_fields.items()
         }
-        self._body = _Compiler(self.decisions, self._site_types).block(
-            self.method.body
-        )
-        return self._body
+        body = _Compiler(self.decisions, self._site_types).block(self.method.body)
+        self._runner = _cold_runner(body, self._field_defaults)
+        return self._runner
+
+    def _promote(self) -> None:
+        """Run every later case through one generated function for the body.
+        Reads the invariants that _compile sets."""
+        self._cold_left = None
+        emitter = _Emitter(self.decisions, self._site_types, self._field_defaults)
+        source, consts = emitter.generate(self.method.body)
+        try:
+            code = compile(source, "<ultgen generated>", "exec")
+        except (SyntaxError, MemoryError, RecursionError):
+            # Nested deeper than CPython compiles (20 blocks, or a parser
+            # stack overflow): the cold tier keeps running the method.
+            return
+        namespace = dict(_GENERATED_GLOBALS)
+        exec(code, namespace)
+        self._runner = namespace["_make"](*consts)
 
     # -- case validation ---------------------------------------------------
 
@@ -525,20 +812,28 @@ class CaseEvaluator:
     # -- execution ---------------------------------------------------------
 
     def run(self, case: "TestCase") -> ExecutionTrace:
-        body = self._body if self._body is not None else self._compile()
+        runner = self._runner if self._runner is not None else self._compile()
         self._validate(case)
-        fields_env = dict(self._field_defaults)
-        fields_env.update(case.field_values)
-        state = _State(dict(case.param_values), fields_env, case.mock_plan, self.fuel)
-        crash: Optional[Event] = None
-        ret: Optional[Scalar] = None
-        try:
-            body(state)
-        except _ReturnSignal as r:
-            ret = r.value
-        except _Crash as c:
-            crash = c.event
+        fuel = self.fuel
+        cold_left = self._cold_left
+        if cold_left is not None and cold_left < fuel:
+            fuel = cold_left  # the cold tier stops where HOT_STEPS is reached
+        outcomes: set[tuple[str, bool]] = set()
+        crash, ret, left = runner(
+            case.param_values, case.field_values, case.mock_plan, outcomes, fuel
+        )
+        if cold_left is not None:
+            self._cold_left = cold_left - (fuel - left)
+            if self._cold_left <= 0:
+                self._promote()
+                if crash is _OUT_OF_FUEL and fuel < self.fuel:
+                    # The cap cut this case short: run all of it again.
+                    outcomes = set()
+                    fuel = self.fuel
+                    crash, ret, left = self._runner(
+                        case.param_values, case.field_values, case.mock_plan,
+                        outcomes, fuel,
+                    )
         return ExecutionTrace(
-            case.id, frozenset(state.outcomes), crash, self.fuel - state.fuel,
-            ret, self.fingerprint,
+            case.id, frozenset(outcomes), crash, fuel - left, ret, self.fingerprint
         )

@@ -140,7 +140,7 @@ def test_ac3_fuzz_reaches_brute_force_targets(corpus_unit, corpus_dir, announce)
             checked += 1
             result = greedy_select(
                 fuzz_candidates(
-                    cls.name, evaluator.method, evaluator.decisions,
+                    evaluator,
                     budget=256, seed=42,
                 ),
                 evaluator,
@@ -248,7 +248,7 @@ def test_ac5_planted_faults_found(corpus_unit, planted, announce):
             evaluator = CaseEvaluator(corpus_unit, cls_name, method_name)
             result = greedy_select(
                 fuzz_candidates(
-                    cls_name, evaluator.method, evaluator.decisions,
+                    evaluator,
                     budget=DEFAULT_BUDGET, seed=DEFAULT_SEED,
                 ),
                 evaluator,

@@ -71,7 +71,8 @@ def evaluator(unit):
 
 def axes_of(evaluator, seed=42, overrides=None):
     return build_axes(
-        evaluator.method, evaluator.decisions, SplitMix64(seed), overrides
+        evaluator.method, evaluator.decisions, evaluator._site_types,
+        SplitMix64(seed), overrides,
     )
 
 
@@ -135,7 +136,7 @@ def test_override_replaces_pool_and_skips_rng(evaluator):
 # --- candidate stream -----------------------------------------------------
 
 def test_first_candidate_is_all_defaults(unit, evaluator):
-    first = next(fuzz_candidates("A", evaluator.method, evaluator.decisions))
+    first = next(fuzz_candidates(evaluator))
     assert first.param_values == {"x": 0, "f": 0.0, "go": False}
     assert first.mock_plan == {("d", "get"): [0]}
     assert first.origin == "Fuzzed"
@@ -144,7 +145,7 @@ def test_first_candidate_is_all_defaults(unit, evaluator):
 
 def test_solo_phase_varies_one_axis_at_a_time(unit, evaluator):
     axes = axes_of(evaluator)
-    stream = fuzz_candidates("A", evaluator.method, evaluator.decisions)
+    stream = fuzz_candidates(evaluator)
     cases = [next(stream) for _ in range(1 + (len(axes[0].pool) - 1))]
     for c in cases[1:]:
         assert c.param_values["f"] == 0.0
@@ -154,7 +155,7 @@ def test_solo_phase_varies_one_axis_at_a_time(unit, evaluator):
 
 def test_budget_respected(unit, evaluator):
     cases = list(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions, budget=50)
+        fuzz_candidates(evaluator, budget=50)
     )
     assert len(cases) == 50
 
@@ -163,11 +164,7 @@ def test_small_product_enumerates_exactly_once(unit):
     evaluator = CaseEvaluator(unit, "A", "plain")
     cases = list(
         fuzz_candidates(
-            "A",
-            evaluator.method,
-            evaluator.decisions,
-            budget=DEFAULT_BUDGET,
-            pool_overrides={"x": [0, 1, 2, 3]},
+            evaluator, budget=DEFAULT_BUDGET, pool_overrides={"x": [0, 1, 2, 3]}
         )
     )
     assert len(cases) == 4
@@ -178,25 +175,28 @@ def test_small_product_enumerates_exactly_once(unit):
 def test_stream_deterministic(unit, evaluator):
     a = [
         c.param_values
-        for c in fuzz_candidates("A", evaluator.method, evaluator.decisions, 64, 9)
+        for c in fuzz_candidates(evaluator, 64, 9)
     ]
     b = [
         c.param_values
-        for c in fuzz_candidates("A", evaluator.method, evaluator.decisions, 64, 9)
+        for c in fuzz_candidates(evaluator, 64, 9)
     ]
     assert a == b
 
 
 def test_bad_budget_rejected(unit, evaluator):
     with pytest.raises(ContractViolation):
-        next(fuzz_candidates("A", evaluator.method, evaluator.decisions, budget=0))
+        next(fuzz_candidates(evaluator, budget=0))
 
 
-def _reference_candidates(class_name, method, decisions, budget, seed, pool_overrides):
+def _reference_candidates(evaluator, budget, seed, pool_overrides):
     """The stream as first written: every phase-1 vector re-derived from its
     counter by % and //. fuzz_candidates must reproduce it exactly."""
+    class_name, method = evaluator.class_name, evaluator.method
     rng = SplitMix64(seed)
-    axes = build_axes(method, decisions, rng, pool_overrides)
+    axes = build_axes(
+        method, evaluator.decisions, evaluator._site_types, rng, pool_overrides
+    )
     sizes = [len(a.pool) for a in axes]
     product = 1
     for s in sizes:
@@ -279,7 +279,7 @@ def _stream_record(cases):
 def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go):
     evaluator = CaseEvaluator(unit, "A", method)
     overrides = {k: v for k, v in (("x", x), ("f", f), ("go", go)) if v is not None}
-    args = ("A", evaluator.method, evaluator.decisions, budget, seed, overrides)
+    args = (evaluator, budget, seed, overrides)
     got = _stream_record(fuzz_candidates(*args))
     assert got == _stream_record(_reference_candidates(*args))
 
@@ -288,7 +288,7 @@ def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go
 
 def test_greedy_keeps_only_novel_candidates(unit, evaluator):
     result = greedy_select(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions),
+        fuzz_candidates(evaluator),
         evaluator,
     )
     assert result.kept
@@ -305,7 +305,7 @@ def test_greedy_stops_at_full_coverage(unit):
     evaluator = CaseEvaluator(unit, "A", "plain")
     # no decisions: nothing to chase, nothing kept
     result = greedy_select(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions),
+        fuzz_candidates(evaluator),
         evaluator,
     )
     assert result.kept == ()
@@ -314,11 +314,11 @@ def test_greedy_stops_at_full_coverage(unit):
 
 def test_greedy_preseed_suppresses_duplicates(unit, evaluator):
     first = greedy_select(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions),
+        fuzz_candidates(evaluator),
         evaluator,
     )
     again = greedy_select(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions),
+        fuzz_candidates(evaluator),
         evaluator,
         preseed=first.traces,
     )
@@ -329,7 +329,7 @@ def test_greedy_without_decisions_runs_nothing(unit):
     # nothing to chase means the stream is never consumed
     evaluator = CaseEvaluator(unit, "A", "plain")
     result = greedy_select(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions),
+        fuzz_candidates(evaluator),
         evaluator,
     )
     assert result.candidates_run == 0
@@ -353,12 +353,7 @@ def test_greedy_crash_kinds_dedupe_by_site():
     evaluator = CaseEvaluator(u, "A", "half")
     # the override forces a second division-by-zero candidate
     result = greedy_select(
-        fuzz_candidates(
-            "A",
-            evaluator.method,
-            evaluator.decisions,
-            pool_overrides={"y": [0, 1, 0]},
-        ),
+        fuzz_candidates(evaluator, pool_overrides={"y": [0, 1, 0]}),
         evaluator,
     )
     assert result.candidates_run == 3

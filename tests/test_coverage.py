@@ -168,7 +168,7 @@ def test_brute_force_cap(unit):
 def test_fuzzer_matches_brute_force_on_small_product(unit):
     evaluator = CaseEvaluator(unit, "A", "pick")
     result = greedy_select(
-        fuzz_candidates("A", evaluator.method, evaluator.decisions, 256, 42),
+        fuzz_candidates(evaluator, 256, 42),
         evaluator,
     )
     brute = brute_force_max_coverage(

@@ -28,7 +28,7 @@ from ultgen.cutlang.nodes import (
     While,
 )
 from ultgen.errors import ContractViolation, UnknownClass, UnknownTarget
-from ultgen.interp import CaseEvaluator
+from ultgen.interp import HOT_STEPS, CaseEvaluator, _Emitter
 
 
 SRC = """
@@ -114,6 +114,16 @@ def unit():
 
 def ev(unit, method, fuel=10000):
     return CaseEvaluator(unit, "M", method, fuel=fuel)
+
+
+def promoted(unit, class_name, method, fuel=10000):
+    """An evaluator that runs every case, the first included, through the
+    generated function."""
+    evaluator = CaseEvaluator(unit, class_name, method, fuel=fuel)
+    evaluator._compile()
+    evaluator._promote()
+    assert evaluator._runner.__code__.co_filename == "<ultgen generated>"
+    return evaluator
 
 
 def case(method, params=None, fields=None, mocks=None, cid="c"):
@@ -368,9 +378,9 @@ def _method_and_case(draw):
 @given(_method_and_case())
 def test_evaluator_matches_oracle(packed):
     unit, name, c = packed
-    trace = CaseEvaluator(unit, "M", name).run(c)
     result = OracleEvaluator(unit, "M", name).run(c)
-    assert agree(trace, result), (name, c)
+    assert agree(CaseEvaluator(unit, "M", name).run(c), result), (name, c)
+    assert agree(promoted(unit, "M", name).run(c), result), (name, c)
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -520,6 +530,154 @@ def test_generated_programs_match_oracle(packed):
     text, fuel, cases = packed
     unit = parse_source(text, path="<gen>")
     evaluator = CaseEvaluator(unit, "G", "m", fuel=fuel)
+    hot = promoted(unit, "G", "m", fuel=fuel)
     oracle = OracleEvaluator(unit, "G", "m", fuel=fuel)
     for c in cases:
-        assert agree(evaluator.run(c), oracle.run(c)), (text, c)
+        result = oracle.run(c)
+        assert agree(evaluator.run(c), result), (text, c)
+        assert agree(hot.run(c), result), (text, c)
+
+
+# --- promotion to the generated tier --------------------------------------
+
+TIER_SRC = """
+class Dep {
+public:
+    int get() { return 0; }
+    bool more() { return true; }
+    void note() {}
+};
+
+class H {
+public:
+    Dep* d;
+    int acc;
+
+    float step(int n, int k, float x, float y, bool early) {
+        d->note();
+        if (early) {
+            return x / y;
+        }
+        while (n > 0 && d->more()) {
+            if (acc / k > 3 || acc == 2) {
+                acc = 0;
+            }
+            n = n - 1;
+            acc = acc + d->get();
+        }
+        return x / y;
+    }
+};
+"""
+
+_TIER_SCENARIOS = [
+    # (params, mocks): a normal run, fuel running out inside the loop, a
+    # DivByZero inside the if condition, an unmocked call in the while
+    # condition, and an early return of a float divided by -0.0
+    ({"n": 3, "k": 1}, {("d", "more"): [True], ("d", "get"): [1, 2]}),
+    ({"n": 1000, "k": 1}, {("d", "more"): [True], ("d", "get"): [0]}),
+    ({"n": 5, "k": 0}, {("d", "more"): [True], ("d", "get"): [1]}),
+    ({"n": 2, "k": 2}, {("d", "get"): [1]}),
+    ({"n": 4, "k": 1, "early": True, "y": -0.0}, {}),
+]
+
+
+def _tier_case(i, params, mocks):
+    full = {"n": 0, "k": 1, "x": 1.0 + i, "y": 2.0, "early": False}
+    full.update(params)
+    return TestCase(
+        id=f"t{i}", target=("H", "step"), param_values=full,
+        field_values={"acc": i % 5}, mock_plan=mocks, origin="Configured",
+    )
+
+
+def test_promotion_keeps_every_trace():
+    """One stream crosses HOT_STEPS midway through a case, which then runs
+    again on the generated tier. Every case, before and after the switch,
+    traces the same as on a fresh evaluator that never switched."""
+    unit = parse_source(TIER_SRC, path="<tier>")
+    fuel = 200
+    evaluator = CaseEvaluator(unit, "H", "step", fuel=fuel)
+    cases = [
+        _tier_case(i, *_TIER_SCENARIOS[i % len(_TIER_SCENARIOS)]) for i in range(150)
+    ]
+    promoted_at = None
+    cold_steps = 0
+    hot_traces = []
+    for i, c in enumerate(cases):
+        trace = evaluator.run(c)
+        fresh = CaseEvaluator(unit, "H", "step", fuel=fuel)
+        cold = fresh.run(c)
+        assert fresh._cold_left is not None  # one case never promotes
+        assert (trace.outcomes, trace.crash, trace.steps) == (
+            cold.outcomes, cold.crash, cold.steps,
+        ), c
+        assert scalars_equal(trace.return_value, cold.return_value), c
+        if promoted_at is not None:
+            hot_traces.append(trace)
+        elif evaluator._cold_left is None:
+            promoted_at = i
+            assert cold_steps < HOT_STEPS < cold_steps + trace.steps
+        else:
+            cold_steps += trace.steps
+    assert promoted_at is not None and promoted_at < 100
+    assert {t.crash.kind for t in hot_traces if t.crash} == {
+        "FuelExhausted", "DivByZero", "UnmockedCall",
+    }
+    assert -math.inf in {t.return_value for t in hot_traces}
+    assert any(t.crash is None and t.return_value > 0 for t in hot_traces)
+
+
+def test_generated_source_holds_no_input_text():
+    """Methods that differ only in names and literals share one source."""
+    text = """
+    class Dep { public: int fetch() { return 0; } int pull() { return 0; } };
+    class P {
+    public:
+        Dep* dep;
+        int total;
+        int first(int a, bool b) {
+            while (a > 3 && b) { a = a - 1; total = total + dep->fetch(); }
+            assert(total != 12345);
+            return total / a;
+        }
+    };
+    class Q {
+    public:
+        Dep* other;
+        int sum;
+        float unused;
+        int second(int x, bool y) {
+            while (x > 700 && y) { x = x - 2; sum = sum + other->pull(); }
+            assert(sum != -4);
+            return sum / x;
+        }
+    };
+    """
+    unit = parse_source(text, path="<same>")
+    generated = []
+    for class_name, method in (("P", "first"), ("Q", "second")):
+        e = CaseEvaluator(unit, class_name, method)
+        e._compile()
+        emitter = _Emitter(e.decisions, e._site_types, e._field_defaults)
+        generated.append(emitter.generate(e.method.body))
+    (source_p, consts_p), (source_q, consts_q) = generated
+    assert source_p == source_q
+    assert consts_p != consts_q
+    for word in ("dep", "total", "first", "fetch", "Dep", "12345", "P.first"):
+        assert word not in source_p
+
+
+def test_method_too_nested_to_generate_stays_cold():
+    depth = 25  # CPython compiles at most 20 nested blocks
+    body = "".join(f"while (n > {i}) {{ n = n - 1; " for i in range(depth))
+    text = f"class A {{ public: int f(int n) {{ {body}{'}' * depth} return n; }} }};"
+    unit = parse_source(text, path="<deep>")
+    evaluator = CaseEvaluator(unit, "A", "f")
+    c = TestCase(id="d", target=("A", "f"), param_values={"n": 40},
+                 field_values={}, mock_plan={}, origin="Configured")
+    first = evaluator.run(c)
+    while evaluator._cold_left is not None:
+        assert evaluator.run(c) == first
+    assert evaluator.run(c) == first
+    assert first.return_value == 0
