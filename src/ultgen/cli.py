@@ -49,10 +49,10 @@ from .cases import (
     greedy_select,
     load_case_config,
 )
-from .coverage import MethodCoverage, aggregate_report, all_pairs, compute_coverage
+from .coverage import MethodCoverage, aggregate_report, compute_coverage
 from .cutlang.nodes import SourceUnit
 from .cutlang.parser import parse_source
-from .decisions import Decision, decisions_table, extract_decisions
+from .decisions import decisions_table, extract_decisions
 from .errors import UltgenError, UnknownClass, UnknownTarget
 from .interp import CaseEvaluator
 from .scaffold import (
@@ -200,15 +200,15 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
 
 # --- cases ------------------------------------------------------------------
 
-def _configured_for_target(
-    config: Optional[CaseConfig], unit: SourceUnit, class_name: str, method_name: str
-) -> list[TestCase]:
-    if config is None:
-        return []
-    return [
-        c for c in expand_configured_cases(config, unit)
-        if c.target == (class_name, method_name)
-    ]
+def _configured_by_target(
+    config: Optional[CaseConfig], unit: SourceUnit
+) -> dict[tuple[str, str], list[TestCase]]:
+    """The config's cases, expanded once and grouped by target."""
+    grouped: dict[tuple[str, str], list[TestCase]] = {}
+    if config is not None:
+        for case in expand_configured_cases(config, unit):
+            grouped.setdefault(case.target, []).append(case)
+    return grouped
 
 
 def _select_cases(
@@ -216,12 +216,12 @@ def _select_cases(
     class_name: str,
     method_name: str,
     config: Optional[CaseConfig],
+    configured: Sequence[TestCase],
     budget: int,
     seed: int,
 ):
     """Shared by `cases` and `run`: configured preseed, fuzz, greedy keep."""
     evaluator = CaseEvaluator(unit, class_name, method_name)
-    configured = _configured_for_target(config, unit, class_name, method_name)
     preseed = tuple(evaluator.run(case) for case in configured)
     overrides = {}
     if config is not None:
@@ -233,8 +233,7 @@ def _select_cases(
     candidates = fuzz_candidates(
         evaluator, budget=budget, seed=seed, pool_overrides=overrides
     )
-    result = greedy_select(candidates, evaluator, preseed=preseed)
-    return evaluator, configured, result
+    return greedy_select(candidates, evaluator, preseed=preseed)
 
 
 def cmd_cases(args: argparse.Namespace) -> int:
@@ -243,8 +242,11 @@ def cmd_cases(args: argparse.Namespace) -> int:
     config = None
     if args.config is not None:
         config = load_case_config(_read_text(args.config), unit)
-    _, configured, result = _select_cases(
-        unit, args.class_name, args.method, config, args.budget, seed
+    configured = _configured_by_target(config, unit).get(
+        (args.class_name, args.method), []
+    )
+    result = _select_cases(
+        unit, args.class_name, args.method, config, configured, args.budget, seed
     )
     out_path = Path(args.out)
     if out_path.parent != Path(""):
@@ -291,10 +293,8 @@ def _load_case_file(path: str) -> list[TestCase]:
     return cases
 
 
-def _method_row(mc: MethodCoverage, decisions: Sequence[Decision]) -> dict:
-    """One method's row of a coverage report; `decisions` are the method's,
-    whose outcome pairs not in `mc` are listed as uncovered."""
-    uncovered = sorted(_pair_label(p) for p in all_pairs(decisions) - mc.pairs_covered)
+def _method_row(mc: MethodCoverage) -> dict:
+    """One method's row of a coverage report."""
     return {
         "method": mc.method,
         "conditions": mc.conditions_total,
@@ -303,7 +303,7 @@ def _method_row(mc: MethodCoverage, decisions: Sequence[Decision]) -> dict:
         "pairs_total": mc.denominator,
         "conditional_pct": mc.percent,
         "has_passing_case": mc.has_passing_case,
-        "uncovered": uncovered,
+        "uncovered": sorted(_pair_label(p) for p in mc.uncovered),
     }
 
 
@@ -329,18 +329,16 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             CaseEvaluator(unit, *target)  # raises for unknown targets
             targets.append(target)
 
-    rows = []
     methods: list[MethodCoverage] = []
     for class_name, method_name in targets:
         evaluator = CaseEvaluator(unit, class_name, method_name)
         traces = [evaluator.run(c) for c in by_target.get((class_name, method_name), [])]
-        mc = compute_coverage(
+        methods.append(compute_coverage(
             traces, evaluator.decisions,
             f"{class_name}.{method_name}", evaluator.fingerprint,
-        )
-        methods.append(mc)
-        rows.append(_method_row(mc, evaluator.decisions))
+        ))
 
+    rows = [_method_row(mc) for mc in methods]
     report = aggregate_report(methods)
     payload = {
         "methods": rows,
@@ -570,17 +568,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = None
         if args.config:
             config = load_case_config(_read_text(args.config), unit)
+        configured_by_target = _configured_by_target(config, unit)
         all_cases: list[TestCase] = []
         methods: list[MethodCoverage] = []
-        rows: list[dict] = []  # built here, so no method's decisions outlive it
         configured_total = 0
         kept_total = 0
         candidates_total = 0
         for cls_name in classes:
             cls = unit.class_named(cls_name)
             for m in public_methods(cls):
-                evaluator, configured, result = _select_cases(
-                    unit, cls_name, m.name, config, args.budget, seed
+                configured = configured_by_target.get((cls_name, m.name), [])
+                result = _select_cases(
+                    unit, cls_name, m.name, config, configured, args.budget, seed
                 )
                 all_cases.extend(configured)
                 all_cases.extend(result.kept)
@@ -588,7 +587,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                 kept_total += len(result.kept)
                 candidates_total += result.candidates_run
                 methods.append(result.coverage)
-                rows.append(_method_row(result.coverage, evaluator.decisions))
         with open(out_dir / "cases.jsonl", "w", encoding="utf-8") as fh:
             for case in all_cases:
                 fh.write(json.dumps(case_to_json(case)) + "\n")
@@ -602,7 +600,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _stage("coverage"):
         report = aggregate_report(methods)
         coverage_payload = {
-            "methods": rows,
+            "methods": [_method_row(mc) for mc in methods],
             "functional_pct": report.functional_pct,
             "conditional_pct": report.conditional_pct,
             "threshold": args.threshold,

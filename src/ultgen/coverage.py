@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .decisions import Decision
 from .errors import DomainTooLarge, EmptyDomain, MixedTargets
-from .interp import DEFAULT_FUEL, CaseEvaluator, ExecutionTrace
+from .interp import CaseEvaluator, ExecutionTrace
 
 if TYPE_CHECKING:
     from .cases import TestCase
@@ -23,6 +23,10 @@ Scalar = Union[int, float, bool]
 
 BRUTE_FORCE_CAP = 10**6
 
+# Shared by every record with no covered or no uncovered pairs: on CPython
+# 3.11 even `frozenset()` allocates.
+_NO_PAIRS: frozenset[tuple[str, bool]] = frozenset()
+
 
 @dataclass(frozen=True)
 class MethodCoverage:
@@ -30,16 +34,21 @@ class MethodCoverage:
     conditions_total: int
     decisions_total: int
     pairs_covered: frozenset[tuple[str, bool]]
-    percent: float
+    # All outcome pairs minus the covered ones. For the exhaustive oracle
+    # these are the pairs no input combination can produce.
+    uncovered: frozenset[tuple[str, bool]]
     has_passing_case: bool
-    # Filled by the exhaustive oracle only: pairs no input combination can
-    # produce, and the number of combinations enumerated.
-    unreachable: Optional[frozenset[tuple[str, bool]]] = None
+    # Filled by the exhaustive oracle only: the number of combinations
+    # enumerated.
     combos: Optional[int] = None
 
     @property
     def denominator(self) -> int:
         return 2 * (self.conditions_total + self.decisions_total)
+
+    @property
+    def percent(self) -> float:
+        return percent_of(len(self.pairs_covered), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -66,6 +75,27 @@ def percent_of(pairs_covered: int, denominator: int) -> float:
     return 100.0 * pairs_covered / denominator
 
 
+def _method_coverage(
+    method_id: str,
+    decisions: Sequence[Decision],
+    valid: frozenset[tuple[str, bool]],
+    covered: set[tuple[str, bool]],
+    has_passing_case: bool,
+    combos: Optional[int] = None,
+) -> MethodCoverage:
+    """The one place a MethodCoverage is built; `valid` is
+    `all_pairs(decisions)` and `covered` a subset of it."""
+    return MethodCoverage(
+        method=method_id,
+        conditions_total=sum(len(d.conditions) for d in decisions),
+        decisions_total=len(decisions),
+        pairs_covered=frozenset(covered) if covered else _NO_PAIRS,
+        uncovered=(valid - covered) or _NO_PAIRS,
+        has_passing_case=has_passing_case,
+        combos=combos,
+    )
+
+
 def compute_coverage(
     traces: Sequence[ExecutionTrace],
     decisions: Sequence[Decision],
@@ -90,16 +120,8 @@ def compute_coverage(
     covered: set[tuple[str, bool]] = set()
     for t in traces:
         covered.update(t.outcomes & valid)
-    conditions_total = sum(len(d.conditions) for d in decisions)
-    decisions_total = len(decisions)
-    denom = 2 * (conditions_total + decisions_total)
-    return MethodCoverage(
-        method=method_id,
-        conditions_total=conditions_total,
-        decisions_total=decisions_total,
-        pairs_covered=frozenset(covered),
-        percent=percent_of(len(covered), denom),
-        has_passing_case=any(t.passed for t in traces),
+    return _method_coverage(
+        method_id, decisions, valid, covered, any(t.passed for t in traces)
     )
 
 
@@ -179,16 +201,7 @@ def brute_force_max_coverage(
         if len(covered) == len(valid) and has_passing:
             break  # provably maximal already
 
-    conditions_total = sum(len(d.conditions) for d in evaluator.decisions)
-    decisions_total = len(evaluator.decisions)
-    denom = 2 * (conditions_total + decisions_total)
-    return MethodCoverage(
-        method=f"{evaluator.class_name}.{method.name}",
-        conditions_total=conditions_total,
-        decisions_total=decisions_total,
-        pairs_covered=frozenset(covered),
-        percent=percent_of(len(covered), denom),
-        has_passing_case=has_passing,
-        unreachable=valid - covered,
-        combos=total,
+    return _method_coverage(
+        f"{evaluator.class_name}.{method.name}", evaluator.decisions,
+        valid, covered, has_passing, combos=total,
     )

@@ -203,12 +203,6 @@ class ClassDecl:
             f.type.class_name for f in self.fields if isinstance(f.type, RefType)
         )
 
-    def field_named(self, name: str) -> Optional[FieldDecl]:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        return None
-
     def method_named(self, name: str) -> Optional[MethodDecl]:
         for m in self.methods:
             if m.name == name:
@@ -224,16 +218,6 @@ class ExternDecl:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
-class TestBlock:
-    """A ``TEST_F(Fixture, name) { ... }`` block (fixture grammar only)."""
-
-    fixture: str
-    name: str
-    body: Block
-    span: Span = field(default=NO_SPAN, compare=False)
-
-
 Decl = Union[ClassDecl, ExternDecl]
 
 
@@ -241,10 +225,6 @@ Decl = Union[ClassDecl, ExternDecl]
 class SourceUnit:
     path: str
     decls: list[Decl]
-    test_blocks: list[TestBlock] = field(default_factory=list)
-    # Classes referenced but not declared; populated only under the fixture
-    # grammar, where unknown names are treated as extern declarations.
-    implicit_externs: frozenset[str] = field(default_factory=frozenset, compare=False)
 
     def __post_init__(self) -> None:
         # name -> first ClassDecl of that name among decls[:_indexed]. Not a
@@ -272,9 +252,6 @@ class SourceUnit:
                     self._class_index.setdefault(d.name, d)
             self._indexed = len(self.decls)
         return self._class_index.get(name)
-
-    def extern_names(self) -> frozenset[str]:
-        return frozenset(e.name for e in self.externs) | self.implicit_externs
 
 
 @functools.cache

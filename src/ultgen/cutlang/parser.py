@@ -3,11 +3,6 @@
 `parse_source` runs two passes: a syntax pass producing an untyped tree,
 then a resolution pass that binds names (parameter vs field), checks types,
 and enforces unit-level invariants. Grammar reference: docs/cutlang.md.
-
-With ``fixture=True`` the grammar is extended for generated test sources:
-qualified base names (``testing::Test``), top-level ``TEST_F`` blocks, and
-implicit extern declarations for classes the file references but does not
-define.
 """
 
 from __future__ import annotations
@@ -42,7 +37,6 @@ from .nodes import (
     SourceUnit,
     Span,
     Stmt,
-    TestBlock,
     Unary,
     While,
 )
@@ -52,10 +46,9 @@ _SCALARS = ("int", "bool", "float")
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], path: str, fixture: bool):
+    def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.path = path
-        self.fixture = fixture
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
@@ -107,8 +100,6 @@ class _Parser:
                 unit.decls.append(self.parse_extern())
             elif self.cur.is_keyword("class"):
                 unit.decls.append(self.parse_class())
-            elif self.fixture and self.cur.kind == "ident" and self.cur.text == "TEST_F":
-                unit.test_blocks.append(self.parse_test_block())
             else:
                 raise self.error(
                     f"expected a class declaration, found {self._describe(self.cur)}"
@@ -125,14 +116,10 @@ class _Parser:
         return ExternDecl(name, span=self.span_from(start))
 
     def parse_class_name(self) -> str:
-        """Class name; fixture grammar allows ``ns::Name`` qualification."""
-        parts = [self.expect_ident("class name").text]
-        while self.cur.is_punct("::"):
-            if not self.fixture:
-                raise self.error("qualified names are not supported here")
-            self.advance()
-            parts.append(self.expect_ident("class name").text)
-        return "::".join(parts)
+        name = self.expect_ident("class name").text
+        if self.cur.is_punct("::"):
+            raise self.error("qualified names are not supported here")
+        return name
 
     def parse_class(self) -> ClassDecl:
         start = self.advance()  # class
@@ -231,16 +218,6 @@ class _Parser:
             access,
             span=self.span_from(start),
         )
-
-    def parse_test_block(self) -> TestBlock:
-        start = self.advance()  # TEST_F
-        self.expect_punct("(")
-        fixture = self.expect_ident("fixture name").text
-        self.expect_punct(",")
-        name = self.expect_ident("test name").text
-        self.expect_punct(")")
-        body = self.parse_block()
-        return TestBlock(fixture, name, body, span=self.span_from(start))
 
     # -- statements --------------------------------------------------------
 
@@ -417,13 +394,11 @@ class _Parser:
 class _Resolver:
     """Second pass: name binding, inheritance linearization, type checking."""
 
-    def __init__(self, unit: SourceUnit, path: str, fixture: bool):
+    def __init__(self, unit: SourceUnit, path: str):
         self.unit = unit
         self.path = path
-        self.fixture = fixture
         self.class_table: dict[str, ClassDecl] = {}
         self.extern_names: set[str] = set()
-        self.implicit_externs: set[str] = set()
         # class -> effective member tables (inherited + own)
         self.all_fields: dict[str, dict[str, FieldDecl]] = {}
         self.all_methods: dict[str, dict[str, MethodDecl]] = {}
@@ -439,9 +414,6 @@ class _Resolver:
         for cls in self.unit.classes:
             for method in cls.methods:
                 _MethodChecker(self, cls, method).check()
-        for tb in self.unit.test_blocks:
-            self.check_test_block(tb)
-        self.unit.implicit_externs = frozenset(self.implicit_externs)
 
     def collect_names(self) -> None:
         for decl in self.unit.decls:
@@ -458,13 +430,8 @@ class _Resolver:
         return name in self.class_table or name in self.extern_names
 
     def require_class(self, name: str, span: Span) -> None:
-        if self.known_class(name):
-            return
-        if self.fixture:
-            self.extern_names.add(name)
-            self.implicit_externs.add(name)
-            return
-        raise self.err(TypeCheckError, f"unknown class {name!r}", span)
+        if not self.known_class(name):
+            raise self.err(TypeCheckError, f"unknown class {name!r}", span)
 
     def linearize(self) -> list[str]:
         """Topological order of classes, bases first; detects cycles."""
@@ -488,12 +455,11 @@ class _Resolver:
                     visit(cls.base, chain + [name])
                 else:
                     self.require_class(cls.base, cls.span)
-                    if not self.fixture and cls.base in self.extern_names:
-                        raise self.err(
-                            TypeCheckError,
-                            f"cannot inherit from extern class {cls.base!r}",
-                            cls.span,
-                        )
+                    raise self.err(
+                        TypeCheckError,
+                        f"cannot inherit from extern class {cls.base!r}",
+                        cls.span,
+                    )
             state[name] = 2
             order.append(name)
 
@@ -559,15 +525,6 @@ class _Resolver:
                 seen_params.add(p.name)
         self.all_fields[cls.name] = fields
         self.all_methods[cls.name] = methods
-
-    def check_test_block(self, tb: TestBlock) -> None:
-        if tb.fixture not in self.class_table:
-            raise self.err(
-                TypeCheckError, f"unknown fixture class {tb.fixture!r}", tb.span
-            )
-        holder = self.class_table[tb.fixture]
-        pseudo = MethodDecl(tb.name, [], "void", tb.body, span=tb.span)
-        _MethodChecker(self, holder, pseudo).check()
 
 
 class _MethodChecker:
@@ -744,7 +701,7 @@ class _MethodChecker:
         return e
 
 
-def parse_source(text: str, path: str = "<string>", fixture: bool = False) -> SourceUnit:
+def parse_source(text: str, path: str = "<string>") -> SourceUnit:
     """Parse and type-check CUT-lang source, returning a resolved SourceUnit.
 
     Raises ParseError on syntax violations, TypeCheckError on ill-typed
@@ -752,6 +709,6 @@ def parse_source(text: str, path: str = "<string>", fixture: bool = False) -> So
     returned node carries a source span.
     """
     tokens = tokenize(text, path)
-    unit = _Parser(tokens, path, fixture).parse_unit()
-    _Resolver(unit, path, fixture).run()
+    unit = _Parser(tokens, path).parse_unit()
+    _Resolver(unit, path).run()
     return unit

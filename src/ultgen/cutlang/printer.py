@@ -157,8 +157,4 @@ def print_unit(unit: SourceUnit) -> str:
             parts.append(f"extern class {decl.name};")
         else:
             parts.append(print_class(decl))
-    for tb in unit.test_blocks:
-        out = [f"TEST_F({tb.fixture}, {tb.name})"]
-        _block(tb.body, 0, out)
-        parts.append("\n".join(out))
     return "\n\n".join(parts) + ("\n" if parts else "")

@@ -10,6 +10,7 @@ import warnings
 import pytest
 from jsonschema import validate
 
+from ultgen.interp import CaseEvaluator
 from ultgen.scaffold import ExternDependencyWarning
 from ultgen.schemas import (
     ADVISE_SCHEMA,
@@ -629,6 +630,28 @@ def test_run_uncovered_matches_coverage_subcommand(invoke, corpus_dir, tmp_path)
     replayed = {r["method"]: r["uncovered"] for r in json.loads(out)["methods"]}
     assert {r["method"]: r["uncovered"] for r in run_rows} == replayed
     assert any(replayed.values())  # LruCache.admit:D2:F is out of reach
+
+
+def test_run_expands_configured_cases_once(invoke, project_dir, tmp_path, monkeypatch):
+    built = []
+    init = CaseEvaluator.__init__
+
+    def counting_init(self, unit, class_name, method_name):
+        built.append((class_name, method_name))
+        init(self, unit, class_name, method_name)
+
+    monkeypatch.setattr(CaseEvaluator, "__init__", counting_init)
+    out_dir = tmp_path / "out"
+    code, out, _ = invoke(
+        "run", project_dir / "src", "-o", out_dir,
+        "--config", project_dir / "cases.json", "--json",
+    )
+    assert code == 0
+    configured = json.loads(out)["stages"]["cases"]["configured"]
+    methods = json.loads((out_dir / "coverage.json").read_text())["methods"]
+    assert (len(methods), configured) == (7, 2)
+    # one per public method, plus one to read and one to expand each case
+    assert len(built) <= len(methods) + 2 * configured
 
 
 def test_run_seed_flag_lands_in_manifest(invoke, project_dir, history_dir, tmp_path):

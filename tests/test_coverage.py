@@ -74,6 +74,7 @@ def test_compute_coverage_unions_traces(unit):
     assert ("A.pick:D1", False) in cov.pairs_covered
     # go=True never saw c2 False, x=0 short-circuited it
     assert ("A.pick:D1.c2", False) not in cov.pairs_covered
+    assert cov.uncovered == {("A.pick:D1.c2", False)}
     assert cov.percent == pytest.approx(100.0 * 5 / 6)
     assert cov.denominator == 6
 
@@ -84,6 +85,8 @@ def test_zero_decision_method_is_vacuously_covered(unit):
     assert cov.percent == 100.0
     assert cov.denominator == 0
     assert not cov.has_passing_case
+    # one shared empty set, so decision-free methods allocate none
+    assert cov.pairs_covered is cov.uncovered == frozenset()
 
 
 def test_mixed_fingerprints_rejected(unit):
@@ -131,8 +134,8 @@ def test_brute_force_reports_unreachable(unit):
         {},
     )
     # go locked False: c2 never True, D never True
-    assert ("A.pick:D1", True) in cov.unreachable
-    assert ("A.pick:D1.c2", True) in cov.unreachable
+    assert ("A.pick:D1", True) in cov.uncovered
+    assert ("A.pick:D1.c2", True) in cov.uncovered
     assert cov.combos == 2
     assert cov.percent == pytest.approx(100.0 * 4 / 6)
 
@@ -145,7 +148,7 @@ def test_brute_force_full_domain_reaches_max(unit):
         {},
     )
     assert cov.percent == 100.0
-    assert cov.unreachable == frozenset()
+    assert cov.uncovered == frozenset()
 
 
 def test_brute_force_requires_domains(unit):

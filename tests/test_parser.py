@@ -1,7 +1,5 @@
 """Front-end behavior: lexing, parsing, static checks, printing."""
 
-import pathlib
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -32,6 +30,7 @@ from ultgen.cutlang import (
 )
 from ultgen.cutlang.lexer import KEYWORDS, PUNCT
 from ultgen.errors import (
+    CutlangError,
     DuplicateName,
     ParseError,
     TypeCheckError,
@@ -285,6 +284,25 @@ def test_unknown_reference_class_rejected():
 def test_extern_base_rejected():
     with pytest.raises(TypeCheckError):
         parse("extern class E; class A : public E { public: int x; };")
+
+
+@pytest.mark.parametrize(
+    "source, error, message",
+    [
+        ("class A { };\nclass B : public ns::A { };", ParseError,
+         "t.cut:2:20: qualified names are not supported here"),
+        ("class A { };\nTEST_F(A, t) { }", ParseError,
+         "t.cut:2:1: expected a class declaration, found 'TEST_F'"),
+        ("extern class E;\nclass B : public E { };", TypeCheckError,
+         "t.cut:2:1: cannot inherit from extern class 'E'"),
+        ("class A { Q* q; };", TypeCheckError, "t.cut:1:11: unknown class 'Q'"),
+    ],
+)
+def test_grammar_boundary_errors(source, error, message):
+    with pytest.raises(CutlangError) as info:
+        parse_source(source, path="t.cut")
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_call_requires_ref_field_receiver():
