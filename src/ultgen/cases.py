@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
-from .coverage import MethodCoverage, all_pairs, compute_coverage
-from .cutlang.nodes import INT_MAX, INT_MIN, MethodDecl, RefType, SourceUnit
-from .decisions import Decision, extract_decisions
-from .errors import ContractViolation, SchemaError, UnknownTarget
+from .coverage import MethodCoverage, compute_coverage
+from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
+from .decisions import Decision
+from .errors import ContractViolation, SchemaError, UnknownClass, UnknownTarget
 from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, _fits
 from .rng import SplitMix64
 
@@ -112,18 +112,8 @@ def case_from_json(data: dict) -> TestCase:
 # --- configuration ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConfiguredCase:
-    class_name: str
-    method_name: str
-    case_name: str
-    params: dict[str, Scalar]
-    fields: dict[str, Scalar]
-    mocks: dict[MockKey, list[Scalar]]
-
-
-@dataclass(frozen=True)
 class CaseConfig:
-    cases: tuple[ConfiguredCase, ...]
+    cases: tuple[TestCase, ...]
     # (class, method, param) -> replacement value pool for fuzzing
     pool_overrides: dict[tuple[str, str, str], list[Scalar]] = field(
         default_factory=dict
@@ -153,7 +143,7 @@ class _ConfigReader:
         unknown = set(data) - {"classes"}
         if unknown:
             raise SchemaError(f"unknown config keys: {sorted(unknown)}")
-        cases: list[ConfiguredCase] = []
+        cases: list[TestCase] = []
         overrides: dict[tuple[str, str, str], list[Scalar]] = {}
         classes = data.get("classes", {})
         if not isinstance(classes, dict):
@@ -179,8 +169,6 @@ class _ConfigReader:
         return CaseConfig(cases=tuple(cases), pool_overrides=overrides)
 
     def _evaluator_for(self, class_name: str, method_name: str, path: str):
-        from .errors import UnknownClass
-
         try:
             return CaseEvaluator(self.unit, class_name, method_name)
         except UnknownClass:
@@ -192,8 +180,8 @@ class _ConfigReader:
         unknown = set(cfg) - {"cases", "pools"}
         if unknown:
             raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
-        method = evaluator.method
-        param_types = {p.name: p.type for p in method.params}
+        param_types = evaluator.param_types
+        target = (evaluator.class_name, evaluator.method.name)
         case_entries = cfg.get("cases", {})
         pool_entries = cfg.get("pools", {})
         if not isinstance(case_entries, dict) or not isinstance(pool_entries, dict):
@@ -214,19 +202,19 @@ class _ConfigReader:
                 )
             fields: dict[str, Scalar] = {}
             for name, value in case_cfg.get("fields", {}).items():
-                if name not in evaluator._scalar_fields:
+                if name not in evaluator.field_types:
                     raise UnknownTarget(f"{cpath}.fields.{name}")
                 fields[name] = _coerce(
-                    evaluator._scalar_fields[name], value, f"{cpath}.fields.{name}"
+                    evaluator.field_types[name], value, f"{cpath}.fields.{name}"
                 )
             mocks: dict[MockKey, list[Scalar]] = {}
             for dotted, script in case_cfg.get("mocks", {}).items():
                 mpath = f"{cpath}.mocks.{dotted}"
                 f_name, sep, m_name = dotted.partition(".")
-                if not sep or f_name not in evaluator._ref_fields:
+                if not sep:
                     raise UnknownTarget(mpath)
                 try:
-                    ret = evaluator._dep_return_type((f_name, m_name))
+                    ret = evaluator.mock_type((f_name, m_name))
                 except ContractViolation:
                     raise UnknownTarget(mpath) from None
                 if not isinstance(script, list) or not script:
@@ -234,14 +222,26 @@ class _ConfigReader:
                 mocks[(f_name, m_name)] = [
                     _coerce(ret, v, mpath) for v in script
                 ]
+            # Unset parameters and value-returning call sites take type
+            # defaults, each flagged in the case's diagnostics.
+            diagnostics: list[str] = []
+            for name, type_name in param_types.items():
+                if name not in params:
+                    params[name] = TYPE_DEFAULTS[type_name]
+                    diagnostics.append(f"DefaultFilled: param {name}")
+            for key, ret in evaluator.mock_types.items():
+                if key not in mocks:
+                    mocks[key] = [TYPE_DEFAULTS[ret]]
+                    diagnostics.append(f"DefaultFilled: mock {key[0]}->{key[1]}()")
             cases.append(
-                ConfiguredCase(
-                    evaluator.class_name,
-                    method.name,
-                    case_name,
-                    params,
-                    fields,
-                    mocks,
+                TestCase(
+                    id=f"cfg-{target[0]}.{target[1]}-{case_name}",
+                    target=target,
+                    param_values=params,
+                    field_values=fields,
+                    mock_plan=mocks,
+                    origin=CONFIGURED,
+                    diagnostics=tuple(diagnostics),
                 )
             )
         for name, pool in pool_entries.items():
@@ -250,16 +250,21 @@ class _ConfigReader:
                 raise UnknownTarget(ppath)
             if not isinstance(pool, list) or not pool:
                 raise SchemaError(f"{ppath}: pool must be a nonempty array")
-            overrides[(evaluator.class_name, method.name, name)] = [
+            overrides[(*target, name)] = [
                 _coerce(param_types[name], v, ppath) for v in pool
             ]
 
 
 def load_case_config(text: str, unit: SourceUnit) -> CaseConfig:
-    """Parse and validate a case-configuration JSON document.
+    """Parse and validate a case-configuration JSON document into one
+    TestCase per named case, in file order.
 
     Unknown classes/methods/params/fields/mock targets fail eagerly with
     the offending dotted path; structural problems raise SchemaError.
+    Missing parameters take type defaults (int 0, bool false, float 0.0)
+    and missing mock scripts a single type-default value; both are flagged
+    in the case's diagnostics. Unset fields keep their type defaults
+    unflagged.
     """
     import json
 
@@ -268,43 +273,6 @@ def load_case_config(text: str, unit: SourceUnit) -> CaseConfig:
     except json.JSONDecodeError as e:
         raise SchemaError(f"config is not valid JSON: {e}") from None
     return _ConfigReader(unit).read(data)
-
-
-def expand_configured_cases(config: CaseConfig, unit: SourceUnit) -> list[TestCase]:
-    """One TestCase per named config case, in file order.
-
-    Missing parameters take type defaults (int 0, bool false, float 0.0)
-    and missing mock scripts take a single type-default value; both are
-    flagged in the case's diagnostics.
-    """
-    out: list[TestCase] = []
-    for cc in config.cases:
-        evaluator = CaseEvaluator(unit, cc.class_name, cc.method_name)
-        diagnostics: list[str] = []
-        params = dict(cc.params)
-        for p in evaluator.method.params:
-            if p.name not in params:
-                params[p.name] = TYPE_DEFAULTS[p.type]
-                diagnostics.append(f"DefaultFilled: param {p.name}")
-        mocks = {k: list(v) for k, v in cc.mocks.items()}
-        for key, ret in evaluator._site_types.items():
-            if ret == "void":
-                continue
-            if key not in mocks:
-                mocks[key] = [TYPE_DEFAULTS[ret]]
-                diagnostics.append(f"DefaultFilled: mock {key[0]}->{key[1]}()")
-        out.append(
-            TestCase(
-                id=f"cfg-{cc.class_name}.{cc.method_name}-{cc.case_name}",
-                target=(cc.class_name, cc.method_name),
-                param_values=params,
-                field_values=dict(cc.fields),
-                mock_plan=mocks,
-                origin=CONFIGURED,
-                diagnostics=tuple(diagnostics),
-            )
-        )
-    return out
 
 
 # --- fuzzing ----------------------------------------------------------------
@@ -370,28 +338,25 @@ class _Axis:
 
 
 def build_axes(
-    method: MethodDecl,
-    decisions: Sequence[Decision],
-    site_types: dict[MockKey, str],
+    evaluator: CaseEvaluator,
     rng: SplitMix64,
     pool_overrides: Optional[dict[str, list[Scalar]]] = None,
 ) -> list[_Axis]:
-    """Fuzzing axes with their pools: params in declaration order, then
-    value-returning call sites in body pre-order of first use, the order of
-    `site_types` (CaseEvaluator._site_types). Pool overrides replace the
-    derived pool for the named parameter. Consumes three values from `rng`
-    per non-overridden int/float axis, in axis order."""
+    """Fuzzing axes with their pools: the evaluator's parameters in
+    declaration order, then its value-returning call sites in body
+    pre-order of first use. Pool overrides replace the derived pool for the
+    named parameter. Consumes three values from `rng` per non-overridden
+    int/float axis, in axis order."""
     overrides = pool_overrides or {}
+    decisions = evaluator.decisions
     axes: list[_Axis] = []
-    for p in method.params:
-        if p.name in overrides:
-            axes.append(_Axis("param", p.name, tuple(overrides[p.name])))
+    for name, type_name in evaluator.param_types.items():
+        if name in overrides:
+            axes.append(_Axis("param", name, tuple(overrides[name])))
             continue
-        lits = _literals_for(decisions, p.type, param=p.name)
-        axes.append(_Axis("param", p.name, tuple(_build_pool(p.type, lits, rng))))
-    for key, ret in site_types.items():
-        if ret == "void":
-            continue
+        lits = _literals_for(decisions, type_name, param=name)
+        axes.append(_Axis("param", name, tuple(_build_pool(type_name, lits, rng))))
+    for key, ret in evaluator.mock_types.items():
         lits = _literals_for(decisions, ret, call=key)
         axes.append(_Axis("mock", key, tuple(_build_pool(ret, lits, rng))))
     return axes
@@ -413,9 +378,7 @@ def fuzz_candidates(
         raise ContractViolation("fuzz budget must be >= 1")
     rng = SplitMix64(seed)
     class_name, method = evaluator.class_name, evaluator.method
-    axes = build_axes(
-        method, evaluator.decisions, evaluator._site_types, rng, pool_overrides
-    )
+    axes = build_axes(evaluator, rng, pool_overrides)
     sizes = [len(a.pool) for a in axes]
     product = 1
     for s in sizes:
@@ -515,7 +478,7 @@ def greedy_select(
     (configured cases) count as already covered. Stops at full syntactic
     coverage or at the end of the stream.
     """
-    valid = all_pairs(evaluator.decisions)
+    valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
     seen_crashes: set[tuple] = set()
     for t in preseed:
@@ -547,11 +510,7 @@ def greedy_select(
                     seen_crashes.add(trace.crash.key)
             if covered >= valid:
                 break
-    coverage = compute_coverage(
-        list(preseed) + traces, evaluator.decisions,
-        f"{evaluator.class_name}.{evaluator.method.name}",
-        fingerprint=evaluator.fingerprint,
-    )
+    coverage = compute_coverage(list(preseed) + traces, evaluator)
     return GreedyResult(
         kept=tuple(kept),
         traces=tuple(traces),

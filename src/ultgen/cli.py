@@ -44,7 +44,6 @@ from .cases import (
     TestCase,
     case_from_json,
     case_to_json,
-    expand_configured_cases,
     fuzz_candidates,
     greedy_select,
     load_case_config,
@@ -53,7 +52,7 @@ from .coverage import MethodCoverage, aggregate_report, compute_coverage
 from .cutlang.nodes import SourceUnit
 from .cutlang.parser import parse_source
 from .decisions import decisions_table, extract_decisions
-from .errors import UltgenError, UnknownClass, UnknownTarget
+from .errors import CutlangError, UltgenError, UnknownClass, UnknownTarget
 from .interp import CaseEvaluator
 from .scaffold import (
     ExternDependencyWarning,
@@ -201,12 +200,12 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
 # --- cases ------------------------------------------------------------------
 
 def _configured_by_target(
-    config: Optional[CaseConfig], unit: SourceUnit
+    config: Optional[CaseConfig],
 ) -> dict[tuple[str, str], list[TestCase]]:
-    """The config's cases, expanded once and grouped by target."""
+    """The config's cases grouped by target."""
     grouped: dict[tuple[str, str], list[TestCase]] = {}
     if config is not None:
-        for case in expand_configured_cases(config, unit):
+        for case in config.cases:
             grouped.setdefault(case.target, []).append(case)
     return grouped
 
@@ -242,7 +241,7 @@ def cmd_cases(args: argparse.Namespace) -> int:
     config = None
     if args.config is not None:
         config = load_case_config(_read_text(args.config), unit)
-    configured = _configured_by_target(config, unit).get(
+    configured = _configured_by_target(config).get(
         (args.class_name, args.method), []
     )
     result = _select_cases(
@@ -319,24 +318,20 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     for case in cases:
         by_target.setdefault(case.target, []).append(case)
 
-    targets: list[tuple[str, str]] = []
+    evaluators: dict[tuple[str, str], CaseEvaluator] = {}
     for cls in unit.classes:
         for m in public_methods(cls):
-            targets.append((cls.name, m.name))
+            evaluators[(cls.name, m.name)] = CaseEvaluator(unit, cls.name, m.name)
     for target in by_target:
-        if target not in targets:
-            # private or inherited methods still report when cases name them
-            CaseEvaluator(unit, *target)  # raises for unknown targets
-            targets.append(target)
+        if target not in evaluators:
+            # private or inherited methods still report when cases name
+            # them; unknown targets raise here
+            evaluators[target] = CaseEvaluator(unit, *target)
 
     methods: list[MethodCoverage] = []
-    for class_name, method_name in targets:
-        evaluator = CaseEvaluator(unit, class_name, method_name)
-        traces = [evaluator.run(c) for c in by_target.get((class_name, method_name), [])]
-        methods.append(compute_coverage(
-            traces, evaluator.decisions,
-            f"{class_name}.{method_name}", evaluator.fingerprint,
-        ))
+    for target, evaluator in evaluators.items():
+        traces = [evaluator.run(c) for c in by_target.get(target, [])]
+        methods.append(compute_coverage(traces, evaluator))
 
     rows = [_method_row(mc) for mc in methods]
     report = aggregate_report(methods)
@@ -486,6 +481,21 @@ def _collect_sources(src_dir: Path) -> list[Path]:
     )
 
 
+def _parse_tree(src_dir: Path, sources: list[Path], texts: list[str]) -> SourceUnit:
+    """Parse the files as one unit, joined with newlines. A front-end error
+    is raised again at the file and line it is on; its column is kept."""
+    try:
+        return parse_source("\n".join(texts), path=str(src_dir))
+    except CutlangError as e:
+        start = 1  # line of the joined text where the file begins
+        for path, text in zip(sources, texts):
+            end = start + text.count("\n") + 1
+            if e.line < end:
+                raise type(e)(e.message, e.line - start + 1, e.column, str(path)) from None
+            start = end
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     src_dir = Path(args.src)
     if not src_dir.is_dir():
@@ -509,7 +519,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         inputs[path.relative_to(src_dir).as_posix()] = _sha256(text)
         texts.append(text)
     with _stage("parse"):
-        unit = parse_source("\n".join(texts), path=str(src_dir))
+        unit = _parse_tree(src_dir, sources, texts)
         if not unit.classes:
             raise UltgenError(f"no classes found in {args.src}")
     for flag in [args.config, *advisor_flags]:
@@ -568,7 +578,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         config = None
         if args.config:
             config = load_case_config(_read_text(args.config), unit)
-        configured_by_target = _configured_by_target(config, unit)
+        configured_by_target = _configured_by_target(config)
         all_cases: list[TestCase] = []
         methods: list[MethodCoverage] = []
         configured_total = 0

@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .decisions import Decision
+# all_pairs lives in decisions (the evaluator needs it) and is still
+# importable from here.
+from .decisions import all_pairs  # noqa: F401
 from .errors import DomainTooLarge, EmptyDomain, MixedTargets
 from .interp import CaseEvaluator, ExecutionTrace
 
@@ -58,17 +60,6 @@ class CoverageReport:
     conditional_pct: float
 
 
-def all_pairs(decisions: Sequence[Decision]) -> frozenset[tuple[str, bool]]:
-    pairs: set[tuple[str, bool]] = set()
-    for d in decisions:
-        pairs.add((d.id, True))
-        pairs.add((d.id, False))
-        for c in d.conditions:
-            pairs.add((c.id, True))
-            pairs.add((c.id, False))
-    return frozenset(pairs)
-
-
 def percent_of(pairs_covered: int, denominator: int) -> float:
     if denominator == 0:
         return 100.0
@@ -76,53 +67,45 @@ def percent_of(pairs_covered: int, denominator: int) -> float:
 
 
 def _method_coverage(
-    method_id: str,
-    decisions: Sequence[Decision],
-    valid: frozenset[tuple[str, bool]],
+    evaluator: CaseEvaluator,
     covered: set[tuple[str, bool]],
     has_passing_case: bool,
     combos: Optional[int] = None,
 ) -> MethodCoverage:
-    """The one place a MethodCoverage is built; `valid` is
-    `all_pairs(decisions)` and `covered` a subset of it."""
+    """The one place a MethodCoverage is built; `covered` is a subset of
+    `evaluator.pairs`."""
+    decisions = evaluator.decisions
     return MethodCoverage(
-        method=method_id,
+        method=f"{evaluator.class_name}.{evaluator.method.name}",
         conditions_total=sum(len(d.conditions) for d in decisions),
         decisions_total=len(decisions),
         pairs_covered=frozenset(covered) if covered else _NO_PAIRS,
-        uncovered=(valid - covered) or _NO_PAIRS,
+        uncovered=(evaluator.pairs - covered) or _NO_PAIRS,
         has_passing_case=has_passing_case,
         combos=combos,
     )
 
 
 def compute_coverage(
-    traces: Sequence[ExecutionTrace],
-    decisions: Sequence[Decision],
-    method_id: str,
-    fingerprint: Optional[str] = None,
+    traces: Sequence[ExecutionTrace], evaluator: CaseEvaluator
 ) -> MethodCoverage:
-    """Union the outcome pairs of traces for one method.
+    """Union the outcome pairs of the evaluator's traces.
 
-    All traces must carry the same AST fingerprint (and match `fingerprint`
-    when given); a mismatch means traces from different code were mixed.
+    Every trace must carry the evaluator's AST fingerprint; a mismatch
+    means traces from different code were mixed.
     """
-    expected = fingerprint
+    expected = evaluator.fingerprint
     for t in traces:
-        if expected is None:
-            expected = t.fingerprint
-        elif t.fingerprint != expected:
+        if t.fingerprint != expected:
             raise MixedTargets(
                 f"trace {t.case_id!r} targets a different method body "
                 f"({t.fingerprint[:12]} != {expected[:12]})"
             )
-    valid = all_pairs(decisions)
+    valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
     for t in traces:
         covered.update(t.outcomes & valid)
-    return _method_coverage(
-        method_id, decisions, valid, covered, any(t.passed for t in traces)
-    )
+    return _method_coverage(evaluator, covered, any(t.passed for t in traces))
 
 
 def aggregate_report(methods: Sequence[MethodCoverage]) -> CoverageReport:
@@ -155,16 +138,13 @@ def brute_force_max_coverage(
     """
     from .cases import TestCase
 
-    method = evaluator.method
     axes: list[tuple[str, object, Sequence[Scalar]]] = []
-    for p in method.params:
-        values = domains.get(p.name)
+    for name in evaluator.param_types:
+        values = domains.get(name)
         if not values:
-            raise EmptyDomain(f"no domain for parameter {p.name!r}")
-        axes.append(("param", p.name, values))
-    for key, ret in evaluator._site_types.items():
-        if ret == "void":
-            continue
+            raise EmptyDomain(f"no domain for parameter {name!r}")
+        axes.append(("param", name, values))
+    for key in evaluator.mock_types:
         values = mock_domains.get(key)
         if not values:
             raise EmptyDomain(f"no mock domain for call site {key}")
@@ -176,7 +156,7 @@ def brute_force_max_coverage(
         if total > cap:
             raise DomainTooLarge(f"domain product exceeds {cap}")
 
-    valid = all_pairs(evaluator.decisions)
+    valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
     has_passing = False
     for combo in itertools.product(*(values for _, _, values in axes)):
@@ -189,7 +169,7 @@ def brute_force_max_coverage(
                 mocks[name] = [value]
         case = TestCase(
             id="brute",
-            target=(evaluator.class_name, method.name),
+            target=(evaluator.class_name, evaluator.method.name),
             param_values=params,
             field_values={},
             mock_plan=mocks,
@@ -201,7 +181,4 @@ def brute_force_max_coverage(
         if len(covered) == len(valid) and has_passing:
             break  # provably maximal already
 
-    return _method_coverage(
-        f"{evaluator.class_name}.{method.name}", evaluator.decisions,
-        valid, covered, has_passing, combos=total,
-    )
+    return _method_coverage(evaluator, covered, has_passing, combos=total)

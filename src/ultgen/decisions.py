@@ -10,7 +10,7 @@ call returns, both, or neither (fields/constants only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .cutlang.nodes import (
     Assert,
@@ -172,6 +172,18 @@ def extract_decisions(method: MethodDecl, class_name: str) -> list[Decision]:
             )
         out.append(Decision(did, kind, expr, tuple(conditions), site))
     return out
+
+
+def all_pairs(decisions: Sequence[Decision]) -> frozenset[tuple[str, bool]]:
+    """Both outcomes of every decision and condition."""
+    pairs: set[tuple[str, bool]] = set()
+    for d in decisions:
+        pairs.add((d.id, True))
+        pairs.add((d.id, False))
+        for c in d.conditions:
+            pairs.add((c.id, True))
+            pairs.add((c.id, False))
+    return frozenset(pairs)
 
 
 def method_call_sites(method: MethodDecl) -> list[tuple[CallSite, Expr]]:

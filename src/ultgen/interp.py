@@ -71,7 +71,7 @@ from .cutlang.nodes import (
     While,
 )
 from .cutlang.printer import print_method
-from .decisions import Decision, extract_decisions, method_call_sites
+from .decisions import Decision, all_pairs, extract_decisions, method_call_sites
 from .errors import ContractViolation, UnknownClass, UnknownTarget
 
 if TYPE_CHECKING:
@@ -683,8 +683,14 @@ class CaseEvaluator:
         self.method = method
         self.fuel = fuel
         self.decisions: list[Decision] = extract_decisions(method, class_name)
+        # Outcome pairs the method has: both values of every decision and
+        # condition, the syntactic coverage denominator.
+        self.pairs = all_pairs(self.decisions)
         self.fingerprint = method_fingerprint(class_name, method)
-        self._scalar_fields, self._ref_fields = self._effective_fields(unit, cls)
+        # What a case may set: parameters in declaration order, and scalar
+        # fields (inherited ones included) by name.
+        self.param_types = {p.name: p.type for p in method.params}
+        self.field_types, self._ref_fields = self._effective_fields(unit, cls)
         self._runner: Optional[_Runner] = None  # set by _compile on the first run
         # Steps the cold tier may still take; None once the method is promoted.
         self._cold_left: Optional[int] = HOT_STEPS
@@ -725,18 +731,33 @@ class CaseEvaluator:
     def _site_types(self) -> dict[tuple[str, str], str]:
         """Static return type per (field, method) call key in the body, in
         pre-order of first use. Built on first use, so evaluators that never
-        run or expand a case skip the walk."""
+        run or build a case skip the walk."""
         return {key: node.type_ or "int" for key, node in method_call_sites(self.method)}
 
+    @cached_property
+    def mock_types(self) -> dict[tuple[str, str], str]:
+        """Value type per value-returning call site, in the order of
+        `_site_types`: the mock scripts a case of the method may need."""
+        return {k: t for k, t in self._site_types.items() if t != "void"}
+
+    def mock_type(self, key: tuple[str, str]) -> str:
+        """The scripted type of mock key (field, method), which must name a
+        value-returning method of a reference field's class."""
+        f_name, m_name = key
+        if f_name not in self._ref_fields:
+            raise ContractViolation(f"mock key {key} names no reference field")
+        dep = self.unit.class_named(self._ref_fields[f_name])
+        if dep is None:
+            return "int"  # extern dependency: documented assumption
+        m = self._find_method(self.unit, dep, m_name)
+        if m is None or m.return_type == "void":
+            raise ContractViolation(f"no scriptable method for mock key {key}")
+        return m.return_type
+
     def _compile(self) -> _Runner:
-        """Compile the cold tier and the per-case invariants of validation."""
-        self._param_types = {p.name: p.type for p in self.method.params}
-        self._param_names = frozenset(self._param_types)
-        # Value type per value-returning call site; any other mock key goes
-        # through the full checks of _checked_mock_type.
-        self._mock_types = {k: t for k, t in self._site_types.items() if t != "void"}
+        """Compile the cold tier and the field defaults both tiers start from."""
         self._field_defaults = {
-            name: TYPE_DEFAULTS[t] for name, t in self._scalar_fields.items()
+            name: TYPE_DEFAULTS[t] for name, t in self.field_types.items()
         }
         body = _Compiler(self.decisions, self._site_types).block(self.method.body)
         self._runner = _cold_runner(body, self._field_defaults)
@@ -761,24 +782,25 @@ class CaseEvaluator:
     # -- case validation ---------------------------------------------------
 
     def _validate(self, case: "TestCase") -> None:
-        declared = self._param_types
+        declared = self.param_types
         given = case.param_values
-        if given.keys() != self._param_names:
-            missing = sorted(self._param_names - set(given))
+        if given.keys() != declared.keys():
+            missing = sorted(declared.keys() - given.keys())
             if missing:
                 raise ContractViolation(f"missing parameter values: {missing}")
-            extra = sorted(set(given) - self._param_names)
+            extra = sorted(given.keys() - declared.keys())
             raise ContractViolation(f"unknown parameters: {extra}")
         for name, value in given.items():
             if not _fits(declared[name], value):
                 raise _type_error(declared[name], value, f"parameter {name!r}")
+        fields = self.field_types
         for name, value in case.field_values.items():
-            if name not in self._scalar_fields:
+            if name not in fields:
                 raise ContractViolation(f"unknown scalar field {name!r}")
-            if not _fits(self._scalar_fields[name], value):
-                raise _type_error(self._scalar_fields[name], value, f"field {name!r}")
+            if not _fits(fields[name], value):
+                raise _type_error(fields[name], value, f"field {name!r}")
         for key, script in case.mock_plan.items():
-            expect = self._mock_types.get(key)
+            expect = self.mock_types.get(key)
             if expect is None:
                 expect = self._checked_mock_type(key, script)
             elif not script:
@@ -789,25 +811,14 @@ class CaseEvaluator:
 
     def _checked_mock_type(self, key: tuple[str, str], script: list[Scalar]) -> str:
         """The scripted type of a mock key with no value-returning call site
-        in the body, after every check on the key, in order."""
-        f_name, m_name = key
-        if f_name not in self._ref_fields:
-            raise ContractViolation(f"mock key {key} names no reference field")
-        if self._site_types.get(key) == "void":
-            raise ContractViolation(f"call {f_name}->{m_name}() returns void")
-        if not script:
-            raise ContractViolation(f"empty mock script for {key}")
-        return self._dep_return_type(key)
-
-    def _dep_return_type(self, key: tuple[str, str]) -> str:
-        f_name, m_name = key
-        dep = self.unit.class_named(self._ref_fields[f_name])
-        if dep is None:
-            return "int"  # extern dependency: documented assumption
-        m = self._find_method(self.unit, dep, m_name)
-        if m is None or m.return_type == "void":
-            raise ContractViolation(f"no scriptable method for mock key {key}")
-        return m.return_type
+        in the body, after every check on the key, in order: reference
+        field, void call site, empty script, scriptable method."""
+        if key[0] in self._ref_fields:
+            if self._site_types.get(key) == "void":
+                raise ContractViolation(f"call {key[0]}->{key[1]}() returns void")
+            if not script:
+                raise ContractViolation(f"empty mock script for {key}")
+        return self.mock_type(key)
 
     # -- execution ---------------------------------------------------------
 

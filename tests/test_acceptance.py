@@ -190,12 +190,12 @@ def _random_case(target, evaluator, rng, index):
         p.name: _random_value(p.type, rng) for p in evaluator.method.params
     }
     mocks = {}
-    for key, ret in evaluator._site_types.items():
-        if ret == "void" or rng.below(8) == 0:
+    for key, ret in evaluator.mock_types.items():
+        if rng.below(8) == 0:
             continue  # leave some sites unmocked to exercise UnmockedCall
         mocks[key] = [_random_value(ret, rng) for _ in range(1 + rng.below(3))]
     fields = {}
-    for fname, ftype in evaluator._scalar_fields.items():
+    for fname, ftype in evaluator.field_types.items():
         if rng.coin():
             fields[fname] = _random_value(ftype, rng)
     return TestCase(

@@ -15,7 +15,6 @@ from ultgen.cases import (
     build_axes,
     case_from_json,
     case_to_json,
-    expand_configured_cases,
     fuzz_candidates,
     greedy_select,
     load_case_config,
@@ -70,10 +69,7 @@ def evaluator(unit):
 
 
 def axes_of(evaluator, seed=42, overrides=None):
-    return build_axes(
-        evaluator.method, evaluator.decisions, evaluator._site_types,
-        SplitMix64(seed), overrides,
-    )
+    return build_axes(evaluator, SplitMix64(seed), overrides)
 
 
 # --- pools ----------------------------------------------------------------
@@ -194,9 +190,7 @@ def _reference_candidates(evaluator, budget, seed, pool_overrides):
     counter by % and //. fuzz_candidates must reproduce it exactly."""
     class_name, method = evaluator.class_name, evaluator.method
     rng = SplitMix64(seed)
-    axes = build_axes(
-        method, evaluator.decisions, evaluator._site_types, rng, pool_overrides
-    )
+    axes = build_axes(evaluator, rng, pool_overrides)
     sizes = [len(a.pool) for a in axes]
     product = 1
     for s in sizes:
@@ -449,21 +443,21 @@ def read(cfg, unit):
 def test_config_reads_cases_and_pools(unit):
     config = read(good_config(), unit)
     (cc,) = config.cases
-    assert (cc.class_name, cc.method_name, cc.case_name) == ("A", "steps", "lucky")
-    assert cc.params == {"x": 7}
-    assert cc.fields == {"n": 3}
-    assert cc.mocks == {("d", "get"): [9]}
+    assert (cc.id, cc.target) == ("cfg-A.steps-lucky", ("A", "steps"))
+    assert cc.param_values["x"] == 7
+    assert cc.field_values == {"n": 3}
+    assert cc.mock_plan == {("d", "get"): [9]}
     assert config.pool_overrides == {("A", "steps", "x"): [7, 8]}
 
 
 def test_configured_cases_fill_defaults_with_diagnostics(unit):
     config = read(good_config(), unit)
-    (case,) = expand_configured_cases(config, unit)
+    (case,) = config.cases
     assert case.origin == "Configured"
     assert case.id == "cfg-A.steps-lucky"
     assert case.param_values == {"x": 7, "f": 0.0, "go": False}
     assert case.mock_plan == {("d", "get"): [9]}
-    assert any("f" in d for d in case.diagnostics)
+    assert case.diagnostics == ("DefaultFilled: param f", "DefaultFilled: param go")
 
 
 def test_config_not_json(unit):
@@ -507,11 +501,11 @@ def test_config_bool_not_coerced_to_int(unit):
 def test_config_float_accepts_int_and_markers(unit):
     cfg = good_config()
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {"f": 3}
-    assert read(cfg, unit).cases[0].params["f"] == 3.0
+    assert read(cfg, unit).cases[0].param_values["f"] == 3.0
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {
         "f": "-Infinity"
     }
-    assert read(cfg, unit).cases[0].params["f"] == -math.inf
+    assert read(cfg, unit).cases[0].param_values["f"] == -math.inf
 
 
 def test_config_mock_on_void_site_rejected(unit):

@@ -51,6 +51,19 @@ def _gap_history(tmp_path, history_dir):
     return hist
 
 
+def _count_evaluators(monkeypatch):
+    """The (class, method) of every CaseEvaluator built from now on."""
+    built = []
+    init = CaseEvaluator.__init__
+
+    def counting_init(self, unit, class_name, method_name):
+        built.append((class_name, method_name))
+        init(self, unit, class_name, method_name)
+
+    monkeypatch.setattr(CaseEvaluator, "__init__", counting_init)
+    return built
+
+
 # --- parser plumbing --------------------------------------------------------
 
 def test_no_subcommand_is_usage_error(invoke):
@@ -371,7 +384,10 @@ def test_coverage_text_table(invoke, turnstile, tmp_path):
     assert "threshold 10%" in out
 
 
-def test_coverage_reports_inherited_case_target(invoke, corpus_dir, tmp_path):
+def test_coverage_reports_inherited_case_target(
+    invoke, corpus_dir, tmp_path, monkeypatch
+):
+    built = _count_evaluators(monkeypatch)
     case_file = _write_cases(
         tmp_path / "cases.jsonl", [_manual_case(["HotEntry", "touch"], {})]
     )
@@ -383,6 +399,8 @@ def test_coverage_reports_inherited_case_target(invoke, corpus_dir, tmp_path):
     rows = {r["method"]: r for r in json.loads(out)["methods"]}
     # touch is declared on the base class; the case names the subclass
     assert rows["HotEntry.touch"]["has_passing_case"] is True
+    # one evaluator per reported target, the case-named one included
+    assert sorted(f"{c}.{m}" for c, m in built) == sorted(rows)
 
 
 def test_coverage_bad_case_file(invoke, turnstile, tmp_path):
@@ -633,14 +651,7 @@ def test_run_uncovered_matches_coverage_subcommand(invoke, corpus_dir, tmp_path)
 
 
 def test_run_expands_configured_cases_once(invoke, project_dir, tmp_path, monkeypatch):
-    built = []
-    init = CaseEvaluator.__init__
-
-    def counting_init(self, unit, class_name, method_name):
-        built.append((class_name, method_name))
-        init(self, unit, class_name, method_name)
-
-    monkeypatch.setattr(CaseEvaluator, "__init__", counting_init)
+    built = _count_evaluators(monkeypatch)
     out_dir = tmp_path / "out"
     code, out, _ = invoke(
         "run", project_dir / "src", "-o", out_dir,
@@ -649,9 +660,15 @@ def test_run_expands_configured_cases_once(invoke, project_dir, tmp_path, monkey
     assert code == 0
     configured = json.loads(out)["stages"]["cases"]["configured"]
     methods = json.loads((out_dir / "coverage.json").read_text())["methods"]
-    assert (len(methods), configured) == (7, 2)
-    # one per public method, plus one to read and one to expand each case
-    assert len(built) <= len(methods) + 2 * configured
+    config = json.loads((project_dir / "cases.json").read_text())
+    configured_methods = [
+        (class_name, method)
+        for class_name, entry in config["classes"].items()
+        for method in entry["methods"]
+    ]
+    assert (len(methods), configured, len(configured_methods)) == (7, 2, 2)
+    # one per public method, plus one to read each configured method
+    assert len(built) == len(methods) + len(configured_methods)
 
 
 def test_run_seed_flag_lands_in_manifest(invoke, project_dir, history_dir, tmp_path):
@@ -685,3 +702,24 @@ def test_run_empty_source_dir(invoke, tmp_path):
     assert code == 1
     assert "stage 'parse'" in err
     assert "no classes" in err
+
+
+def test_run_parse_error_names_file_and_line(invoke, corpus_dir, tmp_path):
+    src = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, src)
+    lines = (src / "cache.cut").read_text().split("\n")
+    lines[3] += " @@@"
+    (src / "cache.cut").write_text("\n".join(lines))
+    code, _, err = invoke("run", src, "-o", tmp_path / "out")
+    assert code == 1
+    assert f"stage 'parse': {src / 'cache.cut'}:4:22: " in err
+
+
+def test_run_duplicate_class_names_second_file(invoke, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.cut").write_text("class A {\npublic:\n    int f() { return 1; }\n};\n")
+    (src / "b.cut").write_text("// again\n\nclass A {\npublic:\n    int g() { return 2; }\n};\n")
+    code, _, err = invoke("run", src, "-o", tmp_path / "out")
+    assert code == 1
+    assert f"{src / 'b.cut'}:3:1: duplicate class name 'A'" in err

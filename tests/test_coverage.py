@@ -69,7 +69,7 @@ def test_compute_coverage_unions_traces(unit):
             mk("f", "pick", {"x": 0, "go": True}),
         ],
     )
-    cov = compute_coverage(traces, evaluator.decisions, "A.pick")
+    cov = compute_coverage(traces, evaluator)
     assert ("A.pick:D1", True) in cov.pairs_covered
     assert ("A.pick:D1", False) in cov.pairs_covered
     # go=True never saw c2 False, x=0 short-circuited it
@@ -81,7 +81,7 @@ def test_compute_coverage_unions_traces(unit):
 
 def test_zero_decision_method_is_vacuously_covered(unit):
     evaluator = CaseEvaluator(unit, "A", "plain")
-    cov = compute_coverage([], evaluator.decisions, "A.plain")
+    cov = compute_coverage([], evaluator)
     assert cov.percent == 100.0
     assert cov.denominator == 0
     assert not cov.has_passing_case
@@ -96,21 +96,20 @@ def test_mixed_fingerprints_rejected(unit):
     t1 = e1.run(mk("a", "plain", {"x": 1}))
     t2 = e2.run(mk("b", "plain", {"x": 1}))
     with pytest.raises(MixedTargets):
-        compute_coverage([t1, t2], e1.decisions, "A.plain")
+        compute_coverage([t1, t2], e1)
+    # a lone trace is checked against the evaluator's own body too
+    with pytest.raises(MixedTargets):
+        compute_coverage([t2], e1)
 
 
 def test_aggregate_weights_by_pairs(unit):
     e_pick = CaseEvaluator(unit, "A", "pick")
     e_plain = CaseEvaluator(unit, "A", "plain")
     cov_pick = compute_coverage(
-        run_cases(e_pick, [mk("t", "pick", {"x": 1, "go": True})]),
-        e_pick.decisions,
-        "A.pick",
+        run_cases(e_pick, [mk("t", "pick", {"x": 1, "go": True})]), e_pick
     )
     cov_plain = compute_coverage(
-        run_cases(e_plain, [mk("p", "plain", {"x": 1})]),
-        e_plain.decisions,
-        "A.plain",
+        run_cases(e_plain, [mk("p", "plain", {"x": 1})]), e_plain
     )
     report = aggregate_report([cov_pick, cov_plain])
     # plain contributes no pairs; aggregate is pick's 3/6

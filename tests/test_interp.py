@@ -251,6 +251,35 @@ def test_empty_script_rejected(unit):
         ev(unit, "scripted").run(case("scripted", mocks={("d", "get"): []}))
 
 
+@pytest.mark.parametrize(
+    "method, key, script, message",
+    [
+        # a key's checks run in order: reference field, void call site,
+        # empty script, scriptable method, value type
+        ("poke", ("acc", "get"), [], "mock key ('acc', 'get') names no reference field"),
+        ("poke", ("d", "nudge"), [], "call d->nudge() returns void"),
+        ("poke", ("d", "zap"), [], "empty mock script for ('d', 'zap')"),
+        ("poke", ("d", "zap"), [1], "no scriptable method for mock key ('d', 'zap')"),
+        ("scripted", ("d", "nudge"), [1], "no scriptable method for mock key ('d', 'nudge')"),
+        ("scripted", ("d", "get"), [], "empty mock script for ('d', 'get')"),
+        ("poke", ("d", "temp"), [1], "mock d->temp() must be float, got 1"),
+    ],
+)
+def test_mock_key_messages(unit, method, key, script, message):
+    with pytest.raises(ContractViolation) as raised:
+        ev(unit, method).run(case(method, mocks={key: script}))
+    assert str(raised.value) == message
+
+
+def test_mock_type_names_scripted_return_types(unit):
+    evaluator = ev(unit, "poke")
+    assert evaluator.mock_types == {}  # nudge is void
+    assert evaluator.mock_type(("d", "temp")) == "float"
+    assert ev(unit, "spin").mock_types == {("d", "ok"): "bool"}
+    with pytest.raises(ContractViolation):
+        evaluator.mock_type(("d", "nudge"))
+
+
 # --- fields and defaults --------------------------------------------------
 
 def test_scalar_fields_default_to_zero_values(unit):
@@ -361,15 +390,13 @@ def _method_and_case(draw):
         p.name: _value_for(p.type, draw) for p in evaluator.method.params
     }
     mocks = {}
-    for key, ret in evaluator._site_types.items():
-        if ret == "void":
-            continue
+    for key, ret in evaluator.mock_types.items():
         if draw(st.booleans()):
             continue  # leave unmocked sometimes
         n = draw(st.integers(min_value=1, max_value=3))
         mocks[key] = [_value_for(ret, draw) for _ in range(n)]
     fields = {}
-    for fname, ftype in evaluator._scalar_fields.items():
+    for fname, ftype in evaluator.field_types.items():
         if draw(st.booleans()):
             fields[fname] = _value_for(ftype, draw)
     return unit, name, case(name, params=params, fields=fields, mocks=mocks)
@@ -536,6 +563,25 @@ def test_generated_programs_match_oracle(packed):
         result = oracle.run(c)
         assert agree(evaluator.run(c), result), (text, c)
         assert agree(hot.run(c), result), (text, c)
+
+
+@given(_gen_program(), st.integers(min_value=1, max_value=40))
+def test_recorded_pairs_are_in_the_decision_table(packed, cold_left):
+    """Every pair a trace records is one of the method's outcome pairs: on
+    the cold tier, on the generated tier, and for a case that reaches
+    HOT_STEPS midway and runs again after promotion."""
+    text, fuel, cases = packed
+    unit = parse_source(text, path="<gen>")
+    crossing = CaseEvaluator(unit, "G", "m", fuel=fuel)
+    crossing._cold_left = cold_left  # as if HOT_STEPS - cold_left steps ran cold
+    evaluators = [
+        CaseEvaluator(unit, "G", "m", fuel=fuel),
+        promoted(unit, "G", "m", fuel=fuel),
+        crossing,
+    ]
+    for c in cases:
+        for evaluator in evaluators:
+            assert evaluator.run(c).outcomes <= evaluator.pairs, (text, c)
 
 
 # --- promotion to the generated tier --------------------------------------
