@@ -6,13 +6,15 @@ trends, train a small logistic model of next-period bug risk, and emit a
 per-component recommended coverage with a highlight flag when it exceeds
 the current level.
 
-The model is logistic regression trained by full-batch gradient descent in
-pure Python. Staying off BLAS keeps training bitwise reproducible across
-machines, which the determinism contract requires. ``loss_and_gradient`` is
-the hot loop, so it makes one fused pass per epoch with the three features
-unrolled, but it keeps every float operation in the same per-sample order:
-reordering, ``sum`` (compensated on 3.12+) or ``math.fsum`` would change
-the trained bits.
+The model is L2-penalised logistic regression, fitted to its optimum by
+damped Newton (iteratively reweighted least squares) in pure Python, in
+4-7 passes over the samples on typical histories. Staying off BLAS keeps
+training bitwise reproducible across machines, which the determinism
+contract requires. ``loss_gradient_hessian`` is the hot loop: one fused
+pass gives the loss, the gradient and the 4x4 Hessian with the three
+features unrolled, and every float operation keeps the same per-sample
+order: reordering, ``sum`` (compensated on 3.12+) or ``math.fsum`` would
+change the trained bits.
 """
 
 from __future__ import annotations
@@ -35,9 +37,11 @@ COVERAGE_GRID = (70, 75, 80, 85, 90, 95)
 COVERAGE_FLOOR = 70
 COVERAGE_CEIL = 95
 
-LEARNING_RATE = 0.1
-EPOCHS = 500
 L2_PENALTY = 1e-3
+NEWTON_TOLERANCE = 1e-16  # on half the squared Newton decrement
+NEWTON_LOCAL = 1e-12  # below it only the full Newton step is tried
+NEWTON_MAX_STEPS = 50
+LINE_SEARCH_TRIES = 20
 MIN_SAMPLES = 20
 PRIOR_BUG_CAP = 5
 
@@ -90,10 +94,8 @@ class ModelParams:
     bias: float
     churn_max: int  # churn normalization constant
     n_samples: int
-    epochs: int
-    learning_rate: float
     l2_penalty: float
-    loss_history: tuple[float, ...]  # loss before each update, plus final
+    loss_history: tuple[float, ...]  # loss at zero, then at each Newton iterate
 
 
 @dataclass(frozen=True)
@@ -375,14 +377,22 @@ def make_samples(trends: Sequence[ComponentTrend], churn_max: int) -> list[Sampl
     return samples
 
 
-def loss_and_gradient(
+def loss_gradient_hessian(
     weights: Sequence[float],
     bias: float,
     samples: Sequence[Sample],
     l2: float = L2_PENALTY,
-) -> tuple[float, tuple[float, float, float], float]:
-    """Mean cross-entropy with (l2/2)*||w||^2 on weights only, and its
-    analytic gradient. Labels are 0 or 1."""
+) -> tuple[float, tuple[float, float, float], float, tuple[float, ...]]:
+    """Mean cross-entropy with (l2/2)*||w||^2 on weights only, with its
+    analytic gradient and Hessian, from one pass over the samples.
+
+    Returns ``(loss, (g_cov, g_churn, g_prior), g_bias, hessian)``. The
+    Hessian is over ``(w_cov, w_churn, w_prior, b)``; ``hessian`` holds its
+    upper triangle row by row, 10 entries, with ``l2`` on the three weight
+    diagonals only. Labels are 0 or 1. The curvature ``p * (1 - p)`` is
+    computed as ``e / (1 + e)**2`` with ``e = exp(-|z|)``, which stays
+    positive where ``p`` rounds to 0 or 1.
+    """
     exp = math.exp
     log = math.log
     w0, w1, w2 = weights
@@ -390,16 +400,20 @@ def loss_and_gradient(
     g0 = g1 = g2 = 0.0
     grad_b = 0.0
     loss = 0.0
+    h00 = h01 = h02 = h03 = h11 = h12 = h13 = h22 = h23 = h33 = 0.0
     for (x0, x1, x2), label in samples:
         z = bias
         z += w0 * x0
         z += w1 * x1
         z += w2 * x2
         if z >= 0:
-            p = 1.0 / (1.0 + exp(-z))
+            e = exp(-z)
+            d = 1.0 + e
+            p = 1.0 / d
         else:
-            ez = exp(z)
-            p = ez / (1.0 + ez)
+            e = exp(z)
+            d = 1.0 + e
+            p = e / d
         # min(max(p, 1e-12), 1.0 - 1e-12) without two builtin calls; a NaN
         # falls through both tests and stays NaN, as it does there.
         q = 1e-12 if p < 1e-12 else (1.0 - 1e-12 if p > 1.0 - 1e-12 else p)
@@ -414,6 +428,20 @@ def loss_and_gradient(
         g1 += diff * x1
         g2 += diff * x2
         grad_b += diff
+        s = e / (d * d)
+        s0 = s * x0
+        h00 += s0 * x0
+        h01 += s0 * x1
+        h02 += s0 * x2
+        h03 += s0
+        s1 = s * x1
+        h11 += s1 * x1
+        h12 += s1 * x2
+        h13 += s1
+        s2 = s * x2
+        h22 += s2 * x2
+        h23 += s2
+        h33 += s
     loss /= n
     g0 = g0 / n + l2 * w0
     loss += 0.5 * l2 * w0 * w0
@@ -422,14 +450,85 @@ def loss_and_gradient(
     g2 = g2 / n + l2 * w2
     loss += 0.5 * l2 * w2 * w2
     grad_b /= n
-    return loss, (g0, g1, g2), grad_b
+    hessian = (
+        h00 / n + l2, h01 / n, h02 / n, h03 / n,
+        h11 / n + l2, h12 / n, h13 / n,
+        h22 / n + l2, h23 / n,
+        h33 / n,
+    )
+    return loss, (g0, g1, g2), grad_b, hessian
+
+
+def loss_and_gradient(
+    weights: Sequence[float],
+    bias: float,
+    samples: Sequence[Sample],
+    l2: float = L2_PENALTY,
+) -> tuple[float, tuple[float, float, float], float]:
+    """The loss and gradient of ``loss_gradient_hessian``'s pass."""
+    loss, grad_w, grad_b, _ = loss_gradient_hessian(weights, bias, samples, l2)
+    return loss, grad_w, grad_b
+
+
+def newton_step(
+    hessian: Sequence[float], gradient: Sequence[float]
+) -> Optional[tuple[list[float], float]]:
+    """Solve H d = g by Cholesky in a fixed order.
+
+    ``hessian`` is the 10-entry upper triangle of ``loss_gradient_hessian``
+    and ``gradient`` the 4 entries ``(g_cov, g_churn, g_prior, g_bias)``.
+    Returns ``(d, decrement)``, where ``decrement`` is the squared Newton
+    decrement g^T H^-1 g, or None when a pivot is not positive (or NaN), so
+    nothing is ever divided by a zero pivot.
+    """
+    h00, h01, h02, h03, h11, h12, h13, h22, h23, h33 = hessian
+    a = ((h00, h01, h02, h03), (h01, h11, h12, h13),
+         (h02, h12, h22, h23), (h03, h13, h23, h33))
+    low = [[0.0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1):
+            acc = a[i][j]
+            for k in range(j):
+                acc -= low[i][k] * low[j][k]
+            if i == j:
+                if not acc > 0.0:
+                    return None
+                low[i][i] = math.sqrt(acc)
+            else:
+                low[i][j] = acc / low[j][j]
+    # H = L L^T: solve L y = g, then L^T d = y; g^T H^-1 g = y . y.
+    y = [0.0] * 4
+    for i in range(4):
+        acc = gradient[i]
+        for k in range(i):
+            acc -= low[i][k] * y[k]
+        y[i] = acc / low[i][i]
+    d = [0.0] * 4
+    for i in (3, 2, 1, 0):
+        acc = y[i]
+        for k in range(i + 1, 4):
+            acc -= low[k][i] * d[k]
+        d[i] = acc / low[i][i]
+    decrement = 0.0
+    for v in y:
+        decrement += v * v
+    return d, decrement
 
 
 def train_model(trends: Sequence[ComponentTrend]) -> ModelParams:
-    """Full-batch gradient descent from zero init; deterministic.
+    """Fit the penalised logistic model by damped Newton from zero;
+    deterministic.
 
     Needs at least 20 labeled samples (trend points with a following
-    period); loss is recorded before every update and once at the end.
+    period). Each step solves H d = g at the current iterate and stops the
+    fit once half the squared Newton decrement g^T H^-1 g is at most
+    ``NEWTON_TOLERANCE``. Otherwise it tries the steps d, d/2, d/4, ... (at
+    most ``LINE_SEARCH_TRIES``) and takes the first that does not raise the
+    loss. Once half the decrement is at most ``NEWTON_LOCAL`` only the full
+    step is tried. The fit also stops, keeping the current iterate, when no
+    trial qualifies or the Hessian has a non-positive pivot, and after
+    ``NEWTON_MAX_STEPS`` steps. ``loss_history`` holds the loss at zero and
+    then at each accepted iterate, so it never increases.
     """
     churn_max = max(
         (p.churn_lines for t in trends for p in t.series), default=0
@@ -439,24 +538,38 @@ def train_model(trends: Sequence[ComponentTrend]) -> ModelParams:
         raise InsufficientData(
             f"{len(samples)} training samples, need >= {MIN_SAMPLES}"
         )
-    w = [0.0, 0.0, 0.0]
-    b = 0.0
-    history: list[float] = []
-    for _ in range(EPOCHS):
-        loss, grad_w, grad_b = loss_and_gradient(w, b, samples)
+    theta = (0.0, 0.0, 0.0, 0.0)  # (w_cov, w_churn, w_prior, b)
+    loss, grad_w, grad_b, hessian = loss_gradient_hessian(
+        theta[:3], theta[3], samples
+    )
+    history = [loss]
+    for _ in range(NEWTON_MAX_STEPS):
+        solved = newton_step(hessian, (*grad_w, grad_b))
+        if solved is None:
+            break
+        d, decrement = solved
+        if not decrement / 2 > NEWTON_TOLERANCE:
+            break
+        # Near the optimum the full step lowers the loss in exact arithmetic,
+        # so a rise there is rounding in the loss and ends the fit.
+        tries = 1 if decrement / 2 <= NEWTON_LOCAL else LINE_SEARCH_TRIES
+        t = 1.0
+        for _ in range(tries):
+            trial = tuple(v - t * dv for v, dv in zip(theta, d))
+            result = loss_gradient_hessian(trial[:3], trial[3], samples)
+            if result[0] <= loss:
+                break
+            t *= 0.5
+        else:
+            break
+        theta = trial
+        loss, grad_w, grad_b, hessian = result
         history.append(loss)
-        for j in range(3):
-            w[j] -= LEARNING_RATE * grad_w[j]
-        b -= LEARNING_RATE * grad_b
-    final_loss, _, _ = loss_and_gradient(w, b, samples)
-    history.append(final_loss)
     return ModelParams(
-        weights=(w[0], w[1], w[2]),
-        bias=b,
+        weights=theta[:3],
+        bias=theta[3],
         churn_max=churn_max,
         n_samples=len(samples),
-        epochs=EPOCHS,
-        learning_rate=LEARNING_RATE,
         l2_penalty=L2_PENALTY,
         loss_history=tuple(history),
     )

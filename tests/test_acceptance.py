@@ -351,8 +351,8 @@ def test_ac7_advisor_recovery(announce):
 
 def _degenerate(weights, bias):
     return ModelParams(
-        weights=weights, bias=bias, churn_max=0, n_samples=0, epochs=0,
-        learning_rate=0.0, l2_penalty=0.0, loss_history=(),
+        weights=weights, bias=bias, churn_max=0, n_samples=0,
+        l2_penalty=0.0, loss_history=(),
     )
 
 

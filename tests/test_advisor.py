@@ -12,7 +12,7 @@ from ultgen.advisor import (
     COVERAGE_FLOOR,
     COVERAGE_GRID,
     DEFAULT_TAU,
-    EPOCHS,
+    NEWTON_MAX_STEPS,
     PERIOD_RE,
     UNMAPPED,
     BugRecord,
@@ -31,8 +31,10 @@ from ultgen.advisor import (
     load_component_map,
     load_coverage,
     loss_and_gradient,
+    loss_gradient_hessian,
     make_samples,
     map_commit_to_components,
+    newton_step,
     predict_risk,
     recommend,
     recommend_all,
@@ -454,6 +456,36 @@ def _reference_loss_and_gradient(weights, bias, samples, l2=advisor.L2_PENALTY):
     return loss, (grad_w[0], grad_w[1], grad_w[2]), grad_b
 
 
+def _reference_hessian(weights, bias, samples, l2=advisor.L2_PENALTY):
+    """The generic Hessian upper triangle the fused loop must reproduce bit
+    for bit, over (w_cov, w_churn, w_prior, b); the bias multiplies 1.0."""
+    n = len(samples)
+    h = [[0.0] * 4 for _ in range(4)]
+    for features, _ in samples:
+        z = bias
+        for w, x in zip(weights, features):
+            z += w * x
+        e = math.exp(-abs(z))
+        s = e / ((1.0 + e) * (1.0 + e))
+        x = (*features, 1.0)
+        for j in range(4):
+            sj = s * x[j]
+            for k in range(j, 4):
+                h[j][k] += sj * x[k]
+    for j in range(3):
+        h[j][j] = h[j][j] / n + l2
+    return tuple(
+        h[j][k] if j == k and j < 3 else h[j][k] / n
+        for j in range(4)
+        for k in range(j, 4)
+    )
+
+
+def _reference_pass(weights, bias, samples, l2=advisor.L2_PENALTY):
+    loss, grad_w, grad_b = _reference_loss_and_gradient(weights, bias, samples, l2)
+    return loss, grad_w, grad_b, _reference_hessian(weights, bias, samples, l2)
+
+
 _unit = st.floats(0.0, 1.0)
 _coef = st.floats(-60.0, 60.0)
 
@@ -469,9 +501,57 @@ _coef = st.floats(-60.0, 60.0)
 )
 def test_loss_and_gradient_bit_exact_against_reference(samples, weights, bias):
     # Coefficients up to 60 saturate the sigmoid, so the clamp is hit too.
-    assert loss_and_gradient(weights, bias, samples) == _reference_loss_and_gradient(
+    loss, grad_w, grad_b, hessian = loss_gradient_hessian(weights, bias, samples)
+    assert (loss, grad_w, grad_b) == _reference_loss_and_gradient(
         weights, bias, samples
     )
+    assert loss_and_gradient(weights, bias, samples) == (loss, grad_w, grad_b)
+    assert hessian == _reference_hessian(weights, bias, samples)
+
+
+def _max_hessian_error(points=10):
+    """Worst relative gap between the analytic Hessian and central
+    differences of the analytic gradient, in the shape of AC7's check."""
+    rng = SplitMix64(778)
+    h = 1e-6
+    worst = 0.0
+    for _ in range(points):
+        samples = _random_samples(rng, 8)
+        theta = [rng.float01() * 4.0 - 2.0 for _ in range(4)]
+        *_, upper = loss_gradient_hessian(theta[:3], theta[3], samples)
+        full = [[0.0] * 4 for _ in range(4)]
+        it = iter(upper)
+        for j in range(4):
+            for k in range(j, 4):
+                full[j][k] = full[k][j] = next(it)
+        for k in range(4):
+            plus, minus = list(theta), list(theta)
+            plus[k] += h
+            minus[k] -= h
+            _, gwp, gbp, _ = loss_gradient_hessian(plus[:3], plus[3], samples)
+            _, gwm, gbm, _ = loss_gradient_hessian(minus[:3], minus[3], samples)
+            for j, (gp, gm) in enumerate(zip((*gwp, gbp), (*gwm, gbm))):
+                numeric = (gp - gm) / (2 * h)
+                worst = max(
+                    worst, abs(numeric - full[j][k]) / max(1.0, abs(numeric))
+                )
+    return worst
+
+
+def test_hessian_matches_finite_differences():
+    assert _max_hessian_error() <= 1e-4
+
+
+def test_newton_step_refuses_non_positive_pivot():
+    gradient = (0.1, 0.2, 0.3, 0.4)
+    assert newton_step((0.0,) * 10, gradient) is None
+    # Positive diagonal, but the bias row repeats the coverage row.
+    singular = (1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0)
+    assert newton_step(singular, gradient) is None
+    diagonal = (2.0, 0.0, 0.0, 0.0, 4.0, 0.0, 0.0, 5.0, 0.0, 8.0)
+    d, decrement = newton_step(diagonal, gradient)
+    assert d == pytest.approx([0.05, 0.05, 0.06, 0.05])
+    assert decrement == pytest.approx(0.053)
 
 
 def test_l2_hits_weights_not_bias():
@@ -525,11 +605,27 @@ def learned_model():
 _LEARNED_MODEL = None
 
 
-def test_train_records_epochs_plus_one_losses():
+def _max_gradient(model, samples):
+    _, grad_w, grad_b, _ = loss_gradient_hessian(model.weights, model.bias, samples)
+    return max(abs(g) for g in (*grad_w, grad_b))
+
+
+def test_train_converges_on_learned_fixture():
     model = learned_model()
-    assert len(model.loss_history) == EPOCHS + 1
     assert model.n_samples == 50 * 11
-    assert model.epochs == EPOCHS
+    samples = make_samples(learned_fixture_trends(), model.churn_max)
+    assert _max_gradient(model, samples) <= 1e-9
+    history = model.loss_history
+    assert 2 <= len(history) <= NEWTON_MAX_STEPS + 1
+    assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_learned_fixture_recommends_85_or_90():
+    # Gradient descent stopped short of the optimum recommended 95 for all.
+    recs = recommend_all(learned_model(), learned_fixture_trends())
+    assert len(recs) == 50
+    assert {r.recommended_conditional_pct for r in recs} <= {85, 90}
+    assert not any(r.fallback_used for r in recs)
 
 
 def test_train_loss_never_increases():
@@ -550,8 +646,111 @@ def test_train_is_deterministic():
 
 def test_train_model_bit_exact_against_reference(monkeypatch):
     expected = learned_model()
-    monkeypatch.setattr(advisor, "loss_and_gradient", _reference_loss_and_gradient)
+    calls = []
+
+    def reference(*args):
+        calls.append(args)
+        return _reference_pass(*args)
+
+    monkeypatch.setattr(advisor, "loss_gradient_hessian", reference)
     assert train_model(learned_fixture_trends()) == expected
+    assert len(calls) == len(expected.loss_history)
+
+
+def _uniform_label_trends(bug_count):
+    """30 components x 3 periods whose bug counts are all `bug_count`, with
+    coverage, churn and prior bugs varying: 60 samples, every label equal."""
+    rng = SplitMix64(31)
+    trends = []
+    for k in range(30):
+        series = tuple(
+            TrendPoint(period, bug_count, rng.float01() * 100.0, rng.below(50))
+            for period in ("2025-01", "2025-02", "2025-03")
+        )
+        trends.append(ComponentTrend(f"comp{k:02d}", series))
+    return trends
+
+
+@pytest.mark.parametrize("bug_count", [0, 3])
+def test_train_with_all_labels_equal(bug_count):
+    # The bias runs off towards infinity until the decrement reaches float
+    # noise near |b| = 37, where p * (1 - p) would already round to a zero
+    # curvature and a singular Hessian.
+    trends = _uniform_label_trends(bug_count)
+    model = train_model(trends)
+    assert model.n_samples == 60
+    assert len(model.loss_history) <= NEWTON_MAX_STEPS + 1
+    assert all(math.isfinite(v) for v in (*model.weights, model.bias))
+    assert abs(model.bias) > 30.0
+    for rec in recommend_all(model, trends):
+        assert COVERAGE_FLOOR <= rec.recommended_conditional_pct <= COVERAGE_CEIL
+
+
+def _count_passes(samples):
+    """Train on `samples` as they are; returns (model, fused passes)."""
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        return loss_gradient_hessian(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(advisor, "make_samples", lambda trends, churn_max: samples)
+        mp.setattr(advisor, "loss_gradient_hessian", counted)
+        return train_model([]), len(passes)
+
+
+def test_training_stops_at_rounding_noise():
+    # A constant prior column duplicates the bias. After three steps, half
+    # the decrement is between 1e-16 and 1e-12 and the loss can no longer
+    # show the gain: trying only the full step stops in 4 passes, where
+    # halving takes 27 and ends on noise-accepted steps.
+    rng = SplitMix64(2)
+    prior = rng.float01()
+    samples = [
+        ((float(rng.below(2)), float(rng.below(2)), prior), rng.below(2))
+        for _ in range(100)
+    ]
+    model, passes = _count_passes(samples)
+    assert passes <= 5
+    assert _max_gradient(model, samples) <= 1e-6
+
+
+# All-equal labels take the most passes: the bias walks about one unit per
+# Newton step until exp(-|b|) reaches float noise, near |b| = 37.
+PASS_BOUND = 40
+
+
+@st.composite
+def _training_sets(draw):
+    rows = draw(
+        st.lists(
+            st.tuples(st.tuples(_unit, _unit, _unit), st.integers(0, 1)),
+            min_size=20,
+            max_size=300,
+        )
+    )
+    labels = draw(st.sampled_from(["drawn", "all 0", "all 1"]))
+    constant = draw(st.sampled_from([None, 0, 1, 2]))
+    value = draw(_unit)
+    samples = []
+    for features, label in rows:
+        if constant is not None:
+            features = features[:constant] + (value,) + features[constant + 1:]
+        if labels != "drawn":
+            label = int(labels == "all 1")
+        samples.append((features, label))
+    return samples
+
+
+@given(samples=_training_sets())
+def test_training_terminates_on_any_sample_set(samples):
+    model, passes = _count_passes(samples)
+    assert passes <= PASS_BOUND
+    assert _count_passes(samples) == (model, passes)
+    history = model.loss_history
+    assert all(b <= a for a, b in zip(history, history[1:]))
+    assert all(math.isfinite(v) for v in (*model.weights, model.bias))
 
 
 def test_learned_model_recovers_planted_rule():
@@ -571,8 +770,6 @@ PLANTED_MODEL = ModelParams(
     bias=4.0,
     churn_max=0,
     n_samples=0,
-    epochs=0,
-    learning_rate=0.0,
     l2_penalty=0.0,
     loss_history=(),
 )
@@ -606,7 +803,7 @@ def test_recommend_skips_grid_below_current():
 def test_recommend_floor_when_risk_is_everywhere_low():
     model = ModelParams(
         weights=(-50.0, 0.0, 0.0), bias=-10.0, churn_max=0, n_samples=0,
-        epochs=0, learning_rate=0.0, l2_penalty=0.0, loss_history=(),
+        l2_penalty=0.0, loss_history=(),
     )
     rec = recommend(model, _trend_at(10.0))
     assert rec.recommended_conditional_pct == COVERAGE_FLOOR
@@ -615,7 +812,7 @@ def test_recommend_floor_when_risk_is_everywhere_low():
 def test_recommend_ceiling_when_no_level_is_acceptable():
     model = ModelParams(
         weights=(-0.001, 0.0, 0.0), bias=10.0, churn_max=0, n_samples=0,
-        epochs=0, learning_rate=0.0, l2_penalty=0.0, loss_history=(),
+        l2_penalty=0.0, loss_history=(),
     )
     rec = recommend(model, _trend_at(50.0))
     assert rec.recommended_conditional_pct == COVERAGE_CEIL
@@ -625,7 +822,7 @@ def test_recommend_ceiling_when_no_level_is_acceptable():
 def test_recommend_fallback_on_degenerate_model():
     model = ModelParams(
         weights=(1.0, 0.0, 0.0), bias=0.0, churn_max=0, n_samples=0,
-        epochs=0, learning_rate=0.0, l2_penalty=0.0, loss_history=(),
+        l2_penalty=0.0, loss_history=(),
     )
     rec = recommend(model, _trend_at(72.4), zero_bug_median=88.0)
     assert rec.fallback_used
@@ -661,7 +858,7 @@ def test_recommend_requires_model_and_data():
 def test_recommend_stays_in_bounds(w_cov, bias, current):
     model = ModelParams(
         weights=(w_cov, 0.0, 0.0), bias=bias, churn_max=0, n_samples=0,
-        epochs=0, learning_rate=0.0, l2_penalty=0.0, loss_history=(),
+        l2_penalty=0.0, loss_history=(),
     )
     rec = recommend(model, _trend_at(current))
     assert isinstance(rec.recommended_conditional_pct, int)
