@@ -96,6 +96,9 @@ class ModelParams:
     n_samples: int
     l2_penalty: float
     loss_history: tuple[float, ...]  # loss at zero, then at each Newton iterate
+    # False when every training sample has the same coverage: the coverage
+    # weight is then rounding noise around 0 and cannot rank coverage.
+    coverage_varies: bool = True
 
 
 @dataclass(frozen=True)
@@ -572,6 +575,7 @@ def train_model(trends: Sequence[ComponentTrend]) -> ModelParams:
         n_samples=len(samples),
         l2_penalty=L2_PENALTY,
         loss_history=tuple(history),
+        coverage_varies=len({x[0] for x, _ in samples}) > 1,
     )
 
 
@@ -614,8 +618,9 @@ def recommend(
     grid: Sequence[int] = COVERAGE_GRID,
 ) -> Recommendation:
     """Smallest grid coverage at or above current whose predicted risk is
-    acceptable; degenerate models (w_cov >= 0) fall back to observed-good
-    levels. Recommendations never leave [70, 95]."""
+    acceptable; degenerate models (trained on one coverage value, or with
+    w_cov >= 0) fall back to observed-good levels. Recommendations never
+    leave [70, 95]."""
     if model is None:
         raise UntrainedModel("recommend() needs a trained model")
     if not trend.series:
@@ -625,8 +630,7 @@ def recommend(
     churn = latest.churn_lines
     prior = latest.bug_count
     risk_current = predict_risk(model, current, churn, prior)
-    w_cov = model.weights[0]
-    fallback = w_cov >= 0.0
+    fallback = not model.coverage_varies or model.weights[0] >= 0.0
     if fallback:
         value = max(current, zero_bug_median, float(COVERAGE_FLOOR))
         recommended = int(min(math.ceil(value), COVERAGE_CEIL))

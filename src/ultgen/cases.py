@@ -26,7 +26,7 @@ from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
 from .decisions import Decision
 from .errors import ContractViolation, SchemaError, UnknownClass, UnknownTarget
-from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, _fits
+from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, _fits, check_values
 from .rng import SplitMix64
 
 Scalar = Union[int, float, bool]
@@ -346,19 +346,25 @@ def build_axes(
     declaration order, then its value-returning call sites in body
     pre-order of first use. Pool overrides replace the derived pool for the
     named parameter. Consumes three values from `rng` per non-overridden
-    int/float axis, in axis order."""
+    int/float axis, in axis order. Every pool value is checked against its
+    input's type here, once, so the cases built from the axes need no
+    check of their own."""
     overrides = pool_overrides or {}
     decisions = evaluator.decisions
     axes: list[_Axis] = []
     for name, type_name in evaluator.param_types.items():
         if name in overrides:
-            axes.append(_Axis("param", name, tuple(overrides[name])))
-            continue
-        lits = _literals_for(decisions, type_name, param=name)
-        axes.append(_Axis("param", name, tuple(_build_pool(type_name, lits, rng))))
+            pool = overrides[name]
+        else:
+            lits = _literals_for(decisions, type_name, param=name)
+            pool = _build_pool(type_name, lits, rng)
+        check_values(type_name, pool, f"pool value of parameter {name!r}")
+        axes.append(_Axis("param", name, tuple(pool)))
     for key, ret in evaluator.mock_types.items():
         lits = _literals_for(decisions, ret, call=key)
-        axes.append(_Axis("mock", key, tuple(_build_pool(ret, lits, rng))))
+        pool = _build_pool(ret, lits, rng)
+        check_values(ret, pool, f"pool value of mock {key[0]}->{key[1]}()")
+        axes.append(_Axis("mock", key, tuple(pool)))
     return axes
 
 
@@ -463,7 +469,6 @@ class GreedyResult:
     traces: tuple[ExecutionTrace, ...]  # traces of kept candidates only
     coverage: MethodCoverage
     candidates_run: int
-    invalid: tuple[str, ...]  # case ids the evaluator rejected
 
 
 def greedy_select(
@@ -476,7 +481,8 @@ def greedy_select(
     A candidate is kept iff it covers an outcome pair not yet covered or
     crashes with a (kind, site) not yet seen. Traces in `preseed`
     (configured cases) count as already covered. Stops at full syntactic
-    coverage or at the end of the stream.
+    coverage or at the end of the stream. Candidates run unchecked, so they
+    must be cases the evaluator's `check` accepts, as fuzz candidates are.
     """
     valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
@@ -487,17 +493,12 @@ def greedy_select(
             seen_crashes.add(t.crash.key)
     kept: list[TestCase] = []
     traces: list[ExecutionTrace] = []
-    invalid: list[str] = []
     ran = 0
     full = covered >= valid
     if not full:
         for case in candidates:
             ran += 1
-            try:
-                trace = evaluator.run(case)
-            except ContractViolation:
-                invalid.append(case.id)
-                continue
+            trace = evaluator.run(case)
             new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
             if not new_crash and trace.outcomes <= covered:
                 continue  # nothing new, so `covered` is still short of `valid`
@@ -516,5 +517,4 @@ def greedy_select(
         traces=tuple(traces),
         coverage=coverage,
         candidates_run=ran,
-        invalid=tuple(invalid),
     )

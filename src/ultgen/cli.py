@@ -261,7 +261,6 @@ def cmd_cases(args: argparse.Namespace) -> int:
         "configured": len(configured),
         "kept": len(result.kept),
         "candidates_run": result.candidates_run,
-        "invalid": len(result.invalid),
         "conditional_pct": result.coverage.percent,
         "case_file": str(out_path),
     }
@@ -330,7 +329,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
 
     methods: list[MethodCoverage] = []
     for target, evaluator in evaluators.items():
-        traces = [evaluator.run(c) for c in by_target.get(target, [])]
+        traces = []
+        for case in by_target.get(target, []):
+            evaluator.check(case)  # a case file may hold anything
+            traces.append(evaluator.run(case))
         methods.append(compute_coverage(traces, evaluator))
 
     rows = [_method_row(mc) for mc in methods]

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 # importable from here.
 from .decisions import all_pairs  # noqa: F401
 from .errors import DomainTooLarge, EmptyDomain, MixedTargets
-from .interp import CaseEvaluator, ExecutionTrace
+from .interp import CaseEvaluator, ExecutionTrace, check_values
 
 if TYPE_CHECKING:
     from .cases import TestCase
@@ -133,21 +133,24 @@ def brute_force_max_coverage(
     """Maximum achievable coverage by exhausting finite input domains.
 
     Every method parameter needs a nonempty domain and every value-returning
-    call site a nonempty mock domain (one scripted value per combination).
-    Scalar fields stay at their type defaults, matching the fuzzer.
+    call site a nonempty mock domain (one scripted value per combination),
+    of values of its type. Scalar fields stay at their type defaults,
+    matching the fuzzer.
     """
     from .cases import TestCase
 
     axes: list[tuple[str, object, Sequence[Scalar]]] = []
-    for name in evaluator.param_types:
+    for name, type_name in evaluator.param_types.items():
         values = domains.get(name)
         if not values:
             raise EmptyDomain(f"no domain for parameter {name!r}")
+        check_values(type_name, values, f"domain value of parameter {name!r}")
         axes.append(("param", name, values))
-    for key in evaluator.mock_types:
+    for key, ret in evaluator.mock_types.items():
         values = mock_domains.get(key)
         if not values:
             raise EmptyDomain(f"no mock domain for call site {key}")
+        check_values(ret, values, f"domain value of mock {key[0]}->{key[1]}()")
         axes.append(("mock", key, values))
 
     total = 1

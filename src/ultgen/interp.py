@@ -22,9 +22,15 @@ site.
     on the new tier, so no method runs more than HOT_STEPS steps cold. Variables,
     mock cursors and fuel are its locals, and no step makes a call to
     dispatch a node. The source holds no text from the input: every value
-    is an argument of the function that builds it. A body nested deeper
-    than CPython compiles stays on the cold tier.
+    is an argument of the function that builds it, so methods of the same
+    shape share one source, and it is compiled once per process. An
+    outcome pair recorded inside a `while` is added once per run, guarded
+    by a local flag. A body nested deeper than CPython compiles stays on
+    the cold tier.
 Both tiers give the same trace for every case, steps included.
+
+`run` trusts its case: callers pass cases that `check` accepted or that
+were built from checked values (configured cases, fuzz pools).
 
 Semantics pinned here and mirrored by the independent test oracle:
   - int is 64-bit two's complement; arithmetic wraps, division truncates
@@ -42,7 +48,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
 
 from .cutlang.nodes import (
     INT_MAX,
@@ -86,7 +92,9 @@ DEFAULT_FUEL = 10000
 # the total within about twice the cost of the best choice made in
 # hindsight (the ski-rental argument). Measured on the benchmark's fuzz
 # trees (CPython 3.11): promotion costs 470-750 us per method and saves
-# 0.29-0.71 us per step, a break-even of 1,000-1,700 steps.
+# 0.29-0.71 us per step, a break-even of 1,000-1,700 steps. Nearly all of
+# that cost is compile(), which a method whose source is already cached
+# skips; the threshold is still set for the first method of each shape.
 HOT_STEPS = 2048
 
 TYPE_DEFAULTS: dict[str, Scalar] = {"int": 0, "bool": False, "float": 0.0}
@@ -218,6 +226,13 @@ def _fits(type_name: str, value: Scalar) -> bool:
 
 def _type_error(type_name: str, value: Scalar, what: str) -> ContractViolation:
     return ContractViolation(f"{what} must be {type_name}, got {value!r}")
+
+
+def check_values(type_name: str, values: Iterable[Scalar], what: str) -> None:
+    """Raise ContractViolation at the first value that is not a `type_name`."""
+    for value in values:
+        if not _fits(type_name, value):
+            raise _type_error(type_name, value, what)
 
 
 # Operator -> closure factory over the compiled operands. Operands run left
@@ -472,7 +487,9 @@ class _Emitter:
     field default) is one of the `k<i>` arguments, in the order the emitter
     meets it, so the text holds only fixed keywords, operators and numbered
     names. Parameters and fields live in locals `v<i>`, each mock key in a
-    cursor `c<i>` with its last value `l<i>`.
+    cursor `c<i>` with its last value `l<i>`. A branch that records outcome
+    pairs inside a `while` has a flag `f<i>`, true until the branch first
+    adds its pairs in the run.
     """
 
     def __init__(
@@ -489,10 +506,15 @@ class _Emitter:
         self.lines: list[str] = []
         self.vars: dict[tuple[type, str], str] = {}
         self.cursors: dict[tuple[str, str], str] = {}
+        self.flags = 0
+        self.looped = False  # emitting a while's condition or body
 
     def generate(self, body: Block) -> tuple[str, list[object]]:
         """The source of `_make` for a body and the values of its k<i>."""
         self.block(body, 3)
+        if self.flags:
+            flags = " = ".join(f"f{i}" for i in range(self.flags))
+            self.prologue.append(f"{flags} = True")
         pad = " " * 8
         source = "\n".join(
             [
@@ -518,6 +540,10 @@ class _Emitter:
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
 
+    def flag(self) -> str:
+        self.flags += 1
+        return f"f{self.flags - 1}"
+
     # -- statements --------------------------------------------------------
 
     def block(self, block: Block, depth: int) -> None:
@@ -539,6 +565,7 @@ class _Emitter:
             if s.els is not None:
                 self.block(s.els, depth + 1)
         elif isinstance(s, While):
+            outer, self.looped = self.looped, True
             test, yes, no = self.decision(s.cond)
             self.emit(depth, "while True:")
             for line in _CHARGE:
@@ -548,6 +575,7 @@ class _Emitter:
             self.emit(depth + 2, "break")
             self.emit(depth + 1, yes)
             self.block(s.body, depth + 1)
+            self.looped = outer
         elif isinstance(s, Assert):
             test, yes, no = self.decision(s.cond)
             failure = self.const(Event(ASSERT_FAILURE, s.span))
@@ -573,9 +601,19 @@ class _Emitter:
             test, ids = self.expr(cond), [did]
         else:  # a one-condition decision records both pairs in the branch
             test, ids = self._expr(cond), [cond_id, did]
-        yes = "; ".join(f"add({self.const((i, True))})" for i in ids)
-        no = "; ".join(f"add({self.const((i, False))})" for i in ids)
+        yes = self.record([self.const((i, True)) for i in ids])
+        no = self.record([self.const((i, False)) for i in ids])
         return test, yes, no
+
+    def record(self, pairs: list[str]) -> str:
+        """The statement that adds a branch's outcome pairs. Outside loops
+        a branch runs at most once per run; inside, its flag makes every
+        later pass skip the adds."""
+        adds = "; ".join(f"add({p})" for p in pairs)
+        if not self.looped:
+            return adds
+        flag = self.flag()
+        return f"if {flag}: {flag} = None; {adds}"
 
     # -- expressions -------------------------------------------------------
 
@@ -599,7 +637,14 @@ class _Emitter:
         if cond_id is None:
             return code
         t, f = self.const((cond_id, True)), self.const((cond_id, False))
-        return f"((add({t}) or True) if {code} else (add({f}) or False))"
+        if not self.looped:
+            return f"((add({t}) or True) if {code} else (add({f}) or False))"
+        # `add` returns None, so each arm keeps its value whatever its flag.
+        ft, ff = self.flag(), self.flag()
+        return (
+            f"((({ft} and ({ft} := add({t}))) or True) if {code}"
+            f" else (({ff} and ({ff} := add({f}))) or False))"
+        )
 
     def _expr(self, e: Expr) -> str:
         if isinstance(e, (IntLit, FloatLit, BoolLit)):
@@ -651,6 +696,24 @@ class _Emitter:
         if op in _PY_ARITH:
             return _WRAP.format(f"{left} {_PY_ARITH[op]} {right}")
         return f"_div({left}, {right}, {self.const(Event(DIV_BY_ZERO, e.span))})"
+
+
+def _maker(source: str) -> Optional[Callable[..., _Runner]]:
+    """The `_make` function a generated source defines, or None for a body
+    nested deeper than CPython compiles (20 blocks, or a parser stack
+    overflow)."""
+    try:
+        code = compile(source, "<ultgen generated>", "exec")
+    except (SyntaxError, MemoryError, RecursionError):
+        return None
+    namespace = dict(_GENERATED_GLOBALS)
+    exec(code, namespace)
+    return namespace["_make"]
+
+
+# `_make` per generated source. A source holds no input text, so methods of
+# the same shape share one entry, each binding its own values to it.
+_MAKERS: dict[str, Optional[Callable[..., _Runner]]] = {}
 
 
 class CaseEvaluator:
@@ -769,19 +832,19 @@ class CaseEvaluator:
         self._cold_left = None
         emitter = _Emitter(self.decisions, self._site_types, self._field_defaults)
         source, consts = emitter.generate(self.method.body)
-        try:
-            code = compile(source, "<ultgen generated>", "exec")
-        except (SyntaxError, MemoryError, RecursionError):
-            # Nested deeper than CPython compiles (20 blocks, or a parser
-            # stack overflow): the cold tier keeps running the method.
-            return
-        namespace = dict(_GENERATED_GLOBALS)
-        exec(code, namespace)
-        self._runner = namespace["_make"](*consts)
+        if source not in _MAKERS:
+            _MAKERS[source] = _maker(source)
+        make = _MAKERS[source]
+        if make is not None:  # else the cold tier keeps running the method
+            self._runner = make(*consts)
 
     # -- case validation ---------------------------------------------------
 
-    def _validate(self, case: "TestCase") -> None:
+    def check(self, case: "TestCase") -> None:
+        """Raise ContractViolation unless the case gives every parameter and
+        only declared ones, and every value fits its declared type: scalar
+        fields by name, and each mock script is nonempty and names a
+        value-returning method of a reference field. `run` assumes this."""
         declared = self.param_types
         given = case.param_values
         if given.keys() != declared.keys():
@@ -805,9 +868,7 @@ class CaseEvaluator:
                 expect = self._checked_mock_type(key, script)
             elif not script:
                 raise ContractViolation(f"empty mock script for {key}")
-            for value in script:
-                if not _fits(expect, value):
-                    raise _type_error(expect, value, f"mock {key[0]}->{key[1]}()")
+            check_values(expect, script, f"mock {key[0]}->{key[1]}()")
 
     def _checked_mock_type(self, key: tuple[str, str], script: list[Scalar]) -> str:
         """The scripted type of a mock key with no value-returning call site
@@ -823,8 +884,9 @@ class CaseEvaluator:
     # -- execution ---------------------------------------------------------
 
     def run(self, case: "TestCase") -> ExecutionTrace:
+        """The trace of one case, which must be one that `check` accepts:
+        run does not check it."""
         runner = self._runner if self._runner is not None else self._compile()
-        self._validate(case)
         fuel = self.fuel
         cold_left = self._cold_left
         if cold_left is not None and cold_left < fuel:

@@ -136,7 +136,7 @@ CASES_SUMMARY_SCHEMA = {
     "type": "object",
     "required": [
         "target", "budget", "seed", "configured", "kept", "candidates_run",
-        "invalid", "conditional_pct", "case_file",
+        "conditional_pct", "case_file",
     ],
     "additionalProperties": False,
     "properties": {
@@ -146,7 +146,6 @@ CASES_SUMMARY_SCHEMA = {
         "configured": {"type": "integer", "minimum": 0},
         "kept": {"type": "integer", "minimum": 0},
         "candidates_run": {"type": "integer", "minimum": 0},
-        "invalid": {"type": "integer", "minimum": 0},
         "conditional_pct": _PCT,
         "case_file": {"type": "string"},
     },

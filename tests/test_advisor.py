@@ -834,6 +834,37 @@ def test_recommend_fallback_on_degenerate_model():
     assert not rec.highlight
 
 
+# (bug_count, churn_lines) per period of three components that all sit at
+# 80 % coverage in every period.
+_FLAT_COVERAGE_ROWS = (
+    ((0, 5), (0, 23), (0, 47), (2, 19), (1, 38), (0, 38), (0, 37), (2, 10), (1, 40)),
+    ((1, 46), (2, 23), (2, 28), (2, 17), (0, 1), (1, 29), (1, 24), (1, 33), (0, 35)),
+    ((0, 15), (0, 1), (0, 20), (0, 8), (2, 32), (1, 32), (2, 35), (0, 28), (1, 47)),
+)
+
+
+def test_recommend_falls_back_when_coverage_never_varies():
+    """With one coverage value the coverage weight's optimum is 0; the fit
+    lands a rounding error below it, which must not pick the model path
+    (it would recommend 95 on a weight of -6e-15)."""
+    trends = [
+        ComponentTrend(
+            f"c{i}",
+            tuple(
+                TrendPoint(f"2025-{m + 1:02d}", bugs, 80.0, churn)
+                for m, (bugs, churn) in enumerate(rows)
+            ),
+        )
+        for i, rows in enumerate(_FLAT_COVERAGE_ROWS)
+    ]
+    model = train_model(trends)
+    assert -1e-12 < model.weights[0] < 0.0
+    assert not model.coverage_varies
+    rec = recommend(model, trends[0])
+    assert rec.fallback_used
+    assert rec.recommended_conditional_pct == 80
+
+
 def test_recommend_highlight_needs_more_than_one_point():
     rec = recommend(PLANTED_MODEL, _trend_at(84.0))
     assert rec.recommended_conditional_pct == 85

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gen_programs import floats, gen_method, ints, program_text
 from ultgen.cases import (
     DEFAULT_BUDGET,
     FUZZED,
@@ -278,6 +279,46 @@ def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go
     assert got == _stream_record(_reference_candidates(*args))
 
 
+_JSON_FLOATS = st.one_of(
+    floats, st.integers(-5, 5), st.sampled_from(["Infinity", "-Infinity", "NaN"])
+)
+
+
+@given(
+    method=gen_method(),
+    pools=st.fixed_dictionaries(
+        {},
+        optional={
+            "a": st.lists(ints, min_size=1, max_size=4),
+            "p": st.lists(st.booleans(), min_size=1, max_size=2),
+            "x": st.lists(_JSON_FLOATS, min_size=1, max_size=4),
+        },
+    ),
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_fuzz_candidate_passes_check(method, pools, budget, seed):
+    """Candidates run unchecked, because the pools they come from hold only
+    values of their inputs' types, derived or configured."""
+    unit = parse_source(program_text(method), path="<gen>")
+    config = {"classes": {"G": {"methods": {"m": {"pools": pools}}}}}
+    overrides = {
+        param: pool
+        for (_, _, param), pool in load_case_config(
+            json.dumps(config), unit
+        ).pool_overrides.items()
+    }
+    evaluator = CaseEvaluator(unit, "G", "m")
+    for case in fuzz_candidates(evaluator, budget, seed, overrides):
+        evaluator.check(case)
+
+
+def test_build_axes_checks_pool_values(evaluator):
+    with pytest.raises(ContractViolation) as raised:
+        axes_of(evaluator, overrides={"x": [1, 2.5]})
+    assert str(raised.value) == "pool value of parameter 'x' must be int, got 2.5"
+
+
 # --- greedy selection -----------------------------------------------------
 
 def test_greedy_keeps_only_novel_candidates(unit, evaluator):
@@ -367,14 +408,12 @@ def test_greedy_pins_kept_invalid_and_traces():
         case(1, 6),  # the same pairs again
         case(2, 0),  # the same pairs, but a new DivByZero
         case(3, 0),  # that crash again
-        case(4, 1.5),  # not an int: ContractViolation
         case(5, 200),  # D1 true: full coverage, so selection stops
         case(6, 7),
     ]
     result = greedy_select(iter(stream), evaluator)
     assert [c.id for c in result.kept] == ["c0", "c2", "c5"]
-    assert result.invalid == ("c4",)
-    assert result.candidates_run == 6
+    assert result.candidates_run == 5
     assert result.traces == tuple(evaluator.run(c) for c in result.kept)
     assert [t.terminal for t in result.traces] == ["Normal", "Crashed", "Normal"]
     assert result.coverage.percent == 100.0

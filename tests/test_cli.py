@@ -412,6 +412,28 @@ def test_coverage_bad_case_file(invoke, turnstile, tmp_path):
     assert ":1" in err
 
 
+@pytest.mark.parametrize(
+    "target, params, mocks, message",
+    [
+        ("push", {"coins": 1.5}, {}, "parameter 'coins' must be int, got 1.5"),
+        ("push", {"coins": 1, "extra": 2}, {}, "unknown parameters: ['extra']"),
+        ("audit", {}, {"counter.value": []}, "empty mock script for ('counter', 'value')"),
+    ],
+)
+def test_coverage_rejects_malformed_case(
+    invoke, turnstile, tmp_path, target, params, mocks, message
+):
+    """A case file is checked where it enters, with the evaluator's
+    ContractViolation messages."""
+    record = _manual_case(["Turnstile", target], params)
+    record["mocks"] = mocks
+    case_file = _write_cases(tmp_path / "cases.jsonl", [record])
+    code, out, err = invoke("coverage", turnstile, "--cases", case_file)
+    assert code == 1
+    assert out == ""
+    assert err == f"ultgen: error: {message}\n"
+
+
 # --- advise -----------------------------------------------------------------
 
 def test_advise_clean_history(invoke, history_dir):

@@ -5,29 +5,12 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from gen_programs import gen_program, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
 from ultgen.cases import TestCase
-from ultgen.cutlang import INT_MAX, INT_MIN, parse_source, print_method
-from ultgen.cutlang.nodes import (
-    Assert,
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
-    CallExpr,
-    ExprStmt,
-    FieldRef,
-    FloatLit,
-    If,
-    IntLit,
-    MethodDecl,
-    Param,
-    ParamRef,
-    Return,
-    Unary,
-    While,
-)
+from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
 from ultgen.errors import ContractViolation, UnknownClass, UnknownTarget
+from ultgen import interp
 from ultgen.interp import HOT_STEPS, CaseEvaluator, _Emitter
 
 
@@ -243,12 +226,12 @@ def test_void_call_needs_no_script(unit):
 
 def test_script_on_void_site_rejected(unit):
     with pytest.raises(ContractViolation):
-        ev(unit, "poke").run(case("poke", mocks={("d", "nudge"): [1]}))
+        ev(unit, "poke").check(case("poke", mocks={("d", "nudge"): [1]}))
 
 
 def test_empty_script_rejected(unit):
     with pytest.raises(ContractViolation):
-        ev(unit, "scripted").run(case("scripted", mocks={("d", "get"): []}))
+        ev(unit, "scripted").check(case("scripted", mocks={("d", "get"): []}))
 
 
 @pytest.mark.parametrize(
@@ -267,7 +250,7 @@ def test_empty_script_rejected(unit):
 )
 def test_mock_key_messages(unit, method, key, script, message):
     with pytest.raises(ContractViolation) as raised:
-        ev(unit, method).run(case(method, mocks={key: script}))
+        ev(unit, method).check(case(method, mocks={key: script}))
     assert str(raised.value) == message
 
 
@@ -299,12 +282,12 @@ def test_inherited_field_usable(unit):
 
 def test_unknown_field_rejected(unit):
     with pytest.raises(ContractViolation):
-        ev(unit, "looping").run(case("looping", params={"n": 1}, fields={"zzz": 1}))
+        ev(unit, "looping").check(case("looping", params={"n": 1}, fields={"zzz": 1}))
 
 
 def test_unknown_param_rejected(unit):
     with pytest.raises(ContractViolation):
-        ev(unit, "looping").run(case("looping", params={"n": 1, "extra": 2}))
+        ev(unit, "looping").check(case("looping", params={"n": 1, "extra": 2}))
 
 
 # --- fuel -----------------------------------------------------------------
@@ -363,42 +346,24 @@ def agree(trace, result):
     )
 
 
-_ints = st.one_of(
-    st.integers(min_value=INT_MIN, max_value=INT_MAX),
-    st.sampled_from([0, 1, -1, 2, -2, INT_MIN, INT_MAX]),
-)
-_floats = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True, width=64),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf]),
-)
-
-
-def _value_for(type_name, draw):
-    if type_name == "int":
-        return draw(_ints)
-    if type_name == "float":
-        return draw(_floats)
-    return draw(st.booleans())
-
-
 @st.composite
 def _method_and_case(draw):
     unit = parse_source(SRC, path="<interp>")
     name = draw(st.sampled_from(METHODS))
     evaluator = CaseEvaluator(unit, "M", name)
     params = {
-        p.name: _value_for(p.type, draw) for p in evaluator.method.params
+        p.name: value_for(p.type, draw) for p in evaluator.method.params
     }
     mocks = {}
     for key, ret in evaluator.mock_types.items():
         if draw(st.booleans()):
             continue  # leave unmocked sometimes
         n = draw(st.integers(min_value=1, max_value=3))
-        mocks[key] = [_value_for(ret, draw) for _ in range(n)]
+        mocks[key] = [value_for(ret, draw) for _ in range(n)]
     fields = {}
     for fname, ftype in evaluator.field_types.items():
         if draw(st.booleans()):
-            fields[fname] = _value_for(ftype, draw)
+            fields[fname] = value_for(ftype, draw)
     return unit, name, case(name, params=params, fields=fields, mocks=mocks)
 
 
@@ -421,138 +386,11 @@ def test_fuel_boundary_matches_oracle(fuel):
 
 # --- differential net on generated programs -------------------------------
 #
-# Random well-typed methods of one class: params a, b (int), p (bool) and
-# x (float), fields n (int), on (bool) and level (float), and a dependency
-# with int, bool, float and void methods. Extreme literals make int64 wrap
-# and float overflow likely, and `/` meets zero divisors from the cases.
-# While conditions are random, so loops that never end run into a fuel
-# limit drawn small. Programs are printed and re-parsed, so the evaluators
-# see checker-typed trees with real spans.
-
-GEN_HEAD = """
-class Dep {
-public:
-    int get() { return 0; }
-    bool ok() { return true; }
-    float temp() { return 0.0; }
-    void nudge() {}
-};
-
-class G {
-public:
-    Dep* d;
-    int n;
-    bool on;
-    float level;
-"""
-
-_CMP_OPS = ["==", "!=", "<", "<=", ">", ">="]
+# gen_programs.py draws random well-typed methods with loops, scripted and
+# void calls, floats and int64 extremes, and cases for them.
 
 
-def _dep_call(method):
-    return CallExpr(FieldRef("d"), method)
-
-
-def _gen_assign(name, value):
-    target = FieldRef(name) if name in ("n", "on", "level") else ParamRef(name)
-    return Assign(target, value)
-
-
-_gen_int = st.recursive(
-    st.one_of(
-        st.integers(min_value=-9, max_value=9).map(IntLit),
-        st.sampled_from([INT_MAX, INT_MIN, 1 << 62, 3037000500]).map(IntLit),
-        st.sampled_from(["a", "b"]).map(ParamRef),
-        st.builds(FieldRef, st.just("n")),
-        st.builds(_dep_call, st.just("get")),
-    ),
-    lambda kids: st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), kids, kids),
-    max_leaves=4,
-)
-
-_gen_float = st.recursive(
-    st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False, width=64).map(FloatLit),
-        st.sampled_from([0.0, -0.0, 1e308]).map(FloatLit),
-        st.builds(ParamRef, st.just("x")),
-        st.builds(FieldRef, st.just("level")),
-        st.builds(_dep_call, st.just("temp")),
-    ),
-    lambda kids: st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), kids, kids),
-    max_leaves=3,
-)
-
-_gen_bool = st.recursive(
-    st.one_of(
-        st.booleans().map(BoolLit),
-        st.builds(ParamRef, st.just("p")),
-        st.builds(FieldRef, st.just("on")),
-        st.builds(_dep_call, st.just("ok")),
-        st.builds(Binary, st.sampled_from(_CMP_OPS), _gen_int, _gen_int),
-        st.builds(Binary, st.sampled_from(_CMP_OPS), _gen_float, _gen_float),
-    ),
-    lambda kids: st.one_of(
-        st.builds(Binary, st.sampled_from(["&&", "||", "==", "!="]), kids, kids),
-        st.builds(Unary, st.just("!"), kids),
-    ),
-    max_leaves=6,
-)
-
-_gen_stmt = st.deferred(
-    lambda: st.one_of(
-        st.builds(_gen_assign, st.sampled_from(["a", "b", "n"]), _gen_int),
-        st.builds(_gen_assign, st.sampled_from(["p", "on"]), _gen_bool),
-        st.builds(_gen_assign, st.sampled_from(["x", "level"]), _gen_float),
-        st.builds(If, _gen_bool, _gen_block, st.none() | _gen_block),
-        st.builds(While, _gen_bool, _gen_block),
-        st.builds(Assert, _gen_bool),
-        st.builds(ExprStmt, st.sampled_from(["nudge", "get"]).map(_dep_call)),
-        st.builds(Return, _gen_int),
-    )
-)
-
-_gen_block = st.lists(_gen_stmt, max_size=3).map(Block)
-
-
-@st.composite
-def _gen_case(draw):
-    params = {
-        "a": draw(_ints), "b": draw(_ints), "p": draw(st.booleans()), "x": draw(_floats),
-    }
-    fields = {
-        name: _value_for(t, draw)
-        for name, t in (("n", "int"), ("on", "bool"), ("level", "float"))
-        if draw(st.booleans())
-    }
-    mocks = {}
-    for method, t in (("get", "int"), ("ok", "bool"), ("temp", "float")):
-        if draw(st.integers(min_value=0, max_value=3)):  # 1 in 4 unmocked
-            n = draw(st.integers(min_value=1, max_value=3))
-            mocks[("d", method)] = [_value_for(t, draw) for _ in range(n)]
-    return TestCase(
-        id="gen",
-        target=("G", "m"),
-        param_values=params,
-        field_values=fields,
-        mock_plan=mocks,
-        origin="Configured",
-    )
-
-
-@st.composite
-def _gen_program(draw):
-    """(source text, fuel, cases) for one generated method G.m."""
-    stmts = draw(st.lists(_gen_stmt, min_size=1, max_size=4))
-    stmts.append(Return(draw(_gen_int)))
-    params = [Param("a", "int"), Param("b", "int"), Param("p", "bool"), Param("x", "float")]
-    method = MethodDecl("m", params, "int", Block(stmts))
-    text = GEN_HEAD + print_method(method, indent=1) + "\n};\n"
-    fuel = draw(st.one_of(st.integers(min_value=1, max_value=20), st.just(300)))
-    cases = draw(st.lists(_gen_case(), min_size=1, max_size=3))
-    return text, fuel, cases
-
-
-@given(_gen_program())
+@given(gen_program())
 def test_generated_programs_match_oracle(packed):
     text, fuel, cases = packed
     unit = parse_source(text, path="<gen>")
@@ -565,7 +403,7 @@ def test_generated_programs_match_oracle(packed):
         assert agree(hot.run(c), result), (text, c)
 
 
-@given(_gen_program(), st.integers(min_value=1, max_value=40))
+@given(gen_program(), st.integers(min_value=1, max_value=40))
 def test_recorded_pairs_are_in_the_decision_table(packed, cold_left):
     """Every pair a trace records is one of the method's outcome pairs: on
     the cold tier, on the generated tier, and for a case that reaches
@@ -727,3 +565,52 @@ def test_method_too_nested_to_generate_stays_cold():
         assert evaluator.run(c) == first
     assert evaluator.run(c) == first
     assert first.return_value == 0
+
+
+def test_generated_tier_adds_each_pair_once_per_run(monkeypatch):
+    """A loop records the same pairs on every pass, but the generated tier
+    adds each to the run's outcome set once."""
+    added = []
+
+    class CountingSet(set):
+        def add(self, pair):
+            added.append(pair)
+            super().add(pair)
+
+    monkeypatch.setattr(interp, "set", CountingSet, raising=False)
+    unit = parse_source(TIER_SRC, path="<tier>")
+    evaluator = promoted(unit, "H", "step")
+    c = _tier_case(0, {"n": 40, "k": 1}, {("d", "more"): [True], ("d", "get"): [0, 1, 2]})
+    trace = evaluator.run(c)
+    assert trace.steps > 4 * 40  # 40 passes through the loop
+    assert sorted(added) == sorted(trace.outcomes)
+    assert len(trace.outcomes) == 13  # all but D1:T and d->more() false
+    fresh = CaseEvaluator(unit, "H", "step")
+    monkeypatch.undo()
+    assert fresh.run(c) == trace
+
+
+def test_same_shape_methods_share_one_code_object():
+    """Methods that differ only in names and literals compile once and each
+    still runs with its own values."""
+    text = """
+    class P { public: int total;
+        int first(int a) { while (a > 3) { a = a - 1; total = total + 2; } return total; } };
+    class Q { public: int sum;
+        int second(int x) { while (x > 700) { x = x - 5; sum = sum + 9; } return sum; } };
+    """
+    unit = parse_source(text, path="<shape>")
+    p = promoted(unit, "P", "first")
+    q = promoted(unit, "Q", "second")
+    assert p._runner.__code__ is q._runner.__code__
+    assert p._runner is not q._runner
+
+    def run(evaluator, name, value):
+        return evaluator.run(TestCase(
+            id="s", target=(evaluator.class_name, evaluator.method.name),
+            param_values={name: value}, field_values={}, mock_plan={},
+            origin="Configured",
+        ))
+
+    assert run(p, "a", 10).return_value == 14  # 7 passes of + 2
+    assert run(q, "x", 720).return_value == 36  # 4 passes of + 9

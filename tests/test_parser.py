@@ -3,27 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from gen_programs import gen_method, program_text
 from ultgen.cutlang import (
     INT_MAX,
     INT_MIN,
-    Assert,
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
     ClassDecl,
-    FieldDecl,
     FieldRef,
-    If,
     IntLit,
-    MethodDecl,
-    Param,
     ParamRef,
     RefType,
-    Return,
     SourceUnit,
     Unary,
-    While,
     parse_source,
     print_unit,
     tokenize,
@@ -362,79 +352,10 @@ def test_round_trip_golden(golden_dir):
     assert parse_source(print_unit(unit), path="golden").decls == unit.decls
 
 
-# Structurally random but statically valid single-class programs. Params
-# a/b and fields x/y never shadow, so reference kinds survive reprinting.
-
-_int_leaf = st.one_of(
-    st.integers(min_value=-99, max_value=99).map(IntLit),
-    st.sampled_from(["a", "b"]).map(ParamRef),
-    st.sampled_from(["x", "y"]).map(FieldRef),
-)
-
-_int_expr = st.recursive(
-    _int_leaf,
-    lambda kids: st.builds(
-        Binary, st.sampled_from(["+", "-", "*", "/"]), kids, kids
-    ),
-    max_leaves=6,
-)
-
-_bool_leaf = st.one_of(
-    st.booleans().map(BoolLit),
-    st.builds(
-        Binary,
-        st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
-        _int_expr,
-        _int_expr,
-    ),
-)
-
-_bool_expr = st.recursive(
-    _bool_leaf,
-    lambda kids: st.one_of(
-        st.builds(Binary, st.sampled_from(["&&", "||"]), kids, kids),
-        st.builds(Unary, st.just("!"), kids),
-    ),
-    max_leaves=5,
-)
-
-
-def _assign(target_name: str, value) -> Assign:
-    if target_name in ("a", "b"):
-        return Assign(ParamRef(target_name), value)
-    return Assign(FieldRef(target_name), value)
-
-
-_stmt = st.deferred(
-    lambda: st.one_of(
-        st.builds(_assign, st.sampled_from(["a", "b", "x", "y"]), _int_expr),
-        st.builds(Assert, _bool_expr),
-        st.builds(If, _bool_expr, _small_block, st.none() | _small_block),
-        st.builds(While, _bool_expr, _small_block),
-    )
-)
-
-_small_block = st.lists(_stmt, min_size=0, max_size=2).map(Block)
-
-
-@st.composite
-def _programs(draw):
-    stmts = draw(st.lists(_stmt, min_size=0, max_size=4))
-    stmts.append(Return(draw(_int_expr)))
-    method = MethodDecl(
-        "run", [Param("a", "int"), Param("b", "int")], "int", Block(stmts)
-    )
-    cls = ClassDecl(
-        "Gen",
-        None,
-        [FieldDecl("x", "int"), FieldDecl("y", "int")],
-        [method],
-    )
-    return SourceUnit("<gen>", [cls])
-
-
-@given(_programs())
-def test_print_parse_round_trip(unit):
-    text = print_unit(unit)
-    reparsed = parse_source(text, path="<gen>")
-    assert reparsed.decls == unit.decls
+@given(gen_method())
+def test_print_parse_round_trip(method):
+    """Printing a well-typed method and parsing it back gives the same tree,
+    and so does a second print/parse of the whole unit."""
+    unit = parse_source(program_text(method), path="<gen>")
+    assert unit.class_named("G").method_named("m") == method
+    assert parse_source(print_unit(unit), path="<gen>").decls == unit.decls
