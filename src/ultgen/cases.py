@@ -488,7 +488,7 @@ def greedy_select(
     covered: set[tuple[str, bool]] = set()
     seen_crashes: set[tuple] = set()
     for t in preseed:
-        covered.update(t.outcomes & valid)
+        covered.update(t.outcomes)
         if t.crash is not None:
             seen_crashes.add(t.crash.key)
     kept: list[TestCase] = []
@@ -502,7 +502,7 @@ def greedy_select(
             new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
             if not new_crash and trace.outcomes <= covered:
                 continue  # nothing new, so `covered` is still short of `valid`
-            new_pairs = (trace.outcomes & valid) - covered
+            new_pairs = trace.outcomes - covered
             if new_pairs or new_crash:
                 kept.append(case)
                 traces.append(trace)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -436,13 +437,19 @@ def _dir_snapshot(path: Path) -> dict[str, tuple[float, int]]:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.watch_interval) and args.watch_interval >= 0):
+        raise UltgenError(
+            f"--watch-interval must be a finite number >= 0, got {args.watch_interval}"
+        )
+    if args.watch_count is not None and args.watch_count < 0:
+        raise UltgenError(f"--watch-count must be >= 0, got {args.watch_count}")
+    if args.watch is not None and not Path(args.watch).is_dir():
+        raise UltgenError(f"--watch {args.watch}: not a directory")
     grid = _parse_grid(args.grid)
     code = _advise_once(args, grid)
     if args.watch is None:
         return code
     watch_dir = Path(args.watch)
-    if not watch_dir.is_dir():
-        raise UltgenError(f"--watch {args.watch}: not a directory")
     remaining = args.watch_count
     snapshot = _dir_snapshot(watch_dir)
     while remaining is None or remaining > 0:

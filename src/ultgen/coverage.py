@@ -101,10 +101,9 @@ def compute_coverage(
                 f"trace {t.case_id!r} targets a different method body "
                 f"({t.fingerprint[:12]} != {expected[:12]})"
             )
-    valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
     for t in traces:
-        covered.update(t.outcomes & valid)
+        covered.update(t.outcomes)
     return _method_coverage(evaluator, covered, any(t.passed for t in traces))
 
 
@@ -179,7 +178,7 @@ def brute_force_max_coverage(
             origin="Fuzzed",
         )
         trace = evaluator.run(case)
-        covered.update(trace.outcomes & valid)
+        covered.update(trace.outcomes)
         has_passing = has_passing or trace.passed
         if len(covered) == len(valid) and has_passing:
             break  # provably maximal already

@@ -44,6 +44,19 @@ from .nodes import (
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _SCALARS = ("int", "bool", "float")
 
+# How deeply a method may nest, set so that every method the parser accepts
+# compiles to the generated code the evaluator runs (interp.py). CPython
+# compiles at most 20 nested blocks, and expressions about 96 deep.
+MAX_BLOCK_DEPTH = 16  # if/while statements nested in one another
+MAX_EXPR_DEPTH = 64  # counted as in _Parser.nest
+
+# Binding strength of each binary operator, loosest first; all associate
+# left. '%' is lexed, and rejected where it would bind.
+_PRECEDENCE = {
+    "||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
+    "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
+}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token], path: str):
@@ -221,35 +234,41 @@ class _Parser:
 
     # -- statements --------------------------------------------------------
 
-    def parse_block(self) -> Block:
+    def parse_block(self, inside: int = 0) -> Block:
+        """A block `inside` if/while statements deep."""
         start = self.expect_punct("{")
         stmts: list[Stmt] = []
         while not self.cur.is_punct("}"):
-            stmts.append(self.parse_stmt())
+            stmts.append(self.parse_stmt(inside))
         self.expect_punct("}")
         return Block(stmts, span=self.span_from(start))
 
-    def parse_stmt(self) -> Stmt:
+    def parse_stmt(self, inside: int) -> Stmt:
         tok = self.cur
+        nests = tok.kind == "keyword" and tok.text in ("if", "while")
+        if nests and inside == MAX_BLOCK_DEPTH:
+            raise self.error(
+                f"if/while statements nested more than {MAX_BLOCK_DEPTH} deep"
+            )
         if tok.is_keyword("if"):
             self.advance()
             self.expect_punct("(")
             cond = self.parse_expr()
             self.expect_punct(")")
-            then = self.parse_block()
+            then = self.parse_block(inside + 1)
             els = None
             if self.cur.is_keyword("else"):
                 self.advance()
                 if not self.cur.is_punct("{"):
                     raise self.error("'else' requires a braced block")
-                els = self.parse_block()
+                els = self.parse_block(inside + 1)
             return If(cond, then, els, span=self.span_from(tok))
         if tok.is_keyword("while"):
             self.advance()
             self.expect_punct("(")
             cond = self.parse_expr()
             self.expect_punct(")")
-            body = self.parse_block()
+            body = self.parse_block(inside + 1)
             return While(cond, body, span=self.span_from(tok))
         if tok.is_keyword("return"):
             self.advance()
@@ -279,73 +298,50 @@ class _Parser:
         return ExprStmt(expr, span=self.span_from(tok))
 
     # -- expressions -------------------------------------------------------
-    # Precedence, low to high: || < && < ==/!= < relational < +- < */ < !
+    # Precedence climbing over _PRECEDENCE; `around` is how many levels
+    # enclose the expression being parsed, so a node `d` deep in it sits
+    # `around + d` deep in its statement's expression.
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        """A whole expression: a statement's condition, value or target."""
+        return self.parse_binary(0, 0)[0]
 
-    def parse_or(self) -> Expr:
-        start = self.cur
-        left = self.parse_and()
-        while self.cur.is_punct("||"):
-            self.advance()
-            right = self.parse_and()
-            left = Binary("||", left, right, span=self.span_from(start))
-        return left
+    def nest(self, tok: Token, depth: int) -> None:
+        """Reject a node opened at `tok` that lies `depth` deep in its
+        statement's expression. A literal, name or call is 1 deep, and each
+        operator, `!` or pair of parentheses adds 1. A node is checked with
+        the least depth it can have, before its operands are parsed, so the
+        parser's own recursion stays within the limit."""
+        if depth > MAX_EXPR_DEPTH:
+            raise self.error(
+                f"expression nested more than {MAX_EXPR_DEPTH} levels deep", tok
+            )
 
-    def parse_and(self) -> Expr:
+    def parse_binary(self, around: int, min_level: int) -> tuple[Expr, int]:
+        """The expression and its depth, up to the first operator that
+        binds more loosely than `min_level`."""
         start = self.cur
-        left = self.parse_equality()
-        while self.cur.is_punct("&&"):
-            self.advance()
-            right = self.parse_equality()
-            left = Binary("&&", left, right, span=self.span_from(start))
-        return left
-
-    def parse_equality(self) -> Expr:
-        start = self.cur
-        left = self.parse_relational()
-        while self.cur.kind == "punct" and self.cur.text in ("==", "!="):
-            op = self.advance().text
-            right = self.parse_relational()
-            left = Binary(op, left, right, span=self.span_from(start))
-        return left
-
-    def parse_relational(self) -> Expr:
-        start = self.cur
-        left = self.parse_additive()
-        while self.cur.kind == "punct" and self.cur.text in ("<", "<=", ">", ">="):
-            op = self.advance().text
-            right = self.parse_additive()
-            left = Binary(op, left, right, span=self.span_from(start))
-        return left
-
-    def parse_additive(self) -> Expr:
-        start = self.cur
-        left = self.parse_multiplicative()
-        while self.cur.kind == "punct" and self.cur.text in ("+", "-"):
-            op = self.advance().text
-            right = self.parse_multiplicative()
-            left = Binary(op, left, right, span=self.span_from(start))
-        return left
-
-    def parse_multiplicative(self) -> Expr:
-        start = self.cur
-        left = self.parse_unary()
-        while self.cur.kind == "punct" and self.cur.text in ("*", "/", "%"):
+        left, depth = self.parse_unary(around)
+        while self.cur.kind == "punct" and self.cur.text in _PRECEDENCE:
+            level = _PRECEDENCE[self.cur.text]
+            if level < min_level:
+                break
             if self.cur.text == "%":
                 raise self.error("operator '%' is not supported")
+            self.nest(self.cur, around + depth + 1)
             op = self.advance().text
-            right = self.parse_unary()
+            right, right_depth = self.parse_binary(around + 1, level + 1)
             left = Binary(op, left, right, span=self.span_from(start))
-        return left
+            depth = 1 + max(depth, right_depth)
+        return left, depth
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self, around: int) -> tuple[Expr, int]:
         tok = self.cur
         if tok.is_punct("!"):
+            self.nest(tok, around + 2)
             self.advance()
-            operand = self.parse_unary()
-            return Unary("!", operand, span=self.span_from(tok))
+            operand, depth = self.parse_unary(around + 1)
+            return Unary("!", operand, span=self.span_from(tok)), depth + 1
         if tok.is_punct("-") and self.peek().kind in ("int", "float"):
             self.advance()
             lit = self.advance()
@@ -354,9 +350,15 @@ class _Parser:
                 value = -lit.value
                 if value < INT_MIN:
                     raise self.error("integer literal out of 64-bit range", lit)
-                return IntLit(value, span=span)
-            return FloatLit(-lit.value, span=span)
-        return self.parse_primary()
+                return IntLit(value, span=span), 1
+            return FloatLit(-lit.value, span=span), 1
+        if tok.is_punct("("):
+            self.nest(tok, around + 2)
+            self.advance()
+            expr, depth = self.parse_binary(around + 1, 0)
+            self.expect_punct(")")
+            return expr, depth + 1
+        return self.parse_primary(), 1
 
     def parse_primary(self) -> Expr:
         tok = self.cur
@@ -371,11 +373,6 @@ class _Parser:
         if tok.is_keyword("true") or tok.is_keyword("false"):
             self.advance()
             return BoolLit(tok.text == "true", span=self.span_from(tok))
-        if tok.is_punct("("):
-            self.advance()
-            expr = self.parse_expr()
-            self.expect_punct(")")
-            return expr
         if tok.kind == "ident":
             self.advance()
             ref = FieldRef(tok.text, span=self.span_from(tok))

@@ -6,28 +6,19 @@ evaluated decision/condition contributes an outcome pair. Crashes (failed
 assert, integer division by zero, unscripted call, fuel exhaustion)
 terminate the run and are data on the trace, not Python errors.
 
-A CaseEvaluator runs its method on one of two compiled tiers. Everything a
-node's behaviour depends on is resolved while compiling, in both: the
+A CaseEvaluator compiles its method on its first run into the source of
+one Python function, and runs every case through it. Everything a node's
+behaviour depends on is resolved while writing the source: the
 `(id, True)`/`(id, False)` outcome pairs a decision or condition records,
 the operator, whether arithmetic is on int or float, void call sites and
 the crash event (kind and source span) of each assert, division and call
-site.
-  - Cold tier: on its first run the evaluator compiles the body into nested
-    Python closures, one per AST node. This is cheap to build, so methods
-    that run a few short cases pay little.
-  - Generated tier: once the method's cases have taken HOT_STEPS steps in
-    total, the evaluator writes the body as the source of one Python
-    function, compiles it, and runs every later case through it. A case
-    that reaches HOT_STEPS midway stops there and runs again from the start
-    on the new tier, so no method runs more than HOT_STEPS steps cold. Variables,
-    mock cursors and fuel are its locals, and no step makes a call to
-    dispatch a node. The source holds no text from the input: every value
-    is an argument of the function that builds it, so methods of the same
-    shape share one source, and it is compiled once per process. An
-    outcome pair recorded inside a `while` is added once per run, guarded
-    by a local flag. A body nested deeper than CPython compiles stays on
-    the cold tier.
-Both tiers give the same trace for every case, steps included.
+site. Variables, mock cursors and fuel are the function's locals, and no
+step makes a call to dispatch a node. The source holds no text from the
+input: every value is an argument of the function that builds it, so
+methods of the same shape share one source, compiled once per process. An
+outcome pair recorded inside a `while` is added once per run, guarded by a
+local flag. The parser bounds how deeply a method nests, so every body it
+accepts compiles.
 
 `run` trusts its case: callers pass cases that `check` accepted or that
 were built from checked values (configured cases, fuzz pools).
@@ -87,16 +78,6 @@ Scalar = Union[int, float, bool]
 
 DEFAULT_FUEL = 10000
 
-# Cumulative steps after which a method's later cases run generated code.
-# Promoting once the steps run cold would have paid for the compile keeps
-# the total within about twice the cost of the best choice made in
-# hindsight (the ski-rental argument). Measured on the benchmark's fuzz
-# trees (CPython 3.11): promotion costs 470-750 us per method and saves
-# 0.29-0.71 us per step, a break-even of 1,000-1,700 steps. Nearly all of
-# that cost is compile(), which a method whose source is already cached
-# skips; the threshold is still set for the first method of each shape.
-HOT_STEPS = 2048
-
 TYPE_DEFAULTS: dict[str, Scalar] = {"int": 0, "bool": False, "float": 0.0}
 
 ASSERT_FAILURE = "AssertFailure"
@@ -143,36 +124,8 @@ class _Crash(Exception):
         self.event = event
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: Optional[Scalar]):
-        self.value = value
-
-
-class _State:
-    """What one run mutates: variables, mock cursors, fuel and outcomes."""
-
-    __slots__ = ("params", "fields", "scripts", "call_counts", "fuel", "outcomes")
-
-    def __init__(
-        self,
-        params: dict[str, Scalar],
-        fields: dict[str, Scalar],
-        scripts: dict[tuple[str, str], list[Scalar]],
-        fuel: int,
-        outcomes: set[tuple[str, bool]],
-    ):
-        self.params = params
-        self.fields = fields
-        self.scripts = scripts
-        self.call_counts: dict[tuple[str, str], int] = {}
-        self.fuel = fuel
-        self.outcomes = outcomes
-
-
-_Code = Callable[[_State], object]
-
-# What both tiers compile a method to: (params, fields, scripts, outcomes,
-# fuel) -> (crash, return value, fuel left). `fields` holds only the case's
+# What a method compiles to: (params, fields, scripts, outcomes, fuel) ->
+# (crash, return value, fuel left). `fields` holds only the case's
 # field values, and the run adds its outcome pairs to `outcomes`.
 _Runner = Callable[
     [dict, dict, dict, set, int], tuple[Optional[Event], Optional[Scalar], int]
@@ -184,25 +137,15 @@ def method_fingerprint(class_name: str, method: MethodDecl) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-_SIGN = 1 << 63
-_MASK = (1 << 64) - 1
-
-
-def _wrap_int(v: int) -> int:
-    return ((v + _SIGN) & _MASK) - _SIGN
-
-
-def _int_div(a: int, b: int) -> int:
+def _int_div(a: int, b: int, div_by_zero: Event) -> int:
+    """C division: truncated toward zero and wrapped to 64 bits (only
+    INT_MIN / -1 wraps); a zero divisor crashes with `div_by_zero`."""
+    if b == 0:
+        raise _Crash(div_by_zero)
     q = abs(a) // abs(b)
     if (a < 0) != (b < 0):
         q = -q
-    return _wrap_int(q)
-
-
-def _checked_int_div(a: int, b: int, div_by_zero: Event) -> int:
-    if b == 0:
-        raise _Crash(div_by_zero)
-    return _int_div(a, b)
+    return q if q <= INT_MAX else INT_MIN
 
 
 def _float_div(a: float, b: float) -> float:
@@ -235,223 +178,6 @@ def check_values(type_name: str, values: Iterable[Scalar], what: str) -> None:
             raise _type_error(type_name, value, what)
 
 
-# Operator -> closure factory over the compiled operands. Operands run left
-# to right, so mock scripts are consumed in source order.
-_COMPARE: dict[str, Callable[[_Code, _Code], _Code]] = {
-    "==": lambda a, b: lambda st: a(st) == b(st),
-    "!=": lambda a, b: lambda st: a(st) != b(st),
-    "<": lambda a, b: lambda st: a(st) < b(st),
-    "<=": lambda a, b: lambda st: a(st) <= b(st),
-    ">": lambda a, b: lambda st: a(st) > b(st),
-    ">=": lambda a, b: lambda st: a(st) >= b(st),
-}
-_INT_ARITH: dict[str, Callable[[_Code, _Code], _Code]] = {
-    "+": lambda a, b: lambda st: ((a(st) + b(st) + _SIGN) & _MASK) - _SIGN,
-    "-": lambda a, b: lambda st: ((a(st) - b(st) + _SIGN) & _MASK) - _SIGN,
-    "*": lambda a, b: lambda st: ((a(st) * b(st) + _SIGN) & _MASK) - _SIGN,
-}
-_FLOAT_ARITH: dict[str, Callable[[_Code, _Code], _Code]] = {
-    "+": lambda a, b: lambda st: a(st) + b(st),
-    "-": lambda a, b: lambda st: a(st) - b(st),
-    "*": lambda a, b: lambda st: a(st) * b(st),
-    "/": lambda a, b: lambda st: _float_div(a(st), b(st)),
-}
-
-
-def _nothing(st: _State) -> None:
-    """A void call site, or the value of a bare `return;`."""
-    return None
-
-
-def _recorder(code: _Code, outcome_id: str) -> _Code:
-    """Wrap a bool-valued closure so it records its outcome pair."""
-    true_pair, false_pair = (outcome_id, True), (outcome_id, False)
-
-    def record(st: _State) -> bool:
-        if code(st):
-            st.outcomes.add(true_pair)
-            return True
-        st.outcomes.add(false_pair)
-        return False
-
-    return record
-
-
-def _outcome_ids(decisions: list[Decision]) -> tuple[dict[int, str], dict[int, str]]:
-    """Decision ids and condition ids keyed by the id() of their AST node."""
-    return (
-        {id(d.expr): d.id for d in decisions},
-        {id(c.atom): c.id for d in decisions for c in d.conditions},
-    )
-
-
-def _cold_runner(body: _Code, field_defaults: dict[str, Scalar]) -> _Runner:
-    """The closure-compiled body behind the runner signature."""
-
-    def run_cold(params, fields, scripts, outcomes, fuel):
-        env = dict(field_defaults)
-        env.update(fields)
-        st = _State(dict(params), env, scripts, fuel, outcomes)
-        try:
-            body(st)
-        except _ReturnSignal as r:
-            return None, r.value, st.fuel
-        except _Crash as c:
-            return c.event, None, st.fuel
-        return None, None, st.fuel
-
-    return run_cold
-
-
-class _Compiler:
-    """Compiles one method body into closures over a _State."""
-
-    def __init__(
-        self, decisions: list[Decision], site_types: dict[tuple[str, str], str]
-    ):
-        self.decision_ids, self.atom_ids = _outcome_ids(decisions)
-        self.site_types = site_types
-
-    def block(self, block: Block) -> _Code:
-        steps = tuple(self.stmt(s) for s in block.stmts)
-
-        def run_block(st: _State) -> None:
-            for step in steps:
-                if st.fuel <= 0:
-                    raise _Crash(_OUT_OF_FUEL)
-                st.fuel -= 1
-                step(st)
-
-        return run_block
-
-    def stmt(self, s: Stmt) -> _Code:
-        """A statement's closure; its block charges the statement's fuel."""
-        if isinstance(s, If):
-            cond = self.decision(s.cond)
-            then = self.block(s.then)
-            els = self.block(s.els) if s.els is not None else None
-
-            def run_if(st: _State) -> None:
-                if cond(st):
-                    then(st)
-                elif els is not None:
-                    els(st)
-
-            return run_if
-        if isinstance(s, While):
-            cond = self.decision(s.cond)
-            body = self.block(s.body)
-
-            def run_while(st: _State) -> None:
-                while True:
-                    if st.fuel <= 0:
-                        raise _Crash(_OUT_OF_FUEL)
-                    st.fuel -= 1
-                    if not cond(st):
-                        return
-                    body(st)
-
-            return run_while
-        if isinstance(s, Assert):
-            cond = self.decision(s.cond)
-            failure = Event(ASSERT_FAILURE, s.span)
-
-            def run_assert(st: _State) -> None:
-                if not cond(st):
-                    raise _Crash(failure)
-
-            return run_assert
-        if isinstance(s, Return):
-            value = self.expr(s.value) if s.value is not None else _nothing
-
-            def run_return(st: _State) -> None:
-                raise _ReturnSignal(value(st))
-
-            return run_return
-        if isinstance(s, Assign):
-            name = s.target.name
-            rhs = self.expr(s.value)
-            if isinstance(s.target, ParamRef):
-
-                def assign_param(st: _State) -> None:
-                    st.params[name] = rhs(st)
-
-                return assign_param
-
-            def assign_field(st: _State) -> None:
-                st.fields[name] = rhs(st)
-
-            return assign_field
-        if isinstance(s, ExprStmt):
-            return self.expr(s.expr)
-        raise AssertionError(f"unhandled statement {s!r}")
-
-    def decision(self, cond: Expr) -> _Code:
-        return _recorder(self.expr(cond), self.decision_ids[id(cond)])
-
-    def expr(self, e: Expr) -> _Code:
-        code = self._expr(e)
-        cond_id = self.atom_ids.get(id(e))
-        return code if cond_id is None else _recorder(code, cond_id)
-
-    def _expr(self, e: Expr) -> _Code:
-        if isinstance(e, (IntLit, FloatLit, BoolLit)):
-            value = e.value
-            return lambda st: value
-        if isinstance(e, ParamRef):
-            name = e.name
-            return lambda st: st.params[name]
-        if isinstance(e, FieldRef):
-            name = e.name
-            return lambda st: st.fields[name]
-        if isinstance(e, CallExpr):
-            return self._call(e)
-        if isinstance(e, Unary):
-            operand = self.expr(e.operand)
-            return lambda st: not operand(st)
-        if isinstance(e, Binary):
-            return self._binary(e)
-        raise AssertionError(f"unhandled expression {e!r}")
-
-    def _call(self, e: CallExpr) -> _Code:
-        key = (e.receiver.name, e.method)
-        if self.site_types.get(key) == "void":
-            return _nothing
-        unmocked = Event(UNMOCKED_CALL, e.span)
-
-        def call(st: _State) -> Scalar:
-            script = st.scripts.get(key)
-            if not script:
-                raise _Crash(unmocked)
-            n = st.call_counts.get(key, 0)
-            st.call_counts[key] = n + 1
-            return script[min(n, len(script) - 1)]
-
-        return call
-
-    def _binary(self, e: Binary) -> _Code:
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        op = e.op
-        if op == "&&":
-            return lambda st: bool(right(st)) if left(st) else False
-        if op == "||":
-            return lambda st: True if left(st) else bool(right(st))
-        if op in _COMPARE:
-            return _COMPARE[op](left, right)
-        if e.type_ == "float":
-            return _FLOAT_ARITH[op](left, right)
-        if e.type_ != "int":
-            raise AssertionError(f"arithmetic on {e.type_} slipped past the checker")
-        if op in _INT_ARITH:
-            return _INT_ARITH[op](left, right)
-        div_by_zero = Event(DIV_BY_ZERO, e.span)
-        return lambda st: _checked_int_div(left(st), right(st), div_by_zero)
-
-
-# -- generated tier ----------------------------------------------------------
-
-
 def _unmocked(event: Event) -> Scalar:
     raise _Crash(event)
 
@@ -460,7 +186,7 @@ def _unmocked(event: Event) -> Scalar:
 _GENERATED_GLOBALS = {
     "_Crash": _Crash,
     "_OUT_OF_FUEL": _OUT_OF_FUEL,
-    "_div": _checked_int_div,
+    "_div": _int_div,
     "_fdiv": _float_div,
     "_unmocked": _unmocked,
 }
@@ -498,7 +224,9 @@ class _Emitter:
         site_types: dict[tuple[str, str], str],
         field_defaults: dict[str, Scalar],
     ):
-        self.decision_ids, self.atom_ids = _outcome_ids(decisions)
+        # Decision and condition ids keyed by the id() of their AST node.
+        self.decision_ids = {id(d.expr): d.id for d in decisions}
+        self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
         self.site_types = site_types
         self.field_defaults = field_defaults
         self.consts: list[object] = []
@@ -698,22 +426,10 @@ class _Emitter:
         return f"_div({left}, {right}, {self.const(Event(DIV_BY_ZERO, e.span))})"
 
 
-def _maker(source: str) -> Optional[Callable[..., _Runner]]:
-    """The `_make` function a generated source defines, or None for a body
-    nested deeper than CPython compiles (20 blocks, or a parser stack
-    overflow)."""
-    try:
-        code = compile(source, "<ultgen generated>", "exec")
-    except (SyntaxError, MemoryError, RecursionError):
-        return None
-    namespace = dict(_GENERATED_GLOBALS)
-    exec(code, namespace)
-    return namespace["_make"]
-
-
-# `_make` per generated source. A source holds no input text, so methods of
-# the same shape share one entry, each binding its own values to it.
-_MAKERS: dict[str, Optional[Callable[..., _Runner]]] = {}
+# `_make` per digest of a generated source. A source holds no input text,
+# so methods of the same shape share one entry, each binding its own values
+# to it; the digest keeps the sources themselves out of memory.
+_MAKERS: dict[bytes, Callable[..., _Runner]] = {}
 
 
 class CaseEvaluator:
@@ -755,8 +471,6 @@ class CaseEvaluator:
         self.param_types = {p.name: p.type for p in method.params}
         self.field_types, self._ref_fields = self._effective_fields(unit, cls)
         self._runner: Optional[_Runner] = None  # set by _compile on the first run
-        # Steps the cold tier may still take; None once the method is promoted.
-        self._cold_left: Optional[int] = HOT_STEPS
 
     @staticmethod
     def _find_method(
@@ -817,26 +531,24 @@ class CaseEvaluator:
             raise ContractViolation(f"no scriptable method for mock key {key}")
         return m.return_type
 
-    def _compile(self) -> _Runner:
-        """Compile the cold tier and the field defaults both tiers start from."""
-        self._field_defaults = {
-            name: TYPE_DEFAULTS[t] for name, t in self.field_types.items()
-        }
-        body = _Compiler(self.decisions, self._site_types).block(self.method.body)
-        self._runner = _cold_runner(body, self._field_defaults)
-        return self._runner
+    def _generate(self) -> tuple[str, list[object]]:
+        """The source of the method's `_make` and the values to bind to it."""
+        defaults = {name: TYPE_DEFAULTS[t] for name, t in self.field_types.items()}
+        emitter = _Emitter(self.decisions, self._site_types, defaults)
+        return emitter.generate(self.method.body)
 
-    def _promote(self) -> None:
-        """Run every later case through one generated function for the body.
-        Reads the invariants that _compile sets."""
-        self._cold_left = None
-        emitter = _Emitter(self.decisions, self._site_types, self._field_defaults)
-        source, consts = emitter.generate(self.method.body)
-        if source not in _MAKERS:
-            _MAKERS[source] = _maker(source)
-        make = _MAKERS[source]
-        if make is not None:  # else the cold tier keeps running the method
-            self._runner = make(*consts)
+    def _compile(self) -> _Runner:
+        """Bind the method's values to its shape's `_make`, compiling the
+        shape's source if no method has yet."""
+        source, consts = self._generate()
+        key = hashlib.sha256(source.encode()).digest()
+        make = _MAKERS.get(key)
+        if make is None:
+            namespace = dict(_GENERATED_GLOBALS)
+            exec(compile(source, "<ultgen generated>", "exec"), namespace)
+            make = _MAKERS[key] = namespace["_make"]
+        self._runner = make(*consts)
+        return self._runner
 
     # -- case validation ---------------------------------------------------
 
@@ -887,26 +599,10 @@ class CaseEvaluator:
         """The trace of one case, which must be one that `check` accepts:
         run does not check it."""
         runner = self._runner if self._runner is not None else self._compile()
-        fuel = self.fuel
-        cold_left = self._cold_left
-        if cold_left is not None and cold_left < fuel:
-            fuel = cold_left  # the cold tier stops where HOT_STEPS is reached
         outcomes: set[tuple[str, bool]] = set()
         crash, ret, left = runner(
-            case.param_values, case.field_values, case.mock_plan, outcomes, fuel
+            case.param_values, case.field_values, case.mock_plan, outcomes, self.fuel
         )
-        if cold_left is not None:
-            self._cold_left = cold_left - (fuel - left)
-            if self._cold_left <= 0:
-                self._promote()
-                if crash is _OUT_OF_FUEL and fuel < self.fuel:
-                    # The cap cut this case short: run all of it again.
-                    outcomes = set()
-                    fuel = self.fuel
-                    crash, ret, left = self._runner(
-                        case.param_values, case.field_values, case.mock_plan,
-                        outcomes, fuel,
-                    )
         return ExecutionTrace(
-            case.id, frozenset(outcomes), crash, fuel - left, ret, self.fingerprint
+            case.id, frozenset(outcomes), crash, self.fuel - left, ret, self.fingerprint
         )

@@ -1,15 +1,21 @@
 """End-to-end CLI tests: every subcommand, exit codes, and determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import threading
 import time
 import warnings
 
 import pytest
+from hypothesis import given, strategies as st
 from jsonschema import validate
 
+from ultgen.cli import main
+from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from ultgen.interp import CaseEvaluator
 from ultgen.scaffold import ExternDependencyWarning
 from ultgen.schemas import (
@@ -144,6 +150,85 @@ def test_decisions_missing_file(invoke):
     code, _, err = invoke("decisions", "no/such.cut", "--class", "A")
     assert code == 1
     assert "cannot read" in err
+
+
+# --- nesting limits ---------------------------------------------------------
+
+# Per shape: the return type and body of `f` nested `depth` deep, and the
+# deepest the parser accepts. Parentheses and `!` wrap a 1-deep operand; a
+# `+` chain of n terms is n deep.
+_NESTINGS = {
+    "parens": ("int", lambda d: "return " + "(" * d + "n" + ")" * d + ";", MAX_EXPR_DEPTH - 1),
+    "plus": ("int", lambda d: "return " + " + ".join(["n"] * d) + ";", MAX_EXPR_DEPTH),
+    "bangs": ("bool", lambda d: "return " + "!" * d + "b;", MAX_EXPR_DEPTH - 1),
+    "while": ("void", lambda d: "while (b) { " * d + "n = 0; " + "} " * d, MAX_BLOCK_DEPTH),
+    "if": ("void", lambda d: "if (b) { " * d + "n = 0; " + "} " * d, MAX_BLOCK_DEPTH),
+}
+
+
+def _nested_class(shape, depth, above=""):
+    """Class A whose method `f` nests `depth` deep on the fourth line after
+    `above`."""
+    ret, body, _ = _NESTINGS[shape]
+    return (
+        f"{above}class A {{\npublic:\n    {ret} f(int n, bool b) {{\n"
+        f"        {body(depth)}\n    }}\n}};\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, depth, column",
+    [
+        ("parens", 150, 16 + MAX_EXPR_DEPTH - 1),  # the 64th '('
+        ("plus", 1500, 18 + 4 * (MAX_EXPR_DEPTH - 1)),  # the 64th '+'
+        ("bangs", 1500, 16 + MAX_EXPR_DEPTH - 1),  # the 64th '!'
+    ],
+)
+def test_decisions_rejects_deep_expression_without_traceback(
+    invoke, tmp_path, shape, depth, column
+):
+    path = tmp_path / "deep.cut"
+    path.write_text(_nested_class(shape, depth))
+    code, out, err = invoke("decisions", path, "--class", "A")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"ultgen: error: {path}:4:{column}: "
+        f"expression nested more than {MAX_EXPR_DEPTH} levels deep\n"
+    )
+
+
+def test_run_names_the_file_of_a_too_deep_method(invoke, corpus_dir, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    shutil.copy(corpus_dir / "billing.cut", src / "a.cut")
+    deep = _nested_class("while", MAX_BLOCK_DEPTH + 1, above="// deep\n\n")
+    (src / "b.cut").write_text(deep)
+    code, _, err = invoke("run", src, "-o", tmp_path / "out")
+    assert code == 1
+    column = 9 + len("while (b) { ") * MAX_BLOCK_DEPTH
+    assert err == (
+        f"ultgen: error: stage 'parse': {src / 'b.cut'}:6:{column}: "
+        f"if/while statements nested more than {MAX_BLOCK_DEPTH} deep\n"
+    )
+
+
+@given(st.sampled_from(sorted(_NESTINGS)), st.integers(min_value=1, max_value=300))
+def test_decisions_accepts_nesting_up_to_the_limit(tmp_path_factory, shape, depth):
+    path = tmp_path_factory.mktemp("nest") / "deep.cut"
+    path.write_text(_nested_class(shape, depth))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["decisions", str(path), "--class", "A"])
+    if depth <= _NESTINGS[shape][2]:
+        assert (code, err.getvalue()) == (0, "")
+    else:
+        what = "if/while statements" if shape in ("while", "if") else "expression"
+        assert code == 1
+        assert re.fullmatch(
+            rf"ultgen: error: {re.escape(str(path))}:4:\d+: {what} nested more than .*\n",
+            err.getvalue(),
+        )
 
 
 # --- scaffold ---------------------------------------------------------------
@@ -524,11 +609,31 @@ def test_advise_insufficient_history(invoke, tmp_path):
 
 
 def test_advise_watch_requires_directory(invoke, history_dir, tmp_path):
-    code, _, err = invoke(
+    code, out, err = invoke(
         "advise", *_history_args(history_dir), "--watch", tmp_path / "missing"
     )
-    assert code == 1
+    assert (code, out) == (1, "")  # rejected before any advice is printed
     assert "not a directory" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--watch-interval", "-0.5"),
+        ("--watch-interval", "nan"),
+        ("--watch-interval", "inf"),
+        ("--watch-count", "-1"),
+    ],
+)
+def test_advise_rejects_bad_watch_settings_before_advising(
+    invoke, history_dir, tmp_path, flag, value
+):
+    code, out, err = invoke(
+        "advise", *_history_args(history_dir), "--watch", tmp_path, flag, value
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ultgen: error: {flag} must be ")
+    assert err.count("\n") == 1
 
 
 def test_advise_watch_rereads_after_change(invoke, history_dir, tmp_path):

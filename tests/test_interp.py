@@ -9,9 +9,10 @@ from gen_programs import gen_program, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
 from ultgen.cases import TestCase
 from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
-from ultgen.errors import ContractViolation, UnknownClass, UnknownTarget
+from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
+from ultgen.errors import ContractViolation, ParseError, UnknownClass, UnknownTarget
 from ultgen import interp
-from ultgen.interp import HOT_STEPS, CaseEvaluator, _Emitter
+from ultgen.interp import CaseEvaluator
 
 
 SRC = """
@@ -97,16 +98,6 @@ def unit():
 
 def ev(unit, method, fuel=10000):
     return CaseEvaluator(unit, "M", method, fuel=fuel)
-
-
-def promoted(unit, class_name, method, fuel=10000):
-    """An evaluator that runs every case, the first included, through the
-    generated function."""
-    evaluator = CaseEvaluator(unit, class_name, method, fuel=fuel)
-    evaluator._compile()
-    evaluator._promote()
-    assert evaluator._runner.__code__.co_filename == "<ultgen generated>"
-    return evaluator
 
 
 def case(method, params=None, fields=None, mocks=None, cid="c"):
@@ -372,7 +363,6 @@ def test_evaluator_matches_oracle(packed):
     unit, name, c = packed
     result = OracleEvaluator(unit, "M", name).run(c)
     assert agree(CaseEvaluator(unit, "M", name).run(c), result), (name, c)
-    assert agree(promoted(unit, "M", name).run(c), result), (name, c)
 
 
 @given(st.integers(min_value=1, max_value=40))
@@ -395,34 +385,22 @@ def test_generated_programs_match_oracle(packed):
     text, fuel, cases = packed
     unit = parse_source(text, path="<gen>")
     evaluator = CaseEvaluator(unit, "G", "m", fuel=fuel)
-    hot = promoted(unit, "G", "m", fuel=fuel)
     oracle = OracleEvaluator(unit, "G", "m", fuel=fuel)
     for c in cases:
-        result = oracle.run(c)
-        assert agree(evaluator.run(c), result), (text, c)
-        assert agree(hot.run(c), result), (text, c)
+        assert agree(evaluator.run(c), oracle.run(c)), (text, c)
 
 
-@given(gen_program(), st.integers(min_value=1, max_value=40))
-def test_recorded_pairs_are_in_the_decision_table(packed, cold_left):
-    """Every pair a trace records is one of the method's outcome pairs: on
-    the cold tier, on the generated tier, and for a case that reaches
-    HOT_STEPS midway and runs again after promotion."""
+@given(gen_program())
+def test_recorded_pairs_are_in_the_decision_table(packed):
+    """Every pair a trace records is one of the method's outcome pairs."""
     text, fuel, cases = packed
     unit = parse_source(text, path="<gen>")
-    crossing = CaseEvaluator(unit, "G", "m", fuel=fuel)
-    crossing._cold_left = cold_left  # as if HOT_STEPS - cold_left steps ran cold
-    evaluators = [
-        CaseEvaluator(unit, "G", "m", fuel=fuel),
-        promoted(unit, "G", "m", fuel=fuel),
-        crossing,
-    ]
+    evaluator = CaseEvaluator(unit, "G", "m", fuel=fuel)
     for c in cases:
-        for evaluator in evaluators:
-            assert evaluator.run(c).outcomes <= evaluator.pairs, (text, c)
+        assert evaluator.run(c).outcomes <= evaluator.pairs, (text, c)
 
 
-# --- promotion to the generated tier --------------------------------------
+# --- the generated code ---------------------------------------------------
 
 TIER_SRC = """
 class Dep {
@@ -466,6 +444,10 @@ _TIER_SCENARIOS = [
 ]
 
 
+def _line_of(text, needle):
+    return text[: text.index(needle)].count("\n") + 1
+
+
 def _tier_case(i, params, mocks):
     full = {"n": 0, "k": 1, "x": 1.0 + i, "y": 2.0, "early": False}
     full.update(params)
@@ -475,41 +457,32 @@ def _tier_case(i, params, mocks):
     )
 
 
-def test_promotion_keeps_every_trace():
-    """One stream crosses HOT_STEPS midway through a case, which then runs
-    again on the generated tier. Every case, before and after the switch,
-    traces the same as on a fresh evaluator that never switched."""
+def test_tier_scenarios_match_oracle():
+    """One evaluator runs a stream of cases that mixes every way a run
+    ends, and each traces as the oracle does."""
     unit = parse_source(TIER_SRC, path="<tier>")
     fuel = 200
     evaluator = CaseEvaluator(unit, "H", "step", fuel=fuel)
-    cases = [
-        _tier_case(i, *_TIER_SCENARIOS[i % len(_TIER_SCENARIOS)]) for i in range(150)
-    ]
-    promoted_at = None
-    cold_steps = 0
-    hot_traces = []
-    for i, c in enumerate(cases):
+    oracle = OracleEvaluator(unit, "H", "step", fuel=fuel)
+    traces = []
+    for i in range(150):
+        c = _tier_case(i, *_TIER_SCENARIOS[i % len(_TIER_SCENARIOS)])
         trace = evaluator.run(c)
-        fresh = CaseEvaluator(unit, "H", "step", fuel=fuel)
-        cold = fresh.run(c)
-        assert fresh._cold_left is not None  # one case never promotes
-        assert (trace.outcomes, trace.crash, trace.steps) == (
-            cold.outcomes, cold.crash, cold.steps,
-        ), c
-        assert scalars_equal(trace.return_value, cold.return_value), c
-        if promoted_at is not None:
-            hot_traces.append(trace)
-        elif evaluator._cold_left is None:
-            promoted_at = i
-            assert cold_steps < HOT_STEPS < cold_steps + trace.steps
-        else:
-            cold_steps += trace.steps
-    assert promoted_at is not None and promoted_at < 100
-    assert {t.crash.kind for t in hot_traces if t.crash} == {
-        "FuelExhausted", "DivByZero", "UnmockedCall",
+        assert agree(trace, oracle.run(c)), c
+        traces.append(trace)
+    crashes = {
+        (t.crash.kind, t.crash.site.line if t.crash.site else None)
+        for t in traces if t.crash
     }
-    assert -math.inf in {t.return_value for t in hot_traces}
-    assert any(t.crash is None and t.return_value > 0 for t in hot_traces)
+    assert crashes == {
+        ("FuelExhausted", None),  # inside the loop
+        ("DivByZero", _line_of(TIER_SRC, "if (acc / k")),
+        ("UnmockedCall", _line_of(TIER_SRC, "while (")),
+    }
+    assert all(t.steps == fuel for t in traces if t.crash and t.crash.kind == "FuelExhausted")
+    # the early return, past the void call site, of x / -0.0
+    assert -math.inf in {t.return_value for t in traces}
+    assert any(t.crash is None and t.return_value > 0 for t in traces)
 
 
 def test_generated_source_holds_no_input_text():
@@ -541,10 +514,7 @@ def test_generated_source_holds_no_input_text():
     unit = parse_source(text, path="<same>")
     generated = []
     for class_name, method in (("P", "first"), ("Q", "second")):
-        e = CaseEvaluator(unit, class_name, method)
-        e._compile()
-        emitter = _Emitter(e.decisions, e._site_types, e._field_defaults)
-        generated.append(emitter.generate(e.method.body))
+        generated.append(CaseEvaluator(unit, class_name, method)._generate())
     (source_p, consts_p), (source_q, consts_q) = generated
     assert source_p == source_q
     assert consts_p != consts_q
@@ -552,19 +522,113 @@ def test_generated_source_holds_no_input_text():
         assert word not in source_p
 
 
-def test_method_too_nested_to_generate_stays_cold():
-    depth = 25  # CPython compiles at most 20 nested blocks
-    body = "".join(f"while (n > {i}) {{ n = n - 1; " for i in range(depth))
-    text = f"class A {{ public: int f(int n) {{ {body}{'}' * depth} return n; }} }};"
-    unit = parse_source(text, path="<deep>")
-    evaluator = CaseEvaluator(unit, "A", "f")
-    c = TestCase(id="d", target=("A", "f"), param_values={"n": 40},
-                 field_values={}, mock_plan={}, origin="Configured")
-    first = evaluator.run(c)
-    while evaluator._cold_left is not None:
-        assert evaluator.run(c) == first
-    assert evaluator.run(c) == first
-    assert first.return_value == 0
+# --- the deepest method the parser accepts --------------------------------
+#
+# Each while condition is MAX_EXPR_DEPTH deep (or one deeper) and means
+# `n > 0`; the shapes are those that nest generated code deepest: wrapped
+# int `*` and `+`, int `/`, nested parentheses, a run of `!`, and an `&&`
+# chain of conditions. Each is paired with the token where one level more
+# crosses the limit.
+
+
+def _arith(depth):  # n * 1 * ... * 1 + 0 + ... + 0 > 0, the chain depth - 1 long
+    terms = depth - 1
+    return "n" + " * 1" * (terms // 2) + " + 0" * (terms - 1 - terms // 2) + " > 0", " > "
+
+
+def _divide(depth):  # n * a / a / 1 / ... / 1 > 0: DivByZero when a == 0
+    return "n * a / a" + " / 1" * (depth - 4) + " > 0", " > "
+
+
+def _parens(depth):
+    return "(" * (depth - 2) + "n > 0" + ")" * (depth - 2), ">"
+
+
+def _bangs(depth):  # an odd run, so !...!(n <= 0) means n > 0
+    return "!" * (depth - 3) + "(n <= 0)", "<="
+
+
+def _conjunction(depth):  # depth - 1 conditions
+    atoms = ["n > 0" if i % 2 == 0 else "a == a" for i in range(depth - 1)]
+    return " && ".join(atoms), "&&"
+
+
+_SHAPES = [_arith, _divide, _parens, _bangs, _conjunction]
+
+
+def _deep_method(blocks, cond_depth=lambda level: MAX_EXPR_DEPTH):
+    """A method of `blocks` nested whiles; the condition of the one at
+    `level` (0 outermost) has shape `level % 5` and depth cond_depth(level).
+    Returns the text and, per level, the line and column of that shape's
+    crossing token."""
+    lines = ["class Deep {", "public:", "    int f(int n, int a) {"]
+    crossings = []
+    for level in range(blocks):
+        cond, token = _SHAPES[level % len(_SHAPES)](cond_depth(level))
+        head = "    " * (level + 2) + f"while ({cond}) {{"
+        lines.append(head)
+        lines.append("    " * (level + 3) + "n = n - 1;")
+        crossings.append((len(lines) - 1, head.rindex(token) + 1 + token.startswith(" ")))
+    for level in reversed(range(blocks)):
+        lines.append("    " * (level + 2) + "}")
+    lines += ["        return n;", "    }", "};", ""]
+    return "\n".join(lines), crossings
+
+
+def test_deepest_accepted_method_runs_generated_code_as_the_oracle_does():
+    text, _ = _deep_method(MAX_BLOCK_DEPTH)
+    unit = parse_source(text, path="<deepest>")
+    evaluator = CaseEvaluator(unit, "Deep", "f")
+    oracle = OracleEvaluator(unit, "Deep", "f")
+    traces = []
+    for n, a in ((0, 1), (1, 1), (20, 1), (20, -3), (MAX_BLOCK_DEPTH, 2), (5, 0), (6000, 1)):
+        c = TestCase(id=f"n{n}a{a}", target=("Deep", "f"), param_values={"n": n, "a": a},
+                     field_values={}, mock_plan={}, origin="Configured")
+        traces.append(evaluator.run(c))
+        assert agree(traces[-1], oracle.run(c)), c
+    assert evaluator._runner.__code__.co_filename == "<ultgen generated>"
+    innermost = f"Deep.f:D{MAX_BLOCK_DEPTH}"
+    assert (innermost, True) in traces[2].outcomes  # n = 20 reaches the inner loop
+    assert traces[2].return_value == 0
+    assert [t.crash.kind for t in traces if t.crash] == ["DivByZero", "FuelExhausted"]
+
+
+@pytest.mark.parametrize("level", range(len(_SHAPES)))
+def test_one_level_deeper_expression_is_a_parse_error(level):
+    text, crossings = _deep_method(
+        MAX_BLOCK_DEPTH, lambda at: MAX_EXPR_DEPTH + (at == level)
+    )
+    with pytest.raises(ParseError) as raised:
+        parse_source(text, path="<deeper>")
+    assert (raised.value.line, raised.value.column) == crossings[level]
+    assert raised.value.message == (
+        f"expression nested more than {MAX_EXPR_DEPTH} levels deep"
+    )
+
+
+@pytest.mark.parametrize(
+    "opener", ["while (n > 0) {", "if (n > 0) {", "if (n > 0) { n = 0; } else {"]
+)
+def test_one_block_deeper_is_a_parse_error(opener):
+    """Blocks nest through while bodies, if bodies and else bodies alike."""
+
+    def nest(blocks):
+        lines = ["class A {", "public:", "    int f(int n) {"]
+        lines += ["    " * (level + 2) + opener for level in range(blocks)]
+        lines.append("    " * (blocks + 2) + "n = n - 1;")
+        lines += ["    " * (level + 2) + "}" for level in reversed(range(blocks))]
+        return "\n".join(lines + ["        return n;", "    }", "};", ""])
+
+    parse_source(nest(MAX_BLOCK_DEPTH), path="<deepest>")
+    with pytest.raises(ParseError) as raised:
+        parse_source(nest(MAX_BLOCK_DEPTH + 1), path="<deeper>")
+    # the opener on line 4 + MAX_BLOCK_DEPTH, after its indent
+    assert (raised.value.line, raised.value.column) == (
+        4 + MAX_BLOCK_DEPTH, 4 * (MAX_BLOCK_DEPTH + 2) + 1,
+    )
+    assert raised.value.message == (
+        f"if/while statements nested more than {MAX_BLOCK_DEPTH} deep"
+    )
 
 
 def test_generated_tier_adds_each_pair_once_per_run(monkeypatch):
@@ -579,15 +643,14 @@ def test_generated_tier_adds_each_pair_once_per_run(monkeypatch):
 
     monkeypatch.setattr(interp, "set", CountingSet, raising=False)
     unit = parse_source(TIER_SRC, path="<tier>")
-    evaluator = promoted(unit, "H", "step")
+    evaluator = CaseEvaluator(unit, "H", "step")
     c = _tier_case(0, {"n": 40, "k": 1}, {("d", "more"): [True], ("d", "get"): [0, 1, 2]})
     trace = evaluator.run(c)
     assert trace.steps > 4 * 40  # 40 passes through the loop
     assert sorted(added) == sorted(trace.outcomes)
     assert len(trace.outcomes) == 13  # all but D1:T and d->more() false
-    fresh = CaseEvaluator(unit, "H", "step")
     monkeypatch.undo()
-    assert fresh.run(c) == trace
+    assert agree(trace, OracleEvaluator(unit, "H", "step").run(c))
 
 
 def test_same_shape_methods_share_one_code_object():
@@ -600,10 +663,8 @@ def test_same_shape_methods_share_one_code_object():
         int second(int x) { while (x > 700) { x = x - 5; sum = sum + 9; } return sum; } };
     """
     unit = parse_source(text, path="<shape>")
-    p = promoted(unit, "P", "first")
-    q = promoted(unit, "Q", "second")
-    assert p._runner.__code__ is q._runner.__code__
-    assert p._runner is not q._runner
+    p = CaseEvaluator(unit, "P", "first")
+    q = CaseEvaluator(unit, "Q", "second")
 
     def run(evaluator, name, value):
         return evaluator.run(TestCase(
@@ -614,3 +675,5 @@ def test_same_shape_methods_share_one_code_object():
 
     assert run(p, "a", 10).return_value == 14  # 7 passes of + 2
     assert run(q, "x", 720).return_value == 36  # 4 passes of + 9
+    assert p._runner.__code__ is q._runner.__code__
+    assert p._runner is not q._runner
