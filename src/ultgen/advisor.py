@@ -123,18 +123,27 @@ def _require(cond: bool, message: str, file: str, line: Optional[int] = None):
         raise SchemaError(message, file=file, line=line)
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise SchemaError(
+                f"not UTF-8 text ({e.reason} at byte {e.start})", file=path
+            ) from None
+
+
 def _read_jsonl(path: str) -> list[tuple[int, dict]]:
     out: list[tuple[int, dict]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"invalid JSON: {e.msg}", file=path, line=n) from None
-            _require(isinstance(data, dict), "record must be an object", path, n)
-            out.append((n, data))
+    for n, raw in enumerate(_read_text(path).split("\n"), start=1):
+        if not raw.strip():
+            continue
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"invalid JSON: {e.msg}", file=path, line=n) from None
+        _require(isinstance(data, dict), "record must be an object", path, n)
+        out.append((n, data))
     return out
 
 
@@ -224,11 +233,10 @@ def load_coverage(path: str) -> tuple[list[CoverageSnapshot], list[str]]:
 
 
 def load_component_map(path: str) -> ComponentMap:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e.msg}", file=path, line=e.lineno) from None
+    try:
+        data = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON: {e.msg}", file=path, line=e.lineno) from None
     _require(isinstance(data, dict) and set(data) == {"rules"},
              "component map needs exactly one key: rules", path)
     _require(isinstance(data["rules"], list) and data["rules"],

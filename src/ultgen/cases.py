@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
 from .decisions import Decision
-from .errors import ContractViolation, SchemaError, UnknownClass, UnknownTarget
+from .errors import ContractViolation, SchemaError, UnknownTarget
 from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, _fits, check_values
 from .rng import SplitMix64
 
@@ -89,7 +89,18 @@ def case_to_json(case: TestCase) -> dict:
     return out
 
 
-def case_from_json(data: dict) -> TestCase:
+def case_from_json(data: object) -> TestCase:
+    """A case read back from `case_to_json`'s form. A record that is not an
+    object, or whose target is not [class, method] or whose params, fields
+    or mocks are not objects, is a TypeError."""
+    if not isinstance(data, dict):
+        raise TypeError("a case record must be a JSON object")
+    target = data["target"]
+    if not isinstance(target, list) or [type(name) for name in target] != [str, str]:
+        raise TypeError(f"target must be [class, method], got {target!r}")
+    for key in ("params", "fields", "mocks"):
+        if not isinstance(data.get(key, {}), dict):
+            raise TypeError(f"{key} must be an object")
     mocks: dict[MockKey, list[Scalar]] = {}
     for dotted, script in data.get("mocks", {}).items():
         f, _, m = dotted.partition(".")
@@ -99,7 +110,7 @@ def case_from_json(data: dict) -> TestCase:
         seed_info = (data["seed"], data.get("candidate_index", 0))
     return TestCase(
         id=data["id"],
-        target=tuple(data["target"]),
+        target=tuple(target),
         param_values={k: _scalar_from_json(v) for k, v in data.get("params", {}).items()},
         field_values={k: _scalar_from_json(v) for k, v in data.get("fields", {}).items()},
         mock_plan=mocks,
@@ -162,17 +173,11 @@ class _ConfigReader:
                 raise SchemaError(f"{class_name}: 'methods' must be an object")
             for method_name, method_cfg in methods.items():
                 path = f"{class_name}.{method_name}"
-                evaluator = self._evaluator_for(class_name, method_name, path)
+                evaluator = CaseEvaluator(self.unit, class_name, method_name)
                 self._read_method(
                     evaluator, method_cfg, path, cases, overrides
                 )
         return CaseConfig(cases=tuple(cases), pool_overrides=overrides)
-
-    def _evaluator_for(self, class_name: str, method_name: str, path: str):
-        try:
-            return CaseEvaluator(self.unit, class_name, method_name)
-        except UnknownClass:
-            raise UnknownTarget(path) from None
 
     def _read_method(self, evaluator, cfg, path, cases, overrides) -> None:
         if not isinstance(cfg, dict):

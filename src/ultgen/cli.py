@@ -17,6 +17,7 @@ Artifacts only ever go under `-o` paths. Exit codes: 0 success, 1 error
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -73,6 +74,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise UltgenError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UltgenError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _parse_file(path: str) -> SourceUnit:
@@ -85,6 +88,17 @@ def _sha256(text: str) -> str:
 
 def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=2))
+
+
+def _write_json(path: Path, obj: object) -> None:
+    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0 <= threshold <= 100:  # also false for nan
+        raise UltgenError(
+            f"--threshold must be a finite number in [0, 100], got {threshold}"
+        )
 
 
 def _resolve_seed(flag: Optional[int]) -> int:
@@ -172,7 +186,7 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
         for name, _ in bundle.files:
             path = out_dir / name
             if path.exists():
-                previous[name] = path.read_text(encoding="utf-8")
+                previous[name] = _read_text(str(path))
         bundle = merge_bundle(bundle, previous)
     written = _write_bundle(bundle, out_dir)
     payload = {
@@ -180,7 +194,9 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
         "files": written,
         "auto_line_count": bundle.auto_line_count,
         "anchor_line_count": bundle.anchor_line_count,
-        "generation_ratio": measure_generation_ratio(bundle),
+        "generation_ratio": measure_generation_ratio(
+            bundle.auto_line_count, bundle.anchor_line_count
+        ),
         "warnings": list(bundle.warnings),
     }
     for warning in bundle.warnings:
@@ -249,11 +265,7 @@ def cmd_cases(args: argparse.Namespace) -> int:
         unit, args.class_name, args.method, config, configured, args.budget, seed
     )
     out_path = Path(args.out)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for case in list(configured) + list(result.kept):
-            fh.write(json.dumps(case_to_json(case)) + "\n")
+    _write_cases(out_path, [*configured, *result.kept])
     target = f"{args.class_name}.{args.method}"
     payload = {
         "target": target,
@@ -275,6 +287,14 @@ def cmd_cases(args: argparse.Namespace) -> int:
         )
         print(f"wrote {out_path}")
     return 0
+
+
+def _write_cases(path: Path, cases: Sequence[TestCase]) -> None:
+    """Write a case file: one JSON record per line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for case in cases:
+            fh.write(json.dumps(case_to_json(case)) + "\n")
 
 
 # --- coverage ---------------------------------------------------------------
@@ -311,7 +331,19 @@ def _pair_label(pair: tuple[str, bool]) -> str:
     return f"{entity}:{'T' if outcome else 'F'}"
 
 
+def _coverage_payload(methods: Sequence[MethodCoverage], threshold: float) -> dict:
+    """The coverage report `coverage --json` prints and `run` writes."""
+    report = aggregate_report(methods)
+    return {
+        "methods": [_method_row(mc) for mc in methods],
+        "functional_pct": report.functional_pct,
+        "conditional_pct": report.conditional_pct,
+        "threshold": threshold,
+    }
+
+
 def cmd_coverage(args: argparse.Namespace) -> int:
+    _check_threshold(args.threshold)
     unit = _parse_file(args.src)
     cases = _load_case_file(args.cases)
     by_target: dict[tuple[str, str], list[TestCase]] = {}
@@ -336,14 +368,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
             traces.append(evaluator.run(case))
         methods.append(compute_coverage(traces, evaluator))
 
-    rows = [_method_row(mc) for mc in methods]
-    report = aggregate_report(methods)
-    payload = {
-        "methods": rows,
-        "functional_pct": report.functional_pct,
-        "conditional_pct": report.conditional_pct,
-        "threshold": args.threshold,
-    }
+    payload = _coverage_payload(methods, args.threshold)
+    rows = payload["methods"]
     if args.json:
         _print_json(payload)
     else:
@@ -355,11 +381,11 @@ def cmd_coverage(args: argparse.Namespace) -> int:
                 f"  {r['conditional_pct']:6.1f}%  passing: {flag}"
             )
         print(
-            f"functional {report.functional_pct:.1f}%  "
-            f"conditional {report.conditional_pct:.1f}%  "
+            f"functional {payload['functional_pct']:.1f}%  "
+            f"conditional {payload['conditional_pct']:.1f}%  "
             f"(threshold {args.threshold:.0f}%)"
         )
-    return 1 if report.conditional_pct < args.threshold else 0
+    return 1 if payload["conditional_pct"] < args.threshold else 0
 
 
 # --- advise -----------------------------------------------------------------
@@ -470,17 +496,15 @@ class _StageError(UltgenError):
     pass
 
 
+@contextlib.contextmanager
 def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, UltgenError) and not isinstance(exc, _StageError):
-                raise _StageError(f"stage {name!r}: {exc}") from None
-            return False
-
-    return _Ctx()
+    """Report a tool error raised inside as an error of stage `name`."""
+    try:
+        yield
+    except _StageError:
+        raise
+    except UltgenError as e:
+        raise _StageError(f"stage {name!r}: {e}") from None
 
 
 def _collect_sources(src_dir: Path) -> list[Path]:
@@ -506,6 +530,7 @@ def _parse_tree(src_dir: Path, sources: list[Path], texts: list[str]) -> SourceU
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _check_threshold(args.threshold)
     src_dir = Path(args.src)
     if not src_dir.is_dir():
         raise UltgenError(f"{args.src}: not a directory")
@@ -524,7 +549,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     inputs: dict[str, str] = {}
     texts = []
     for path in sources:
-        text = path.read_text(encoding="utf-8")
+        text = _read_text(str(path))
         inputs[path.relative_to(src_dir).as_posix()] = _sha256(text)
         texts.append(text)
     with _stage("parse"):
@@ -543,9 +568,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 args.bugs, args.commits, args.coverage_history, args.map,
                 args.tau, _parse_grid(args.grid),
             )
-            (out_dir / "advise.json").write_text(
-                json.dumps(advise, indent=2) + "\n", encoding="utf-8"
-            )
+            _write_json(out_dir / "advise.json", advise)
             gap_count = advise["gap_count"]
             stages["advise"] = {
                 "gap_count": gap_count,
@@ -577,10 +600,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "files": [f"scaffold/{name}" for name in sorted(file_texts)],
             "auto_line_count": auto_total,
             "anchor_line_count": anchor_total,
-            "generation_ratio": (
-                auto_total / (auto_total + anchor_total)
-                if auto_total + anchor_total else 1.0
-            ),
+            "generation_ratio": measure_generation_ratio(auto_total, anchor_total),
         }
 
     with _stage("cases"):
@@ -606,9 +626,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 kept_total += len(result.kept)
                 candidates_total += result.candidates_run
                 methods.append(result.coverage)
-        with open(out_dir / "cases.jsonl", "w", encoding="utf-8") as fh:
-            for case in all_cases:
-                fh.write(json.dumps(case_to_json(case)) + "\n")
+        _write_cases(out_dir / "cases.jsonl", all_cases)
         stages["cases"] = {
             "configured": configured_total,
             "fuzzed_kept": kept_total,
@@ -617,23 +635,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
 
     with _stage("coverage"):
-        report = aggregate_report(methods)
-        coverage_payload = {
-            "methods": [_method_row(mc) for mc in methods],
-            "functional_pct": report.functional_pct,
-            "conditional_pct": report.conditional_pct,
-            "threshold": args.threshold,
-        }
-        (out_dir / "coverage.json").write_text(
-            json.dumps(coverage_payload, indent=2) + "\n", encoding="utf-8"
-        )
+        coverage = _coverage_payload(methods, args.threshold)
+        _write_json(out_dir / "coverage.json", coverage)
         stages["coverage"] = {
-            "functional_pct": report.functional_pct,
-            "conditional_pct": report.conditional_pct,
+            "functional_pct": coverage["functional_pct"],
+            "conditional_pct": coverage["conditional_pct"],
             "report": "coverage.json",
         }
 
-    exit_code = 2 if (gap_count > 0 or report.conditional_pct < args.threshold) else 0
+    exit_code = 2 if (gap_count > 0 or coverage["conditional_pct"] < args.threshold) else 0
     manifest = {
         "tool_version": __version__,
         "seed": seed,
@@ -642,17 +652,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         "stages": stages,
         "exit_code": exit_code,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
     if args.json:
         _print_json(manifest)
     else:
         print(f"classes: {len(classes)}  cases: {len(all_cases)}")
         print(
             f"generation ratio {stages['scaffold']['generation_ratio']:.4f}  "
-            f"functional {report.functional_pct:.1f}%  "
-            f"conditional {report.conditional_pct:.1f}%"
+            f"functional {coverage['functional_pct']:.1f}%  "
+            f"conditional {coverage['conditional_pct']:.1f}%"
         )
         if "advise" in stages:
             print(f"highlighted gaps: {gap_count}")

@@ -3,6 +3,15 @@
 Nodes are plain dataclasses. Source spans and checker-derived types are
 excluded from equality so structural comparison ignores layout: two parses
 of differently formatted but identical programs compare equal.
+
+The parser's resolver fills in what name resolution finds, once, and later
+stages read it instead of walking the tree again: each expression's
+`type_`, each class's `all_fields`/`all_methods` (own members plus
+inherited ones, which the evaluator reads for a method's inputs and mock
+keys), and each method's `call_types` (the evaluator's mock types and
+emitted call sites). `SourceUnit.class_named` answers from an index built
+when the unit is made. The tables are dicts kept out of the constructor,
+equality and repr, and `walk` does not enter them.
 """
 
 from __future__ import annotations
@@ -186,6 +195,11 @@ class MethodDecl:
     body: Block
     access: str = "public"
     span: Span = field(default=NO_SPAN, compare=False)
+    # Set by the checker: the type of each (field, method) call key of the
+    # body, in pre-order of first use.
+    call_types: dict[tuple[str, str], str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
 
 @dataclass
@@ -195,13 +209,21 @@ class ClassDecl:
     fields: list[FieldDecl]
     methods: list[MethodDecl]
     span: Span = field(default=NO_SPAN, compare=False)
+    # Set by the resolver: members by name, inherited ones first, each
+    # override in place of the method it overrides.
+    all_fields: dict[str, FieldDecl] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    all_methods: dict[str, MethodDecl] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
-    def dependencies(self) -> frozenset[str]:
-        """Class names referenced by this class's own reference fields."""
-        return frozenset(
-            f.type.class_name for f in self.fields if isinstance(f.type, RefType)
-        )
+    def dependencies(self) -> list[str]:
+        """Class names referenced by this class's own reference fields, in
+        first-reference order, each once."""
+        refs = (f.type for f in self.fields if isinstance(f.type, RefType))
+        return list(dict.fromkeys(ref.class_name for ref in refs))
 
     def method_named(self, name: str) -> Optional[MethodDecl]:
         for m in self.methods:
@@ -227,10 +249,12 @@ class SourceUnit:
     decls: list[Decl]
 
     def __post_init__(self) -> None:
-        # name -> first ClassDecl of that name among decls[:_indexed]. Not a
-        # dataclass field, so equality, repr and walk() ignore it.
+        # name -> first ClassDecl of that name. Not a dataclass field, so
+        # equality, repr and walk() ignore it; decls is complete by now.
         self._class_index: dict[str, ClassDecl] = {}
-        self._indexed = 0
+        for d in self.decls:
+            if isinstance(d, ClassDecl):
+                self._class_index.setdefault(d.name, d)
 
     @property
     def classes(self) -> list[ClassDecl]:
@@ -241,16 +265,7 @@ class SourceUnit:
         return [d for d in self.decls if isinstance(d, ExternDecl)]
 
     def class_named(self, name: str) -> Optional[ClassDecl]:
-        """The first class declared with this name, or None.
-
-        ``decls`` is append-only (the parser appends while it reads), so
-        the index only has to take in declarations added since last time.
-        """
-        if self._indexed < len(self.decls):
-            for d in self.decls[self._indexed :]:
-                if isinstance(d, ClassDecl):
-                    self._class_index.setdefault(d.name, d)
-            self._indexed = len(self.decls)
+        """The first class declared with this name, or None."""
         return self._class_index.get(name)
 
 

@@ -3,6 +3,13 @@
 `parse_source` runs two passes: a syntax pass producing an untyped tree,
 then a resolution pass that binds names (parameter vs field), checks types,
 and enforces unit-level invariants. Grammar reference: docs/cutlang.md.
+
+The resolution pass is the one place that resolves names, and it keeps
+what it finds on the tree: every expression's `type_`, each class's
+`all_fields`/`all_methods` (inherited members included) and each method's
+`call_types` (the type of each dependency call key, `int` for an extern
+dependency). The case evaluator, and the case builder through it, reads
+these instead of resolving again.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .nodes import (
     BoolLit,
     CallExpr,
     ClassDecl,
+    Decl,
     Expr,
     ExprStmt,
     ExternDecl,
@@ -107,17 +115,17 @@ class _Parser:
     # -- declarations ------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
-        unit = SourceUnit(path=self.path, decls=[])
+        decls: list[Decl] = []
         while self.cur.kind != "eof":
             if self.cur.is_keyword("extern"):
-                unit.decls.append(self.parse_extern())
+                decls.append(self.parse_extern())
             elif self.cur.is_keyword("class"):
-                unit.decls.append(self.parse_class())
+                decls.append(self.parse_class())
             else:
                 raise self.error(
                     f"expected a class declaration, found {self._describe(self.cur)}"
                 )
-        return unit
+        return SourceUnit(path=self.path, decls=decls)
 
     def parse_extern(self) -> ExternDecl:
         start = self.advance()  # extern
@@ -389,25 +397,23 @@ class _Parser:
 
 
 class _Resolver:
-    """Second pass: name binding, inheritance linearization, type checking."""
+    """Second pass: name binding, inheritance linearization, type checking.
+
+    Looks classes up through the unit's own index (`class_named`) and
+    stores each class's member tables on the class itself."""
 
     def __init__(self, unit: SourceUnit, path: str):
         self.unit = unit
         self.path = path
-        self.class_table: dict[str, ClassDecl] = {}
         self.extern_names: set[str] = set()
-        # class -> effective member tables (inherited + own)
-        self.all_fields: dict[str, dict[str, FieldDecl]] = {}
-        self.all_methods: dict[str, dict[str, MethodDecl]] = {}
 
     def err(self, cls: type, message: str, span: Span) -> Exception:
         return cls(message, line=span.line, column=span.column, path=self.path)
 
     def run(self) -> None:
         self.collect_names()
-        order = self.linearize()
-        for name in order:
-            self.build_member_tables(self.class_table[name])
+        for cls in self.linearize():
+            self.build_member_tables(cls)
         for cls in self.unit.classes:
             for method in cls.methods:
                 _MethodChecker(self, cls, method).check()
@@ -416,40 +422,37 @@ class _Resolver:
         for decl in self.unit.decls:
             if isinstance(decl, ExternDecl):
                 self.extern_names.add(decl.name)
-        for cls in self.unit.classes:
-            if cls.name in self.class_table:
+            elif self.unit.class_named(decl.name) is not decl:
                 raise self.err(
-                    DuplicateName, f"duplicate class name {cls.name!r}", cls.span
+                    DuplicateName, f"duplicate class name {decl.name!r}", decl.span
                 )
-            self.class_table[cls.name] = cls
 
     def known_class(self, name: str) -> bool:
-        return name in self.class_table or name in self.extern_names
+        return self.unit.class_named(name) is not None or name in self.extern_names
 
     def require_class(self, name: str, span: Span) -> None:
         if not self.known_class(name):
             raise self.err(TypeCheckError, f"unknown class {name!r}", span)
 
-    def linearize(self) -> list[str]:
+    def linearize(self) -> list[ClassDecl]:
         """Topological order of classes, bases first; detects cycles."""
-        order: list[str] = []
+        order: list[ClassDecl] = []
         state: dict[str, int] = {}  # 1 = in progress, 2 = done
 
-        def visit(name: str, chain: list[str]) -> None:
-            if state.get(name) == 2:
+        def visit(cls: ClassDecl, chain: list[str]) -> None:
+            if state.get(cls.name) == 2:
                 return
-            if state.get(name) == 1:
-                cls = self.class_table[name]
+            if state.get(cls.name) == 1:
                 raise self.err(
                     TypeCheckError,
-                    "inheritance cycle: " + " -> ".join(chain + [name]),
+                    "inheritance cycle: " + " -> ".join(chain + [cls.name]),
                     cls.span,
                 )
-            state[name] = 1
-            cls = self.class_table[name]
+            state[cls.name] = 1
             if cls.base is not None:
-                if cls.base in self.class_table:
-                    visit(cls.base, chain + [name])
+                base = self.unit.class_named(cls.base)
+                if base is not None:
+                    visit(base, chain + [cls.name])
                 else:
                     self.require_class(cls.base, cls.span)
                     raise self.err(
@@ -457,19 +460,20 @@ class _Resolver:
                         f"cannot inherit from extern class {cls.base!r}",
                         cls.span,
                     )
-            state[name] = 2
-            order.append(name)
+            state[cls.name] = 2
+            order.append(cls)
 
-        for name in self.class_table:
-            visit(name, [])
+        for cls in self.unit.classes:
+            visit(cls, [])
         return order
 
     def build_member_tables(self, cls: ClassDecl) -> None:
         fields: dict[str, FieldDecl] = {}
         methods: dict[str, MethodDecl] = {}
-        if cls.base is not None and cls.base in self.class_table:
-            fields.update(self.all_fields[cls.base])
-            methods.update(self.all_methods[cls.base])
+        if cls.base is not None:  # a class, built earlier by linearize order
+            base = self.unit.class_named(cls.base)
+            fields.update(base.all_fields)
+            methods.update(base.all_methods)
         for f in cls.fields:
             if f.name in fields:
                 raise self.err(
@@ -520,8 +524,8 @@ class _Resolver:
                         DuplicateName, f"duplicate parameter {p.name!r}", p.span
                     )
                 seen_params.add(p.name)
-        self.all_fields[cls.name] = fields
-        self.all_methods[cls.name] = methods
+        cls.all_fields = fields
+        cls.all_methods = methods
 
 
 class _MethodChecker:
@@ -532,7 +536,7 @@ class _MethodChecker:
         self.cls = cls
         self.method = method
         self.params = {p.name: p.type for p in method.params}
-        self.fields = resolver.all_fields[cls.name]
+        self.fields = cls.all_fields
 
     def err(self, message: str, span: Span) -> Exception:
         return self.r.err(TypeCheckError, message, span)
@@ -654,8 +658,9 @@ class _MethodChecker:
             raise self.err(f"field {name!r} is not a reference, cannot call", e.span)
         e.receiver.type_ = f_type
         target = f_type.class_name
-        if target in self.r.class_table:
-            m = self.r.all_methods[target].get(e.method)
+        target_cls = self.r.unit.class_named(target)
+        if target_cls is not None:
+            m = target_cls.all_methods.get(e.method)
             if m is None:
                 raise self.err(f"class {target!r} has no method {e.method!r}", e.span)
             if m.params:
@@ -667,6 +672,7 @@ class _MethodChecker:
         else:
             # Extern surface is unknown; int is the documented assumption.
             e.type_ = "int"
+        self.method.call_types.setdefault((name, e.method), e.type_)
         return e
 
     def type_binary(self, e: Binary) -> Binary:

@@ -186,15 +186,6 @@ def all_pairs(decisions: Sequence[Decision]) -> frozenset[tuple[str, bool]]:
     return frozenset(pairs)
 
 
-def method_call_sites(method: MethodDecl) -> list[tuple[CallSite, Expr]]:
-    """Every CallExpr in the body, pre-order, with its (field, method) key."""
-    sites: list[tuple[CallSite, Expr]] = []
-    for node in walk(method.body):
-        if isinstance(node, CallExpr):
-            sites.append(((node.receiver.name, node.method), node))
-    return sites
-
-
 def decisions_table(decisions: list[Decision]) -> list[dict]:
     """JSON-friendly rendering used by the CLI and reports."""
     from .cutlang.printer import print_expr

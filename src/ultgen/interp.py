@@ -23,6 +23,13 @@ accepts compiles.
 `run` trusts its case: callers pass cases that `check` accepted or that
 were built from checked values (configured cases, fuzz pools).
 
+Nothing here resolves a name again. A CaseEvaluator reads what the
+parser's resolver left on the tree: the class's `all_methods` (to find the
+method, inherited or overriding) and `all_fields` (the scalar fields a case
+may set, the reference fields a mock key may name), a dependency class's
+`all_methods` (the return type of a mock key), and the method's
+`call_types` (its mock types and which call sites are void).
+
 Semantics pinned here and mirrored by the independent test oracle:
   - int is 64-bit two's complement; arithmetic wraps, division truncates
     toward zero, and only integer division by zero is a DivByZero crash.
@@ -50,7 +57,6 @@ from .cutlang.nodes import (
     Block,
     BoolLit,
     CallExpr,
-    ClassDecl,
     Expr,
     ExprStmt,
     FieldRef,
@@ -68,7 +74,7 @@ from .cutlang.nodes import (
     While,
 )
 from .cutlang.printer import print_method
-from .decisions import Decision, all_pairs, extract_decisions, method_call_sites
+from .decisions import Decision, all_pairs, extract_decisions
 from .errors import ContractViolation, UnknownClass, UnknownTarget
 
 if TYPE_CHECKING:
@@ -221,13 +227,13 @@ class _Emitter:
     def __init__(
         self,
         decisions: list[Decision],
-        site_types: dict[tuple[str, str], str],
+        call_types: dict[tuple[str, str], str],
         field_defaults: dict[str, Scalar],
     ):
         # Decision and condition ids keyed by the id() of their AST node.
         self.decision_ids = {id(d.expr): d.id for d in decisions}
         self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
-        self.site_types = site_types
+        self.call_types = call_types
         self.field_defaults = field_defaults
         self.consts: list[object] = []
         self.prologue: list[str] = []
@@ -389,7 +395,7 @@ class _Emitter:
 
     def _call(self, e: CallExpr) -> str:
         key = (e.receiver.name, e.method)
-        if self.site_types.get(key) == "void":
+        if self.call_types.get(key) == "void":
             return "None"
         cursor = self.cursors.get(key)
         if cursor is None:
@@ -451,7 +457,7 @@ class CaseEvaluator:
         cls = unit.class_named(class_name)
         if cls is None:
             raise UnknownClass(f"class {class_name!r} not found in {unit.path}")
-        method = self._find_method(unit, cls, method_name)
+        method = cls.all_methods.get(method_name)
         if method is None:
             raise UnknownTarget(f"{class_name}.{method_name}")
         if fuel < 1:
@@ -469,64 +475,27 @@ class CaseEvaluator:
         # What a case may set: parameters in declaration order, and scalar
         # fields (inherited ones included) by name.
         self.param_types = {p.name: p.type for p in method.params}
-        self.field_types, self._ref_fields = self._effective_fields(unit, cls)
+        fields = cls.all_fields.values()
+        self.field_types = {f.name: f.type for f in fields if type(f.type) is str}
         self._runner: Optional[_Runner] = None  # set by _compile on the first run
-
-    @staticmethod
-    def _find_method(
-        unit: SourceUnit, cls: ClassDecl, name: str
-    ) -> Optional[MethodDecl]:
-        cur: Optional[ClassDecl] = cls
-        while cur is not None:
-            m = cur.method_named(name)
-            if m is not None:
-                return m
-            cur = unit.class_named(cur.base) if cur.base else None
-        return None
-
-    @staticmethod
-    def _effective_fields(
-        unit: SourceUnit, cls: ClassDecl
-    ) -> tuple[dict[str, str], dict[str, str]]:
-        """(scalar fields name->type, ref fields name->class) incl. inherited."""
-        chain: list[ClassDecl] = []
-        cur: Optional[ClassDecl] = cls
-        while cur is not None:
-            chain.append(cur)
-            cur = unit.class_named(cur.base) if cur.base else None
-        scalars: dict[str, str] = {}
-        refs: dict[str, str] = {}
-        for c in reversed(chain):
-            for f in c.fields:
-                if isinstance(f.type, RefType):
-                    refs[f.name] = f.type.class_name
-                else:
-                    scalars[f.name] = f.type
-        return scalars, refs
-
-    @cached_property
-    def _site_types(self) -> dict[tuple[str, str], str]:
-        """Static return type per (field, method) call key in the body, in
-        pre-order of first use. Built on first use, so evaluators that never
-        run or build a case skip the walk."""
-        return {key: node.type_ or "int" for key, node in method_call_sites(self.method)}
 
     @cached_property
     def mock_types(self) -> dict[tuple[str, str], str]:
-        """Value type per value-returning call site, in the order of
-        `_site_types`: the mock scripts a case of the method may need."""
-        return {k: t for k, t in self._site_types.items() if t != "void"}
+        """Value type per value-returning call site, in `call_types` order:
+        the mock scripts a case of the method may need."""
+        return {k: t for k, t in self.method.call_types.items() if t != "void"}
 
     def mock_type(self, key: tuple[str, str]) -> str:
         """The scripted type of mock key (field, method), which must name a
         value-returning method of a reference field's class."""
         f_name, m_name = key
-        if f_name not in self._ref_fields:
+        ref = self.cls.all_fields.get(f_name)
+        if ref is None or not isinstance(ref.type, RefType):
             raise ContractViolation(f"mock key {key} names no reference field")
-        dep = self.unit.class_named(self._ref_fields[f_name])
+        dep = self.unit.class_named(ref.type.class_name)
         if dep is None:
             return "int"  # extern dependency: documented assumption
-        m = self._find_method(self.unit, dep, m_name)
+        m = dep.all_methods.get(m_name)
         if m is None or m.return_type == "void":
             raise ContractViolation(f"no scriptable method for mock key {key}")
         return m.return_type
@@ -534,7 +503,7 @@ class CaseEvaluator:
     def _generate(self) -> tuple[str, list[object]]:
         """The source of the method's `_make` and the values to bind to it."""
         defaults = {name: TYPE_DEFAULTS[t] for name, t in self.field_types.items()}
-        emitter = _Emitter(self.decisions, self._site_types, defaults)
+        emitter = _Emitter(self.decisions, self.method.call_types, defaults)
         return emitter.generate(self.method.body)
 
     def _compile(self) -> _Runner:
@@ -586,8 +555,9 @@ class CaseEvaluator:
         """The scripted type of a mock key with no value-returning call site
         in the body, after every check on the key, in order: reference
         field, void call site, empty script, scriptable method."""
-        if key[0] in self._ref_fields:
-            if self._site_types.get(key) == "void":
+        ref = self.cls.all_fields.get(key[0])
+        if ref is not None and isinstance(ref.type, RefType):
+            if self.method.call_types.get(key) == "void":
                 raise ContractViolation(f"call {key[0]}->{key[1]}() returns void")
             if not script:
                 raise ContractViolation(f"empty mock script for {key}")

@@ -100,15 +100,6 @@ def _close_header(f: _File) -> None:
     f.add("", "#endif")
 
 
-def _dependency_order(cls: ClassDecl) -> list[str]:
-    """Dependency class names in first-reference order."""
-    seen: list[str] = []
-    for field in cls.fields:
-        if isinstance(field.type, RefType) and field.type.class_name not in seen:
-            seen.append(field.type.class_name)
-    return seen
-
-
 def public_methods(cls: ClassDecl) -> list[MethodDecl]:
     """Declared public methods, the surface the fixture exercises."""
     return [m for m in cls.methods if m.access == "public"]
@@ -118,7 +109,7 @@ def _emit_fixture(cls: ClassDecl) -> _File:
     f = _File(fixture_file_name(cls.name))
     _open_header(f)
     f.add(f'#include "{test_file_name(cls.name)}"')
-    for dep in _dependency_order(cls):
+    for dep in cls.dependencies:
         f.add(f'#include "{mock_file_name(dep)}"')
     f.add("")
     member = f"test{cls.name}"
@@ -198,7 +189,7 @@ def generate_scaffold(unit: SourceUnit, class_name: str) -> ScaffoldBundle:
         raise UnknownClass(f"class {class_name!r} not found in {unit.path}")
     files = [_emit_fixture(cls), _emit_test_class(cls)]
     notes: list[str] = []
-    for dep_name in _dependency_order(cls):
+    for dep_name in cls.dependencies:
         dep = unit.class_named(dep_name)
         if dep is None:
             note = (
@@ -247,9 +238,10 @@ def count_lines(files: tuple[tuple[str, str], ...]) -> tuple[int, int]:
     return auto, anchor
 
 
-def measure_generation_ratio(bundle: ScaffoldBundle) -> float:
-    total = bundle.auto_line_count + bundle.anchor_line_count
-    return bundle.auto_line_count / total
+def measure_generation_ratio(auto_lines: int, anchor_lines: int) -> float:
+    """Share of scaffold lines that are generated, not anchored."""
+    total = auto_lines + anchor_lines
+    return auto_lines / total if total else 1.0
 
 
 def _region_map(text: str) -> dict[str, list[str]]:

@@ -152,6 +152,49 @@ def test_decisions_missing_file(invoke):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "decisions", "scaffold", "scaffold --merge", "cases", "cases --config",
+        "coverage", "coverage --cases", "run", "run --config", "run --map",
+        "advise --bugs", "advise --commits", "advise --coverage", "advise --map",
+    ],
+)
+def test_non_utf8_input_is_an_error_naming_the_file(
+    invoke, turnstile, project_dir, history_dir, golden_dir, tmp_path, entry
+):
+    hist = tmp_path / "history"
+    shutil.copytree(history_dir, hist)
+    out = tmp_path / "out"
+    bad = {
+        "--bugs": hist / "bugs.jsonl", "--commits": hist / "commits.jsonl",
+        "--coverage": hist / "coverage.jsonl", "--map": hist / "map.json",
+        "--merge": out / "a_test_fixture.h",  # an old output file
+    }.get(entry.split(" ")[-1], tmp_path / "src" / "bad.cut")
+    bad.parent.mkdir(exist_ok=True)
+    bad.write_bytes(b"class A { };\n// \xff\n")
+    args = {
+        "decisions": ("decisions", bad, "--class", "A"),
+        "scaffold": ("scaffold", bad, "--class", "A", "-o", out),
+        "scaffold --merge": ("scaffold", golden_dir / "class_a.cut", "--class", "A",
+                             "-o", out, "--merge"),
+        "cases": ("cases", bad, "--class", "A", "--method", "f", "-o", out / "c.jsonl"),
+        "cases --config": ("cases", turnstile, "--class", "Turnstile", "--method",
+                           "push", "--config", bad, "-o", out / "c.jsonl"),
+        "coverage": ("coverage", bad, "--cases", bad),
+        "coverage --cases": ("coverage", turnstile, "--cases", bad),
+        "run": ("run", bad.parent, "-o", out),
+        "run --config": ("run", project_dir / "src", "-o", out, "--config", bad),
+        "run --map": ("run", project_dir / "src", "-o", out,
+                      *_history_args(hist, flag="--coverage-history")),
+    }.get(entry, ("advise", *_history_args(hist)))
+    code, stdout, err = invoke(*args)
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"ultgen: error: {bad}: not UTF-8 text (invalid start byte at byte 16)\n"
+    )
+
+
 # --- nesting limits ---------------------------------------------------------
 
 # Per shape: the return type and body of `f` nested `depth` deep, and the
@@ -495,6 +538,40 @@ def test_coverage_bad_case_file(invoke, turnstile, tmp_path):
     assert code == 1
     assert "bad case record" in err
     assert ":1" in err
+    # Records of the wrong shape, each after a good one, as CASE_SCHEMA has it.
+    good = json.dumps(_manual_case(["Turnstile", "push"], {"coins": 1}))
+    for record, reason in [
+        ("[1]", "a case record must be a JSON object"),
+        (
+            '{"id": "x", "target": ["Turnstile", "push", 5]}',
+            "target must be [class, method], got ['Turnstile', 'push', 5]",
+        ),
+        ('{"id": "x", "target": "Af"}', "target must be [class, method], got 'Af'"),
+        ('{"id": "x", "target": ["Turnstile", "push"], "mocks": [1]}',
+         "mocks must be an object"),
+    ]:
+        case_file.write_text(good + "\n" + record + "\n")
+        code, out, err = invoke("coverage", turnstile, "--cases", case_file)
+        assert (code, out) == (1, "")
+        assert err == f"ultgen: error: {case_file}:2: bad case record: {reason}\n"
+
+
+@pytest.mark.parametrize("threshold", ["150", "-1", "nan", "inf"])
+def test_threshold_must_be_a_percentage(invoke, turnstile, corpus_dir, tmp_path, threshold):
+    """Checked before any work: the case file is never read, and `run`
+    writes nothing."""
+    out_dir = tmp_path / "out"
+    for args in [
+        ("coverage", turnstile, "--cases", tmp_path / "missing.jsonl"),
+        ("run", corpus_dir, "-o", out_dir),
+    ]:
+        code, out, err = invoke(*args, f"--threshold={threshold}")
+        assert (code, out) == (1, "")
+        assert err == (
+            "ultgen: error: --threshold must be a finite number in [0, 100], "
+            f"got {float(threshold)}\n"
+        )
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from ultgen.decisions import (
     classify_atom,
     decisions_table,
     extract_decisions,
-    method_call_sites,
     split_conditions,
 )
 from ultgen.schemas import DECISIONS_SCHEMA
@@ -137,8 +136,7 @@ def test_call_sites_preorder_with_duplicates():
         "class A { public: D* d;"
         " int f() { if (d->get() > d->put()) { return d->get(); } return 0; } };"
     )
-    sites = [key for key, _ in method_call_sites(m)]
-    assert sites == [("d", "get"), ("d", "put"), ("d", "get")]
+    assert list(m.call_types) == [("d", "get"), ("d", "put")]
 
 
 def test_table_matches_schema():

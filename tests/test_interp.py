@@ -1,5 +1,6 @@
 """Runtime semantics, checked directly and against the independent oracle."""
 
+import json
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from gen_programs import gen_program, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
-from ultgen.cases import TestCase
+from ultgen.cases import TestCase, load_case_config
 from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
 from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from ultgen.errors import ContractViolation, ParseError, UnknownClass, UnknownTarget
@@ -317,6 +318,101 @@ def test_fingerprint_stable_across_reparse(unit):
     a = ev(unit, "branching").fingerprint
     b = CaseEvaluator(parse_source(SRC, path="<x>"), "M", "branching").fingerprint
     assert a == b
+
+
+# --- inherited members and extern calls -----------------------------------
+
+INHERIT_SRC = """
+extern class Meter;
+
+class Source {
+public:
+    float level() { return 0.0; }
+};
+
+class Gauge : public Source {
+public:
+    bool ready() { return true; }
+};
+
+class Reader {
+public:
+    int shout() { return 1; }
+};
+
+class Quiet : public Reader {
+};
+
+class Loud : public Reader {
+public:
+    Gauge* g;
+    Meter* m;
+
+    int shout() { return 2; }
+
+    int peek() {
+        if (g->ready() && g->level() > 0.5) {
+            return 1;
+        }
+        return m->raw();
+    }
+};
+"""
+
+
+@pytest.fixture(scope="module")
+def inherit_unit():
+    return parse_source(INHERIT_SRC, path="<inherit>")
+
+
+def _case_of(target, mocks):
+    return TestCase("c", target, {}, {}, mocks, "Configured")
+
+
+def test_mock_key_may_name_a_method_the_dependency_inherits(inherit_unit):
+    evaluator = CaseEvaluator(inherit_unit, "Loud", "shout")
+    assert evaluator.mock_type(("g", "level")) == "float"
+    evaluator.check(_case_of(("Loud", "shout"), {("g", "level"): [0.25]}))
+    with pytest.raises(ContractViolation) as raised:
+        evaluator.check(_case_of(("Loud", "shout"), {("g", "level"): [1]}))
+    assert str(raised.value) == "mock g->level() must be float, got 1"
+
+
+def test_configured_mock_of_an_inherited_method_takes_its_return_type(inherit_unit):
+    config = load_case_config(
+        json.dumps(
+            {"classes": {"Loud": {"methods": {"shout": {
+                "cases": {"low": {"mocks": {"g.level": [1]}}}
+            }}}}}
+        ),
+        inherit_unit,
+    )
+    (configured,) = config.cases
+    assert configured.mock_plan == {("g", "level"): [1.0]}
+    assert type(configured.mock_plan[("g", "level")][0]) is float
+
+
+def test_override_runs_its_own_body(inherit_unit):
+    def ret(class_name):
+        evaluator = CaseEvaluator(inherit_unit, class_name, "shout")
+        return evaluator.run(_case_of((class_name, "shout"), {})).return_value
+
+    assert (ret("Reader"), ret("Quiet"), ret("Loud")) == (1, 1, 2)
+
+
+def test_call_sites_type_inherited_and_extern_methods(inherit_unit):
+    evaluator = CaseEvaluator(inherit_unit, "Loud", "peek")
+    assert evaluator.mock_types == {
+        ("g", "ready"): "bool",
+        ("g", "level"): "float",
+        ("m", "raw"): "int",
+    }
+    assert list(evaluator.mock_types) == [("g", "ready"), ("g", "level"), ("m", "raw")]
+    assert evaluator.mock_type(("m", "anything")) == "int"
+    trace = evaluator.run(
+        _case_of(("Loud", "peek"), {("g", "ready"): [False], ("m", "raw"): [7]})
+    )
+    assert trace.return_value == 7
 
 
 # --- differential checks against the oracle -------------------------------

@@ -310,15 +310,11 @@ def test_extern_calls_type_as_int():
     assert unit.class_named("A") is not None
 
 
-def test_class_named_first_wins_and_sees_appends():
+def test_class_named_first_wins():
     first = ClassDecl("A", None, [], [])
     unit = SourceUnit("<t>", [first, ClassDecl("A", None, [], [])])
     assert unit.class_named("A") is first
     assert unit.class_named("B") is None
-    later = ClassDecl("B", None, [], [])
-    unit.decls.append(later)
-    assert unit.class_named("B") is later
-    assert unit.class_named("A") is first
 
 
 def test_dependency_call_must_exist():

@@ -133,7 +133,7 @@ def test_line_accounting(golden_unit):
     assert anchor == bundle.anchor_line_count
     total = sum(len(text.splitlines()) for _, text in bundle.files)
     assert auto + anchor == total
-    assert 0.0 < measure_generation_ratio(bundle) < 1.0
+    assert 0.0 < measure_generation_ratio(auto, anchor) < 1.0
 
 
 def test_anchor_positions_recorded(golden_unit):
@@ -189,5 +189,7 @@ def test_corpus_scaffolds_generate_cleanly(corpus_unit):
         warnings.simplefilter("ignore", ExternDependencyWarning)
         for cls in corpus_unit.classes:
             bundle = generate_scaffold(corpus_unit, cls.name)
-            ratio = measure_generation_ratio(bundle)
+            ratio = measure_generation_ratio(
+                bundle.auto_line_count, bundle.anchor_line_count
+            )
             assert 0.5 < ratio <= 1.0, cls.name
