@@ -101,6 +101,11 @@ def _check_threshold(threshold: float) -> None:
         )
 
 
+def _check_tau(tau: float) -> None:
+    if not 0 <= tau <= 1:  # also false for nan
+        raise UltgenError(f"--tau must be a finite number in [0, 1], got {tau}")
+
+
 def _resolve_seed(flag: Optional[int]) -> int:
     if flag is not None:
         return flag
@@ -463,6 +468,7 @@ def _dir_snapshot(path: Path) -> dict[str, tuple[float, int]]:
 
 
 def cmd_advise(args: argparse.Namespace) -> int:
+    _check_tau(args.tau)
     if not (math.isfinite(args.watch_interval) and args.watch_interval >= 0):
         raise UltgenError(
             f"--watch-interval must be a finite number >= 0, got {args.watch_interval}"
@@ -531,6 +537,9 @@ def _parse_tree(src_dir: Path, sources: list[Path], texts: list[str]) -> SourceU
 
 def cmd_run(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
+    _check_tau(args.tau)
+    if args.budget < 1:
+        raise UltgenError(f"--budget must be >= 1, got {args.budget}")
     src_dir = Path(args.src)
     if not src_dir.is_dir():
         raise UltgenError(f"{args.src}: not a directory")

@@ -15,10 +15,18 @@ the crash event (kind and source span) of each assert, division and call
 site. Variables, mock cursors and fuel are the function's locals, and no
 step makes a call to dispatch a node. The source holds no text from the
 input: every value is an argument of the function that builds it, so
-methods of the same shape share one source, compiled once per process. An
-outcome pair recorded inside a `while` is added once per run, guarded by a
-local flag. The parser bounds how deeply a method nests, so every body it
-accepts compiles.
+methods of the same shape share one source, compiled once per process.
+
+A shape is the statement and expression tree with its arithmetic
+operators, its comparison operators inside a `while`, and its int/float
+and void choices. Names, literals, outcome pairs, spans and the comparison
+operators outside every loop are values, not shape. Such a comparison
+runs at most once per case, so it is written as a call to a bound operator
+function (`operator.lt`, ...) and the call costs a bounded amount per case.
+Inside a `while` it could run thousands of times per case, so there it
+stays an inline operator. An outcome pair recorded inside a `while` is
+added once per run, guarded by a local flag. The parser bounds how deeply
+a method nests, so every body it accepts compiles.
 
 `run` trusts its case: callers pass cases that `check` accepted or that
 were built from checked values (configured cases, fuzz pools).
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
@@ -198,8 +207,19 @@ _GENERATED_GLOBALS = {
 }
 
 # Operators are looked up here, never copied from the AST, so the source
-# holds only fixed text.
+# holds only fixed text. A comparison inside a `while` is written inline
+# from `_PY_COMPARE`. Elsewhere it runs at most once per case and calls its
+# `_COMPARE_FN` entry, bound as a value, so its operator is not part of
+# the shape.
 _PY_COMPARE = {op: op for op in ("==", "!=", "<", "<=", ">", ">=")}
+_COMPARE_FN = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 _PY_ARITH = {"+": "+", "-": "-", "*": "*"}
 # In-range results skip the mask; `t` is read right after each assignment.
 _WRAP = (
@@ -218,10 +238,13 @@ class _Emitter:
     (literal, outcome pair, crash event, parameter or field name, mock key,
     field default) is one of the `k<i>` arguments, in the order the emitter
     meets it, so the text holds only fixed keywords, operators and numbered
-    names. Parameters and fields live in locals `v<i>`, each mock key in a
-    cursor `c<i>` with its last value `l<i>`. A branch that records outcome
-    pairs inside a `while` has a flag `f<i>`, true until the branch first
-    adds its pairs in the run.
+    names. A comparison outside every `while` is a call `k<i>(left, right)`
+    to its bound operator function, so its operator is a value as well.
+    Inside a `while` condition or body (`looped`) it is written inline,
+    because there it can run many times per case. Parameters and fields
+    live in locals `v<i>`, each mock key in a cursor `c<i>` with its last
+    value `l<i>`. A branch that records outcome pairs inside a `while` has
+    a flag `f<i>`, true until the branch first adds its pairs in the run.
     """
 
     def __init__(
@@ -420,7 +443,9 @@ class _Emitter:
         if op == "||":
             return f"({left} or {right})"
         if op in _PY_COMPARE:
-            return f"({left} {_PY_COMPARE[op]} {right})"
+            if self.looped:
+                return f"({left} {_PY_COMPARE[op]} {right})"
+            return f"{self.const(_COMPARE_FN[op])}({left}, {right})"
         if e.type_ == "float":
             if op == "/":
                 return f"_fdiv({left}, {right})"

@@ -574,6 +574,38 @@ def test_threshold_must_be_a_percentage(invoke, turnstile, corpus_dir, tmp_path,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1", "5"])
+def test_tau_must_be_a_probability(invoke, project_dir, history_dir, tmp_path, tau):
+    """Checked before any work: `advise` gives no advice, and `run` writes
+    nothing."""
+    out_dir = tmp_path / "out"
+    for args in [
+        ("advise", *_history_args(history_dir)),
+        ("run", project_dir / "src", "-o", out_dir,
+         *_history_args(history_dir, "--coverage-history")),
+    ]:
+        code, out, err = invoke(*args, f"--tau={tau}")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"ultgen: error: --tau must be a finite number in [0, 1], got {float(tau)}\n"
+        )
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_run_rejects_budget_below_one_before_writing(
+    invoke, project_dir, history_dir, tmp_path, budget
+):
+    out_dir = tmp_path / "out"
+    code, out, err = invoke(
+        "run", project_dir / "src", "-o", out_dir, "--budget", budget,
+        *_history_args(history_dir, "--coverage-history"),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"ultgen: error: --budget must be >= 1, got {budget}\n"
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize(
     "target, params, mocks, message",
     [

@@ -773,3 +773,66 @@ def test_same_shape_methods_share_one_code_object():
     assert run(q, "x", 720).return_value == 36  # 4 passes of + 9
     assert p._runner.__code__ is q._runner.__code__
     assert p._runner is not q._runner
+
+
+# Operand values per type, and the comparisons the checker allows on it
+# (ordering needs int or float).
+_COMPARED = {
+    "int": ([-2, 0, 3], ("==", "!=", "<", "<=", ">", ">=")),
+    "float": ([-1.5, 0.0, 2.0, math.inf, math.nan], ("==", "!=", "<", "<=", ">", ">=")),
+    "bool": ([False, True], ("==", "!=")),
+}
+
+
+def _run_against_oracle(unit, class_name, method, params):
+    """The method's trace for `params`, checked against the oracle's."""
+    c = TestCase("c", (class_name, method), params, {}, {}, "Configured")
+    trace = CaseEvaluator(unit, class_name, method).run(c)
+    assert agree(trace, OracleEvaluator(unit, class_name, method).run(c)), (method, params)
+    return trace
+
+
+def test_methods_differing_in_an_if_operator_share_one_code_object():
+    """A comparison outside every loop binds its operator as a value, so
+    methods that differ only in it compile once, and each still compares
+    with its own operator."""
+    methods = {
+        f"{t}{i}": (t, op)
+        for t, (_, ops) in _COMPARED.items()
+        for i, op in enumerate(ops)
+    }
+    unit = parse_source(
+        "class C { public: "
+        + " ".join(
+            f"int {m}({t} a, {t} b) {{ if (a {op} b) {{ return 1; }} return 0; }}"
+            for m, (t, op) in methods.items()
+        )
+        + " };",
+        path="<operators>",
+    )
+    codes = set()
+    for m, (t, _) in methods.items():
+        values = _COMPARED[t][0]
+        for a in values:
+            for b in values:
+                _run_against_oracle(unit, "C", m, {"a": a, "b": b})
+        codes.add(CaseEvaluator(unit, "C", m)._compile().__code__)
+    assert len(codes) == 1
+
+
+def test_methods_differing_in_a_while_operator_keep_distinct_code():
+    """A comparison inside a `while` can run on every pass, so it stays an
+    inline operator and is part of the shape."""
+    unit = parse_source(
+        """
+        class W { public:
+            int below(int a) { while (a < 5) { a = a + 1; } return a; }
+            int upto(int a) { while (a <= 5) { a = a + 1; } return a; } };
+        """,
+        path="<loops>",
+    )
+    assert _run_against_oracle(unit, "W", "below", {"a": 0}).return_value == 5
+    assert _run_against_oracle(unit, "W", "upto", {"a": 0}).return_value == 6
+    below = CaseEvaluator(unit, "W", "below")._compile()
+    upto = CaseEvaluator(unit, "W", "upto")._compile()
+    assert below.__code__ is not upto.__code__
