@@ -24,7 +24,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -57,11 +56,9 @@ from .decisions import decisions_table, extract_decisions
 from .errors import CutlangError, UltgenError, UnknownClass, UnknownTarget
 from .interp import CaseEvaluator
 from .scaffold import (
-    ExternDependencyWarning,
     ScaffoldBundle,
     generate_scaffold,
     measure_generation_ratio,
-    merge_bundle,
     public_methods,
 )
 
@@ -184,15 +181,13 @@ def _write_bundle(bundle: ScaffoldBundle, out_dir: Path) -> list[str]:
 
 def cmd_scaffold(args: argparse.Namespace) -> int:
     unit = _parse_file(args.src)
-    bundle = generate_scaffold(unit, args.class_name)
     out_dir = Path(args.out)
-    if args.merge:
-        previous = {}
-        for name, _ in bundle.files:
-            path = out_dir / name
-            if path.exists():
-                previous[name] = _read_text(str(path))
-        bundle = merge_bundle(bundle, previous)
+
+    def previous(name: str) -> Optional[str]:
+        path = out_dir / name
+        return _read_text(str(path)) if args.merge and path.exists() else None
+
+    bundle = generate_scaffold(unit, args.class_name, previous)
     written = _write_bundle(bundle, out_dir)
     payload = {
         "class": bundle.class_name,
@@ -543,16 +538,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     src_dir = Path(args.src)
     if not src_dir.is_dir():
         raise UltgenError(f"{args.src}: not a directory")
-    seed = _resolve_seed(args.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     advisor_flags = [args.bugs, args.commits, args.coverage_history, args.map]
     if any(advisor_flags) and not all(advisor_flags):
         raise UltgenError(
             "advise stage needs --bugs, --commits, --coverage-history, "
             "and --map together"
         )
+    grid = _parse_grid(args.grid)
+    seed = _resolve_seed(args.seed)
 
     sources = _collect_sources(src_dir)
     inputs: dict[str, str] = {}
@@ -568,6 +561,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     for flag in [args.config, *advisor_flags]:
         if flag:
             inputs[Path(flag).name] = _sha256(_read_text(flag))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     stages: dict[str, dict] = {}
     gap_count = 0
@@ -575,7 +570,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         with _stage("advise"):
             advise = _advise_payload(
                 args.bugs, args.commits, args.coverage_history, args.map,
-                args.tau, _parse_grid(args.grid),
+                args.tau, grid,
             )
             _write_json(out_dir / "advise.json", advise)
             gap_count = advise["gap_count"]
@@ -767,11 +762,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():
-            # Each note also comes back in bundle.warnings, which the
-            # subcommands print as their own `warning:` line.
-            warnings.simplefilter("ignore", ExternDependencyWarning)
-            return args.func(args)
+        return args.func(args)
     except UltgenError as e:
         print(f"ultgen: error: {e}", file=sys.stderr)
         return 1

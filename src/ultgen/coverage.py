@@ -55,7 +55,6 @@ class MethodCoverage:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    methods: tuple[MethodCoverage, ...]
     functional_pct: float
     conditional_pct: float
 
@@ -111,13 +110,12 @@ def aggregate_report(methods: Sequence[MethodCoverage]) -> CoverageReport:
     """Roll methods up: functional = share of methods with a passing case,
     conditional = pair-weighted percentage over all methods."""
     if not methods:
-        return CoverageReport(methods=(), functional_pct=100.0, conditional_pct=100.0)
+        return CoverageReport(functional_pct=100.0, conditional_pct=100.0)
     passing = sum(1 for m in methods if m.has_passing_case)
     functional = 100.0 * passing / len(methods)
     denom = sum(m.denominator for m in methods)
     covered = sum(len(m.pairs_covered) for m in methods)
     return CoverageReport(
-        methods=tuple(methods),
         functional_pct=functional,
         conditional_pct=percent_of(covered, denom),
     )

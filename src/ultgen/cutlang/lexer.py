@@ -5,7 +5,8 @@ column 1) are skipped as trivia; they are the only place where non-ASCII
 text is allowed. Each token is one match of ``_TOKEN_RE`` and its column is
 its offset from the start of its line. Numbers are unsigned here; the
 parser folds a leading ``-`` into negative literals where the grammar
-allows it.
+allows it. A float literal that rounds to infinity is an error here, so
+every float in the AST is finite.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ _TOKEN_RE = re.compile(
 )
 (_NEWLINE, _BLANK, _LINE_COMMENT, _BLOCK_COMMENT,
  _WORD, _NUMBER, _HASH_LINE, _PUNCT) = range(1, 9)
+_INF = float("inf")
 # A number may not run straight into an identifier or a second point.
 _NUMBER_TAIL = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.")
 
@@ -144,7 +146,13 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
             if text.isdigit():
                 append(Token("int", text, pos, line, column, int(text)))
             else:
-                append(Token("float", text, pos, line, column, float(text)))
+                value = float(text)
+                if value == _INF:
+                    raise ParseError(
+                        "float literal out of double range",
+                        line=line, column=column, path=path,
+                    )
+                append(Token("float", text, pos, line, column, value))
         elif group == _LINE_COMMENT or (group == _HASH_LINE and pos == line_start):
             end = m.end()
         elif group == _BLOCK_COMMENT:

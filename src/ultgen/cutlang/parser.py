@@ -21,6 +21,7 @@ from .lexer import Token, tokenize
 from .nodes import (
     INT_MAX,
     INT_MIN,
+    SCALAR_TYPES,
     Assert,
     Assign,
     Binary,
@@ -50,7 +51,6 @@ from .nodes import (
 )
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-_SCALARS = ("int", "bool", "float")
 
 # How deeply a method may nest, set so that every method the parser accepts
 # compiles to the generated code the evaluator runs (interp.py). CPython
@@ -179,7 +179,7 @@ class _Parser:
         if start.is_keyword("virtual"):
             self.advance()
             start = self.cur
-        if start.kind == "keyword" and start.text in _SCALARS + ("void",):
+        if start.kind == "keyword" and start.text in SCALAR_TYPES + ("void",):
             type_name = self.advance().text
             name_tok = self.expect_ident("member name")
             if self.cur.is_punct("("):
@@ -218,7 +218,7 @@ class _Parser:
         if not self.cur.is_punct(")"):
             while True:
                 p_start = self.cur
-                if not (p_start.kind == "keyword" and p_start.text in _SCALARS):
+                if not (p_start.kind == "keyword" and p_start.text in SCALAR_TYPES):
                     raise self.error("expected a scalar parameter type")
                 p_type = self.advance().text
                 p_name = self.expect_ident("parameter name")

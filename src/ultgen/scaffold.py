@@ -13,14 +13,16 @@ For a class under test A with dependency C this emits three kinds of file:
 
 Output is deterministic: no timestamps, iteration in declaration order.
 The only lines meant for manual edits sit between `// ULTGEN-ANCHOR: <kind>`
-and `// ULTGEN-END` markers; regeneration can preserve those regions.
+and `// ULTGEN-END` markers. Given the earlier text of its files,
+`generate_scaffold` writes each region's earlier lines back between the
+markers, and counts generated and anchored lines, as it emits them.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .cutlang.nodes import ClassDecl, MethodDecl, RefType, SourceUnit
 from .errors import UnknownClass
@@ -32,10 +34,6 @@ _BANNER = (
     "// Auto-generated unit test scaffolding. Edit only between",
     "// ULTGEN-ANCHOR markers; regeneration with --merge keeps those regions.",
 )
-
-
-class ExternDependencyWarning(UserWarning):
-    """Mock generated for an extern dependency: surface unknown, body empty."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +63,14 @@ def mock_file_name(dep_name: str) -> str:
     return f"mock_{dep_name.lower()}.h"
 
 
+# previous(name) -> the earlier text of the file `name`, or None
+Reader = Callable[[str], Optional[str]]
+
+
+def _no_previous(name: str) -> None:
+    return None
+
+
 def _guard(file_name: str) -> str:
     return "ULTGEN_" + re.sub(r"[^A-Za-z0-9]", "_", file_name).upper()
 
@@ -74,21 +80,49 @@ def _cap(name: str) -> str:
 
 
 class _File:
-    def __init__(self, name: str):
+    """One emitted file. Each anchor carries that kind's user lines from
+    the file's earlier text; the file counts its anchored lines (markers
+    plus carried lines) as it writes them."""
+
+    def __init__(self, name: str, previous: Reader):
         self.name = name
         self.lines: list[str] = []
         self.anchors: list[Anchor] = []
+        self.anchor_line_count = 0
+        self._kept = _region_map(previous(name))
 
     def add(self, *lines: str) -> None:
         self.lines.extend(lines)
 
     def anchor(self, kind: str, indent: str) -> None:
+        user = self._kept.get(kind, ())
         self.lines.append(f"{indent}{ANCHOR_START} {kind}")
         self.anchors.append(Anchor(self.name, len(self.lines), kind))
+        self.lines.extend(user)
         self.lines.append(f"{indent}{ANCHOR_END}")
+        self.anchor_line_count += len(user) + 2
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
+
+
+def _region_map(text: str | None) -> dict[str, list[str]]:
+    """kind -> user lines between that kind's markers in `text`. A kind
+    marked twice keeps its last region."""
+    regions: dict[str, list[str]] = {}
+    kind = None
+    for line in (text or "").splitlines():
+        stripped = line.strip()
+        if stripped.startswith(ANCHOR_START):
+            kind = stripped[len(ANCHOR_START) :].strip()
+            regions[kind] = []
+            continue
+        if stripped == ANCHOR_END:
+            kind = None
+            continue
+        if kind is not None:
+            regions[kind].append(line)
+    return regions
 
 
 def _open_header(f: _File) -> None:
@@ -105,8 +139,8 @@ def public_methods(cls: ClassDecl) -> list[MethodDecl]:
     return [m for m in cls.methods if m.access == "public"]
 
 
-def _emit_fixture(cls: ClassDecl) -> _File:
-    f = _File(fixture_file_name(cls.name))
+def _emit_fixture(cls: ClassDecl, previous: Reader) -> _File:
+    f = _File(fixture_file_name(cls.name), previous)
     _open_header(f)
     f.add(f'#include "{test_file_name(cls.name)}"')
     for dep in cls.dependencies:
@@ -131,8 +165,8 @@ def _emit_fixture(cls: ClassDecl) -> _File:
     return f
 
 
-def _emit_test_class(cls: ClassDecl) -> _File:
-    f = _File(test_file_name(cls.name))
+def _emit_test_class(cls: ClassDecl, previous: Reader) -> _File:
+    f = _File(test_file_name(cls.name), previous)
     _open_header(f)
     f.add(f"class Test_{cls.name} : public {cls.name}", "{", "public:")
     for m in public_methods(cls):
@@ -144,8 +178,8 @@ def _emit_test_class(cls: ClassDecl) -> _File:
     return f
 
 
-def _emit_mock(dep_name: str, dep: ClassDecl | None) -> _File:
-    f = _File(mock_file_name(dep_name))
+def _emit_mock(dep_name: str, dep: ClassDecl | None, previous: Reader) -> _File:
+    f = _File(mock_file_name(dep_name), previous)
     _open_header(f)
     f.add(f"class MOCK_{dep_name} : public {dep_name}", "{", "public:")
     if dep is not None:
@@ -178,137 +212,43 @@ def _emit_mock(dep_name: str, dep: ClassDecl | None) -> _File:
     return f
 
 
-def generate_scaffold(unit: SourceUnit, class_name: str) -> ScaffoldBundle:
+def generate_scaffold(
+    unit: SourceUnit, class_name: str, previous: Reader = _no_previous
+) -> ScaffoldBundle:
     """Build the scaffold bundle for one class under test.
 
-    Byte-identical output for identical input. Extern dependencies produce
-    an empty-bodied mock plus an ExternDependencyWarning.
+    `previous(name)` gives the earlier text of a file the bundle writes, or
+    None. Regions carry over by (file name, anchor kind): the last region of
+    a kind wins, kinds the new scaffold lacks are dropped, and everything
+    outside the markers is regenerated. Byte-identical output for identical
+    input. An extern dependency gets an empty-bodied mock and a note in
+    `warnings`.
     """
     cls = unit.class_named(class_name)
     if cls is None:
         raise UnknownClass(f"class {class_name!r} not found in {unit.path}")
-    files = [_emit_fixture(cls), _emit_test_class(cls)]
+    files = [_emit_fixture(cls, previous), _emit_test_class(cls, previous)]
     notes: list[str] = []
     for dep_name in cls.dependencies:
         dep = unit.class_named(dep_name)
         if dep is None:
-            note = (
+            notes.append(
                 f"dependency {dep_name!r} is extern; mock generated from the "
                 "declaration only (no setters, no scripted returns)"
             )
-            notes.append(note)
-            warnings.warn(note, ExternDependencyWarning, stacklevel=2)
-        files.append(_emit_mock(dep_name, dep))
-    anchors: list[Anchor] = []
-    for f in files:
-        anchors.extend(f.anchors)
-    texts = tuple((f.name, f.text()) for f in files)
-    auto, anchor = count_lines(texts)
+        files.append(_emit_mock(dep_name, dep, previous))
+    anchor = sum(f.anchor_line_count for f in files)
     return ScaffoldBundle(
         class_name=class_name,
-        files=texts,
-        anchors=tuple(anchors),
-        auto_line_count=auto,
+        files=tuple((f.name, f.text()) for f in files),
+        anchors=tuple(a for f in files for a in f.anchors),
+        auto_line_count=sum(len(f.lines) for f in files) - anchor,
         anchor_line_count=anchor,
         warnings=tuple(notes),
     )
-
-
-def count_lines(files: tuple[tuple[str, str], ...]) -> tuple[int, int]:
-    """(auto, anchor) line counts. Anchor lines are the marker lines plus
-    everything between a marker pair; all other lines are auto lines."""
-    auto = 0
-    anchor = 0
-    for _, text in files:
-        in_region = False
-        for line in text.splitlines():
-            stripped = line.strip()
-            if stripped.startswith(ANCHOR_START):
-                in_region = True
-                anchor += 1
-                continue
-            if stripped == ANCHOR_END:
-                in_region = False
-                anchor += 1
-                continue
-            if in_region:
-                anchor += 1
-            else:
-                auto += 1
-    return auto, anchor
 
 
 def measure_generation_ratio(auto_lines: int, anchor_lines: int) -> float:
     """Share of scaffold lines that are generated, not anchored."""
     total = auto_lines + anchor_lines
     return auto_lines / total if total else 1.0
-
-
-def _region_map(text: str) -> dict[str, list[str]]:
-    """kind -> user lines between that kind's markers."""
-    regions: dict[str, list[str]] = {}
-    kind = None
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith(ANCHOR_START):
-            kind = stripped[len(ANCHOR_START) :].strip()
-            regions[kind] = []
-            continue
-        if stripped == ANCHOR_END:
-            kind = None
-            continue
-        if kind is not None:
-            regions[kind].append(line)
-    return regions
-
-
-def merge_bundle(
-    bundle: ScaffoldBundle, previous: dict[str, str]
-) -> ScaffoldBundle:
-    """Carry user-edited anchor regions from previous file texts into a
-    freshly generated bundle. Regions match by (file name, anchor kind);
-    anything outside markers in the previous text is discarded."""
-    new_files: list[tuple[str, str]] = []
-    for name, text in bundle.files:
-        old = previous.get(name)
-        if old is None:
-            new_files.append((name, text))
-            continue
-        keep = _region_map(old)
-        out: list[str] = []
-        skipping = False
-        for line in text.splitlines():
-            stripped = line.strip()
-            if stripped.startswith(ANCHOR_START):
-                out.append(line)
-                kind = stripped[len(ANCHOR_START) :].strip()
-                user = keep.get(kind)
-                if user:
-                    out.extend(user)
-                    skipping = True  # drop the freshly generated empties
-                continue
-            if stripped == ANCHOR_END:
-                out.append(line)
-                skipping = False
-                continue
-            if not skipping:
-                out.append(line)
-        new_files.append((name, "\n".join(out) + "\n"))
-    texts = tuple(new_files)
-    anchors: list[Anchor] = []
-    for name, text in texts:
-        for i, line in enumerate(text.splitlines(), start=1):
-            stripped = line.strip()
-            if stripped.startswith(ANCHOR_START):
-                anchors.append(
-                    Anchor(name, i, stripped[len(ANCHOR_START) :].strip())
-                )
-    auto, anchor = count_lines(texts)
-    return ScaffoldBundle(
-        class_name=bundle.class_name,
-        files=texts,
-        anchors=tuple(anchors),
-        auto_line_count=auto,
-        anchor_line_count=anchor,
-        warnings=bundle.warnings,
-    )

@@ -8,7 +8,6 @@ scorecard, then asserts the same condition.
 import hashlib
 import json
 import time
-import warnings
 
 import pytest
 
@@ -38,7 +37,7 @@ from ultgen.coverage import brute_force_max_coverage
 from ultgen.cutlang.parser import parse_source
 from ultgen.interp import ASSERT_FAILURE, DIV_BY_ZERO, CaseEvaluator
 from ultgen.rng import SplitMix64
-from ultgen.scaffold import ExternDependencyWarning, generate_scaffold
+from ultgen.scaffold import generate_scaffold
 
 INT_MIN = -(2 ** 63)
 INT_MAX = 2 ** 63 - 1
@@ -55,12 +54,6 @@ def announce(capsys):
         assert ok, text
 
     return _line
-
-
-def _scaffold_quiet(unit, class_name):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExternDependencyWarning)
-        return generate_scaffold(unit, class_name)
 
 
 # --- 1. golden scaffold -----------------------------------------------------
@@ -109,7 +102,7 @@ def test_ac2_generation_ratio(corpus_unit, announce):
             shape_ok = False
         if not 0 <= len(cls.dependencies) <= 3:
             shape_ok = False
-        bundle = _scaffold_quiet(corpus_unit, cls.name)
+        bundle = generate_scaffold(corpus_unit, cls.name)
         auto += bundle.auto_line_count
         anchored += bundle.anchor_line_count
     ratio = auto / (auto + anchored)

@@ -8,7 +8,6 @@ import re
 import shutil
 import threading
 import time
-import warnings
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +16,6 @@ from jsonschema import validate
 from ultgen.cli import main
 from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from ultgen.interp import CaseEvaluator
-from ultgen.scaffold import ExternDependencyWarning
 from ultgen.schemas import (
     ADVISE_SCHEMA,
     CASE_SCHEMA,
@@ -256,6 +254,26 @@ def test_run_names_the_file_of_a_too_deep_method(invoke, corpus_dir, tmp_path):
     )
 
 
+@pytest.mark.parametrize("literal, column", [("1e999", 24), ("-1.5e400", 25)])
+def test_overflowing_float_literal_is_a_parse_error(invoke, tmp_path, literal, column):
+    """A literal that rounds to infinity is rejected where it stands, by
+    every subcommand that parses, and `run` writes nothing."""
+    src = tmp_path / "src"
+    src.mkdir()
+    path = src / "big.cut"
+    path.write_text(f"class A {{\npublic:\n    float f() {{ return {literal}; }}\n}};\n")
+    out_dir = tmp_path / "out"
+    message = f"{path}:3:{column}: float literal out of double range\n"
+    for args, prefix in [
+        (("decisions", path, "--class", "A"), ""),
+        (("cases", path, "--class", "A", "--method", "f", "-o", tmp_path / "c.jsonl"), ""),
+        (("run", src, "-o", out_dir), "stage 'parse': "),
+    ]:
+        code, out, err = invoke(*args)
+        assert (code, out, err) == (1, "", f"ultgen: error: {prefix}{message}")
+    assert not out_dir.exists()
+
+
 @given(st.sampled_from(sorted(_NESTINGS)), st.integers(min_value=1, max_value=300))
 def test_decisions_accepts_nesting_up_to_the_limit(tmp_path_factory, shape, depth):
     path = tmp_path_factory.mktemp("nest") / "deep.cut"
@@ -323,11 +341,8 @@ def test_scaffold_merge_preserves_anchor_edits(invoke, golden_dir, tmp_path):
 
 def _invoke_noting_syslog_once(invoke, *args):
     """Run the CLI and check that the extern note on Syslog reached the user
-    once, as a `warning:` line on stderr, and never as a Python warning."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code, out, err = invoke(*args)
-    assert not [w for w in caught if issubclass(w.category, ExternDependencyWarning)]
+    once, as a `warning:` line on stderr."""
+    code, out, err = invoke(*args)
     assert err.count("dependency 'Syslog' is extern") == 1
     assert "warning: dependency 'Syslog' is extern" in err
     return code, out, err
@@ -603,6 +618,30 @@ def test_run_rejects_budget_below_one_before_writing(
     )
     assert (code, out) == (1, "")
     assert err == f"ultgen: error: --budget must be >= 1, got {budget}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fault", ["partial history", "grid", "missing history file"])
+def test_run_rejects_bad_inputs_before_writing(
+    invoke, project_dir, history_dir, tmp_path, fault
+):
+    out_dir = tmp_path / "out"
+    history = _history_args(history_dir, "--coverage-history")
+    missing = tmp_path / "no-bugs.jsonl"
+    extra, message = {
+        "partial history": (
+            history[:2],
+            "advise stage needs --bugs, --commits, --coverage-history, and --map together",
+        ),
+        "grid": ([*history, "--grid", "9,1"], "--grid must be ascending and nonempty"),
+        "missing history file": (
+            ["--bugs", missing, *history[2:]],
+            f"cannot read {missing}: No such file or directory",
+        ),
+    }[fault]
+    code, out, err = invoke("run", project_dir / "src", "-o", out_dir, *extra)
+    assert (code, out) == (1, "")
+    assert err == f"ultgen: error: {message}\n"
     assert not out_dir.exists()
 
 

@@ -1,18 +1,15 @@
 """Scaffold emission, golden comparison, line accounting, merge."""
 
-import warnings
+import json
 
 import pytest
 
 from ultgen.cutlang import parse_source
 from ultgen.errors import UnknownClass
 from ultgen.scaffold import (
-    ExternDependencyWarning,
-    count_lines,
     fixture_file_name,
     generate_scaffold,
     measure_generation_ratio,
-    merge_bundle,
     mock_file_name,
     public_methods,
     test_file_name as _test_file_name,
@@ -118,19 +115,19 @@ def test_extern_dependency_mocked_with_warning():
         " int f() { return r->fire(); } };",
         path="<t>",
     )
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        bundle = generate_scaffold(unit, "A")
-    assert any(issubclass(w.category, ExternDependencyWarning) for w in caught)
+    bundle = generate_scaffold(unit, "A")
+    assert bundle.warnings == (
+        "dependency 'Relay' is extern; mock generated from the declaration "
+        "only (no setters, no scripted returns)",
+    )
     text = dict(bundle.files)["mock_relay.h"]
     assert "class MOCK_Relay" in text
 
 
 def test_line_accounting(golden_unit):
     bundle = generate_scaffold(golden_unit, "A")
-    auto, anchor = count_lines(bundle.files)
-    assert auto == bundle.auto_line_count
-    assert anchor == bundle.anchor_line_count
+    auto, anchor = bundle.auto_line_count, bundle.anchor_line_count
+    assert anchor == 2 * len(bundle.anchors)  # empty regions: markers only
     total = sum(len(text.splitlines()) for _, text in bundle.files)
     assert auto + anchor == total
     assert 0.0 < measure_generation_ratio(auto, anchor) < 1.0
@@ -157,7 +154,7 @@ def test_merge_preserves_user_regions(golden_unit):
         "// ULTGEN-ANCHOR: TestBody(func1)\n",
         "// ULTGEN-ANCHOR: TestBody(func1)\n        func1();\n",
     )
-    merged = merge_bundle(generate_scaffold(golden_unit, "A"), edited)
+    merged = generate_scaffold(golden_unit, "A", edited.get)
     text = dict(merged.files)["test_a.h"]
     assert "        func1();" in text
     # the untouched region stays empty
@@ -166,7 +163,7 @@ def test_merge_preserves_user_regions(golden_unit):
 
 def test_merge_without_edits_is_identity(golden_unit):
     bundle = generate_scaffold(golden_unit, "A")
-    merged = merge_bundle(generate_scaffold(golden_unit, "A"), dict(bundle.files))
+    merged = generate_scaffold(golden_unit, "A", dict(bundle.files).get)
     assert merged.files == bundle.files
     assert merged.auto_line_count == bundle.auto_line_count
     assert merged.anchor_line_count == bundle.anchor_line_count
@@ -179,17 +176,63 @@ def test_merge_counts_user_lines_as_anchor_lines(golden_unit):
         "// ULTGEN-ANCHOR: SetUpBody\n",
         "// ULTGEN-ANCHOR: SetUpBody\n        testA = new Test_A();\n",
     )
-    merged = merge_bundle(generate_scaffold(golden_unit, "A"), edited)
+    merged = generate_scaffold(golden_unit, "A", edited.get)
     assert merged.anchor_line_count == bundle.anchor_line_count + 1
     assert merged.auto_line_count == bundle.auto_line_count
+    # markers after the carried line move down by one
+    lines = {(a.file, a.kind): a.line for a in bundle.anchors}
+    assert {(a.file, a.kind): a.line for a in merged.anchors} == {
+        **lines,
+        ("a_test_fixture.h", "TearDownBody"): lines[("a_test_fixture.h", "TearDownBody")] + 1,
+    }
 
 
 def test_corpus_scaffolds_generate_cleanly(corpus_unit):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExternDependencyWarning)
-        for cls in corpus_unit.classes:
-            bundle = generate_scaffold(corpus_unit, cls.name)
-            ratio = measure_generation_ratio(
-                bundle.auto_line_count, bundle.anchor_line_count
-            )
-            assert 0.5 < ratio <= 1.0, cls.name
+    for cls in corpus_unit.classes:
+        bundle = generate_scaffold(corpus_unit, cls.name)
+        ratio = measure_generation_ratio(
+            bundle.auto_line_count, bundle.anchor_line_count
+        )
+        assert 0.5 < ratio <= 1.0, cls.name
+
+
+def test_merge_rules_through_the_cli(invoke, golden_dir, tmp_path):
+    """`scaffold --merge` matches regions by file and kind: the last copy of
+    a duplicated kind wins, a kind the new scaffold lacks is dropped, blank
+    user lines are kept, and a file with no earlier text is written fresh.
+    The --json line counts include the carried lines."""
+    src = golden_dir / "class_a.cut"
+    out_dir = tmp_path / "gen"
+    code, out, _ = invoke("scaffold", src, "--class", "A", "-o", out_dir, "--json")
+    assert code == 0
+    fresh = json.loads(out)
+    golden = (golden_dir / "expected" / "test_a.h").read_text()
+    func1 = "        // ULTGEN-ANCHOR: TestBody(func1)\n"
+    func2 = "        // ULTGEN-ANCHOR: TestBody(func2)\n"
+    end = "        // ULTGEN-END\n"
+    edited = golden.replace(func1, func1 + "        first();\n\n        second();\n")
+    edited = edited.replace(func2, func2 + "        early();\n")
+    edited = edited.replace(
+        "};\n",
+        "};\n// stray edit outside the markers\n"
+        + func2 + "        late();\n" + end
+        + "        // ULTGEN-ANCHOR: TestBody(gone)\n        stale();\n" + end,
+    )
+    (out_dir / "test_a.h").write_text(edited)
+    (out_dir / "mock_c.h").unlink()
+
+    code, out, _ = invoke(
+        "scaffold", src, "--class", "A", "-o", out_dir, "--merge", "--json"
+    )
+    assert code == 0
+    merged = json.loads(out)
+    expected = golden.replace(
+        func1, func1 + "        first();\n\n        second();\n"
+    ).replace(func2, func2 + "        late();\n")
+    assert (out_dir / "test_a.h").read_text() == expected
+    for name in ("a_test_fixture.h", "mock_c.h"):
+        assert (out_dir / name).read_text() == (golden_dir / "expected" / name).read_text()
+    assert merged["auto_line_count"] == fresh["auto_line_count"]
+    assert merged["anchor_line_count"] == fresh["anchor_line_count"] + 4
+    total = sum(len((out_dir / name).read_text().splitlines()) for name in merged["files"])
+    assert merged["auto_line_count"] + merged["anchor_line_count"] == total

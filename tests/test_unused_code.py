@@ -1,9 +1,11 @@
-"""Every function, method and class in src/ultgen has a use somewhere.
+"""Every function, method, class and module-level constant in src/ultgen
+has a use somewhere.
 
-A use is a name, an attribute or a string literal equal to the name (the
-benchmark patches call sites by attribute name) in any module under src/,
-tests/ or perfbench/, outside the definition itself. Imports and `__all__`
-entries are not uses: a re-export alone keeps nothing alive.
+A use is a name or an attribute that is read, or a string literal equal to
+the name (the benchmark patches call sites by attribute name), in any
+module under src/, tests/ or perfbench/, outside the definition itself.
+Assignments, imports and `__all__` entries are not uses: a constant that is
+only written, or a re-export alone, keeps nothing alive.
 """
 
 import ast
@@ -28,10 +30,12 @@ class _Uses(ast.NodeVisitor):
             self.generic_visit(node)
 
     def visit_Name(self, node: ast.Name) -> None:
-        self._add(node.id, node)
+        if isinstance(node.ctx, ast.Load):
+            self._add(node.id, node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        self._add(node.attr, node)
+        if isinstance(node.ctx, ast.Load):
+            self._add(node.attr, node)
         self.generic_visit(node)
 
     def visit_Constant(self, node: ast.Constant) -> None:
@@ -49,16 +53,37 @@ def _uses_by_file() -> dict[pathlib.Path, dict[str, list[int]]]:
     return uses
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _constants(module: ast.Module):
+    """(name, assignment) for every name a module-level statement assigns."""
+    for node in module.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node
+
+
 def _definitions():
-    """(file, name, first line, last line) of every non-dunder def/class."""
+    """(file, name, first line, last line) of every non-dunder def, class
+    and module-level constant."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, _DEFS):
-                continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            yield path, node.name, first, node.end_lineno
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(module):
+            if isinstance(node, _DEFS) and not _dunder(node.name):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                yield path, node.name, first, node.end_lineno
+        for name, node in _constants(module):
+            if not _dunder(name):
+                yield path, name, node.lineno, node.end_lineno
 
 
 def test_every_definition_has_a_use():
