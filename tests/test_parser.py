@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gen_programs import gen_method, program_text
 from ultgen.cutlang import (
@@ -19,6 +19,7 @@ from ultgen.cutlang import (
     parse_source,
     print_unit,
     tokenize,
+    walk,
 )
 from ultgen.cutlang.lexer import KEYWORDS, PUNCT
 from ultgen.errors import (
@@ -127,16 +128,72 @@ _SEPARATOR = st.lists(_SEPARATOR_PART, min_size=1, max_size=3).map("".join)
 _TRAILER = st.sampled_from(["", "\n", " // tail", "\n#tail", " /* x\n */ "])
 
 
+# A fault starts where a token could: the text to insert, the offset of
+# the error within it and the message. It comes after blanks or line
+# breaks that the lexer skips before it reports the error.
+_FAULT_TEXT = st.one_of(
+    st.sampled_from(["\u00e9", "\u8fd8", "\u0663"]).map(
+        lambda ch: (ch, 0, f"unexpected character {ch!r}")
+    ),
+    st.sampled_from([" ", "\t", "  "]).map(
+        lambda blanks: (blanks + "#x", len(blanks), "unexpected character '#'")
+    ),
+    st.sampled_from([("1a", "'1a'"), ("1.2.3", "'1.2.'"), ("7_", "'7_'")]).map(
+        lambda pair: (pair[0], 0, f"malformed number {pair[1]}")
+    ),
+    st.just(("/*", 0, "unterminated block comment")),
+)
+
+
+def _behind(pair):
+    blanks, (text, offset, message) = pair
+    return blanks + text, len(blanks) + offset, message
+
+
+_FAULT = st.tuples(st.sampled_from(["", " ", "\t", "\n", "\n\n  "]), _FAULT_TEXT).map(
+    _behind
+)
+
+
 @given(
     drawn=st.lists(st.tuples(_TOKEN_TEXT, _SEPARATOR), max_size=25),
     lead=st.sampled_from(["", "#lead\n", "\n ", "/* x */"]),
     trailer=_TRAILER,
+    fault=st.none() | st.tuples(st.integers(min_value=0), _FAULT),
 )
-def test_tokenize_positions_match_source(drawn, lead, trailer):
+@example(
+    drawn=[(("ident", "x"), " ")] * 2,
+    lead="",
+    trailer="",
+    fault=(1, ("\n /*", 2, "unterminated block comment")),
+)
+@example(
+    drawn=[(("ident", "x"), "\n")] * 2,
+    lead="",
+    trailer="",
+    fault=(1, ("\n\t\u00e9", 2, "unexpected character '\u00e9'")),
+)
+def test_tokenize_positions_match_source(drawn, lead, trailer, fault):
     parts = [lead]
     for i, ((_, text), separator) in enumerate(drawn):
         parts.append(text)
         parts.append(separator if i + 1 < len(drawn) else trailer)
+    if fault is not None:
+        # After the lead or after a separator between two tokens, so that
+        # everything before the fault lexes and the fault is the first error.
+        index, (text, offset, message) = fault
+        k = 1 + 2 * (index % len(drawn)) if drawn else 1
+        head, rest = "".join(parts[:k]), "".join(parts[k:])
+        if text.endswith("/*"):
+            rest = rest.replace("*/", "")  # keep the comment unterminated
+        source = head + text + rest
+        at = len(head) + offset
+        with pytest.raises(ParseError) as info:
+            tokenize(source, "t.cut")
+        line = source.count("\n", 0, at) + 1
+        column = at - (source.rfind("\n", 0, at) + 1) + 1
+        assert str(info.value) == f"t.cut:{line}:{column}: {message}"
+        return
     source = "".join(parts)
     tokens = tokenize(source)
     expected = [token for token, _ in drawn] + [("eof", "")]
@@ -338,6 +395,14 @@ def test_override_must_match_signature():
 
 
 # --- printer round-trip ---------------------------------------------------
+
+def test_corpus_token_and_node_counts(corpus_dir, corpus_unit):
+    """The counts perfbench reports as cutlang.lexer.tokens and
+    cutlang.parser.nodes, on the corpus joined as `run` joins it."""
+    texts = [p.read_text() for p in sorted(corpus_dir.glob("*.cut"))]
+    assert len(tokenize("\n".join(texts))) == 1790
+    assert sum(1 for _ in walk(corpus_unit)) == 906
+
 
 def test_round_trip_corpus_files(corpus_dir):
     for path in sorted(corpus_dir.glob("*.cut")):
