@@ -1,8 +1,11 @@
 """AST node types for the CUT-lang class subset.
 
-Nodes are plain dataclasses. Source spans and checker-derived types are
-excluded from equality so structural comparison ignores layout: two parses
-of differently formatted but identical programs compare equal.
+Nodes are slotted dataclasses, so a node is one object rather than one
+plus a `__dict__`, and `walk` reads its fields from `__slots__`. A `Span`
+is a NamedTuple of ints, which the garbage collector stops tracking.
+Source spans and checker-derived types are excluded from equality so
+structural comparison ignores layout: two parses of differently formatted
+but identical programs compare equal.
 
 The parser's resolver fills in what name resolution finds, once, and later
 stages read it instead of walking the tree again: each expression's
@@ -16,9 +19,8 @@ equality and repr, and `walk` does not enter them.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple, Optional, Union
 
 INT_MIN = -(1 << 63)
 INT_MAX = (1 << 63) - 1
@@ -26,9 +28,9 @@ INT_MAX = (1 << 63) - 1
 SCALAR_TYPES = ("int", "bool", "float")
 
 
-@dataclass(frozen=True)
-class Span:
-    """Half-open byte range [lo, hi) plus the 1-based line/column of lo."""
+class Span(NamedTuple):
+    """Half-open byte range [lo, hi) plus the 1-based line/column of lo.
+    A NamedTuple, like the lexer's Token: the parser builds one per node."""
 
     lo: int
     hi: int
@@ -39,7 +41,7 @@ class Span:
 NO_SPAN = Span(0, 0, 0, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RefType:
     """Type of a reference field, ``ClassName* name;``."""
 
@@ -54,42 +56,42 @@ FieldType = Union[str, RefType]
 
 # --- Expressions -----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class IntLit:
     value: int
     span: Span = field(default=NO_SPAN, compare=False)
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit:
     value: bool
     span: Span = field(default=NO_SPAN, compare=False)
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class FloatLit:
     value: float
     span: Span = field(default=NO_SPAN, compare=False)
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ParamRef:
     name: str
     span: Span = field(default=NO_SPAN, compare=False)
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldRef:
     name: str
     span: Span = field(default=NO_SPAN, compare=False)
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class CallExpr:
     """Zero-argument call through a reference field: ``recv->method()``."""
 
@@ -99,7 +101,7 @@ class CallExpr:
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Unary:
     op: str  # only "!"
     operand: "Expr"
@@ -107,7 +109,7 @@ class Unary:
     type_: Optional[FieldType] = field(default=None, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary:
     op: str
     left: "Expr"
@@ -121,13 +123,13 @@ Expr = Union[IntLit, BoolLit, FloatLit, ParamRef, FieldRef, CallExpr, Unary, Bin
 
 # --- Statements ------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     stmts: list["Stmt"]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: Expr
     then: Block
@@ -135,33 +137,33 @@ class If:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class While:
     cond: Expr
     body: Block
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Return:
     value: Optional[Expr]
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     target: Union[ParamRef, FieldRef]
     value: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt:
     expr: Expr
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Assert:
     cond: Expr
     span: Span = field(default=NO_SPAN, compare=False)
@@ -172,7 +174,7 @@ Stmt = Union[If, While, Return, Assign, ExprStmt, Assert]
 
 # --- Declarations ----------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
     name: str
     type: FieldType
@@ -180,14 +182,14 @@ class FieldDecl:
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type: str  # scalar type name
     span: Span = field(default=NO_SPAN, compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     name: str
     params: list[Param]
@@ -202,7 +204,7 @@ class MethodDecl:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDecl:
     name: str
     base: Optional[str]
@@ -232,7 +234,7 @@ class ClassDecl:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class ExternDecl:
     """``extern class Name;`` -- a name-only declaration with no known surface."""
 
@@ -243,15 +245,18 @@ class ExternDecl:
 Decl = Union[ClassDecl, ExternDecl]
 
 
-@dataclass
+@dataclass(slots=True)
 class SourceUnit:
     path: str
     decls: list[Decl]
+    # name -> first ClassDecl of that name, built once decls is complete.
+    # Kept out of the constructor, equality and repr; walk() skips dicts.
+    _class_index: dict[str, ClassDecl] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        # name -> first ClassDecl of that name. Not a dataclass field, so
-        # equality, repr and walk() ignore it; decls is complete by now.
-        self._class_index: dict[str, ClassDecl] = {}
+        self._class_index = {}
         for d in self.decls:
             if isinstance(d, ClassDecl):
                 self._class_index.setdefault(d.name, d)
@@ -269,19 +274,12 @@ class SourceUnit:
         return self._class_index.get(name)
 
 
-@functools.cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """Field names of a node class; dataclasses.fields() is too slow to call
-    once per visited node."""
-    return tuple(f.name for f in fields(cls))
-
-
 def walk(node: object) -> Iterator[object]:
     """Yield ``node`` and every AST node reachable from it, pre-order."""
     yield node
     if not hasattr(node, "__dataclass_fields__"):
         return
-    for name in _field_names(type(node)):
+    for name in node.__slots__:  # a slotted dataclass's fields, in order
         value = getattr(node, name)
         if isinstance(value, (Span, RefType)):
             continue

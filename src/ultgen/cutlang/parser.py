@@ -4,6 +4,12 @@
 then a resolution pass that binds names (parameter vs field), checks types,
 and enforces unit-level invariants. Grammar reference: docs/cutlang.md.
 
+The syntax pass reads the token list through a cursor: `_Parser.cur` is
+a plain attribute that `advance` moves on. Token texts of different
+kinds never coincide (no identifier spells a keyword, no punctuation is
+alphanumeric), so a keyword or punctuation token is matched by its text
+alone, and each node's span is a NamedTuple built positionally.
+
 The resolution pass is the one place that resolves names, and it keeps
 what it finds on the tree: every expression's `type_`, each class's
 `all_fields`/`all_methods` (inherited members included) and each method's
@@ -50,13 +56,15 @@ from .nodes import (
     While,
 )
 
+_new = tuple.__new__  # builds a NamedTuple positionally, without its __new__
+
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 # How deeply a method may nest, set so that every method the parser accepts
 # compiles to the generated code the evaluator runs (interp.py). CPython
 # compiles at most 20 nested blocks, and expressions about 96 deep.
 MAX_BLOCK_DEPTH = 16  # if/while statements nested in one another
-MAX_EXPR_DEPTH = 64  # counted as in _Parser.nest
+MAX_EXPR_DEPTH = 64  # counted as in _Parser.too_deep
 
 # Binding strength of each binary operator, loosest first; all associate
 # left. '%' is lexed, and rejected where it would bind.
@@ -64,28 +72,30 @@ _PRECEDENCE = {
     "||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
     "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
 }
+_ACCESS = ("public", "private", "protected")
+_MEMBER_TYPES = SCALAR_TYPES + ("void",)
+_NUMBER_KINDS = ("int", "float")
 
 
 class _Parser:
+    """The syntax pass. A caller advances only past a token it has checked,
+    so the cursor never moves past the eof token."""
+
     def __init__(self, tokens: list[Token], path: str):
         self.tokens = tokens
         self.path = path
         self.i = 0
+        self.cur = tokens[0]
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
-
-    def peek(self, ahead: int = 1) -> Token:
-        j = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self) -> Token:
+        return self.tokens[min(self.i + 1, len(self.tokens) - 1)]
 
     def advance(self) -> Token:
         tok = self.cur
-        if tok.kind != "eof":
-            self.i += 1
+        self.i += 1
+        self.cur = self.tokens[self.i]
         return tok
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
@@ -93,7 +103,7 @@ class _Parser:
         return ParseError(message, line=tok.line, column=tok.column, path=self.path)
 
     def expect_punct(self, text: str) -> Token:
-        if not self.cur.is_punct(text):
+        if self.cur.text != text:
             raise self.error(f"expected {text!r}, found {self._describe(self.cur)}")
         return self.advance()
 
@@ -109,36 +119,37 @@ class _Parser:
         return repr(tok.text)
 
     def span_from(self, start: Token) -> Span:
-        end = self.tokens[self.i - 1] if self.i > 0 else start
-        return Span(start.pos, end.pos + len(end.text), start.line, start.column)
+        """From `start` to the last token consumed."""
+        end = self.tokens[self.i - 1]
+        return _new(Span, (start.pos, end.pos + len(end.text), start.line, start.column))
 
     # -- declarations ------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
         decls: list[Decl] = []
         while self.cur.kind != "eof":
-            if self.cur.is_keyword("extern"):
+            if self.cur.text == "extern":
                 decls.append(self.parse_extern())
-            elif self.cur.is_keyword("class"):
+            elif self.cur.text == "class":
                 decls.append(self.parse_class())
             else:
                 raise self.error(
                     f"expected a class declaration, found {self._describe(self.cur)}"
                 )
-        return SourceUnit(path=self.path, decls=decls)
+        return SourceUnit(self.path, decls)
 
     def parse_extern(self) -> ExternDecl:
         start = self.advance()  # extern
-        if not self.cur.is_keyword("class"):
+        if self.cur.text != "class":
             raise self.error("expected 'class' after 'extern'")
         self.advance()
         name = self.parse_class_name()
         self.expect_punct(";")
-        return ExternDecl(name, span=self.span_from(start))
+        return ExternDecl(name, self.span_from(start))
 
     def parse_class_name(self) -> str:
         name = self.expect_ident("class name").text
-        if self.cur.is_punct("::"):
+        if self.cur.text == "::":
             raise self.error("qualified names are not supported here")
         return name
 
@@ -146,65 +157,57 @@ class _Parser:
         start = self.advance()  # class
         name = self.expect_ident("class name").text
         base: Optional[str] = None
-        if self.cur.is_punct(":"):
+        if self.cur.text == ":":
             self.advance()
-            if self.cur.is_keyword("public"):
+            if self.cur.text == "public":
                 self.advance()
             base = self.parse_class_name()
         self.expect_punct("{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
         access = "public"
-        while not self.cur.is_punct("}"):
-            if self.cur.kind == "keyword" and self.cur.text in (
-                "public",
-                "private",
-                "protected",
-            ):
-                if not self.peek().is_punct(":"):
+        while self.cur.text != "}":
+            if self.cur.text in _ACCESS:
+                if self.peek().text != ":":
                     raise self.error("expected ':' after access label", self.peek())
-                access = self.cur.text
-                self.advance()
+                access = self.advance().text
                 self.advance()
                 continue
             self.parse_member(fields, methods, access)
-        self.expect_punct("}")
+        self.advance()
         self.expect_punct(";")
-        return ClassDecl(name, base, fields, methods, span=self.span_from(start))
+        return ClassDecl(name, base, fields, methods, self.span_from(start))
 
     def parse_member(
         self, fields: list[FieldDecl], methods: list[MethodDecl], access: str
     ) -> None:
         start = self.cur
-        if start.is_keyword("virtual"):
+        if start.text == "virtual":
             self.advance()
             start = self.cur
-        if start.kind == "keyword" and start.text in SCALAR_TYPES + ("void",):
+        if start.text in _MEMBER_TYPES:
             type_name = self.advance().text
             name_tok = self.expect_ident("member name")
-            if self.cur.is_punct("("):
+            if self.cur.text == "(":
                 methods.append(self.parse_method(start, type_name, name_tok, access))
                 return
             if type_name == "void":
                 raise self.error("fields cannot have type void", name_tok)
             self.expect_punct(";")
             fields.append(
-                FieldDecl(name_tok.text, type_name, access, span=self.span_from(start))
+                FieldDecl(name_tok.text, type_name, access, self.span_from(start))
             )
             return
         if start.kind == "ident":
             class_name = self.parse_class_name()
             self.expect_punct("*")
             name_tok = self.expect_ident("field name")
-            if self.cur.is_punct("("):
+            if self.cur.text == "(":
                 raise self.error("methods must return a scalar type or void", name_tok)
             self.expect_punct(";")
             fields.append(
                 FieldDecl(
-                    name_tok.text,
-                    RefType(class_name),
-                    access,
-                    span=self.span_from(start),
+                    name_tok.text, RefType(class_name), access, self.span_from(start)
                 )
             )
             return
@@ -213,31 +216,26 @@ class _Parser:
     def parse_method(
         self, start: Token, return_type: str, name_tok: Token, access: str
     ) -> MethodDecl:
-        self.expect_punct("(")
+        self.advance()  # (
         params: list[Param] = []
-        if not self.cur.is_punct(")"):
+        if self.cur.text != ")":
             while True:
                 p_start = self.cur
-                if not (p_start.kind == "keyword" and p_start.text in SCALAR_TYPES):
+                if p_start.text not in SCALAR_TYPES:
                     raise self.error("expected a scalar parameter type")
                 p_type = self.advance().text
                 p_name = self.expect_ident("parameter name")
-                params.append(Param(p_name.text, p_type, span=self.span_from(p_start)))
-                if self.cur.is_punct(","):
+                params.append(Param(p_name.text, p_type, self.span_from(p_start)))
+                if self.cur.text == ",":
                     self.advance()
                     continue
                 break
         self.expect_punct(")")
-        if self.cur.is_punct(";"):
+        if self.cur.text == ";":
             raise self.error("method bodies are required (use '{}' for an empty body)")
         body = self.parse_block()
         return MethodDecl(
-            name_tok.text,
-            params,
-            return_type,
-            body,
-            access,
-            span=self.span_from(start),
+            name_tok.text, params, return_type, body, access, self.span_from(start)
         )
 
     # -- statements --------------------------------------------------------
@@ -246,64 +244,59 @@ class _Parser:
         """A block `inside` if/while statements deep."""
         start = self.expect_punct("{")
         stmts: list[Stmt] = []
-        while not self.cur.is_punct("}"):
+        while self.cur.text != "}":
             stmts.append(self.parse_stmt(inside))
-        self.expect_punct("}")
-        return Block(stmts, span=self.span_from(start))
+        self.advance()
+        return Block(stmts, self.span_from(start))
 
     def parse_stmt(self, inside: int) -> Stmt:
         tok = self.cur
-        nests = tok.kind == "keyword" and tok.text in ("if", "while")
-        if nests and inside == MAX_BLOCK_DEPTH:
-            raise self.error(
-                f"if/while statements nested more than {MAX_BLOCK_DEPTH} deep"
-            )
-        if tok.is_keyword("if"):
+        text = tok.text
+        if text == "return":
             self.advance()
-            self.expect_punct("(")
-            cond = self.parse_expr()
-            self.expect_punct(")")
-            then = self.parse_block(inside + 1)
-            els = None
-            if self.cur.is_keyword("else"):
-                self.advance()
-                if not self.cur.is_punct("{"):
-                    raise self.error("'else' requires a braced block")
-                els = self.parse_block(inside + 1)
-            return If(cond, then, els, span=self.span_from(tok))
-        if tok.is_keyword("while"):
+            value = None
+            if self.cur.text != ";":
+                value = self.parse_expr()
+            self.expect_punct(";")
+            return Return(value, self.span_from(tok))
+        if text == "if" or text == "while":
+            if inside == MAX_BLOCK_DEPTH:
+                raise self.error(
+                    f"if/while statements nested more than {MAX_BLOCK_DEPTH} deep"
+                )
             self.advance()
             self.expect_punct("(")
             cond = self.parse_expr()
             self.expect_punct(")")
             body = self.parse_block(inside + 1)
-            return While(cond, body, span=self.span_from(tok))
-        if tok.is_keyword("return"):
-            self.advance()
-            value = None
-            if not self.cur.is_punct(";"):
-                value = self.parse_expr()
-            self.expect_punct(";")
-            return Return(value, span=self.span_from(tok))
-        if tok.is_keyword("assert"):
+            if text == "while":
+                return While(cond, body, self.span_from(tok))
+            els = None
+            if self.cur.text == "else":
+                self.advance()
+                if self.cur.text != "{":
+                    raise self.error("'else' requires a braced block")
+                els = self.parse_block(inside + 1)
+            return If(cond, body, els, self.span_from(tok))
+        if text == "assert":
             self.advance()
             self.expect_punct("(")
             cond = self.parse_expr()
             self.expect_punct(")")
             self.expect_punct(";")
-            return Assert(cond, span=self.span_from(tok))
-        if tok.is_punct("{"):
+            return Assert(cond, self.span_from(tok))
+        if text == "{":
             raise self.error("bare blocks are not statements")
         expr = self.parse_expr()
-        if self.cur.is_punct("="):
+        if self.cur.text == "=":
             if not isinstance(expr, FieldRef):
                 raise self.error("assignment target must be a name", tok)
             self.advance()
             value = self.parse_expr()
             self.expect_punct(";")
-            return Assign(expr, value, span=self.span_from(tok))
+            return Assign(expr, value, self.span_from(tok))
         self.expect_punct(";")
-        return ExprStmt(expr, span=self.span_from(tok))
+        return ExprStmt(expr, self.span_from(tok))
 
     # -- expressions -------------------------------------------------------
     # Precedence climbing over _PRECEDENCE; `around` is how many levels
@@ -314,43 +307,66 @@ class _Parser:
         """A whole expression: a statement's condition, value or target."""
         return self.parse_binary(0, 0)[0]
 
-    def nest(self, tok: Token, depth: int) -> None:
-        """Reject a node opened at `tok` that lies `depth` deep in its
-        statement's expression. A literal, name or call is 1 deep, and each
-        operator, `!` or pair of parentheses adds 1. A node is checked with
-        the least depth it can have, before its operands are parsed, so the
-        parser's own recursion stays within the limit."""
-        if depth > MAX_EXPR_DEPTH:
-            raise self.error(
-                f"expression nested more than {MAX_EXPR_DEPTH} levels deep", tok
-            )
+    def too_deep(self, tok: Token) -> ParseError:
+        """The error for a node opened at `tok` that lies more than
+        MAX_EXPR_DEPTH deep in its statement's expression. A literal, name
+        or call is 1 deep, and each operator, `!` or pair of parentheses
+        adds 1. A node is checked with the least depth it can have, before
+        its operands are parsed, so the parser's own recursion stays within
+        the limit."""
+        return self.error(
+            f"expression nested more than {MAX_EXPR_DEPTH} levels deep", tok
+        )
 
     def parse_binary(self, around: int, min_level: int) -> tuple[Expr, int]:
         """The expression and its depth, up to the first operator that
         binds more loosely than `min_level`."""
         start = self.cur
         left, depth = self.parse_unary(around)
-        while self.cur.kind == "punct" and self.cur.text in _PRECEDENCE:
-            level = _PRECEDENCE[self.cur.text]
-            if level < min_level:
-                break
-            if self.cur.text == "%":
+        level = _PRECEDENCE.get(self.cur.text)
+        while level is not None and level >= min_level:
+            op = self.cur
+            if op.text == "%":
                 raise self.error("operator '%' is not supported")
-            self.nest(self.cur, around + depth + 1)
-            op = self.advance().text
+            if around + depth >= MAX_EXPR_DEPTH:
+                raise self.too_deep(op)
+            self.advance()
             right, right_depth = self.parse_binary(around + 1, level + 1)
-            left = Binary(op, left, right, span=self.span_from(start))
+            left = Binary(op.text, left, right, self.span_from(start))
             depth = 1 + max(depth, right_depth)
+            level = _PRECEDENCE.get(self.cur.text)
         return left, depth
 
     def parse_unary(self, around: int) -> tuple[Expr, int]:
+        """An operand: a unary expression or a primary, and its depth."""
         tok = self.cur
-        if tok.is_punct("!"):
-            self.nest(tok, around + 2)
+        kind = tok.kind
+        if kind == "ident":
             self.advance()
-            operand, depth = self.parse_unary(around + 1)
-            return Unary("!", operand, span=self.span_from(tok)), depth + 1
-        if tok.is_punct("-") and self.peek().kind in ("int", "float"):
+            ref = FieldRef(tok.text, self.span_from(tok))
+            if self.cur.text == "->":
+                self.advance()
+                method = self.expect_ident("method name").text
+                self.expect_punct("(")
+                self.expect_punct(")")
+                return CallExpr(ref, method, self.span_from(tok)), 1
+            if self.cur.text == "(":
+                raise self.error("free function calls are not supported", tok)
+            return ref, 1
+        if kind == "int":
+            self.advance()
+            if tok.value > INT_MAX:
+                raise self.error("integer literal out of 64-bit range", tok)
+            return IntLit(tok.value, self.span_from(tok)), 1
+        text = tok.text
+        if text == "(":
+            if around + 2 > MAX_EXPR_DEPTH:
+                raise self.too_deep(tok)
+            self.advance()
+            expr, depth = self.parse_binary(around + 1, 0)
+            self.expect_punct(")")
+            return expr, depth + 1
+        if text == "-" and self.peek().kind in _NUMBER_KINDS:
             self.advance()
             lit = self.advance()
             span = self.span_from(tok)
@@ -358,41 +374,20 @@ class _Parser:
                 value = -lit.value
                 if value < INT_MIN:
                     raise self.error("integer literal out of 64-bit range", lit)
-                return IntLit(value, span=span), 1
-            return FloatLit(-lit.value, span=span), 1
-        if tok.is_punct("("):
-            self.nest(tok, around + 2)
+                return IntLit(value, span), 1
+            return FloatLit(-lit.value, span), 1
+        if text == "!":
+            if around + 2 > MAX_EXPR_DEPTH:
+                raise self.too_deep(tok)
             self.advance()
-            expr, depth = self.parse_binary(around + 1, 0)
-            self.expect_punct(")")
-            return expr, depth + 1
-        return self.parse_primary(), 1
-
-    def parse_primary(self) -> Expr:
-        tok = self.cur
-        if tok.kind == "int":
+            operand, depth = self.parse_unary(around + 1)
+            return Unary("!", operand, self.span_from(tok)), depth + 1
+        if kind == "float":
             self.advance()
-            if tok.value > INT_MAX:
-                raise self.error("integer literal out of 64-bit range", tok)
-            return IntLit(tok.value, span=self.span_from(tok))
-        if tok.kind == "float":
+            return FloatLit(tok.value, self.span_from(tok)), 1
+        if text == "true" or text == "false":
             self.advance()
-            return FloatLit(tok.value, span=self.span_from(tok))
-        if tok.is_keyword("true") or tok.is_keyword("false"):
-            self.advance()
-            return BoolLit(tok.text == "true", span=self.span_from(tok))
-        if tok.kind == "ident":
-            self.advance()
-            ref = FieldRef(tok.text, span=self.span_from(tok))
-            if self.cur.is_punct("->"):
-                self.advance()
-                method = self.expect_ident("method name").text
-                self.expect_punct("(")
-                self.expect_punct(")")
-                return CallExpr(ref, method, span=self.span_from(tok))
-            if self.cur.is_punct("("):
-                raise self.error("free function calls are not supported", tok)
-            return ref
+            return BoolLit(text == "true", self.span_from(tok)), 1
         raise self.error(f"expected an expression, found {self._describe(tok)}")
 
 

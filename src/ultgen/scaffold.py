@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .cutlang.nodes import ClassDecl, MethodDecl, RefType, SourceUnit
-from .errors import UnknownClass
+from .errors import UltgenError, UnknownClass
 
 ANCHOR_START = "// ULTGEN-ANCHOR:"
 ANCHOR_END = "// ULTGEN-END"
@@ -89,7 +89,7 @@ class _File:
         self.lines: list[str] = []
         self.anchors: list[Anchor] = []
         self.anchor_line_count = 0
-        self._kept = _region_map(previous(name))
+        self._kept = _region_map(name, previous(name))
 
     def add(self, *lines: str) -> None:
         self.lines.extend(lines)
@@ -106,23 +106,35 @@ class _File:
         return "\n".join(self.lines) + "\n"
 
 
-def _region_map(text: str | None) -> dict[str, list[str]]:
-    """kind -> user lines between that kind's markers in `text`. A kind
-    marked twice keeps its last region."""
+def _region_map(name: str, text: str | None) -> dict[str, list[str]]:
+    """kind -> user lines between that kind's markers in `text`, the
+    earlier text of file `name`. A kind marked twice keeps its last region.
+    A region that reaches the next marker or the end of the file before
+    its `// ULTGEN-END` is an error, so no generated line is carried."""
     regions: dict[str, list[str]] = {}
     kind = None
-    for line in (text or "").splitlines():
+    opened = 0
+    for number, line in enumerate((text or "").splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith(ANCHOR_START):
+            if kind is not None:
+                raise _unclosed(name, opened, kind, "the next anchor")
             kind = stripped[len(ANCHOR_START) :].strip()
+            opened = number
             regions[kind] = []
-            continue
-        if stripped == ANCHOR_END:
+        elif stripped == ANCHOR_END:
             kind = None
-            continue
-        if kind is not None:
+        elif kind is not None:
             regions[kind].append(line)
+    if kind is not None:
+        raise _unclosed(name, opened, kind, "the end of the file")
     return regions
+
+
+def _unclosed(name: str, line: int, kind: str, before: str) -> UltgenError:
+    return UltgenError(
+        f"{name}:{line}: anchor {kind!r} has no {ANCHOR_END!r} before {before}"
+    )
 
 
 def _open_header(f: _File) -> None:
@@ -220,9 +232,9 @@ def generate_scaffold(
     `previous(name)` gives the earlier text of a file the bundle writes, or
     None. Regions carry over by (file name, anchor kind): the last region of
     a kind wins, kinds the new scaffold lacks are dropped, and everything
-    outside the markers is regenerated. Byte-identical output for identical
-    input. An extern dependency gets an empty-bodied mock and a note in
-    `warnings`.
+    outside the markers is regenerated. A region without its END marker
+    raises UltgenError. Byte-identical output for identical input. An
+    extern dependency gets an empty-bodied mock and a note in `warnings`.
     """
     cls = unit.class_named(class_name)
     if cls is None:

@@ -1,6 +1,7 @@
 """Front-end behavior: lexing, parsing, static checks, printing."""
 
 import math
+import time
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -68,6 +69,14 @@ def test_eof_column_after_trailing_comment():
         "t.cut:1:40: expected a member declaration, found end of input"
     )
     assert tokenize("int x;\n#pragma once")[-1].column == 13
+
+
+def test_trailing_blanks_take_linear_time():
+    source = "int x;" + " \t" * 10_000
+    start = time.perf_counter()
+    eof = tokenize(source)[-1]
+    assert time.perf_counter() - start < 1.0
+    assert (eof.pos, eof.line, eof.column) == (len(source), 1, len(source) + 1)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ultgen.cutlang import parse_source
-from ultgen.errors import UnknownClass
+from ultgen.errors import UltgenError, UnknownClass
 from ultgen.scaffold import (
     fixture_file_name,
     generate_scaffold,
@@ -187,6 +187,30 @@ def test_merge_counts_user_lines_as_anchor_lines(golden_unit):
     }
 
 
+@pytest.mark.parametrize(
+    "name, kind, before",
+    [
+        ("a_test_fixture.h", "SetUpBody", "the next anchor"),
+        ("test_a.h", "TestBody(func2)", "the end of the file"),
+    ],
+)
+def test_merge_rejects_an_unclosed_region(golden_unit, name, kind, before):
+    """A region whose END marker was deleted would carry the generated lines
+    after it (and declare TearDown twice); the merge refuses it instead,
+    at the line of the unclosed marker."""
+    bundle = generate_scaffold(golden_unit, "A")
+    line = {(a.file, a.kind): a.line for a in bundle.anchors}[(name, kind)]
+    lines = dict(bundle.files)[name].split("\n")
+    assert lines[line].strip() == "// ULTGEN-END"
+    lines[line] = "        // the END marker was here"
+    edited = {**dict(bundle.files), name: "\n".join(lines)}
+    with pytest.raises(UltgenError) as info:
+        generate_scaffold(golden_unit, "A", edited.get)
+    assert str(info.value) == (
+        f"{name}:{line}: anchor {kind!r} has no '// ULTGEN-END' before {before}"
+    )
+
+
 def test_corpus_scaffolds_generate_cleanly(corpus_unit):
     for cls in corpus_unit.classes:
         bundle = generate_scaffold(corpus_unit, cls.name)
@@ -236,3 +260,18 @@ def test_merge_rules_through_the_cli(invoke, golden_dir, tmp_path):
     assert merged["anchor_line_count"] == fresh["anchor_line_count"] + 4
     total = sum(len((out_dir / name).read_text().splitlines()) for name in merged["files"])
     assert merged["auto_line_count"] + merged["anchor_line_count"] == total
+
+
+def test_merge_with_an_unclosed_region_writes_nothing(invoke, golden_dir, tmp_path):
+    src = golden_dir / "class_a.cut"
+    out_dir = tmp_path / "gen"
+    assert invoke("scaffold", src, "--class", "A", "-o", out_dir)[0] == 0
+    fixture = out_dir / "a_test_fixture.h"
+    broken = fixture.read_text().replace("// ULTGEN-END", "// END", 1)
+    fixture.write_text(broken)
+    (out_dir / "mock_c.h").unlink()
+    code, _, err = invoke("scaffold", src, "--class", "A", "-o", out_dir, "--merge")
+    assert code == 1
+    assert "a_test_fixture.h:14: anchor 'SetUpBody' has no '// ULTGEN-END'" in err
+    assert fixture.read_text() == broken
+    assert not (out_dir / "mock_c.h").exists()
