@@ -91,14 +91,14 @@ def compute_coverage(
     """Union the outcome pairs of the evaluator's traces.
 
     Every trace must carry the evaluator's AST fingerprint; a mismatch
-    means traces from different code were mixed.
+    means traces from different code were mixed. With no traces the
+    fingerprint is not read, so a method that runs no case never computes it.
     """
-    expected = evaluator.fingerprint
     for t in traces:
-        if t.fingerprint != expected:
+        if t.fingerprint != evaluator.fingerprint:
             raise MixedTargets(
                 f"trace {t.case_id!r} targets a different method body "
-                f"({t.fingerprint[:12]} != {expected[:12]})"
+                f"({t.fingerprint[:12]} != {evaluator.fingerprint[:12]})"
             )
     covered: set[tuple[str, bool]] = set()
     for t in traces:

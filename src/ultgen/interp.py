@@ -13,9 +13,13 @@ behaviour depends on is resolved while writing the source: the
 the operator, whether arithmetic is on int or float, void call sites and
 the crash event (kind and source span) of each assert, division and call
 site. Variables, mock cursors and fuel are the function's locals, and no
-step makes a call to dispatch a node. The source holds no text from the
-input: every value is an argument of the function that builds it, so
-methods of the same shape share one source, compiled once per process.
+step makes a call to dispatch a node. Fuel is checked once per run of
+quiet statements (assignments and expression statements with no
+value-returning call and no int `/`) together with the statement or loop
+condition check after it, so a loop whose body is quiet pays one check
+per pass. The source holds no text from the input: every value is an
+argument of the function that builds it, so methods of the same shape
+share one source, compiled once per process.
 
 A shape is the statement and expression tree with its arithmetic
 operators, its comparison operators inside a `while`, and its int/float
@@ -44,7 +48,10 @@ Semantics pinned here and mirrored by the independent test oracle:
   - float follows IEEE-754 doubles; division by zero yields +/-inf or nan.
   - `&&`/`||` short-circuit; skipped conditions record no outcome.
   - Fuel: executing any statement costs 1, each while-condition evaluation
-    costs 1 more; an unpayable charge stops the run with FuelExhausted.
+    costs 1 more; an unpayable charge stops the run with FuelExhausted,
+    having used all the fuel. The generated code pays consecutive charges
+    in one check where nothing observable happens between them, so the
+    trace is the one that one check per charge gives.
   - Falling off the end of a method returns no value.
 """
 
@@ -81,6 +88,7 @@ from .cutlang.nodes import (
     Stmt,
     Unary,
     While,
+    walk,
 )
 from .cutlang.printer import print_method
 from .decisions import Decision, all_pairs, extract_decisions
@@ -227,7 +235,6 @@ _WRAP = (
     " else ((t + 9223372036854775808) & 18446744073709551615)"
     " - 9223372036854775808)"
 )
-_CHARGE = ("if fuel <= 0: return _OUT_OF_FUEL, None, 0", "fuel -= 1")
 
 
 class _Emitter:
@@ -303,13 +310,55 @@ class _Emitter:
 
     # -- statements --------------------------------------------------------
 
-    def block(self, block: Block, depth: int) -> None:
-        if not block.stmts:
+    def block(self, block: Block, depth: int, then: int = 0) -> None:
+        """Emit a block. Each run of quiet statements is paid in one check
+        together with the statement after it (a `while` adds its first
+        condition check). `then` is a charge due right after the block (a
+        `while` body's next condition check), paid with its trailing run.
+        No charge moves across a predicate, a crash site, a `return` or the
+        join after an `if`."""
+        stmts = block.stmts
+        start = 0  # the first statement not yet paid for
+        for i, s in enumerate(stmts):
+            if self.quiet(s):
+                continue
+            self.charge(depth, i - start + (2 if isinstance(s, While) else 1))
+            for paid in stmts[start : i + 1]:
+                self.stmt(paid, depth)
+            start = i + 1
+        tail = len(stmts) - start + then
+        if tail:
+            self.charge(depth, tail)
+            for paid in stmts[start:]:
+                self.stmt(paid, depth)
+        elif not stmts:
             self.emit(depth, "pass")
-        for s in block.stmts:
-            for line in _CHARGE:
-                self.emit(depth, line)
-            self.stmt(s, depth)
+
+    def charge(self, depth: int, n: int) -> None:
+        """Pay `n` fuel in one check. A run that cannot pay it all would
+        have stopped within it, where the trace reads the same."""
+        test = "fuel <= 0" if n == 1 else f"fuel < {n}"
+        self.emit(depth, f"if {test}: return _OUT_OF_FUEL, None, 0")
+        self.emit(depth, f"fuel -= {n}")
+
+    def quiet(self, s: Stmt) -> bool:
+        """Whether a statement has no observable effect before its end: an
+        assignment or expression statement with no value-returning call and
+        no int `/`. It records no pair (only predicates do), cannot crash
+        and cannot return, so its charge may join the next one."""
+        if isinstance(s, Assign):
+            e = s.value
+        elif isinstance(s, ExprStmt):
+            e = s.expr
+        else:
+            return False
+        for node in walk(e):
+            if isinstance(node, CallExpr):
+                if self.call_types.get((node.receiver.name, node.method)) != "void":
+                    return False
+            elif isinstance(node, Binary) and node.op == "/" and node.type_ != "float":
+                return False
+        return True
 
     def stmt(self, s: Stmt, depth: int) -> None:
         if isinstance(s, If):
@@ -324,14 +373,14 @@ class _Emitter:
         elif isinstance(s, While):
             outer, self.looped = self.looped, True
             test, yes, no = self.decision(s.cond)
+            # The statement's charge paid for the first check; the body
+            # pays for each later one.
             self.emit(depth, "while True:")
-            for line in _CHARGE:
-                self.emit(depth + 1, line)
             self.emit(depth + 1, f"if not {test}:")
             self.emit(depth + 2, no)
             self.emit(depth + 2, "break")
             self.emit(depth + 1, yes)
-            self.block(s.body, depth + 1)
+            self.block(s.body, depth + 1, then=1)
             self.looped = outer
         elif isinstance(s, Assert):
             test, yes, no = self.decision(s.cond)
@@ -496,13 +545,18 @@ class CaseEvaluator:
         # Outcome pairs the method has: both values of every decision and
         # condition, the syntactic coverage denominator.
         self.pairs = all_pairs(self.decisions)
-        self.fingerprint = method_fingerprint(class_name, method)
         # What a case may set: parameters in declaration order, and scalar
         # fields (inherited ones included) by name.
         self.param_types = {p.name: p.type for p in method.params}
         fields = cls.all_fields.values()
         self.field_types = {f.name: f.type for f in fields if type(f.type) is str}
         self._runner: Optional[_Runner] = None  # set by _compile on the first run
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The method's AST fingerprint, which every trace carries; computed
+        on first use, so evaluators that run no case never print the body."""
+        return method_fingerprint(self.class_name, self.method)
 
     @cached_property
     def mock_types(self) -> dict[tuple[str, str], str]:

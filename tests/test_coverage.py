@@ -87,6 +87,8 @@ def test_zero_decision_method_is_vacuously_covered(unit):
     assert not cov.has_passing_case
     # one shared empty set, so decision-free methods allocate none
     assert cov.pairs_covered is cov.uncovered == frozenset()
+    # and a method that runs no case never prints and hashes its body
+    assert "fingerprint" not in vars(evaluator)
 
 
 def test_mixed_fingerprints_rejected(unit):

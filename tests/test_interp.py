@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gen_programs import gen_program, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
@@ -486,6 +486,60 @@ def test_generated_programs_match_oracle(packed):
         assert agree(evaluator.run(c), oracle.run(c)), (text, c)
 
 
+# Every hazard a merged fuel charge must not cross, each followed by a quiet
+# statement: an assert, a value-returning call, an int `/`, the join after
+# an `if`, and a loop whose body is one merged charge. The cases reach the
+# end, crash at the unmocked call and crash at the division.
+_SWEEP_TEXT = """
+class Dep { public: int get() { return 0; } void nudge() {} };
+class G {
+public:
+    Dep* d;
+    int n;
+    float level;
+    int m(int a, int b, bool p, float x) {
+        assert(a != 3);
+        x = x + 1.0;
+        n = n + d->get();
+        level = level * 2.0;
+        b = a / b;
+        d->nudge();
+        if (p) { a = a - 1; }
+        n = n + 1;
+        while (a > 0) { a = a - 1; x = x / 2.0; }
+        return a;
+    }
+};
+"""
+
+
+def _sweep_case(b, p, mocks):
+    return TestCase(
+        id="sweep", target=("G", "m"), param_values={"a": 4, "b": b, "p": p, "x": 0.5},
+        field_values={}, mock_plan=mocks, origin="Configured",
+    )
+
+
+@given(gen_program())
+@example((_SWEEP_TEXT, 0, [
+    _sweep_case(1, True, {("d", "get"): [2]}),
+    _sweep_case(1, False, {}),
+    _sweep_case(0, False, {("d", "get"): [2]}),
+]))
+def test_every_fuel_limit_matches_oracle(packed):
+    """Each case runs out of fuel at every point it can, up to one past the
+    fuel it needs (at most 64): the evaluator, which pays several charges
+    in one check, stops with the trace the oracle's one-by-one charges give."""
+    text, _, cases = packed
+    unit = parse_source(text, path="<sweep>")
+    for c in cases:
+        steps = CaseEvaluator(unit, "G", "m").run(c).steps
+        for fuel in range(1, min(steps + 1, 64) + 1):
+            trace = CaseEvaluator(unit, "G", "m", fuel=fuel).run(c)
+            result = OracleEvaluator(unit, "G", "m", fuel=fuel).run(c)
+            assert agree(trace, result), (text, c, fuel)
+
+
 @given(gen_program())
 def test_recorded_pairs_are_in_the_decision_table(packed):
     """Every pair a trace records is one of the method's outcome pairs."""
@@ -616,6 +670,42 @@ def test_generated_source_holds_no_input_text():
     assert consts_p != consts_q
     for word in ("dep", "total", "first", "fetch", "Dep", "12345", "P.first"):
         assert word not in source_p
+
+
+def _fuel_checks(lines):
+    return [line.strip() for line in lines if line.strip().startswith("if fuel")]
+
+
+def test_quiet_loop_body_pays_one_fuel_check_per_pass():
+    unit = parse_source(
+        "class C { public: int acc;"
+        " int m(int n) { while (n > 0) { n = n - 1; acc = acc + 2; } return acc; } };",
+        path="<quiet>",
+    )
+    lines = CaseEvaluator(unit, "C", "m")._generate()[0].splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == "while True:")
+    indent = len(lines[start]) - len(lines[start].lstrip())
+    body = []
+    for line in lines[start + 1:]:
+        if len(line) - len(line.lstrip()) <= indent:
+            break
+        body.append(line)
+    # the two assignments and the next condition check, paid at once
+    assert _fuel_checks(body) == ["if fuel < 3: return _OUT_OF_FUEL, None, 0"]
+    # the while statement and its first check, paid before the loop
+    assert _fuel_checks(lines[:start]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0"]
+
+
+def test_int_division_keeps_its_own_fuel_check():
+    unit = parse_source(
+        "class C { public: int m(int a, int b, int x, int y)"
+        " { x = a / b; y = 1; return y; } };",
+        path="<div>",
+    )
+    lines = CaseEvaluator(unit, "C", "m")._generate()[0].splitlines()
+    division = next(i for i, line in enumerate(lines) if "_div(" in line)
+    assert _fuel_checks(lines[:division]) == ["if fuel <= 0: return _OUT_OF_FUEL, None, 0"]
+    assert _fuel_checks(lines[division:]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0"]
 
 
 # --- the deepest method the parser accepts --------------------------------
