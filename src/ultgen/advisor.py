@@ -23,7 +23,7 @@ import json
 import math
 import re
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InsufficientData, SchemaError, UntrainedModel
@@ -468,17 +468,6 @@ def loss_gradient_hessian(
         h33 / n,
     )
     return loss, (g0, g1, g2), grad_b, hessian
-
-
-def loss_and_gradient(
-    weights: Sequence[float],
-    bias: float,
-    samples: Sequence[Sample],
-    l2: float = L2_PENALTY,
-) -> tuple[float, tuple[float, float, float], float]:
-    """The loss and gradient of ``loss_gradient_hessian``'s pass."""
-    loss, grad_w, grad_b, _ = loss_gradient_hessian(weights, bias, samples, l2)
-    return loss, grad_w, grad_b
 
 
 def newton_step(

@@ -507,13 +507,11 @@ def greedy_select(
             new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
             if not new_crash and trace.outcomes <= covered:
                 continue  # nothing new, so `covered` is still short of `valid`
-            new_pairs = trace.outcomes - covered
-            if new_pairs or new_crash:
-                kept.append(case)
-                traces.append(trace)
-                covered.update(new_pairs)
-                if trace.crash is not None:
-                    seen_crashes.add(trace.crash.key)
+            kept.append(case)
+            traces.append(trace)
+            covered.update(trace.outcomes)
+            if new_crash:
+                seen_crashes.add(trace.crash.key)
             if covered >= valid:
                 break
     coverage = compute_coverage(list(preseed) + traces, evaluator)

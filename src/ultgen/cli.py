@@ -301,7 +301,7 @@ def _write_cases(path: Path, cases: Sequence[TestCase]) -> None:
 
 def _load_case_file(path: str) -> list[TestCase]:
     cases = []
-    for n, raw in enumerate(_read_text(path).splitlines(), start=1):
+    for n, raw in enumerate(_read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
         try:

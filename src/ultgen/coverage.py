@@ -90,19 +90,19 @@ def compute_coverage(
 ) -> MethodCoverage:
     """Union the outcome pairs of the evaluator's traces.
 
-    Every trace must carry the evaluator's AST fingerprint; a mismatch
-    means traces from different code were mixed. With no traces the
-    fingerprint is not read, so a method that runs no case never computes it.
+    Every covered pair must be one of the evaluator's pairs. Pair ids name
+    their method, so a trace of another method that recorded any pair is
+    caught here.
     """
-    for t in traces:
-        if t.fingerprint != evaluator.fingerprint:
-            raise MixedTargets(
-                f"trace {t.case_id!r} targets a different method body "
-                f"({t.fingerprint[:12]} != {evaluator.fingerprint[:12]})"
-            )
     covered: set[tuple[str, bool]] = set()
     for t in traces:
         covered.update(t.outcomes)
+    foreign = covered - evaluator.pairs
+    if foreign:
+        raise MixedTargets(
+            f"traces cover pairs {evaluator.class_name}.{evaluator.method.name} "
+            f"does not have: {sorted(foreign)}"
+        )
     return _method_coverage(evaluator, covered, any(t.passed for t in traces))
 
 

@@ -1,8 +1,8 @@
 """Canonical pretty-printer for CUT-lang ASTs.
 
 The output re-parses to a structurally equal tree (round-trip stability) and
-is byte-stable for identical trees, which makes it usable as the basis of
-method fingerprints. Style: 4-space indent, braces on their own lines.
+is byte-stable for identical trees. The decisions table renders expressions
+with it. Style: 4-space indent, braces on their own lines.
 """
 
 from __future__ import annotations

@@ -19,14 +19,12 @@ from .cutlang.nodes import (
     BoolLit,
     CallExpr,
     Expr,
-    FieldRef,
     FloatLit,
     If,
     IntLit,
     MethodDecl,
     ParamRef,
     Span,
-    Stmt,
     Unary,
     While,
     walk,

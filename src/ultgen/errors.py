@@ -69,7 +69,7 @@ class ContractViolation(UltgenError):
 
 
 class MixedTargets(UltgenError):
-    """Traces passed to coverage aggregation were produced from different ASTs."""
+    """Traces passed to coverage aggregation cover pairs their method lacks."""
 
 
 class DomainTooLarge(UltgenError):

@@ -4,7 +4,10 @@ Runs one test case against one method: parameters and scalar fields come
 from the case, dependency calls return scripted mock values, and every
 evaluated decision/condition contributes an outcome pair. Crashes (failed
 assert, integer division by zero, unscripted call, fuel exhaustion)
-terminate the run and are data on the trace, not Python errors.
+terminate the run and are data on the trace, not Python errors. A trace
+holds only what the run produced: outcome pairs, crash, steps and return
+value. Each pair id names its method, so coverage can tell a trace of
+another method by its pairs alone.
 
 A CaseEvaluator compiles its method on its first run into the source of
 one Python function, and runs every case through it. Everything a node's
@@ -57,7 +60,6 @@ Semantics pinned here and mirrored by the independent test oracle:
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass
@@ -79,7 +81,6 @@ from .cutlang.nodes import (
     FloatLit,
     If,
     IntLit,
-    MethodDecl,
     ParamRef,
     RefType,
     Return,
@@ -90,7 +91,6 @@ from .cutlang.nodes import (
     While,
     walk,
 )
-from .cutlang.printer import print_method
 from .decisions import Decision, all_pairs, extract_decisions
 from .errors import ContractViolation, UnknownClass, UnknownTarget
 
@@ -123,12 +123,10 @@ class Event:
 
 
 class ExecutionTrace(NamedTuple):
-    case_id: str
     outcomes: frozenset[tuple[str, bool]]  # (decision or condition id, value)
     crash: Optional[Event]
     steps: int
     return_value: Optional[Scalar]  # None after a crash
-    fingerprint: str
 
     @property
     def terminal(self) -> str:
@@ -153,11 +151,6 @@ class _Crash(Exception):
 _Runner = Callable[
     [dict, dict, dict, set, int], tuple[Optional[Event], Optional[Scalar], int]
 ]
-
-
-def method_fingerprint(class_name: str, method: MethodDecl) -> str:
-    text = f"{class_name}\n{print_method(method)}\n"
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _int_div(a: int, b: int, div_by_zero: Event) -> int:
@@ -506,19 +499,18 @@ class _Emitter:
         return f"_div({left}, {right}, {self.const(Event(DIV_BY_ZERO, e.span))})"
 
 
-# `_make` per digest of a generated source. A source holds no input text,
-# so methods of the same shape share one entry, each binding its own values
-# to it; the digest keeps the sources themselves out of memory.
-_MAKERS: dict[bytes, Callable[..., _Runner]] = {}
+# `_make` per generated source. A source holds no input text, so methods of
+# the same shape share one entry, each binding its own values to it.
+_MAKERS: dict[str, Callable[..., _Runner]] = {}
 
 
 class CaseEvaluator:
     """Prepared executor for one (class, method): parse once, run many cases.
 
-    Exposes the method's decisions and an AST fingerprint so traces can be
-    checked for consistency before coverage aggregation. The body is
-    compiled on the first `run`, so evaluators that never run a case (such
-    as those of decision-free methods) pay nothing for it.
+    Exposes the method's decisions and their outcome pairs, which coverage
+    checks every trace's outcomes against. The body is compiled on the
+    first `run`, so evaluators that never run a case (such as those of
+    decision-free methods) pay nothing for it.
     """
 
     def __init__(
@@ -553,12 +545,6 @@ class CaseEvaluator:
         self._runner: Optional[_Runner] = None  # set by _compile on the first run
 
     @cached_property
-    def fingerprint(self) -> str:
-        """The method's AST fingerprint, which every trace carries; computed
-        on first use, so evaluators that run no case never print the body."""
-        return method_fingerprint(self.class_name, self.method)
-
-    @cached_property
     def mock_types(self) -> dict[tuple[str, str], str]:
         """Value type per value-returning call site, in `call_types` order:
         the mock scripts a case of the method may need."""
@@ -589,12 +575,11 @@ class CaseEvaluator:
         """Bind the method's values to its shape's `_make`, compiling the
         shape's source if no method has yet."""
         source, consts = self._generate()
-        key = hashlib.sha256(source.encode()).digest()
-        make = _MAKERS.get(key)
+        make = _MAKERS.get(source)
         if make is None:
             namespace = dict(_GENERATED_GLOBALS)
             exec(compile(source, "<ultgen generated>", "exec"), namespace)
-            make = _MAKERS[key] = namespace["_make"]
+            make = _MAKERS[source] = namespace["_make"]
         self._runner = make(*consts)
         return self._runner
 
@@ -652,6 +637,4 @@ class CaseEvaluator:
         crash, ret, left = runner(
             case.param_values, case.field_values, case.mock_plan, outcomes, self.fuel
         )
-        return ExecutionTrace(
-            case.id, frozenset(outcomes), crash, self.fuel - left, ret, self.fingerprint
-        )
+        return ExecutionTrace(frozenset(outcomes), crash, self.fuel - left, ret)

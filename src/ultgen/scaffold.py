@@ -114,7 +114,7 @@ def _region_map(name: str, text: str | None) -> dict[str, list[str]]:
     regions: dict[str, list[str]] = {}
     kind = None
     opened = 0
-    for number, line in enumerate((text or "").splitlines(), start=1):
+    for number, line in enumerate((text or "").split("\n"), start=1):
         stripped = line.strip()
         if stripped.startswith(ANCHOR_START):
             if kind is not None:

@@ -19,7 +19,7 @@ from ultgen.advisor import (
     Recommendation,
     TrendPoint,
     gap_report,
-    loss_and_gradient,
+    loss_gradient_hessian,
     recommend,
     recommend_all,
     train_model,
@@ -297,7 +297,7 @@ def _max_gradient_error(points=10):
             samples.append((features, rng.below(2)))
         w = [rng.float01() * 4.0 - 2.0 for _ in range(3)]
         b = rng.float01() * 4.0 - 2.0
-        _, grad_w, grad_b = loss_and_gradient(w, b, samples)
+        _, grad_w, grad_b = loss_gradient_hessian(w, b, samples)[:3]
         analytic = list(grad_w) + [grad_b]
         for j in range(4):
             wp, wm, bp, bm = list(w), list(w), b, b
@@ -307,8 +307,8 @@ def _max_gradient_error(points=10):
             else:
                 bp += h
                 bm -= h
-            lp, _, _ = loss_and_gradient(wp, bp, samples)
-            lm, _, _ = loss_and_gradient(wm, bm, samples)
+            lp, _, _ = loss_gradient_hessian(wp, bp, samples)[:3]
+            lm, _, _ = loss_gradient_hessian(wm, bm, samples)[:3]
             numeric = (lp - lm) / (2 * h)
             worst = max(
                 worst, abs(numeric - analytic[j]) / max(1.0, abs(numeric))

@@ -30,7 +30,6 @@ from ultgen.advisor import (
     load_commits,
     load_component_map,
     load_coverage,
-    loss_and_gradient,
     loss_gradient_hessian,
     make_samples,
     map_commit_to_components,
@@ -414,18 +413,18 @@ def test_gradient_matches_finite_differences():
         samples = _random_samples(rng, 8)
         w = [rng.float01() * 4.0 - 2.0 for _ in range(3)]
         b = rng.float01() * 4.0 - 2.0
-        _, grad_w, grad_b = loss_and_gradient(w, b, samples)
+        _, grad_w, grad_b = loss_gradient_hessian(w, b, samples)[:3]
         for j in range(3):
             wp = list(w)
             wm = list(w)
             wp[j] += h
             wm[j] -= h
-            lp, _, _ = loss_and_gradient(wp, b, samples)
-            lm, _, _ = loss_and_gradient(wm, b, samples)
+            lp, _, _ = loss_gradient_hessian(wp, b, samples)[:3]
+            lm, _, _ = loss_gradient_hessian(wm, b, samples)[:3]
             numeric = (lp - lm) / (2 * h)
             assert abs(numeric - grad_w[j]) <= 1e-4 * max(1.0, abs(numeric))
-        lp, _, _ = loss_and_gradient(w, b + h, samples)
-        lm, _, _ = loss_and_gradient(w, b - h, samples)
+        lp, _, _ = loss_gradient_hessian(w, b + h, samples)[:3]
+        lm, _, _ = loss_gradient_hessian(w, b - h, samples)[:3]
         numeric = (lp - lm) / (2 * h)
         assert abs(numeric - grad_b) <= 1e-4 * max(1.0, abs(numeric))
 
@@ -505,7 +504,6 @@ def test_loss_and_gradient_bit_exact_against_reference(samples, weights, bias):
     assert (loss, grad_w, grad_b) == _reference_loss_and_gradient(
         weights, bias, samples
     )
-    assert loss_and_gradient(weights, bias, samples) == (loss, grad_w, grad_b)
     assert hessian == _reference_hessian(weights, bias, samples)
 
 
@@ -557,8 +555,8 @@ def test_newton_step_refuses_non_positive_pivot():
 def test_l2_hits_weights_not_bias():
     samples = _random_samples(SplitMix64(7), 6)
     w = [2.0, -1.0, 0.5]
-    loss0, gw0, gb0 = loss_and_gradient(w, 3.0, samples, l2=0.0)
-    loss1, gw1, gb1 = loss_and_gradient(w, 3.0, samples, l2=0.01)
+    loss0, gw0, gb0 = loss_gradient_hessian(w, 3.0, samples, l2=0.0)[:3]
+    loss1, gw1, gb1 = loss_gradient_hessian(w, 3.0, samples, l2=0.01)[:3]
     penalty = 0.5 * 0.01 * sum(x * x for x in w)
     assert loss1 == pytest.approx(loss0 + penalty)
     assert gb1 == gb0

@@ -339,6 +339,22 @@ def test_scaffold_merge_preserves_anchor_edits(invoke, golden_dir, tmp_path):
     assert "warmCache();" not in fixture.read_text()
 
 
+def test_scaffold_merge_keeps_form_feed_line_verbatim(invoke, golden_dir, tmp_path):
+    # Only "\n" ends a line: a form feed inside a kept line stays in it.
+    out_dir = tmp_path / "gen"
+    src = golden_dir / "class_a.cut"
+    assert invoke("scaffold", src, "--class", "A", "-o", out_dir)[0] == 0
+    test_file = out_dir / "test_a.h"
+    marker = "// ULTGEN-ANCHOR: TestBody(func1)\n"
+    kept = "        int a = 1;\f// page\n"
+    text = test_file.read_text()
+    assert marker in text
+    test_file.write_text(text.replace(marker, marker + kept))
+
+    assert invoke("scaffold", src, "--class", "A", "-o", out_dir, "--merge")[0] == 0
+    assert marker + kept in test_file.read_text()
+
+
 def _invoke_noting_syslog_once(invoke, *args):
     """Run the CLI and check that the extern note on Syslog reached the user
     once, as a `warning:` line on stderr."""
@@ -569,6 +585,22 @@ def test_coverage_bad_case_file(invoke, turnstile, tmp_path):
         code, out, err = invoke("coverage", turnstile, "--cases", case_file)
         assert (code, out) == (1, "")
         assert err == f"ultgen: error: {case_file}:2: bad case record: {reason}\n"
+
+
+def test_coverage_case_id_with_unicode_line_separator(invoke, turnstile, tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw inside a string; only "\n"
+    # ends a record.
+    case = _manual_case(
+        ["Turnstile", "push"], {"coins": 2}, id="a\u2028b\u2029c\x85d"
+    )
+    case_file = tmp_path / "sep.jsonl"
+    case_file.write_text(json.dumps(case, ensure_ascii=False) + "\n", encoding="utf-8")
+    code, out, err = invoke(
+        "coverage", turnstile, "--cases", case_file, "--threshold", "0", "--json"
+    )
+    assert (code, err) == (0, "")
+    rows = {r["method"]: r for r in json.loads(out)["methods"]}
+    assert rows["Turnstile.push"]["has_passing_case"] is True
 
 
 @pytest.mark.parametrize("threshold", ["150", "-1", "nan", "inf"])

@@ -87,21 +87,21 @@ def test_zero_decision_method_is_vacuously_covered(unit):
     assert not cov.has_passing_case
     # one shared empty set, so decision-free methods allocate none
     assert cov.pairs_covered is cov.uncovered == frozenset()
-    # and a method that runs no case never prints and hashes its body
-    assert "fingerprint" not in vars(evaluator)
 
 
-def test_mixed_fingerprints_rejected(unit):
-    other = parse_source(SRC.replace("x + 1", "x + 2"), path="<cov2>")
-    e1 = CaseEvaluator(unit, "A", "plain")
-    e2 = CaseEvaluator(other, "A", "plain")
-    t1 = e1.run(mk("a", "plain", {"x": 1}))
-    t2 = e2.run(mk("b", "plain", {"x": 1}))
-    with pytest.raises(MixedTargets):
-        compute_coverage([t1, t2], e1)
-    # a lone trace is checked against the evaluator's own body too
-    with pytest.raises(MixedTargets):
-        compute_coverage([t2], e1)
+def test_foreign_pairs_rejected(unit):
+    plain = CaseEvaluator(unit, "A", "plain")
+    own = plain.run(mk("a", "plain", {"x": 1}))
+    pick = CaseEvaluator(unit, "A", "pick")
+    foreign = pick.run(mk("b", "pick", {"x": 1, "go": True}))
+    # a lone foreign trace, and one mixed with the method's own
+    for traces in ([foreign], [own, foreign]):
+        with pytest.raises(MixedTargets) as info:
+            compute_coverage(traces, plain)
+        assert str(info.value) == (
+            "traces cover pairs A.plain does not have: [('A.pick:D1', True), "
+            "('A.pick:D1.c1', True), ('A.pick:D1.c2', True)]"
+        )
 
 
 def test_aggregate_weights_by_pairs(unit):

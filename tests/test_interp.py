@@ -314,12 +314,6 @@ def test_unknown_method(unit):
         CaseEvaluator(unit, "M", "nope")
 
 
-def test_fingerprint_stable_across_reparse(unit):
-    a = ev(unit, "branching").fingerprint
-    b = CaseEvaluator(parse_source(SRC, path="<x>"), "M", "branching").fingerprint
-    assert a == b
-
-
 # --- inherited members and extern calls -----------------------------------
 
 INHERIT_SRC = """

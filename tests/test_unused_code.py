@@ -6,6 +6,11 @@ the name (the benchmark patches call sites by attribute name), in any
 module under src/, tests/ or perfbench/, outside the definition itself.
 Assignments, imports and `__all__` entries are not uses: a constant that is
 only written, or a re-export alone, keeps nothing alive.
+
+Every name imported into a src/ultgen module has a use too: the module
+reads it (by the rule above, so a quoted annotation counts), lists it in
+its `__all__`, or a module under src/, tests/ or perfbench/ imports it
+from that module.
 """
 
 import ast
@@ -97,4 +102,63 @@ def test_every_definition_has_a_use():
         )
         if not used:
             unused.append(f"{path.relative_to(ROOT)}:{first}: {name}")
+    assert unused == []
+
+
+def _module_name(path: pathlib.Path) -> str:
+    """Dotted name of a module under src/."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _from_module(node: ast.ImportFrom, path: pathlib.Path) -> str:
+    """The module a `from ... import` names; a relative one is resolved
+    against `path`, which is then under src/."""
+    if not node.level:
+        return node.module
+    package = _module_name(path).split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    base = package[: len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _imports(module: ast.Module):
+    """(bound name, line) of every import in a module, `__future__` aside."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+
+
+def _exported(module: ast.Module) -> set[str]:
+    """The names in a module's `__all__`."""
+    for node in module.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_has_a_use():
+    uses = _uses_by_file()
+    imported_from: set[tuple[str, str]] = set()
+    for path in uses:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                source = _from_module(node, path)
+                imported_from.update((source, alias.name) for alias in node.names)
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        exported = _exported(module)
+        name_of = _module_name(path)
+        for name, line in _imports(module):
+            if name in uses[path] or name in exported:
+                continue
+            if (name_of, name) not in imported_from:
+                unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert unused == []
