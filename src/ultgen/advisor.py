@@ -19,14 +19,13 @@ change the trained bits.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InsufficientData, SchemaError, UntrainedModel
+from .errors import InsufficientData, SchemaError, UntrainedModel, parse_json, read_text
 
 PERIOD_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
@@ -123,25 +122,12 @@ def _require(cond: bool, message: str, file: str, line: Optional[int] = None):
         raise SchemaError(message, file=file, line=line)
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as e:
-            raise SchemaError(
-                f"not UTF-8 text ({e.reason} at byte {e.start})", file=path
-            ) from None
-
-
 def _read_jsonl(path: str) -> list[tuple[int, dict]]:
     out: list[tuple[int, dict]] = []
-    for n, raw in enumerate(_read_text(path).split("\n"), start=1):
+    for n, raw in enumerate(read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e.msg}", file=path, line=n) from None
+        data = parse_json(raw, path, n)
         _require(isinstance(data, dict), "record must be an object", path, n)
         out.append((n, data))
     return out
@@ -233,10 +219,7 @@ def load_coverage(path: str) -> tuple[list[CoverageSnapshot], list[str]]:
 
 
 def load_component_map(path: str) -> ComponentMap:
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"invalid JSON: {e.msg}", file=path, line=e.lineno) from None
+    data = parse_json(read_text(path), path)
     _require(isinstance(data, dict) and set(data) == {"rules"},
              "component map needs exactly one key: rules", path)
     _require(isinstance(data["rules"], list) and data["rules"],

@@ -18,6 +18,7 @@ int/float axis, in axis order. docs/formats.md states the exact layout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
@@ -25,8 +26,8 @@ from typing import Iterator, Optional, Sequence, Union
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
 from .decisions import Decision
-from .errors import ContractViolation, SchemaError, UnknownTarget
-from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, _fits, check_values
+from .errors import ContractViolation, SchemaError, UnknownTarget, parse_json
+from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, check_values
 from .rng import SplitMix64
 
 Scalar = Union[int, float, bool]
@@ -63,10 +64,10 @@ def _scalar_to_json(v: Scalar) -> object:
     return v
 
 
-def _scalar_from_json(v: object) -> Scalar:
-    if isinstance(v, str):
-        return float(v)  # "Infinity", "-Infinity", "NaN"
-    return v
+def _scalar_from_json(v: object) -> object:
+    """A JSON value with the non-finite float markers decoded. Any other
+    value, any other string included, is left for `CaseEvaluator.check`."""
+    return float(v) if v in ("Infinity", "-Infinity", "NaN") else v
 
 
 def case_to_json(case: TestCase) -> dict:
@@ -89,34 +90,54 @@ def case_to_json(case: TestCase) -> dict:
     return out
 
 
-def case_from_json(data: object) -> TestCase:
-    """A case read back from `case_to_json`'s form. A record that is not an
-    object, or whose target is not [class, method] or whose params, fields
-    or mocks are not objects, is a TypeError."""
-    if not isinstance(data, dict):
-        raise TypeError("a case record must be a JSON object")
-    target = data["target"]
-    if not isinstance(target, list) or [type(name) for name in target] != [str, str]:
-        raise TypeError(f"target must be [class, method], got {target!r}")
+def _inputs_from_json(data: dict) -> tuple[dict, dict, dict]:
+    """The params, fields and mock plan of a case record or a configured
+    case, decoded but not checked. Its shape is checked: TypeError unless
+    params, fields and mocks are objects and each mock script an array."""
     for key in ("params", "fields", "mocks"):
         if not isinstance(data.get(key, {}), dict):
             raise TypeError(f"{key} must be an object")
-    mocks: dict[MockKey, list[Scalar]] = {}
+    mocks: dict[MockKey, list] = {}
     for dotted, script in data.get("mocks", {}).items():
+        if not isinstance(script, list):
+            raise TypeError(f"mock script {dotted!r} must be an array")
         f, _, m = dotted.partition(".")
         mocks[(f, m)] = [_scalar_from_json(v) for v in script]
+    params = {k: _scalar_from_json(v) for k, v in data.get("params", {}).items()}
+    fields = {k: _scalar_from_json(v) for k, v in data.get("fields", {}).items()}
+    return params, fields, mocks
+
+
+def case_from_json(data: object) -> TestCase:
+    """A case read back from `case_to_json`'s form. A record of the wrong
+    shape (see CASE_SCHEMA) is a TypeError that says what is wrong; its
+    input values are left for `CaseEvaluator.check`."""
+    if not isinstance(data, dict):
+        raise TypeError("a case record must be a JSON object")
+    for key in ("id", "target"):
+        if key not in data:
+            raise TypeError(f"missing key {key!r}")
+    target = data["target"]
+    if not isinstance(target, list) or [type(name) for name in target] != [str, str]:
+        raise TypeError(f"target must be [class, method], got {target!r}")
+    params, fields, mocks = _inputs_from_json(data)
     seed_info = None
     if "seed" in data:
         seed_info = (data["seed"], data.get("candidate_index", 0))
+        if any(type(v) is not int for v in seed_info):
+            raise TypeError("seed and candidate_index must be integers")
+    diagnostics = data.get("diagnostics", [])
+    if not isinstance(diagnostics, list) or any(type(d) is not str for d in diagnostics):
+        raise TypeError("diagnostics must be an array of strings")
     return TestCase(
         id=data["id"],
         target=tuple(target),
-        param_values={k: _scalar_from_json(v) for k, v in data.get("params", {}).items()},
-        field_values={k: _scalar_from_json(v) for k, v in data.get("fields", {}).items()},
+        param_values=params,
+        field_values=fields,
         mock_plan=mocks,
         origin=data.get("origin", FUZZED),
         seed_info=seed_info,
-        diagnostics=tuple(data.get("diagnostics", ())),
+        diagnostics=tuple(diagnostics),
     )
 
 
@@ -131,102 +152,67 @@ class CaseConfig:
     )
 
 
-def _coerce(type_name: str, value: object, path: str) -> Scalar:
-    """JSON value -> typed scalar; ints coerce to float for float inputs."""
-    if _fits(type_name, value):
-        return value
-    if type_name == "float" and (
-        type(value) is int or value in ("Infinity", "-Infinity", "NaN")
-    ):
-        return float(value)
-    raise SchemaError(f"{path}: expected {type_name}, got {value!r}")
-
-
 class _ConfigReader:
-    """Validates the config JSON against a parsed unit, eagerly."""
+    """Validates the config JSON read from `file` against a parsed unit,
+    eagerly. Each configured case is decoded as a case record is, then
+    default-filled and checked by its method's evaluator."""
 
-    def __init__(self, unit: SourceUnit):
+    def __init__(self, unit: SourceUnit, file: str):
         self.unit = unit
+        self.file = file
 
     def read(self, data: object) -> CaseConfig:
         if not isinstance(data, dict):
-            raise SchemaError("config root must be a JSON object")
+            raise SchemaError("config root must be a JSON object", self.file)
         unknown = set(data) - {"classes"}
         if unknown:
-            raise SchemaError(f"unknown config keys: {sorted(unknown)}")
+            raise SchemaError(f"unknown config keys: {sorted(unknown)}", self.file)
         cases: list[TestCase] = []
         overrides: dict[tuple[str, str, str], list[Scalar]] = {}
         classes = data.get("classes", {})
         if not isinstance(classes, dict):
-            raise SchemaError("'classes' must be an object")
+            raise SchemaError("'classes' must be an object", self.file)
         for class_name, class_cfg in classes.items():
             cls = self.unit.class_named(class_name)
             if cls is None:
                 raise UnknownTarget(class_name)
             if not isinstance(class_cfg, dict):
-                raise SchemaError(f"{class_name}: class entry must be an object")
+                raise SchemaError(f"{class_name}: class entry must be an object", self.file)
             bad = set(class_cfg) - {"methods"}
             if bad:
-                raise SchemaError(f"{class_name}: unknown keys {sorted(bad)}")
+                raise SchemaError(f"{class_name}: unknown keys {sorted(bad)}", self.file)
             methods = class_cfg.get("methods", {})
             if not isinstance(methods, dict):
-                raise SchemaError(f"{class_name}: 'methods' must be an object")
+                raise SchemaError(f"{class_name}: 'methods' must be an object", self.file)
             for method_name, method_cfg in methods.items():
                 path = f"{class_name}.{method_name}"
                 evaluator = CaseEvaluator(self.unit, class_name, method_name)
-                self._read_method(
-                    evaluator, method_cfg, path, cases, overrides
-                )
+                self._read_method(evaluator, method_cfg, path, cases, overrides)
         return CaseConfig(cases=tuple(cases), pool_overrides=overrides)
 
     def _read_method(self, evaluator, cfg, path, cases, overrides) -> None:
         if not isinstance(cfg, dict):
-            raise SchemaError(f"{path}: method entry must be an object")
+            raise SchemaError(f"{path}: method entry must be an object", self.file)
         unknown = set(cfg) - {"cases", "pools"}
         if unknown:
-            raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+            raise SchemaError(f"{path}: unknown keys {sorted(unknown)}", self.file)
         param_types = evaluator.param_types
         target = (evaluator.class_name, evaluator.method.name)
         case_entries = cfg.get("cases", {})
         pool_entries = cfg.get("pools", {})
         if not isinstance(case_entries, dict) or not isinstance(pool_entries, dict):
-            raise SchemaError(f"{path}: 'cases' and 'pools' must be objects")
+            raise SchemaError(f"{path}: 'cases' and 'pools' must be objects", self.file)
         for case_name, case_cfg in case_entries.items():
             cpath = f"{path}.{case_name}"
             if not isinstance(case_cfg, dict):
-                raise SchemaError(f"{cpath}: case entry must be an object")
+                raise SchemaError(f"{cpath}: case entry must be an object", self.file)
             bad = set(case_cfg) - {"params", "fields", "mocks"}
             if bad:
-                raise SchemaError(f"{cpath}: unknown keys {sorted(bad)}")
-            params: dict[str, Scalar] = {}
-            for name, value in case_cfg.get("params", {}).items():
-                if name not in param_types:
-                    raise UnknownTarget(f"{cpath}.params.{name}")
-                params[name] = _coerce(
-                    param_types[name], value, f"{cpath}.params.{name}"
-                )
-            fields: dict[str, Scalar] = {}
-            for name, value in case_cfg.get("fields", {}).items():
-                if name not in evaluator.field_types:
-                    raise UnknownTarget(f"{cpath}.fields.{name}")
-                fields[name] = _coerce(
-                    evaluator.field_types[name], value, f"{cpath}.fields.{name}"
-                )
-            mocks: dict[MockKey, list[Scalar]] = {}
-            for dotted, script in case_cfg.get("mocks", {}).items():
-                mpath = f"{cpath}.mocks.{dotted}"
-                f_name, sep, m_name = dotted.partition(".")
-                if not sep:
-                    raise UnknownTarget(mpath)
-                try:
-                    ret = evaluator.mock_type((f_name, m_name))
-                except ContractViolation:
-                    raise UnknownTarget(mpath) from None
-                if not isinstance(script, list) or not script:
-                    raise SchemaError(f"{mpath}: script must be a nonempty array")
-                mocks[(f_name, m_name)] = [
-                    _coerce(ret, v, mpath) for v in script
-                ]
+                raise SchemaError(f"{cpath}: unknown keys {sorted(bad)}", self.file)
+            try:
+                params, fields, mocks = _inputs_from_json(case_cfg)
+            except TypeError as e:
+                raise SchemaError(f"{cpath}: {e}", self.file) from None
             # Unset parameters and value-returning call sites take type
             # defaults, each flagged in the case's diagnostics.
             diagnostics: list[str] = []
@@ -238,46 +224,55 @@ class _ConfigReader:
                 if key not in mocks:
                     mocks[key] = [TYPE_DEFAULTS[ret]]
                     diagnostics.append(f"DefaultFilled: mock {key[0]}->{key[1]}()")
-            cases.append(
-                TestCase(
-                    id=f"cfg-{target[0]}.{target[1]}-{case_name}",
-                    target=target,
-                    param_values=params,
-                    field_values=fields,
-                    mock_plan=mocks,
-                    origin=CONFIGURED,
-                    diagnostics=tuple(diagnostics),
-                )
+            case = TestCase(
+                id=f"cfg-{target[0]}.{target[1]}-{case_name}",
+                target=target,
+                param_values=params,
+                field_values=fields,
+                mock_plan=mocks,
+                origin=CONFIGURED,
+                diagnostics=tuple(diagnostics),
             )
+            with self._at(cpath):
+                evaluator.check(case)
+            cases.append(case)
         for name, pool in pool_entries.items():
             ppath = f"{path}.pools.{name}"
             if name not in param_types:
                 raise UnknownTarget(ppath)
             if not isinstance(pool, list) or not pool:
-                raise SchemaError(f"{ppath}: pool must be a nonempty array")
-            overrides[(*target, name)] = [
-                _coerce(param_types[name], v, ppath) for v in pool
-            ]
+                raise SchemaError(f"{ppath}: pool must be a nonempty array", self.file)
+            values = [_scalar_from_json(v) for v in pool]
+            with self._at(ppath):
+                overrides[(*target, name)] = check_values(
+                    param_types[name], values, f"pool value of parameter {name!r}"
+                )
+
+    @contextlib.contextmanager
+    def _at(self, where: str):
+        """Prefix a ContractViolation raised inside with the config's file
+        and the dotted path `where`."""
+        try:
+            yield
+        except ContractViolation as e:
+            raise ContractViolation(f"{self.file}: {where}: {e}") from None
 
 
-def load_case_config(text: str, unit: SourceUnit) -> CaseConfig:
-    """Parse and validate a case-configuration JSON document into one
-    TestCase per named case, in file order.
+def load_case_config(
+    text: str, unit: SourceUnit, path: str = "<string>"
+) -> CaseConfig:
+    """Parse and validate the case-configuration JSON document of the file
+    at `path` into one TestCase per named case, in file order.
 
-    Unknown classes/methods/params/fields/mock targets fail eagerly with
-    the offending dotted path; structural problems raise SchemaError.
-    Missing parameters take type defaults (int 0, bool false, float 0.0)
-    and missing mock scripts a single type-default value; both are flagged
-    in the case's diagnostics. Unset fields keep their type defaults
-    unflagged.
+    Unknown classes, methods and pool parameters raise UnknownTarget. A
+    structural problem raises SchemaError, and a case or pool value its
+    evaluator's check rejects ContractViolation, each naming `path` and
+    the dotted path in the document. Missing parameters take type
+    defaults (int 0, bool false, float 0.0) and missing mock scripts a
+    single type-default value; both are flagged in the case's diagnostics.
+    Unset fields keep their type defaults unflagged.
     """
-    import json
-
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"config is not valid JSON: {e}") from None
-    return _ConfigReader(unit).read(data)
+    return _ConfigReader(unit, path).read(parse_json(text, path))
 
 
 # --- fuzzing ----------------------------------------------------------------
@@ -363,12 +358,12 @@ def build_axes(
         else:
             lits = _literals_for(decisions, type_name, param=name)
             pool = _build_pool(type_name, lits, rng)
-        check_values(type_name, pool, f"pool value of parameter {name!r}")
+        pool = check_values(type_name, pool, f"pool value of parameter {name!r}")
         axes.append(_Axis("param", name, tuple(pool)))
     for key, ret in evaluator.mock_types.items():
         lits = _literals_for(decisions, ret, call=key)
         pool = _build_pool(ret, lits, rng)
-        check_values(ret, pool, f"pool value of mock {key[0]}->{key[1]}()")
+        pool = check_values(ret, pool, f"pool value of mock {key[0]}->{key[1]}()")
         axes.append(_Axis("mock", key, tuple(pool)))
     return axes
 

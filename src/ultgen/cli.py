@@ -53,7 +53,7 @@ from .coverage import MethodCoverage, aggregate_report, compute_coverage
 from .cutlang.nodes import SourceUnit
 from .cutlang.parser import parse_source
 from .decisions import decisions_table, extract_decisions
-from .errors import CutlangError, UltgenError, UnknownClass, UnknownTarget
+from .errors import CutlangError, UltgenError, UnknownClass, UnknownTarget, read_text
 from .interp import CaseEvaluator
 from .scaffold import (
     ScaffoldBundle,
@@ -66,17 +66,8 @@ DEFAULT_THRESHOLD = 70.0
 SOURCE_SUFFIXES = (".cut", ".h")
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as e:
-        raise UltgenError(f"cannot read {path}: {e.strerror}") from None
-    except UnicodeDecodeError as e:
-        raise UltgenError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-
-
 def _parse_file(path: str) -> SourceUnit:
-    return parse_source(_read_text(path), path=path)
+    return parse_source(read_text(path), path=path)
 
 
 def _sha256(text: str) -> str:
@@ -185,7 +176,7 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
 
     def previous(name: str) -> Optional[str]:
         path = out_dir / name
-        return _read_text(str(path)) if args.merge and path.exists() else None
+        return read_text(str(path)) if args.merge and path.exists() else None
 
     bundle = generate_scaffold(unit, args.class_name, previous)
     written = _write_bundle(bundle, out_dir)
@@ -257,7 +248,7 @@ def cmd_cases(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     config = None
     if args.config is not None:
-        config = load_case_config(_read_text(args.config), unit)
+        config = load_case_config(read_text(args.config), unit, args.config)
     configured = _configured_by_target(config).get(
         (args.class_name, args.method), []
     )
@@ -301,13 +292,13 @@ def _write_cases(path: Path, cases: Sequence[TestCase]) -> None:
 
 def _load_case_file(path: str) -> list[TestCase]:
     cases = []
-    for n, raw in enumerate(_read_text(path).split("\n"), start=1):
+    for n, raw in enumerate(read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
         try:
             data = json.loads(raw)
             cases.append(case_from_json(data))
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, TypeError) as e:
             raise UltgenError(f"{path}:{n}: bad case record: {e}") from None
     return cases
 
@@ -551,7 +542,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     inputs: dict[str, str] = {}
     texts = []
     for path in sources:
-        text = _read_text(str(path))
+        text = read_text(str(path))
         inputs[path.relative_to(src_dir).as_posix()] = _sha256(text)
         texts.append(text)
     with _stage("parse"):
@@ -560,7 +551,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise UltgenError(f"no classes found in {args.src}")
     for flag in [args.config, *advisor_flags]:
         if flag:
-            inputs[Path(flag).name] = _sha256(_read_text(flag))
+            inputs[Path(flag).name] = _sha256(read_text(flag))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -590,12 +581,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             bundle = generate_scaffold(unit, name)
             for warning in bundle.warnings:
                 print(f"warning: {warning}", file=sys.stderr)
-            auto_total += bundle.auto_line_count
-            anchor_total += bundle.anchor_line_count
             for fname, text in bundle.files:
-                if file_texts.get(fname, text) != text:
-                    raise UltgenError(f"conflicting content for {fname}")
+                if fname in file_texts:  # a shared mock header counts once
+                    if file_texts[fname] != text:
+                        raise UltgenError(f"conflicting content for {fname}")
+                    continue
                 file_texts[fname] = text
+                # No region carries user lines here: an anchor is two markers.
+                anchored = 2 * sum(a.file == fname for a in bundle.anchors)
+                auto_total += text.count("\n") - anchored
+                anchor_total += anchored
         scaffold_dir.mkdir(parents=True, exist_ok=True)
         for fname in sorted(file_texts):
             (scaffold_dir / fname).write_text(file_texts[fname], encoding="utf-8")
@@ -610,7 +605,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     with _stage("cases"):
         config = None
         if args.config:
-            config = load_case_config(_read_text(args.config), unit)
+            config = load_case_config(read_text(args.config), unit, args.config)
         configured_by_target = _configured_by_target(config)
         all_cases: list[TestCase] = []
         methods: list[MethodCoverage] = []

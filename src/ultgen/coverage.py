@@ -141,13 +141,13 @@ def brute_force_max_coverage(
         values = domains.get(name)
         if not values:
             raise EmptyDomain(f"no domain for parameter {name!r}")
-        check_values(type_name, values, f"domain value of parameter {name!r}")
+        values = check_values(type_name, values, f"domain value of parameter {name!r}")
         axes.append(("param", name, values))
     for key, ret in evaluator.mock_types.items():
         values = mock_domains.get(key)
         if not values:
             raise EmptyDomain(f"no mock domain for call site {key}")
-        check_values(ret, values, f"domain value of mock {key[0]}->{key[1]}()")
+        values = check_values(ret, values, f"domain value of mock {key[0]}->{key[1]}()")
         axes.append(("mock", key, values))
 
     total = 1

@@ -1,10 +1,14 @@
-"""Exception types shared across the toolchain.
+"""Exception types shared across the toolchain, and the readers of every
+input file, so each file error reads the same from every command.
 
 Everything raised on purpose derives from UltgenError so CLI entry points
 can catch one base class and map it to exit code 1.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class UltgenError(Exception):
@@ -53,7 +57,7 @@ class UnknownTarget(UltgenError):
 class SchemaError(UltgenError):
     """A data file does not match its documented schema."""
 
-    def __init__(self, message: str, file: str = "<data>", line: int = 0):
+    def __init__(self, message: str, file: str, line: int = 0):
         where = f"{file}:{line}: " if line else f"{file}: "
         super().__init__(where + message)
         self.file = file
@@ -86,3 +90,25 @@ class InsufficientData(UltgenError):
 
 class UntrainedModel(UltgenError):
     """A recommendation was requested before a model was trained."""
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at `path`; UltgenError naming the file if
+    it cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise UltgenError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UltgenError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+def parse_json(text: str, file: str, line: int = 0) -> object:
+    """`text`, all of `file` or its line `line`, as JSON; SchemaError naming
+    the file, and the line where there is one, if it is not valid JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError(f"invalid JSON: {e.msg}", file, line or e.lineno) from None
+    except ValueError:  # an integer longer than the int-to-str digit limit
+        raise SchemaError("invalid JSON: an integer has too many digits", file, line) from None

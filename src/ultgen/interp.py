@@ -173,25 +173,25 @@ def _float_div(a: float, b: float) -> float:
     return a / b
 
 
-def _fits(type_name: str, value: Scalar) -> bool:
-    if type_name == "int":
-        return type(value) is int and INT_MIN <= value <= INT_MAX
-    if type_name == "bool":
-        return type(value) is bool
-    if type_name == "float":
-        return type(value) is float
-    return False
+def fit(type_name: str, value: object, what: str) -> Scalar:
+    """`value` as an input of type `type_name` holds it: the value itself,
+    or, for a float input, an int as that float (JSON writes 3.0 as 3).
+    ContractViolation if it is neither."""
+    if type_name == "float" and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ContractViolation(f"{what} must be float, got an int out of range") from None
+    if type(value) is not type(TYPE_DEFAULTS[type_name]) or (
+        type_name == "int" and not INT_MIN <= value <= INT_MAX
+    ):
+        raise ContractViolation(f"{what} must be {type_name}, got {value!r}")
+    return value
 
 
-def _type_error(type_name: str, value: Scalar, what: str) -> ContractViolation:
-    return ContractViolation(f"{what} must be {type_name}, got {value!r}")
-
-
-def check_values(type_name: str, values: Iterable[Scalar], what: str) -> None:
-    """Raise ContractViolation at the first value that is not a `type_name`."""
-    for value in values:
-        if not _fits(type_name, value):
-            raise _type_error(type_name, value, what)
+def check_values(type_name: str, values: Iterable[object], what: str) -> list[Scalar]:
+    """`values` as inputs of type `type_name` hold them (see `fit`)."""
+    return [fit(type_name, value, what) for value in values]
 
 
 def _unmocked(event: Event) -> Scalar:
@@ -589,7 +589,9 @@ class CaseEvaluator:
         """Raise ContractViolation unless the case gives every parameter and
         only declared ones, and every value fits its declared type: scalar
         fields by name, and each mock script is nonempty and names a
-        value-returning method of a reference field. `run` assumes this."""
+        value-returning method of a reference field. An int given for a
+        float input is stored back as that float (see `fit`). `run` assumes
+        all this; every case read from a file passes here first."""
         declared = self.param_types
         given = case.param_values
         if given.keys() != declared.keys():
@@ -599,21 +601,19 @@ class CaseEvaluator:
             extra = sorted(given.keys() - declared.keys())
             raise ContractViolation(f"unknown parameters: {extra}")
         for name, value in given.items():
-            if not _fits(declared[name], value):
-                raise _type_error(declared[name], value, f"parameter {name!r}")
+            given[name] = fit(declared[name], value, f"parameter {name!r}")
         fields = self.field_types
         for name, value in case.field_values.items():
             if name not in fields:
                 raise ContractViolation(f"unknown scalar field {name!r}")
-            if not _fits(fields[name], value):
-                raise _type_error(fields[name], value, f"field {name!r}")
+            case.field_values[name] = fit(fields[name], value, f"field {name!r}")
         for key, script in case.mock_plan.items():
             expect = self.mock_types.get(key)
             if expect is None:
                 expect = self._checked_mock_type(key, script)
             elif not script:
                 raise ContractViolation(f"empty mock script for {key}")
-            check_values(expect, script, f"mock {key[0]}->{key[1]}()")
+            script[:] = check_values(expect, script, f"mock {key[0]}->{key[1]}()")
 
     def _checked_mock_type(self, key: tuple[str, str], script: list[Scalar]) -> str:
         """The scripted type of a mock key with no value-returning call site

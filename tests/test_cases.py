@@ -517,8 +517,9 @@ def test_config_unknown_method(unit):
 def test_config_unknown_param(unit):
     cfg = good_config()
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {"zz": 1}
-    with pytest.raises(UnknownTarget):
+    with pytest.raises(ContractViolation) as raised:
         read(cfg, unit)
+    assert str(raised.value) == "<string>: A.steps.lucky: unknown parameters: ['zz']"
 
 
 def test_config_int_range_checked(unit):
@@ -526,15 +527,19 @@ def test_config_int_range_checked(unit):
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {
         "x": INT_MAX + 1
     }
-    with pytest.raises(SchemaError):
+    with pytest.raises(ContractViolation) as raised:
         read(cfg, unit)
+    assert str(raised.value) == (
+        f"<string>: A.steps.lucky: parameter 'x' must be int, got {INT_MAX + 1}"
+    )
 
 
 def test_config_bool_not_coerced_to_int(unit):
     cfg = good_config()
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {"x": True}
-    with pytest.raises(SchemaError):
+    with pytest.raises(ContractViolation) as raised:
         read(cfg, unit)
+    assert str(raised.value) == "<string>: A.steps.lucky: parameter 'x' must be int, got True"
 
 
 def test_config_float_accepts_int_and_markers(unit):
@@ -552,9 +557,10 @@ def test_config_mock_on_void_site_rejected(unit):
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["mocks"] = {
         "d.hit": [1]
     }
-    # void sites are not mockable targets; the dotted path is reported
-    with pytest.raises(UnknownTarget, match="d.hit"):
+    # void sites are not mockable; the case's dotted path is reported
+    with pytest.raises(ContractViolation) as raised:
         read(cfg, unit)
+    assert str(raised.value) == "<string>: A.steps.lucky: call d->hit() returns void"
 
 
 def test_config_unknown_key_rejected(unit):

@@ -16,6 +16,7 @@ from jsonschema import validate
 from ultgen.cli import main
 from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from ultgen.interp import CaseEvaluator
+from ultgen.scaffold import ANCHOR_START
 from ultgen.schemas import (
     ADVISE_SCHEMA,
     CASE_SCHEMA,
@@ -190,6 +191,74 @@ def test_non_utf8_input_is_an_error_naming_the_file(
     assert (code, stdout) == (1, "")
     assert err == (
         f"ultgen: error: {bad}: not UTF-8 text (invalid start byte at byte 16)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "decisions", "scaffold", "cases", "cases --config", "coverage",
+        "coverage --cases", "run --config", "run --map",
+        "advise --bugs", "advise --commits", "advise --coverage", "advise --map",
+    ],
+)
+def test_missing_input_is_an_error_naming_the_file(
+    invoke, turnstile, project_dir, history_dir, tmp_path, entry
+):
+    """Every entry point reads its files with the same reader and message;
+    `scaffold --merge` reads only files that exist, and `run` takes a
+    directory."""
+    hist = tmp_path / "history"
+    shutil.copytree(history_dir, hist)
+    out = tmp_path / "out"
+    missing = {
+        "--bugs": hist / "bugs.jsonl", "--commits": hist / "commits.jsonl",
+        "--coverage": hist / "coverage.jsonl", "--map": hist / "map.json",
+    }.get(entry.split(" ")[-1], tmp_path / "missing.cut")
+    missing.unlink(missing_ok=True)
+    args = {
+        "decisions": ("decisions", missing, "--class", "A"),
+        "scaffold": ("scaffold", missing, "--class", "A", "-o", out),
+        "cases": ("cases", missing, "--class", "A", "--method", "f", "-o", out / "c.jsonl"),
+        "cases --config": ("cases", turnstile, "--class", "Turnstile", "--method",
+                           "push", "--config", missing, "-o", out / "c.jsonl"),
+        "coverage": ("coverage", missing, "--cases", missing),
+        "coverage --cases": ("coverage", turnstile, "--cases", missing),
+        "run --config": ("run", project_dir / "src", "-o", out, "--config", missing),
+        "run --map": ("run", project_dir / "src", "-o", out,
+                      *_history_args(hist, flag="--coverage-history")),
+    }.get(entry, ("advise", *_history_args(hist)))
+    code, stdout, err = invoke(*args)
+    assert (code, stdout) == (1, "")
+    assert err == f"ultgen: error: cannot read {missing}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("entry", ["cases --config", "advise --bugs", "advise --map"])
+def test_integer_past_the_digit_limit_is_an_error_naming_the_file(
+    invoke, turnstile, project_dir, history_dir, tmp_path, entry
+):
+    """`json.loads` refuses an integer of more than 4300 digits with a plain
+    ValueError; each JSON reader reports it as invalid JSON in its file, at
+    its line where the file is JSONL."""
+    hist = tmp_path / "history"
+    shutil.copytree(history_dir, hist)
+    huge = "9" * 5000
+    first_bug = (history_dir / "bugs.jsonl").read_text().split("\n")[0]
+    bad, where, text = {
+        "cases --config": (tmp_path / "cases.json", "", f'{{"classes": {huge}}}'),
+        "advise --bugs": (hist / "bugs.jsonl", ":2",
+                          f'{first_bug}\n{{"id": {huge}, "period": "2025-08"}}\n'),
+        "advise --map": (hist / "map.json", "", f'{{"rules": [{huge}]}}'),
+    }[entry]
+    bad.write_text(text)
+    args = ("advise", *_history_args(hist))
+    if entry == "cases --config":
+        args = ("cases", turnstile, "--class", "Turnstile", "--method", "push",
+                "--config", bad, "-o", tmp_path / "c.jsonl")
+    code, stdout, err = invoke(*args)
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"ultgen: error: {bad}{where}: invalid JSON: an integer has too many digits\n"
     )
 
 
@@ -909,6 +978,20 @@ def test_run_is_reproducible(invoke, project_dir, history_dir, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_run_counts_each_written_scaffold_line_once(invoke, corpus_dir, tmp_path):
+    """Classes that share a dependency share its mock header, which is
+    written once and counted once."""
+    out_dir = tmp_path / "out"
+    code, out, _ = invoke("run", corpus_dir, "-o", out_dir, "--threshold", "0", "--json")
+    assert code == 0
+    scaffold = json.loads(out)["stages"]["scaffold"]
+    written = sum(p.read_text().count("\n") for p in (out_dir / "scaffold").iterdir())
+    assert scaffold["auto_line_count"] + scaffold["anchor_line_count"] == written
+    assert scaffold["anchor_line_count"] == 2 * sum(
+        p.read_text().count(ANCHOR_START) for p in (out_dir / "scaffold").iterdir()
+    )
+
+
 def test_run_exits_two_on_advisor_gap(invoke, project_dir, history_dir, tmp_path):
     hist = _gap_history(tmp_path, history_dir)
     out_dir = tmp_path / "out"
@@ -1030,3 +1113,113 @@ def test_run_duplicate_class_names_second_file(invoke, tmp_path):
     code, _, err = invoke("run", src, "-o", tmp_path / "out")
     assert code == 1
     assert f"{src / 'b.cut'}:3:1: duplicate class name 'A'" in err
+
+
+# --- damaged inputs ---------------------------------------------------------
+
+_DAMAGE = (None, [], {}, "x", 1.5, True, -1, 10**400)
+_DROP = object()
+
+# What a message from inside Python looks like, rather than one of ours: a
+# failed conversion or iteration, or a KeyError's bare key.
+_INTERNAL = re.compile(r"could not convert|not iterable|object is not|has no attribute"
+                       r"|unhashable|Exceeds the limit|: '\w*'$")
+
+
+def _damaged(doc):
+    """(label, copy of `doc` with one change, whether the change put a string
+    where a number was): every value below the root replaced by each of
+    _DAMAGE, and every object key dropped."""
+    def paths(node, path):
+        if isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                yield path + (key,), child
+                yield from paths(child, path + (key,))
+
+    for path, old in list(paths(doc, ())):
+        for new in _DAMAGE + (_DROP,):
+            copy = json.loads(json.dumps(doc))
+            parent = copy
+            for key in path[:-1]:
+                parent = parent[key]
+            if new is not _DROP:
+                parent[path[-1]] = new
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                continue
+            label = f"{list(path)} {'dropped' if new is _DROP else json.dumps(new)[:8]}"
+            yield label, copy, type(old) in (int, float) and new == "x"
+
+
+def _probe(invoke, args, string_for_number):
+    """Why one run on a damaged input did not end cleanly, or None. Clean
+    is exit 1 with one `ultgen: error:` line of our own, or success (2 is
+    `advise`'s highlighted-gap exit) that took no string for a number."""
+    try:
+        code, _, err = invoke(*args)
+    except Exception as e:  # a traceback on the user's terminal
+        return f"raised {type(e).__name__}: {e}"
+    lines = err.splitlines()
+    if code == 1:
+        if len(lines) != 1 or not lines[0].startswith("ultgen: error: "):
+            return f"exit 1 with {err!r}"
+        if _INTERNAL.search(lines[0]):
+            return f"internal message {lines[0]!r}"
+        return None
+    if code not in (0, 2):
+        return f"exit {code}"
+    return "accepted a string for a number" if string_for_number else None
+
+
+def test_damaged_config_fails_cleanly(invoke, turnstile, project_dir, tmp_path):
+    config = json.loads((project_dir / "cases.json").read_text())
+    path = tmp_path / "cases.json"
+    failures = []
+    for label, doc, string_for_number in _damaged(config):
+        path.write_text(json.dumps(doc))
+        why = _probe(invoke, ("cases", turnstile, "--class", "Turnstile", "--method", "push",
+                              "--config", path, "--budget", "1", "-o", tmp_path / "c.jsonl"),
+                     string_for_number)
+        if why:
+            failures.append(f"{label}: {why}")
+    assert failures == []
+
+
+def test_damaged_case_records_fail_cleanly(invoke, turnstile, project_dir, tmp_path):
+    """Each record of a kept case file per Turnstile target, configured
+    cases included, damaged in turn."""
+    path = tmp_path / "damaged.jsonl"
+    failures = []
+    for method in ("push", "audit", "unjam"):
+        kept = tmp_path / f"{method}.jsonl"
+        code, _, _ = invoke("cases", turnstile, "--class", "Turnstile", "--method", method,
+                            "--config", project_dir / "cases.json", "-o", kept)
+        assert code == 0
+        records = [json.loads(line) for line in kept.read_text().splitlines()]
+        for i, record in enumerate(records):
+            for label, doc, string_for_number in _damaged(record):
+                rows = [*records[:i], doc, *records[i + 1:]]
+                path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+                why = _probe(invoke, ("coverage", turnstile, "--cases", path,
+                                      "--threshold", "0"), string_for_number)
+                if why:
+                    failures.append(f"{method}.jsonl:{i + 1} {label}: {why}")
+    assert failures == []
+
+
+def test_damaged_history_fails_cleanly(invoke, history_dir, tmp_path):
+    """The first record of each JSONL history file, and the component map."""
+    hist = tmp_path / "history"
+    shutil.copytree(history_dir, hist)
+    failures = []
+    for name in ("bugs.jsonl", "commits.jsonl", "coverage.jsonl", "map.json"):
+        text = (history_dir / name).read_text()
+        first, rest = text.split("\n", 1) if name.endswith(".jsonl") else (text, "")
+        for label, doc, string_for_number in _damaged(json.loads(first)):
+            (hist / name).write_text(json.dumps(doc) + "\n" + rest)
+            why = _probe(invoke, ("advise", *_history_args(hist)), string_for_number)
+            if why:
+                failures.append(f"{name} {label}: {why}")
+        (hist / name).write_text(text)
+    assert failures == []

@@ -237,7 +237,7 @@ def test_empty_script_rejected(unit):
         ("poke", ("d", "zap"), [1], "no scriptable method for mock key ('d', 'zap')"),
         ("scripted", ("d", "nudge"), [1], "no scriptable method for mock key ('d', 'nudge')"),
         ("scripted", ("d", "get"), [], "empty mock script for ('d', 'get')"),
-        ("poke", ("d", "temp"), [1], "mock d->temp() must be float, got 1"),
+        ("poke", ("d", "temp"), [True], "mock d->temp() must be float, got True"),
     ],
 )
 def test_mock_key_messages(unit, method, key, script, message):
@@ -368,8 +368,8 @@ def test_mock_key_may_name_a_method_the_dependency_inherits(inherit_unit):
     assert evaluator.mock_type(("g", "level")) == "float"
     evaluator.check(_case_of(("Loud", "shout"), {("g", "level"): [0.25]}))
     with pytest.raises(ContractViolation) as raised:
-        evaluator.check(_case_of(("Loud", "shout"), {("g", "level"): [1]}))
-    assert str(raised.value) == "mock g->level() must be float, got 1"
+        evaluator.check(_case_of(("Loud", "shout"), {("g", "level"): ["1"]}))
+    assert str(raised.value) == "mock g->level() must be float, got '1'"
 
 
 def test_configured_mock_of_an_inherited_method_takes_its_return_type(inherit_unit):
