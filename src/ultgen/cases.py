@@ -1,10 +1,12 @@
 """Test case construction: configured cases, pool fuzzing, greedy selection.
 
 Two case sources exist. Configured cases come from a JSON file where
-developers pin interesting inputs per method. Fuzzed cases are drawn from
-per-input value pools (boundary values, literals compared in conditions
-with their neighbors, seeded random values) and kept greedily when they
-add condition/decision outcomes or new crash findings.
+developers pin interesting inputs per method. Fuzz candidates are drawn
+from per-input value pools (boundary values, literals compared in
+conditions with their neighbors, seeded random values) and kept greedily
+when they add condition/decision outcomes or new crash findings. A
+candidate is a bare input vector that greedy selection runs straight on
+the method's compiled runner; only a kept one becomes a TestCase.
 
 The candidate stream is fully deterministic given (AST, seed, budget):
   phase 0  all-defaults, then each pool value alone;
@@ -21,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
@@ -368,12 +370,34 @@ def build_axes(
     return axes
 
 
+class Candidate(NamedTuple):
+    """One fuzz input vector. A NamedTuple rather than a TestCase: the
+    stream builds one per candidate, positionally with `tuple.__new__`,
+    and greedy selection turns only the kept ones into cases."""
+
+    param_values: dict[str, Scalar]
+    mock_plan: dict[MockKey, list[Scalar]]  # one value per call site
+    seed_info: tuple[int, int]  # (seed, candidate index)
+
+    def case(self, target: tuple[str, str]) -> TestCase:
+        """The fuzzed case of this candidate for method `target`."""
+        return TestCase(
+            f"fz-{target[0]}.{target[1]}-{self.seed_info[1]:04d}",
+            target,
+            self.param_values,
+            {},
+            self.mock_plan,
+            FUZZED,
+            self.seed_info,
+        )
+
+
 def fuzz_candidates(
     evaluator: CaseEvaluator,
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
     pool_overrides: Optional[dict[str, list[Scalar]]] = None,
-) -> Iterator[TestCase]:
+) -> Iterator[Candidate]:
     """Deterministic stream of at most `budget` fuzz candidates for the
     evaluator's method.
 
@@ -383,81 +407,71 @@ def fuzz_candidates(
     if budget < 1:
         raise ContractViolation("fuzz budget must be >= 1")
     rng = SplitMix64(seed)
-    class_name, method = evaluator.class_name, evaluator.method
     axes = build_axes(evaluator, rng, pool_overrides)
-    sizes = [len(a.pool) for a in axes]
-    product = 1
-    for s in sizes:
-        product *= s
+    pools = [a.pool for a in axes]
+    sizes = [len(pool) for pool in pools]
+    product = math.prod(sizes)
     # build_axes puts every param axis before every mock axis.
-    n_params = sum(1 for a in axes if a.kind == "param")
-    param_names = [a.name for a in axes[:n_params]]
-    param_pools = [a.pool for a in axes[:n_params]]
+    n_params = len(evaluator.param_types)
+    names = [a.name for a in axes[:n_params]]
     mock_keys = [a.name for a in axes[n_params:]]
-    mock_pools = [a.pool for a in axes[n_params:]]
-    target = (class_name, method.name)
-    id_prefix = f"fz-{class_name}.{method.name}-"
+    new = tuple.__new__
 
-    def build(vector: Sequence[int], index: int) -> TestCase:
-        return TestCase(
-            f"{id_prefix}{index:04d}",
-            target,
-            {n: pool[i] for n, pool, i in zip(param_names, param_pools, vector)},
-            {},
-            {
-                k: [pool[i]]
-                for k, pool, i in zip(mock_keys, mock_pools, vector[n_params:])
-            },
-            FUZZED,
-            (seed, index),
-        )
+    def build(values: list[Scalar], index: int) -> Candidate:
+        mocks = {k: [v] for k, v in zip(mock_keys, values[n_params:])}
+        return new(Candidate, (dict(zip(names, values)), mocks, (seed, index)))
 
+    # `values` holds the pool value at each axis's current index.
+    values = [pool[0] for pool in pools]
     emitted = 0
 
     # phase 0: all defaults, then every pool value alone
-    vec = [0] * len(axes)
-    yield build(vec, emitted)
+    yield build(values, emitted)
     emitted += 1
-    for d, size in enumerate(sizes):
-        for v in range(1, size):
+    for d, pool in enumerate(pools):
+        for v in pool[1:]:
             if emitted >= budget:
                 return
-            vec[d] = v
-            yield build(vec, emitted)
+            values[d] = v
+            yield build(values, emitted)
             emitted += 1
-        vec[d] = 0
+        values[d] = pool[0]
 
     # phase 1: mixed-radix count, axis 0 fastest, skipping phase-0 vectors.
-    # `vec` is an odometer over the pool product and `nonzero` counts its
-    # nonzero digits; a digit of a size-1 axis is always 0.
+    # `vec` is an odometer over the pool product, `values` follows its
+    # digits, and `nonzero` counts its nonzero digits; a digit of a size-1
+    # axis is always 0.
     remaining = budget - emitted
     phase1_cap = remaining if product <= budget else (remaining * 3) // 4
+    vec = [0] * len(pools)
     counter = 0
     taken = 0
     nonzero = 0
     while counter < product and taken < phase1_cap:
         counter += 1
         if nonzero > 1:  # vectors with at most one nonzero came in phase 0
-            yield build(vec, emitted)
+            yield build(values, emitted)
             emitted += 1
             taken += 1
         for d, size in enumerate(sizes):
             digit = vec[d] + 1
             if digit < size:
                 vec[d] = digit
+                values[d] = pools[d][digit]
                 if digit == 1:
                     nonzero += 1
                 break
             if vec[d]:
                 nonzero -= 1
             vec[d] = 0
+            values[d] = pools[d][0]
     if emitted >= product:
         return  # complete enumeration, nothing new can follow
 
     # phase 2: random pool-index vectors
-    below = rng.below
     while emitted < budget:
-        yield build([below(s) for s in sizes], emitted)
+        values = [pool[i] for pool, i in zip(pools, rng.below_each(sizes))]
+        yield build(values, emitted)
         emitted += 1
 
 
@@ -472,7 +486,7 @@ class GreedyResult:
 
 
 def greedy_select(
-    candidates: Iterator[TestCase],
+    candidates: Iterator[Candidate],
     evaluator: CaseEvaluator,
     preseed: Sequence[ExecutionTrace] = (),
 ) -> GreedyResult:
@@ -481,8 +495,10 @@ def greedy_select(
     A candidate is kept iff it covers an outcome pair not yet covered or
     crashes with a (kind, site) not yet seen. Traces in `preseed`
     (configured cases) count as already covered. Stops at full syntactic
-    coverage or at the end of the stream. Candidates run unchecked, so they
-    must be cases the evaluator's `check` accepts, as fuzz candidates are.
+    coverage or at the end of the stream. Each candidate runs straight on
+    the evaluator's `runner`, unchecked, so its inputs must be ones the
+    evaluator's `check` accepts, as fuzz candidates' are; only a kept one
+    becomes a TestCase and an ExecutionTrace.
     """
     valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
@@ -494,19 +510,25 @@ def greedy_select(
     kept: list[TestCase] = []
     traces: list[ExecutionTrace] = []
     ran = 0
-    full = covered >= valid
-    if not full:
-        for case in candidates:
+    if not covered >= valid:
+        runner = evaluator.runner  # compiles the method on first read
+        fuel = evaluator.fuel
+        target = (evaluator.class_name, evaluator.method.name)
+        fields: dict[str, Scalar] = {}  # fuzzing sets no fields; runs only read it
+        for cand in candidates:
             ran += 1
-            trace = evaluator.run(case)
-            new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
-            if not new_crash and trace.outcomes <= covered:
+            outcomes: set[tuple[str, bool]] = set()
+            crash, ret, left = runner(
+                cand.param_values, fields, cand.mock_plan, outcomes, fuel
+            )
+            new_crash = crash is not None and crash.key not in seen_crashes
+            if not new_crash and outcomes <= covered:
                 continue  # nothing new, so `covered` is still short of `valid`
-            kept.append(case)
-            traces.append(trace)
-            covered.update(trace.outcomes)
+            kept.append(cand.case(target))
+            traces.append(ExecutionTrace(frozenset(outcomes), crash, fuel - left, ret))
+            covered |= outcomes
             if new_crash:
-                seen_crashes.add(trace.crash.key)
+                seen_crashes.add(crash.key)
             if covered >= valid:
                 break
     coverage = compute_coverage(list(preseed) + traces, evaluator)

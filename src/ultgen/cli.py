@@ -53,7 +53,15 @@ from .coverage import MethodCoverage, aggregate_report, compute_coverage
 from .cutlang.nodes import SourceUnit
 from .cutlang.parser import parse_source
 from .decisions import decisions_table, extract_decisions
-from .errors import CutlangError, UltgenError, UnknownClass, UnknownTarget, read_text
+from .errors import (
+    CutlangError,
+    SchemaError,
+    UltgenError,
+    UnknownClass,
+    UnknownTarget,
+    parse_json,
+    read_text,
+)
 from .interp import CaseEvaluator
 from .scaffold import (
     ScaffoldBundle,
@@ -296,9 +304,10 @@ def _load_case_file(path: str) -> list[TestCase]:
         if not raw.strip():
             continue
         try:
-            data = json.loads(raw)
-            cases.append(case_from_json(data))
-        except (ValueError, TypeError) as e:
+            cases.append(case_from_json(parse_json(raw, path, n)))
+        except SchemaError as e:
+            raise UltgenError(f"{path}:{n}: bad case record: {e.message}") from None
+        except TypeError as e:
             raise UltgenError(f"{path}:{n}: bad case record: {e}") from None
     return cases
 

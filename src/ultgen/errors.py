@@ -60,6 +60,7 @@ class SchemaError(UltgenError):
     def __init__(self, message: str, file: str, line: int = 0):
         where = f"{file}:{line}: " if line else f"{file}: "
         super().__init__(where + message)
+        self.message = message
         self.file = file
         self.line = line
 
@@ -112,3 +113,7 @@ def parse_json(text: str, file: str, line: int = 0) -> object:
         raise SchemaError(f"invalid JSON: {e.msg}", file, line or e.lineno) from None
     except ValueError:  # an integer longer than the int-to-str digit limit
         raise SchemaError("invalid JSON: an integer has too many digits", file, line) from None
+    except RecursionError:
+        raise SchemaError(
+            "invalid JSON: arrays or objects nested too deeply", file, line
+        ) from None

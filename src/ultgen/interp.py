@@ -9,8 +9,10 @@ holds only what the run produced: outcome pairs, crash, steps and return
 value. Each pair id names its method, so coverage can tell a trace of
 another method by its pairs alone.
 
-A CaseEvaluator compiles its method on its first run into the source of
-one Python function, and runs every case through it. Everything a node's
+A CaseEvaluator compiles its method into the source of one Python
+function the first time its `runner` is read, and every case runs through
+that function: `run` calls it for a TestCase, and greedy selection calls
+it straight on each fuzz candidate's inputs. Everything a node's
 behaviour depends on is resolved while writing the source: the
 `(id, True)`/`(id, False)` outcome pairs a decision or condition records,
 the operator, whether arithmetic is on int or float, void call sites and
@@ -35,8 +37,9 @@ stays an inline operator. An outcome pair recorded inside a `while` is
 added once per run, guarded by a local flag. The parser bounds how deeply
 a method nests, so every body it accepts compiles.
 
-`run` trusts its case: callers pass cases that `check` accepted or that
-were built from checked values (configured cases, fuzz pools).
+`run` and `runner` trust their inputs: callers pass cases that `check`
+accepted or inputs built from checked values (configured cases, fuzz
+pools).
 
 Nothing here resolves a name again. A CaseEvaluator reads what the
 parser's resolver left on the tree: the class's `all_methods` (to find the
@@ -509,8 +512,8 @@ class CaseEvaluator:
 
     Exposes the method's decisions and their outcome pairs, which coverage
     checks every trace's outcomes against. The body is compiled on the
-    first `run`, so evaluators that never run a case (such as those of
-    decision-free methods) pay nothing for it.
+    first read of `runner`, so evaluators that never run a case (such as
+    those of decision-free methods) pay nothing for it.
     """
 
     def __init__(
@@ -542,7 +545,6 @@ class CaseEvaluator:
         self.param_types = {p.name: p.type for p in method.params}
         fields = cls.all_fields.values()
         self.field_types = {f.name: f.type for f in fields if type(f.type) is str}
-        self._runner: Optional[_Runner] = None  # set by _compile on the first run
 
     @cached_property
     def mock_types(self) -> dict[tuple[str, str], str]:
@@ -571,17 +573,18 @@ class CaseEvaluator:
         emitter = _Emitter(self.decisions, self.method.call_types, defaults)
         return emitter.generate(self.method.body)
 
-    def _compile(self) -> _Runner:
-        """Bind the method's values to its shape's `_make`, compiling the
-        shape's source if no method has yet."""
+    @cached_property
+    def runner(self) -> _Runner:
+        """The method compiled (see `_Runner`): its values bound to its
+        shape's `_make`, compiling the shape's source if no method has yet.
+        Like `run`, it trusts its inputs."""
         source, consts = self._generate()
         make = _MAKERS.get(source)
         if make is None:
             namespace = dict(_GENERATED_GLOBALS)
             exec(compile(source, "<ultgen generated>", "exec"), namespace)
             make = _MAKERS[source] = namespace["_make"]
-        self._runner = make(*consts)
-        return self._runner
+        return make(*consts)
 
     # -- case validation ---------------------------------------------------
 
@@ -632,9 +635,8 @@ class CaseEvaluator:
     def run(self, case: "TestCase") -> ExecutionTrace:
         """The trace of one case, which must be one that `check` accepts:
         run does not check it."""
-        runner = self._runner if self._runner is not None else self._compile()
         outcomes: set[tuple[str, bool]] = set()
-        crash, ret, left = runner(
+        crash, ret, left = self.runner(
             case.param_values, case.field_values, case.mock_plan, outcomes, self.fuel
         )
         return ExecutionTrace(frozenset(outcomes), crash, self.fuel - left, ret)

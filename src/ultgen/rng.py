@@ -7,6 +7,8 @@ streams from the same seed.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -33,6 +35,25 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() requires n >= 1")
         return self.next() % n
+
+    def below_each(self, sizes: Iterable[int]) -> list[int]:
+        """`[self.below(n) for n in sizes]`, drawn in one call: the same
+        values, the same state after, the same ValueError for an n < 1.
+        It repeats `next` inline, because the fuzzer's random phase draws
+        one whole vector per candidate and the two calls per value cost
+        more than the arithmetic."""
+        state = self._state
+        out = []
+        for n in sizes:
+            if n <= 0:
+                self._state = state
+                raise ValueError("below() requires n >= 1")
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            out.append((z ^ (z >> 31)) % n)
+        self._state = state
+        return out
 
     def signed64(self) -> int:
         """Full-range two's-complement 64-bit signed value."""

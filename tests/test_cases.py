@@ -1,5 +1,6 @@
 """Value pools, candidate ordering, greedy selection, configuration."""
 
+import itertools
 import json
 import math
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gen_programs import floats, gen_method, ints, program_text
 from ultgen.cases import (
     DEFAULT_BUDGET,
+    Candidate,
     FUZZED,
     TestCase,
     build_axes,
@@ -20,6 +22,7 @@ from ultgen.cases import (
     greedy_select,
     load_case_config,
 )
+from ultgen.coverage import compute_coverage
 from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
 from ultgen.errors import ContractViolation, SchemaError, UnknownTarget
 from ultgen.interp import CaseEvaluator
@@ -136,8 +139,10 @@ def test_first_candidate_is_all_defaults(unit, evaluator):
     first = next(fuzz_candidates(evaluator))
     assert first.param_values == {"x": 0, "f": 0.0, "go": False}
     assert first.mock_plan == {("d", "get"): [0]}
-    assert first.origin == "Fuzzed"
     assert first.seed_info == (42, 0)
+    case = first.case(("A", "steps"))
+    assert case.id == "fz-A.steps-0000"
+    assert case.origin == "Fuzzed"
 
 
 def test_solo_phase_varies_one_axis_at_a_time(unit, evaluator):
@@ -275,8 +280,30 @@ def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go
     evaluator = CaseEvaluator(unit, "A", method)
     overrides = {k: v for k, v in (("x", x), ("f", f), ("go", go)) if v is not None}
     args = (evaluator, budget, seed, overrides)
-    got = _stream_record(fuzz_candidates(*args))
+    got = _stream_record(c.case(("A", method)) for c in fuzz_candidates(*args))
     assert got == _stream_record(_reference_candidates(*args))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    sizes=st.lists(st.integers(1, 2**70), max_size=8),
+    bad=st.none() | st.integers(-2, 0),
+)
+def test_below_each_draws_as_successive_below(seed, sizes, bad):
+    """The same values and the same state after, an n < 1 included."""
+    if bad is not None:
+        sizes = [*sizes, bad, 3]
+    one, each = SplitMix64(seed), SplitMix64(seed)
+    want = []
+    try:
+        for n in sizes:
+            want.append(one.below(n))
+    except ValueError:
+        with pytest.raises(ValueError):
+            each.below_each(sizes)
+    else:
+        assert each.below_each(sizes) == want
+    assert each.next() == one.next()
 
 
 _JSON_FLOATS = st.one_of(
@@ -309,8 +336,8 @@ def test_every_fuzz_candidate_passes_check(method, pools, budget, seed):
         ).pool_overrides.items()
     }
     evaluator = CaseEvaluator(unit, "G", "m")
-    for case in fuzz_candidates(evaluator, budget, seed, overrides):
-        evaluator.check(case)
+    for candidate in fuzz_candidates(evaluator, budget, seed, overrides):
+        evaluator.check(candidate.case(("G", "m")))
 
 
 def test_build_axes_checks_pool_values(evaluator):
@@ -400,23 +427,121 @@ def test_greedy_pins_kept_invalid_and_traces():
     u = parse_source(HALF_SRC, path="<greedy>")
     evaluator = CaseEvaluator(u, "A", "half")
 
-    def case(n, y):
-        return TestCase(f"c{n}", ("A", "half"), {"y": y}, {}, {}, FUZZED)
+    def candidate(n, y):
+        return Candidate({"y": y}, {}, (3, n))
 
     stream = [
-        case(0, 5),  # D1 false, returns: new pairs
-        case(1, 6),  # the same pairs again
-        case(2, 0),  # the same pairs, but a new DivByZero
-        case(3, 0),  # that crash again
-        case(5, 200),  # D1 true: full coverage, so selection stops
-        case(6, 7),
+        candidate(0, 5),  # D1 false, returns: new pairs
+        candidate(1, 6),  # the same pairs again
+        candidate(2, 0),  # the same pairs, but a new DivByZero
+        candidate(3, 0),  # that crash again
+        candidate(5, 200),  # D1 true: full coverage, so selection stops
+        candidate(6, 7),
     ]
     result = greedy_select(iter(stream), evaluator)
-    assert [c.id for c in result.kept] == ["c0", "c2", "c5"]
+    assert [c.id for c in result.kept] == ["fz-A.half-0000", "fz-A.half-0002", "fz-A.half-0005"]
+    assert result.kept[1] == stream[2].case(("A", "half"))
     assert result.candidates_run == 5
     assert result.traces == tuple(evaluator.run(c) for c in result.kept)
     assert [t.terminal for t in result.traces] == ["Normal", "Crashed", "Normal"]
     assert result.coverage.percent == 100.0
+
+
+def _reference_select(candidates, evaluator, preseed):
+    """Greedy selection as first written: every candidate becomes a
+    TestCase and runs through `evaluator.run`, then the keep rule.
+    greedy_select must reproduce it exactly."""
+    target = (evaluator.class_name, evaluator.method.name)
+    covered = set()
+    seen_crashes = set()
+    for t in preseed:
+        covered |= t.outcomes
+        if t.crash is not None:
+            seen_crashes.add(t.crash.key)
+    kept, traces, ran = [], [], 0
+    if not covered >= evaluator.pairs:
+        for candidate in candidates:
+            ran += 1
+            case = candidate.case(target)
+            trace = evaluator.run(case)
+            new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
+            if not new_crash and trace.outcomes <= covered:
+                continue
+            kept.append(case)
+            traces.append(trace)
+            covered |= trace.outcomes
+            if new_crash:
+                seen_crashes.add(trace.crash.key)
+            if covered >= evaluator.pairs:
+                break
+    return kept, traces, ran, compute_coverage(list(preseed) + traces, evaluator)
+
+
+def _trace_record(trace):
+    # repr, so that a NaN return value equals itself
+    return trace.outcomes, trace.crash, trace.steps, repr(trace.return_value)
+
+
+def _assert_selects_as_reference(make_evaluator, budget, seed, preseed_n):
+    """greedy_select over a fresh evaluator equals the reference fold over
+    another. It never calls `run` and builds a TestCase only for a kept
+    candidate, and the runner is compiled only if some candidate ran. The
+    preseed is the traces of `preseed_n` candidates of another seed."""
+    reference = make_evaluator()
+    target = (reference.class_name, reference.method.name)
+    preseed = tuple(
+        reference.run(c.case(target))
+        for c in itertools.islice(fuzz_candidates(reference, budget, seed + 1), preseed_n)
+    )
+    built = []
+
+    class Recording(Candidate):
+        def case(self, target):
+            built.append(self.seed_info[1])
+            return super().case(target)
+
+    evaluator = make_evaluator()
+    evaluator.run = None
+    stream = (Recording(*c) for c in fuzz_candidates(evaluator, budget, seed))
+    result = greedy_select(stream, evaluator, preseed)
+    assert built == [c.seed_info[1] for c in result.kept]
+    assert ("runner" in vars(evaluator)) == (result.candidates_run > 0)
+    if not evaluator.pairs:
+        assert "runner" not in vars(evaluator)
+    kept, traces, ran, coverage = _reference_select(
+        fuzz_candidates(reference, budget, seed), reference, preseed
+    )
+    assert [case_to_json(c) for c in result.kept] == [case_to_json(c) for c in kept]
+    assert [_trace_record(t) for t in result.traces] == [_trace_record(t) for t in traces]
+    assert result.candidates_run == ran
+    assert result.coverage == coverage
+
+
+@given(
+    method=gen_method(),
+    fuel=st.one_of(st.integers(1, 20), st.just(300)),
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 2),
+    preseed_n=st.integers(0, 3),
+)
+def test_greedy_select_matches_reference_on_generated_methods(
+    method, fuel, budget, seed, preseed_n
+):
+    unit = parse_source(program_text(method), path="<gen>")
+    _assert_selects_as_reference(
+        lambda: CaseEvaluator(unit, "G", "m", fuel=fuel), budget, seed, preseed_n
+    )
+
+
+def test_greedy_select_matches_reference_on_every_corpus_method(corpus_unit):
+    methods = [(cls.name, m.name) for cls in corpus_unit.classes for m in cls.methods]
+    assert any(
+        not CaseEvaluator(corpus_unit, *target).pairs for target in methods
+    )  # a decision-free method is among them
+    for n, target in enumerate(methods):
+        _assert_selects_as_reference(
+            lambda: CaseEvaluator(corpus_unit, *target), DEFAULT_BUDGET, 21, n % 3
+        )
 
 
 # --- serialization --------------------------------------------------------

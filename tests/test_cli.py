@@ -262,6 +262,55 @@ def test_integer_past_the_digit_limit_is_an_error_naming_the_file(
     )
 
 
+def test_case_file_integer_past_the_digit_limit_is_a_bad_record(invoke, turnstile, tmp_path):
+    """A case file words it as the other JSON readers do, after its own
+    `bad case record` prefix."""
+    case_file = tmp_path / "cases.jsonl"
+    good = json.dumps(_manual_case(["Turnstile", "push"], {"coins": 1}))
+    case_file.write_text(
+        good + '\n{"id": "x", "target": ["Turnstile", "push"], "params": {"coins": '
+        + "9" * 5000 + "}}\n"
+    )
+    code, stdout, err = invoke("coverage", turnstile, "--cases", case_file)
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"ultgen: error: {case_file}:2: bad case record: "
+        "invalid JSON: an integer has too many digits\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry", ["cases --config", "coverage --cases", "advise --bugs", "advise --map"]
+)
+def test_deeply_nested_json_is_an_error_naming_the_file(
+    invoke, turnstile, history_dir, tmp_path, entry
+):
+    """`json.loads` gives up on deep nesting with a RecursionError; each
+    JSON reader reports it as invalid JSON in its file, at its line where
+    the file is JSONL."""
+    hist = tmp_path / "history"
+    shutil.copytree(history_dir, hist)
+    deep = "[" * 100_000
+    first_bug = (history_dir / "bugs.jsonl").read_text().split("\n")[0]
+    bad, where, text = {
+        "cases --config": (tmp_path / "cases.json", "", deep),
+        "coverage --cases": (tmp_path / "cases.jsonl", ":1: bad case record", deep + "\n"),
+        "advise --bugs": (hist / "bugs.jsonl", ":2", f"{first_bug}\n{deep}\n"),
+        "advise --map": (hist / "map.json", "", f'{{"rules": {deep}}}'),
+    }[entry]
+    bad.write_text(text)
+    args = {
+        "cases --config": ("cases", turnstile, "--class", "Turnstile", "--method", "push",
+                           "--config", bad, "-o", tmp_path / "c.jsonl"),
+        "coverage --cases": ("coverage", turnstile, "--cases", bad),
+    }.get(entry, ("advise", *_history_args(hist)))
+    code, stdout, err = invoke(*args)
+    assert (code, stdout) == (1, "")
+    assert err == (
+        f"ultgen: error: {bad}{where}: invalid JSON: arrays or objects nested too deeply\n"
+    )
+
+
 # --- nesting limits ---------------------------------------------------------
 
 # Per shape: the return type and body of `f` nested `depth` deep, and the

@@ -766,7 +766,7 @@ def test_deepest_accepted_method_runs_generated_code_as_the_oracle_does():
                      field_values={}, mock_plan={}, origin="Configured")
         traces.append(evaluator.run(c))
         assert agree(traces[-1], oracle.run(c)), c
-    assert evaluator._runner.__code__.co_filename == "<ultgen generated>"
+    assert evaluator.runner.__code__.co_filename == "<ultgen generated>"
     innermost = f"Deep.f:D{MAX_BLOCK_DEPTH}"
     assert (innermost, True) in traces[2].outcomes  # n = 20 reaches the inner loop
     assert traces[2].return_value == 0
@@ -855,8 +855,8 @@ def test_same_shape_methods_share_one_code_object():
 
     assert run(p, "a", 10).return_value == 14  # 7 passes of + 2
     assert run(q, "x", 720).return_value == 36  # 4 passes of + 9
-    assert p._runner.__code__ is q._runner.__code__
-    assert p._runner is not q._runner
+    assert p.runner.__code__ is q.runner.__code__
+    assert p.runner is not q.runner
 
 
 # Operand values per type, and the comparisons the checker allows on it
@@ -900,7 +900,7 @@ def test_methods_differing_in_an_if_operator_share_one_code_object():
         for a in values:
             for b in values:
                 _run_against_oracle(unit, "C", m, {"a": a, "b": b})
-        codes.add(CaseEvaluator(unit, "C", m)._compile().__code__)
+        codes.add(CaseEvaluator(unit, "C", m).runner.__code__)
     assert len(codes) == 1
 
 
@@ -917,6 +917,6 @@ def test_methods_differing_in_a_while_operator_keep_distinct_code():
     )
     assert _run_against_oracle(unit, "W", "below", {"a": 0}).return_value == 5
     assert _run_against_oracle(unit, "W", "upto", {"a": 0}).return_value == 6
-    below = CaseEvaluator(unit, "W", "below")._compile()
-    upto = CaseEvaluator(unit, "W", "upto")._compile()
+    below = CaseEvaluator(unit, "W", "below").runner
+    upto = CaseEvaluator(unit, "W", "upto").runner
     assert below.__code__ is not upto.__code__
