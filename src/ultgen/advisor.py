@@ -93,7 +93,6 @@ class ModelParams:
     bias: float
     churn_max: int  # churn normalization constant
     n_samples: int
-    l2_penalty: float
     loss_history: tuple[float, ...]  # loss at zero, then at each Newton iterate
     # False when every training sample has the same coverage: the coverage
     # weight is then rounding noise around 0 and cannot rank coverage.
@@ -553,7 +552,6 @@ def train_model(trends: Sequence[ComponentTrend]) -> ModelParams:
         bias=theta[3],
         churn_max=churn_max,
         n_samples=len(samples),
-        l2_penalty=L2_PENALTY,
         loss_history=tuple(history),
         coverage_varies=len({x[0] for x, _ in samples}) > 1,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, compute_coverage
@@ -122,6 +122,11 @@ def case_from_json(data: object) -> TestCase:
     target = data["target"]
     if not isinstance(target, list) or [type(name) for name in target] != [str, str]:
         raise TypeError(f"target must be [class, method], got {target!r}")
+    if type(data["id"]) is not str:
+        raise TypeError(f"id must be a string, got {data['id']!r}")
+    origin = data.get("origin", FUZZED)
+    if origin not in (CONFIGURED, FUZZED):
+        raise TypeError(f"origin must be {CONFIGURED!r} or {FUZZED!r}, got {origin!r}")
     params, fields, mocks = _inputs_from_json(data)
     seed_info = None
     if "seed" in data:
@@ -137,7 +142,7 @@ def case_from_json(data: object) -> TestCase:
         param_values=params,
         field_values=fields,
         mock_plan=mocks,
-        origin=data.get("origin", FUZZED),
+        origin=origin,
         seed_info=seed_info,
         diagnostics=tuple(diagnostics),
     )
@@ -146,12 +151,11 @@ def case_from_json(data: object) -> TestCase:
 # --- configuration ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class CaseConfig:
-    cases: tuple[TestCase, ...]
-    # (class, method, param) -> replacement value pool for fuzzing
-    pool_overrides: dict[tuple[str, str, str], list[Scalar]] = field(
-        default_factory=dict
-    )
+class MethodConfig:
+    """What a case configuration pins for one method."""
+
+    cases: tuple[TestCase, ...]  # in file order
+    pools: dict[str, list[Scalar]]  # parameter -> replacement fuzz pool
 
 
 class _ConfigReader:
@@ -163,14 +167,13 @@ class _ConfigReader:
         self.unit = unit
         self.file = file
 
-    def read(self, data: object) -> CaseConfig:
+    def read(self, data: object) -> dict[tuple[str, str], MethodConfig]:
         if not isinstance(data, dict):
             raise SchemaError("config root must be a JSON object", self.file)
         unknown = set(data) - {"classes"}
         if unknown:
             raise SchemaError(f"unknown config keys: {sorted(unknown)}", self.file)
-        cases: list[TestCase] = []
-        overrides: dict[tuple[str, str, str], list[Scalar]] = {}
+        config: dict[tuple[str, str], MethodConfig] = {}
         classes = data.get("classes", {})
         if not isinstance(classes, dict):
             raise SchemaError("'classes' must be an object", self.file)
@@ -189,10 +192,12 @@ class _ConfigReader:
             for method_name, method_cfg in methods.items():
                 path = f"{class_name}.{method_name}"
                 evaluator = CaseEvaluator(self.unit, class_name, method_name)
-                self._read_method(evaluator, method_cfg, path, cases, overrides)
-        return CaseConfig(cases=tuple(cases), pool_overrides=overrides)
+                config[(class_name, method_name)] = self._read_method(
+                    evaluator, method_cfg, path
+                )
+        return config
 
-    def _read_method(self, evaluator, cfg, path, cases, overrides) -> None:
+    def _read_method(self, evaluator, cfg, path) -> MethodConfig:
         if not isinstance(cfg, dict):
             raise SchemaError(f"{path}: method entry must be an object", self.file)
         unknown = set(cfg) - {"cases", "pools"}
@@ -204,6 +209,8 @@ class _ConfigReader:
         pool_entries = cfg.get("pools", {})
         if not isinstance(case_entries, dict) or not isinstance(pool_entries, dict):
             raise SchemaError(f"{path}: 'cases' and 'pools' must be objects", self.file)
+        cases: list[TestCase] = []
+        pools: dict[str, list[Scalar]] = {}
         for case_name, case_cfg in case_entries.items():
             cpath = f"{path}.{case_name}"
             if not isinstance(case_cfg, dict):
@@ -246,9 +253,10 @@ class _ConfigReader:
                 raise SchemaError(f"{ppath}: pool must be a nonempty array", self.file)
             values = [_scalar_from_json(v) for v in pool]
             with self._at(ppath):
-                overrides[(*target, name)] = check_values(
+                pools[name] = check_values(
                     param_types[name], values, f"pool value of parameter {name!r}"
                 )
+        return MethodConfig(tuple(cases), pools)
 
     @contextlib.contextmanager
     def _at(self, where: str):
@@ -262,9 +270,10 @@ class _ConfigReader:
 
 def load_case_config(
     text: str, unit: SourceUnit, path: str = "<string>"
-) -> CaseConfig:
+) -> dict[tuple[str, str], MethodConfig]:
     """Parse and validate the case-configuration JSON document of the file
-    at `path` into one TestCase per named case, in file order.
+    at `path` into one MethodConfig per named (class, method): a TestCase
+    per named case, in file order, and the pool overrides.
 
     Unknown classes, methods and pool parameters raise UnknownTarget. A
     structural problem raises SchemaError, and a case or pool value its

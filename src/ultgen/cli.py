@@ -39,9 +39,9 @@ from .advisor import (
     train_model,
 )
 from .cases import (
-    CaseConfig,
     DEFAULT_BUDGET,
     DEFAULT_SEED,
+    MethodConfig,
     TestCase,
     case_from_json,
     case_to_json,
@@ -100,6 +100,11 @@ def _check_threshold(threshold: float) -> None:
 def _check_tau(tau: float) -> None:
     if not 0 <= tau <= 1:  # also false for nan
         raise UltgenError(f"--tau must be a finite number in [0, 1], got {tau}")
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 1:
+        raise UltgenError(f"--budget must be >= 1, got {budget}")
 
 
 def _resolve_seed(flag: Optional[int]) -> int:
@@ -215,62 +220,42 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
 
 # --- cases ------------------------------------------------------------------
 
-def _configured_by_target(
-    config: Optional[CaseConfig],
-) -> dict[tuple[str, str], list[TestCase]]:
-    """The config's cases grouped by target."""
-    grouped: dict[tuple[str, str], list[TestCase]] = {}
-    if config is not None:
-        for case in config.cases:
-            grouped.setdefault(case.target, []).append(case)
-    return grouped
-
-
 def _select_cases(
     unit: SourceUnit,
     class_name: str,
     method_name: str,
-    config: Optional[CaseConfig],
-    configured: Sequence[TestCase],
+    entry: MethodConfig,
     budget: int,
     seed: int,
 ):
     """Shared by `cases` and `run`: configured preseed, fuzz, greedy keep."""
     evaluator = CaseEvaluator(unit, class_name, method_name)
-    preseed = tuple(evaluator.run(case) for case in configured)
-    overrides = {}
-    if config is not None:
-        overrides = {
-            param: pool
-            for (c, m, param), pool in config.pool_overrides.items()
-            if (c, m) == (class_name, method_name)
-        }
+    preseed = tuple(evaluator.run(case) for case in entry.cases)
     candidates = fuzz_candidates(
-        evaluator, budget=budget, seed=seed, pool_overrides=overrides
+        evaluator, budget=budget, seed=seed, pool_overrides=entry.pools
     )
     return greedy_select(candidates, evaluator, preseed=preseed)
 
 
 def cmd_cases(args: argparse.Namespace) -> int:
+    _check_budget(args.budget)
     unit = _parse_file(args.src)
     seed = _resolve_seed(args.seed)
-    config = None
+    config = {}
     if args.config is not None:
         config = load_case_config(read_text(args.config), unit, args.config)
-    configured = _configured_by_target(config).get(
-        (args.class_name, args.method), []
-    )
+    entry = config.get((args.class_name, args.method), MethodConfig((), {}))
     result = _select_cases(
-        unit, args.class_name, args.method, config, configured, args.budget, seed
+        unit, args.class_name, args.method, entry, args.budget, seed
     )
     out_path = Path(args.out)
-    _write_cases(out_path, [*configured, *result.kept])
+    _write_cases(out_path, [*entry.cases, *result.kept])
     target = f"{args.class_name}.{args.method}"
     payload = {
         "target": target,
         "budget": args.budget,
         "seed": seed,
-        "configured": len(configured),
+        "configured": len(entry.cases),
         "kept": len(result.kept),
         "candidates_run": result.candidates_run,
         "conditional_pct": result.coverage.percent,
@@ -508,10 +493,13 @@ def _stage(name: str):
         raise _StageError(f"stage {name!r}: {e}") from None
 
 
-def _collect_sources(src_dir: Path) -> list[Path]:
+def _collect_sources(src_dir: Path, skip: Path) -> list[Path]:
+    """The source files under `src_dir`, leaving out those under `skip`."""
+    skip = skip.resolve()
     return sorted(
         p for p in src_dir.rglob("*")
-        if p.is_file() and p.suffix in SOURCE_SUFFIXES
+        if p.suffix in SOURCE_SUFFIXES and p.is_file()
+        and not p.resolve().is_relative_to(skip)
     )
 
 
@@ -533,8 +521,7 @@ def _parse_tree(src_dir: Path, sources: list[Path], texts: list[str]) -> SourceU
 def cmd_run(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     _check_tau(args.tau)
-    if args.budget < 1:
-        raise UltgenError(f"--budget must be >= 1, got {args.budget}")
+    _check_budget(args.budget)
     src_dir = Path(args.src)
     if not src_dir.is_dir():
         raise UltgenError(f"{args.src}: not a directory")
@@ -546,8 +533,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     grid = _parse_grid(args.grid)
     seed = _resolve_seed(args.seed)
+    out_dir = Path(args.out)
+    scaffold_dir = out_dir / "scaffold"
 
-    sources = _collect_sources(src_dir)
+    # A scaffold written by an earlier run into the source tree is output,
+    # not source.
+    sources = _collect_sources(src_dir, scaffold_dir)
     inputs: dict[str, str] = {}
     texts = []
     for path in sources:
@@ -561,28 +552,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     for flag in [args.config, *advisor_flags]:
         if flag:
             inputs[Path(flag).name] = _sha256(read_text(flag))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    stages: dict[str, dict] = {}
-    gap_count = 0
+    # Everything that can fail on a bad input runs before `out_dir` exists.
+    with _stage("cases"):
+        config = {}
+        if args.config:
+            config = load_case_config(read_text(args.config), unit, args.config)
+    advise = None
     if all(advisor_flags):
         with _stage("advise"):
             advise = _advise_payload(
                 args.bugs, args.commits, args.coverage_history, args.map,
                 args.tau, grid,
             )
-            _write_json(out_dir / "advise.json", advise)
-            gap_count = advise["gap_count"]
-            stages["advise"] = {
-                "gap_count": gap_count,
-                "highlighted": [row["component"] for row in advise["gaps"]],
-                "report": "advise.json",
-            }
-
     with _stage("scaffold"):
         classes = sorted(c.name for c in unit.classes)
-        scaffold_dir = out_dir / "scaffold"
         file_texts: dict[str, str] = {}
         auto_total = 0
         anchor_total = 0
@@ -600,22 +584,31 @@ def cmd_run(args: argparse.Namespace) -> int:
                 anchored = 2 * sum(a.file == fname for a in bundle.anchors)
                 auto_total += text.count("\n") - anchored
                 anchor_total += anchored
-        scaffold_dir.mkdir(parents=True, exist_ok=True)
-        for fname in sorted(file_texts):
-            (scaffold_dir / fname).write_text(file_texts[fname], encoding="utf-8")
-        stages["scaffold"] = {
-            "classes": classes,
-            "files": [f"scaffold/{name}" for name in sorted(file_texts)],
-            "auto_line_count": auto_total,
-            "anchor_line_count": anchor_total,
-            "generation_ratio": measure_generation_ratio(auto_total, anchor_total),
+
+    stages: dict[str, dict] = {}
+    gap_count = 0
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if advise is not None:
+        _write_json(out_dir / "advise.json", advise)
+        gap_count = advise["gap_count"]
+        stages["advise"] = {
+            "gap_count": gap_count,
+            "highlighted": [row["component"] for row in advise["gaps"]],
+            "report": "advise.json",
         }
 
+    scaffold_dir.mkdir(exist_ok=True)
+    for fname in sorted(file_texts):
+        (scaffold_dir / fname).write_text(file_texts[fname], encoding="utf-8")
+    stages["scaffold"] = {
+        "classes": classes,
+        "files": [f"scaffold/{name}" for name in sorted(file_texts)],
+        "auto_line_count": auto_total,
+        "anchor_line_count": anchor_total,
+        "generation_ratio": measure_generation_ratio(auto_total, anchor_total),
+    }
+
     with _stage("cases"):
-        config = None
-        if args.config:
-            config = load_case_config(read_text(args.config), unit, args.config)
-        configured_by_target = _configured_by_target(config)
         all_cases: list[TestCase] = []
         methods: list[MethodCoverage] = []
         configured_total = 0
@@ -624,13 +617,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         for cls_name in classes:
             cls = unit.class_named(cls_name)
             for m in public_methods(cls):
-                configured = configured_by_target.get((cls_name, m.name), [])
+                entry = config.get((cls_name, m.name), MethodConfig((), {}))
                 result = _select_cases(
-                    unit, cls_name, m.name, config, configured, args.budget, seed
+                    unit, cls_name, m.name, entry, args.budget, seed
                 )
-                all_cases.extend(configured)
+                all_cases.extend(entry.cases)
                 all_cases.extend(result.kept)
-                configured_total += len(configured)
+                configured_total += len(entry.cases)
                 kept_total += len(result.kept)
                 candidates_total += result.candidates_run
                 methods.append(result.coverage)

@@ -10,7 +10,7 @@ call returns, both, or neither (fields/constants only).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .cutlang.nodes import (
     Assert,
@@ -24,7 +24,6 @@ from .cutlang.nodes import (
     IntLit,
     MethodDecl,
     ParamRef,
-    Span,
     Unary,
     While,
     walk,
@@ -57,48 +56,32 @@ class Decision:
     kind: str  # "if" | "while" | "assert"
     expr: Expr
     conditions: tuple[Condition, ...]
-    site: Span
 
 
-def _has_logical(e: Expr) -> bool:
-    for node in walk(e):
-        if isinstance(node, Unary) and node.op == "!":
-            return True
-        if isinstance(node, Binary) and node.op in ("&&", "||"):
-            return True
-    return False
+def _split(e: Expr) -> Optional[list[Expr]]:
+    """The conditions of `e`, left to right, or None when `e` holds no
+    logical operator and so is one condition itself. Only `!` (the one
+    unary operator) and binary operators can hold one: calls take no
+    arguments."""
+    if isinstance(e, Unary):
+        inner = _split(e.operand)
+        return [e.operand] if inner is None else inner
+    if isinstance(e, Binary):
+        left, right = _split(e.left), _split(e.right)
+        # Covers && and ||, and also non-logical operators (e.g. ==)
+        # whose operands contain logical subtrees.
+        if left is None and right is None and e.op not in ("&&", "||"):
+            return None
+        return ([e.left] if left is None else left) + (
+            [e.right] if right is None else right
+        )
+    return None
 
 
 def split_conditions(expr: Expr) -> list[Expr]:
     """Maximal logical-operator-free subexpressions, left to right."""
-    atoms: list[Expr] = []
-
-    def visit(e: Expr) -> None:
-        if not _has_logical(e):
-            atoms.append(e)
-            return
-        if isinstance(e, Unary):
-            visit(e.operand)
-            return
-        if isinstance(e, Binary):
-            # Covers && and ||, and also non-logical operators (e.g. ==)
-            # whose operands contain logical subtrees.
-            visit(e.left)
-            visit(e.right)
-            return
-        raise AssertionError(f"logical content in unexpected node {e!r}")
-
-    visit(expr)
-    return atoms
-
-
-# Shared by every condition with an empty set: on CPython 3.11 each call of
-# frozenset(), with or without an empty argument, allocates a new object.
-_EMPTY: frozenset = frozenset()
-
-
-def _frozen(items: set) -> frozenset:
-    return frozenset(items) if items else _EMPTY
+    atoms = _split(expr)
+    return [expr] if atoms is None else atoms
 
 
 def classify_atom(atom: Expr) -> tuple[str, frozenset[str], frozenset[CallSite], frozenset[Literal]]:
@@ -127,22 +110,22 @@ def classify_atom(atom: Expr) -> tuple[str, frozenset[str], frozenset[CallSite],
         # Only fields or constants decide this atom; constant-only atoms
         # land here too since neither policy bucket can apply to them.
         driver = FIELD_DRIVEN
-    return driver, _frozen(params), _frozen(calls), _frozen(literals)
+    return driver, frozenset(params), frozenset(calls), frozenset(literals)
 
 
-def _predicates(block: Block) -> Iterator[tuple[str, Expr, Span]]:
-    """(kind, predicate, site) in statement pre-order."""
+def _predicates(block: Block) -> Iterator[tuple[str, Expr]]:
+    """(kind, predicate) in statement pre-order."""
     for stmt in block.stmts:
         if isinstance(stmt, If):
-            yield "if", stmt.cond, stmt.span
+            yield "if", stmt.cond
             yield from _predicates(stmt.then)
             if stmt.els is not None:
                 yield from _predicates(stmt.els)
         elif isinstance(stmt, While):
-            yield "while", stmt.cond, stmt.span
+            yield "while", stmt.cond
             yield from _predicates(stmt.body)
         elif isinstance(stmt, Assert):
-            yield "assert", stmt.cond, stmt.span
+            yield "assert", stmt.cond
 
 
 def extract_decisions(method: MethodDecl, class_name: str) -> list[Decision]:
@@ -153,7 +136,7 @@ def extract_decisions(method: MethodDecl, class_name: str) -> list[Decision]:
     """
     out: list[Decision] = []
     prefix = f"{class_name}.{method.name}"
-    for n, (kind, expr, site) in enumerate(_predicates(method.body), start=1):
+    for n, (kind, expr) in enumerate(_predicates(method.body), start=1):
         did = f"{prefix}:D{n}"
         conditions = []
         for i, atom in enumerate(split_conditions(expr), start=1):
@@ -168,7 +151,7 @@ def extract_decisions(method: MethodDecl, class_name: str) -> list[Decision]:
                     compared_literals=literals,
                 )
             )
-        out.append(Decision(did, kind, expr, tuple(conditions), site))
+        out.append(Decision(did, kind, expr, tuple(conditions)))
     return out
 
 

@@ -345,7 +345,7 @@ def test_ac7_advisor_recovery(announce):
 def _degenerate(weights, bias):
     return ModelParams(
         weights=weights, bias=bias, churn_max=0, n_samples=0,
-        l2_penalty=0.0, loss_history=(),
+        loss_history=(),
     )
 
 

@@ -768,7 +768,6 @@ PLANTED_MODEL = ModelParams(
     bias=4.0,
     churn_max=0,
     n_samples=0,
-    l2_penalty=0.0,
     loss_history=(),
 )
 
@@ -801,7 +800,7 @@ def test_recommend_skips_grid_below_current():
 def test_recommend_floor_when_risk_is_everywhere_low():
     model = ModelParams(
         weights=(-50.0, 0.0, 0.0), bias=-10.0, churn_max=0, n_samples=0,
-        l2_penalty=0.0, loss_history=(),
+        loss_history=(),
     )
     rec = recommend(model, _trend_at(10.0))
     assert rec.recommended_conditional_pct == COVERAGE_FLOOR
@@ -810,7 +809,7 @@ def test_recommend_floor_when_risk_is_everywhere_low():
 def test_recommend_ceiling_when_no_level_is_acceptable():
     model = ModelParams(
         weights=(-0.001, 0.0, 0.0), bias=10.0, churn_max=0, n_samples=0,
-        l2_penalty=0.0, loss_history=(),
+        loss_history=(),
     )
     rec = recommend(model, _trend_at(50.0))
     assert rec.recommended_conditional_pct == COVERAGE_CEIL
@@ -820,7 +819,7 @@ def test_recommend_ceiling_when_no_level_is_acceptable():
 def test_recommend_fallback_on_degenerate_model():
     model = ModelParams(
         weights=(1.0, 0.0, 0.0), bias=0.0, churn_max=0, n_samples=0,
-        l2_penalty=0.0, loss_history=(),
+        loss_history=(),
     )
     rec = recommend(model, _trend_at(72.4), zero_bug_median=88.0)
     assert rec.fallback_used
@@ -887,7 +886,7 @@ def test_recommend_requires_model_and_data():
 def test_recommend_stays_in_bounds(w_cov, bias, current):
     model = ModelParams(
         weights=(w_cov, 0.0, 0.0), bias=bias, churn_max=0, n_samples=0,
-        l2_penalty=0.0, loss_history=(),
+        loss_history=(),
     )
     rec = recommend(model, _trend_at(current))
     assert isinstance(rec.recommended_conditional_pct, int)

@@ -329,12 +329,7 @@ def test_every_fuzz_candidate_passes_check(method, pools, budget, seed):
     values of their inputs' types, derived or configured."""
     unit = parse_source(program_text(method), path="<gen>")
     config = {"classes": {"G": {"methods": {"m": {"pools": pools}}}}}
-    overrides = {
-        param: pool
-        for (_, _, param), pool in load_case_config(
-            json.dumps(config), unit
-        ).pool_overrides.items()
-    }
+    overrides = load_case_config(json.dumps(config), unit)[("G", "m")].pools
     evaluator = CaseEvaluator(unit, "G", "m")
     for candidate in fuzz_candidates(evaluator, budget, seed, overrides):
         evaluator.check(candidate.case(("G", "m")))
@@ -606,17 +601,18 @@ def read(cfg, unit):
 
 def test_config_reads_cases_and_pools(unit):
     config = read(good_config(), unit)
-    (cc,) = config.cases
+    assert list(config) == [("A", "steps")]
+    (cc,) = config[("A", "steps")].cases
     assert (cc.id, cc.target) == ("cfg-A.steps-lucky", ("A", "steps"))
     assert cc.param_values["x"] == 7
     assert cc.field_values == {"n": 3}
     assert cc.mock_plan == {("d", "get"): [9]}
-    assert config.pool_overrides == {("A", "steps", "x"): [7, 8]}
+    assert config[("A", "steps")].pools == {"x": [7, 8]}
 
 
 def test_configured_cases_fill_defaults_with_diagnostics(unit):
     config = read(good_config(), unit)
-    (case,) = config.cases
+    (case,) = config[("A", "steps")].cases
     assert case.origin == "Configured"
     assert case.id == "cfg-A.steps-lucky"
     assert case.param_values == {"x": 7, "f": 0.0, "go": False}
@@ -670,11 +666,11 @@ def test_config_bool_not_coerced_to_int(unit):
 def test_config_float_accepts_int_and_markers(unit):
     cfg = good_config()
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {"f": 3}
-    assert read(cfg, unit).cases[0].param_values["f"] == 3.0
+    assert read(cfg, unit)[("A", "steps")].cases[0].param_values["f"] == 3.0
     cfg["classes"]["A"]["methods"]["steps"]["cases"]["lucky"]["params"] = {
         "f": "-Infinity"
     }
-    assert read(cfg, unit).cases[0].param_values["f"] == -math.inf
+    assert read(cfg, unit)[("A", "steps")].cases[0].param_values["f"] == -math.inf
 
 
 def test_config_mock_on_void_site_rejected(unit):

@@ -698,6 +698,11 @@ def test_coverage_bad_case_file(invoke, turnstile, tmp_path):
         ('{"id": "x", "target": "Af"}', "target must be [class, method], got 'Af'"),
         ('{"id": "x", "target": ["Turnstile", "push"], "mocks": [1]}',
          "mocks must be an object"),
+        ('{"id": 5, "target": ["Turnstile", "push"]}', "id must be a string, got 5"),
+        ('{"id": "x", "target": ["Turnstile", "push"], "origin": "Bogus"}',
+         "origin must be 'Configured' or 'Fuzzed', got 'Bogus'"),
+        ('{"id": "x", "target": ["Turnstile", "push"], "origin": null}',
+         "origin must be 'Configured' or 'Fuzzed', got None"),
     ]:
         case_file.write_text(good + "\n" + record + "\n")
         code, out, err = invoke("coverage", turnstile, "--cases", case_file)
@@ -757,39 +762,77 @@ def test_tau_must_be_a_probability(invoke, project_dir, history_dir, tmp_path, t
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command, budget",
+    [("run", "0"), ("run", "-3"), ("cases", "0"), ("cases", "-3")],
+    ids=["0", "-3", "cases-0", "cases--3"],
+)
 def test_run_rejects_budget_below_one_before_writing(
-    invoke, project_dir, history_dir, tmp_path, budget
+    invoke, project_dir, history_dir, tmp_path, command, budget
 ):
+    """`cases` checks the budget first too, also for a decision-free method
+    that would run no candidate."""
     out_dir = tmp_path / "out"
-    code, out, err = invoke(
-        "run", project_dir / "src", "-o", out_dir, "--budget", budget,
-        *_history_args(history_dir, "--coverage-history"),
-    )
+    args = {
+        "run": ("run", project_dir / "src", "-o", out_dir,
+                *_history_args(history_dir, "--coverage-history")),
+        "cases": ("cases", project_dir / "src" / "turnstile.cut", "--class", "Counter",
+                  "--method", "tick", "-o", out_dir / "tick.jsonl"),
+    }[command]
+    code, out, err = invoke(*args, "--budget", budget)
     assert (code, out) == (1, "")
     assert err == f"ultgen: error: --budget must be >= 1, got {budget}\n"
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("fault", ["partial history", "grid", "missing history file"])
+@pytest.mark.parametrize("fault", [
+    "partial history", "grid", "missing history file",
+    "config class", "bug record", "scaffold collision",
+])
 def test_run_rejects_bad_inputs_before_writing(
     invoke, project_dir, history_dir, tmp_path, fault
 ):
     out_dir = tmp_path / "out"
     history = _history_args(history_dir, "--coverage-history")
     missing = tmp_path / "no-bugs.jsonl"
-    extra, message = {
+    config = tmp_path / "cases.json"
+    config.write_text('{"classes": {"Nope": {}}}')
+    bugs = tmp_path / "bugs.jsonl"
+    bugs_text = (history_dir / "bugs.jsonl").read_text()
+    bugs.write_text(bugs_text + '{"id": 1}\n')
+    bad_line = bugs_text.count("\n") + 1
+    twins = tmp_path / "twins"
+    twins.mkdir()
+    (twins / "a.cut").write_text(
+        "class Foo {\npublic:\n    int f() { return 1; }\n};\n"
+        "class FOO {\npublic:\n    int g() { return 2; }\n};\n"
+    )
+    src, extra, message = {
         "partial history": (
-            history[:2],
+            project_dir / "src", history[:2],
             "advise stage needs --bugs, --commits, --coverage-history, and --map together",
         ),
-        "grid": ([*history, "--grid", "9,1"], "--grid must be ascending and nonempty"),
+        "grid": (
+            project_dir / "src", [*history, "--grid", "9,1"],
+            "--grid must be ascending and nonempty",
+        ),
         "missing history file": (
-            ["--bugs", missing, *history[2:]],
+            project_dir / "src", ["--bugs", missing, *history[2:]],
             f"cannot read {missing}: No such file or directory",
         ),
+        "config class": (
+            project_dir / "src", ["--config", config, *history],
+            "stage 'cases': unknown target 'Nope'",
+        ),
+        "bug record": (
+            project_dir / "src", ["--bugs", bugs, *history[2:]],
+            f"stage 'advise': {bugs}:{bad_line}: bug record needs exactly id, period, culprit",
+        ),
+        "scaffold collision": (
+            twins, [], "stage 'scaffold': conflicting content for foo_test_fixture.h",
+        ),
     }[fault]
-    code, out, err = invoke("run", project_dir / "src", "-o", out_dir, *extra)
+    code, out, err = invoke("run", src, "-o", out_dir, *extra)
     assert (code, out) == (1, "")
     assert err == f"ultgen: error: {message}\n"
     assert not out_dir.exists()
@@ -1025,6 +1068,33 @@ def test_run_is_reproducible(invoke, project_dir, history_dir, tmp_path):
                 tree[path.relative_to(out_dir).as_posix()] = path.read_bytes()
         outputs.append(tree)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("out", ["out", "."])
+def test_run_again_into_the_source_tree(invoke, project_dir, history_dir, tmp_path, out):
+    """A second run into an `-o` inside the source tree, or equal to it,
+    does not read the first run's scaffold headers as source."""
+    src = tmp_path / "src"
+    shutil.copytree(project_dir / "src", src)
+    out_dir = src / out
+    runs = []
+    for _ in range(2):
+        code, _, err = invoke(
+            "run", src, "-o", out_dir, "--config", project_dir / "cases.json",
+            *_history_args(history_dir, flag="--coverage-history"),
+        )
+        tree = {
+            path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()
+        }
+        runs.append((code, err, tree))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
+    manifest = json.loads(runs[0][2]["manifest.json"])
+    assert set(manifest["inputs"]) == {
+        "display.cut", "turnstile.cut", "cases.json",
+        "bugs.jsonl", "commits.jsonl", "coverage.jsonl", "map.json",
+    }
 
 
 def test_run_counts_each_written_scaffold_line_once(invoke, corpus_dir, tmp_path):

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
+from oracle_eval import atoms_of
 from ultgen.cutlang import Binary, BoolLit, ParamRef, Unary, parse_source
 from ultgen.decisions import (
     CALL_DRIVEN,
@@ -165,7 +166,7 @@ _bool_exprs = st.recursive(
                   st.sampled_from(["p", "q"]).map(ParamRef)),
     ),
     lambda kids: st.one_of(
-        st.builds(Binary, st.sampled_from(["&&", "||"]), kids, kids),
+        st.builds(Binary, st.sampled_from(["&&", "||", "==", "!="]), kids, kids),
         st.builds(Unary, st.just("!"), kids),
     ),
     max_leaves=8,
@@ -174,10 +175,10 @@ _bool_exprs = st.recursive(
 
 @given(_bool_exprs)
 def test_split_yields_logic_free_atoms(expr):
-    from ultgen.decisions import _has_logical
-
+    """The same atom objects, in the same order, as the oracle's split;
+    `==` and `!=` over bool subtrees split where an operand holds logic."""
     atoms = split_conditions(expr)
     assert atoms, "every decision has at least one condition"
+    assert [id(a) for a in atoms] == [id(a) for a in atoms_of(expr)]
     for atom in atoms:
         assert not isinstance(atom, Unary)
-        assert not _has_logical(atom)

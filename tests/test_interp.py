@@ -381,7 +381,7 @@ def test_configured_mock_of_an_inherited_method_takes_its_return_type(inherit_un
         ),
         inherit_unit,
     )
-    (configured,) = config.cases
+    (configured,) = config[("Loud", "shout")].cases
     assert configured.mock_plan == {("g", "level"): [1.0]}
     assert type(configured.mock_plan[("g", "level")][0]) is float
 
