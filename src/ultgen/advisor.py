@@ -279,14 +279,13 @@ def build_trends(
     snapshot are excluded with a warning.
     """
     warnings: list[str] = []
-    commit_table = {c.id: c for c in commits}
     commit_components = {c.id: map_commit_to_components(c, cmap) for c in commits}
 
     bug_counts: dict[tuple[str, str], int] = {}
     period_culprits: dict[str, set[str]] = {}
     touched_components: set[str] = set()
     for bug in bugs:
-        if bug.culprit not in commit_table:
+        if bug.culprit not in commit_components:
             warnings.append(
                 f"bug {bug.id!r}: culprit commit {bug.culprit!r} not in commit "
                 "history; bug excluded from counts"
@@ -350,23 +349,29 @@ def sigmoid(z: float) -> float:
 Sample = tuple[tuple[float, float, float], int]  # (features, label)
 
 
+def features(
+    conditional_pct: float, churn_lines: int, churn_max: int, prior_bugs: int
+) -> tuple[float, float, float]:
+    """Model inputs: coverage fraction, churn share of the maximum, capped prior bugs."""
+    return (
+        conditional_pct / 100.0,
+        churn_lines / churn_max if churn_max > 0 else 0.0,
+        min(prior_bugs, PRIOR_BUG_CAP) / PRIOR_BUG_CAP,
+    )
+
+
 def make_samples(trends: Sequence[ComponentTrend], churn_max: int) -> list[Sample]:
     """(features at period i, bug-in-period-i+1 label) for consecutive pairs.
-
-    Features: coverage fraction, churn over the corpus maximum, prior-period
-    bug count capped at 5 and scaled (the count of the period before i).
-    """
+    The prior-period bug count is the count of the period before i."""
     samples: list[Sample] = []
     for trend in trends:
         series = trend.series
         for i in range(len(series) - 1):
             prior = series[i - 1].bug_count if i > 0 else 0
-            features = (
-                series[i].conditional_pct / 100.0,
-                series[i].churn_lines / churn_max if churn_max > 0 else 0.0,
-                min(prior, PRIOR_BUG_CAP) / PRIOR_BUG_CAP,
+            x = features(
+                series[i].conditional_pct, series[i].churn_lines, churn_max, prior
             )
-            samples.append((features, 1 if series[i + 1].bug_count > 0 else 0))
+            samples.append((x, 1 if series[i + 1].bug_count > 0 else 0))
     return samples
 
 
@@ -563,11 +568,7 @@ def predict_risk(
     churn_lines: int,
     prior_bugs: int,
 ) -> float:
-    x = (
-        conditional_pct / 100.0,
-        churn_lines / model.churn_max if model.churn_max > 0 else 0.0,
-        min(prior_bugs, PRIOR_BUG_CAP) / PRIOR_BUG_CAP,
-    )
+    x = features(conditional_pct, churn_lines, model.churn_max, prior_bugs)
     z = model.bias
     for w, v in zip(model.weights, x):
         z += w * v

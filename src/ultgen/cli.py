@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import __version__
 from .advisor import (
@@ -50,7 +50,7 @@ from .cases import (
     load_case_config,
 )
 from .coverage import MethodCoverage, aggregate_report, compute_coverage
-from .cutlang.nodes import SourceUnit
+from .cutlang.nodes import ClassDecl, SourceUnit
 from .cutlang.parser import parse_source
 from .decisions import decisions_table, extract_decisions
 from .errors import (
@@ -64,7 +64,6 @@ from .errors import (
 )
 from .interp import CaseEvaluator
 from .scaffold import (
-    ScaffoldBundle,
     generate_scaffold,
     measure_generation_ratio,
     public_methods,
@@ -86,8 +85,16 @@ def _print_json(obj: object) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _write_json(path: Path, obj: object) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+def _json_text(obj: object) -> str:
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each text at its path under `out_dir`, making each directory once."""
+    for parent in dict.fromkeys((out_dir / name).parent for name in files):
+        parent.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -137,9 +144,10 @@ def cmd_decisions(args: argparse.Namespace) -> int:
     if cls is None:
         raise UnknownClass(f"class {args.class_name!r} not found in {args.file}")
     if args.method is not None:
-        if cls.method_named(args.method) is None:
+        method = cls.all_methods.get(args.method)
+        if method is None:
             raise UnknownTarget(f"{args.class_name}.{args.method}")
-        methods = [cls.method_named(args.method)]
+        methods = [method]
     else:
         methods = list(cls.methods)
     payload = {
@@ -174,15 +182,6 @@ def cmd_decisions(args: argparse.Namespace) -> int:
 
 # --- scaffold ---------------------------------------------------------------
 
-def _write_bundle(bundle: ScaffoldBundle, out_dir: Path) -> list[str]:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, text in bundle.files:
-        (out_dir / name).write_text(text, encoding="utf-8")
-        written.append(name)
-    return written
-
-
 def cmd_scaffold(args: argparse.Namespace) -> int:
     unit = _parse_file(args.src)
     out_dir = Path(args.out)
@@ -191,11 +190,12 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
         path = out_dir / name
         return read_text(str(path)) if args.merge and path.exists() else None
 
-    bundle = generate_scaffold(unit, args.class_name, previous)
-    written = _write_bundle(bundle, out_dir)
+    bundle = generate_scaffold(unit, args.class_name, previous=previous)
+    files = dict(bundle.files)
+    _write_files(out_dir, files)
     payload = {
-        "class": bundle.class_name,
-        "files": written,
+        "class": args.class_name,
+        "files": list(files),
         "auto_line_count": bundle.auto_line_count,
         "anchor_line_count": bundle.anchor_line_count,
         "generation_ratio": measure_generation_ratio(
@@ -208,7 +208,7 @@ def cmd_scaffold(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(payload)
     else:
-        for name in written:
+        for name in files:
             print(f"wrote {out_dir / name}")
         print(
             f"generated {payload['auto_line_count']} lines, "
@@ -249,7 +249,9 @@ def cmd_cases(args: argparse.Namespace) -> int:
         unit, args.class_name, args.method, entry, args.budget, seed
     )
     out_path = Path(args.out)
-    _write_cases(out_path, [*entry.cases, *result.kept])
+    _write_files(
+        out_path.parent, {out_path.name: _case_file_text([*entry.cases, *result.kept])}
+    )
     target = f"{args.class_name}.{args.method}"
     payload = {
         "target": target,
@@ -273,15 +275,20 @@ def cmd_cases(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_cases(path: Path, cases: Sequence[TestCase]) -> None:
-    """Write a case file: one JSON record per line."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for case in cases:
-            fh.write(json.dumps(case_to_json(case)) + "\n")
+def _case_file_text(cases: Sequence[TestCase]) -> str:
+    """A case file: one JSON record per line."""
+    return "".join(json.dumps(case_to_json(case)) + "\n" for case in cases)
 
 
 # --- coverage ---------------------------------------------------------------
+
+def _target_methods(classes: Sequence[ClassDecl], named: Iterable) -> list[tuple[str, str]]:
+    """What `coverage` and `run` report: the public methods of `classes`, then
+    every other (class, method) that `named` lists, in its order."""
+    targets = dict.fromkeys((c.name, m.name) for c in classes for m in public_methods(c))
+    targets.update(dict.fromkeys(named))
+    return list(targets)
+
 
 def _load_case_file(path: str) -> list[TestCase]:
     cases = []
@@ -335,15 +342,10 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     for case in cases:
         by_target.setdefault(case.target, []).append(case)
 
-    evaluators: dict[tuple[str, str], CaseEvaluator] = {}
-    for cls in unit.classes:
-        for m in public_methods(cls):
-            evaluators[(cls.name, m.name)] = CaseEvaluator(unit, cls.name, m.name)
-    for target in by_target:
-        if target not in evaluators:
-            # private or inherited methods still report when cases name
-            # them; unknown targets raise here
-            evaluators[target] = CaseEvaluator(unit, *target)
+    evaluators = {  # an unknown target raises here
+        target: CaseEvaluator(unit, *target)
+        for target in _target_methods(unit.classes, by_target)
+    }
 
     methods: list[MethodCoverage] = []
     for target, evaluator in evaluators.items():
@@ -518,6 +520,15 @@ def _parse_tree(src_dir: Path, sources: list[Path], texts: list[str]) -> SourceU
         raise
 
 
+def _add_input(inputs: dict[str, tuple[str, str]], key: str, path: str, text: str) -> str:
+    """Record `text`, read from `path`, as manifest input `key`, and return it.
+    A key taken already is an error: one file would hide the other."""
+    if key in inputs:
+        raise UltgenError(f"{inputs[key][0]} and {path} share the manifest key {key!r}")
+    inputs[key] = (path, _sha256(text))
+    return text
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     _check_tau(args.tau)
@@ -534,62 +545,39 @@ def cmd_run(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     seed = _resolve_seed(args.seed)
     out_dir = Path(args.out)
-    scaffold_dir = out_dir / "scaffold"
 
     # A scaffold written by an earlier run into the source tree is output,
     # not source.
-    sources = _collect_sources(src_dir, scaffold_dir)
-    inputs: dict[str, str] = {}
-    texts = []
-    for path in sources:
-        text = read_text(str(path))
-        inputs[path.relative_to(src_dir).as_posix()] = _sha256(text)
-        texts.append(text)
+    sources = _collect_sources(src_dir, out_dir / "scaffold")
+    inputs: dict[str, tuple[str, str]] = {}  # manifest key -> (path, sha256)
+    texts = [
+        _add_input(inputs, p.relative_to(src_dir).as_posix(), str(p), read_text(str(p)))
+        for p in sources
+    ]
     with _stage("parse"):
         unit = _parse_tree(src_dir, sources, texts)
         if not unit.classes:
             raise UltgenError(f"no classes found in {args.src}")
-    for flag in [args.config, *advisor_flags]:
-        if flag:
-            inputs[Path(flag).name] = _sha256(read_text(flag))
+    flag_texts = {
+        flag: _add_input(inputs, Path(flag).name, flag, read_text(flag))
+        for flag in [args.config, *advisor_flags] if flag
+    }
 
-    # Everything that can fail on a bad input runs before `out_dir` exists.
+    # Artifacts are built as text, and written once every stage succeeded.
     with _stage("cases"):
         config = {}
         if args.config:
-            config = load_case_config(read_text(args.config), unit, args.config)
-    advise = None
+            config = load_case_config(flag_texts[args.config], unit, args.config)
+    files: dict[str, str] = {}  # path under `out_dir` -> text
+    stages: dict[str, dict] = {}
+    gap_count = 0
     if all(advisor_flags):
         with _stage("advise"):
             advise = _advise_payload(
                 args.bugs, args.commits, args.coverage_history, args.map,
                 args.tau, grid,
             )
-    with _stage("scaffold"):
-        classes = sorted(c.name for c in unit.classes)
-        file_texts: dict[str, str] = {}
-        auto_total = 0
-        anchor_total = 0
-        for name in classes:
-            bundle = generate_scaffold(unit, name)
-            for warning in bundle.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            for fname, text in bundle.files:
-                if fname in file_texts:  # a shared mock header counts once
-                    if file_texts[fname] != text:
-                        raise UltgenError(f"conflicting content for {fname}")
-                    continue
-                file_texts[fname] = text
-                # No region carries user lines here: an anchor is two markers.
-                anchored = 2 * sum(a.file == fname for a in bundle.anchors)
-                auto_total += text.count("\n") - anchored
-                anchor_total += anchored
-
-    stages: dict[str, dict] = {}
-    gap_count = 0
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if advise is not None:
-        _write_json(out_dir / "advise.json", advise)
+        files["advise.json"] = _json_text(advise)
         gap_count = advise["gap_count"]
         stages["advise"] = {
             "gap_count": gap_count,
@@ -597,63 +585,66 @@ def cmd_run(args: argparse.Namespace) -> int:
             "report": "advise.json",
         }
 
-    scaffold_dir.mkdir(exist_ok=True)
-    for fname in sorted(file_texts):
-        (scaffold_dir / fname).write_text(file_texts[fname], encoding="utf-8")
+    classes = sorted(unit.classes, key=lambda cls: cls.name)
+    with _stage("scaffold"):
+        bundle = generate_scaffold(unit, *(cls.name for cls in classes))
+    for warning in bundle.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    scaffold_files = {f"scaffold/{name}": text for name, text in sorted(bundle.files)}
+    files.update(scaffold_files)
     stages["scaffold"] = {
-        "classes": classes,
-        "files": [f"scaffold/{name}" for name in sorted(file_texts)],
-        "auto_line_count": auto_total,
-        "anchor_line_count": anchor_total,
-        "generation_ratio": measure_generation_ratio(auto_total, anchor_total),
+        "classes": [cls.name for cls in classes],
+        "files": list(scaffold_files),
+        "auto_line_count": bundle.auto_line_count,
+        "anchor_line_count": bundle.anchor_line_count,
+        "generation_ratio": measure_generation_ratio(
+            bundle.auto_line_count, bundle.anchor_line_count
+        ),
     }
 
     with _stage("cases"):
         all_cases: list[TestCase] = []
         methods: list[MethodCoverage] = []
-        configured_total = 0
-        kept_total = 0
         candidates_total = 0
-        for cls_name in classes:
-            cls = unit.class_named(cls_name)
-            for m in public_methods(cls):
-                entry = config.get((cls_name, m.name), MethodConfig((), {}))
-                result = _select_cases(
-                    unit, cls_name, m.name, entry, args.budget, seed
-                )
-                all_cases.extend(entry.cases)
-                all_cases.extend(result.kept)
-                configured_total += len(entry.cases)
-                kept_total += len(result.kept)
-                candidates_total += result.candidates_run
-                methods.append(result.coverage)
-        _write_cases(out_dir / "cases.jsonl", all_cases)
-        stages["cases"] = {
-            "configured": configured_total,
-            "fuzzed_kept": kept_total,
-            "candidates_run": candidates_total,
-            "case_file": "cases.jsonl",
-        }
+        for cls_name, method_name in _target_methods(classes, config):
+            entry = config.get((cls_name, method_name), MethodConfig((), {}))
+            result = _select_cases(
+                unit, cls_name, method_name, entry, args.budget, seed
+            )
+            all_cases.extend(entry.cases)
+            all_cases.extend(result.kept)
+            candidates_total += result.candidates_run
+            methods.append(result.coverage)
+    files["cases.jsonl"] = _case_file_text(all_cases)
+    # every configured method is a target, so each configured case is written
+    configured = sum(len(entry.cases) for entry in config.values())
+    stages["cases"] = {
+        "configured": configured,
+        "fuzzed_kept": len(all_cases) - configured,
+        "candidates_run": candidates_total,
+        "case_file": "cases.jsonl",
+    }
 
     with _stage("coverage"):
         coverage = _coverage_payload(methods, args.threshold)
-        _write_json(out_dir / "coverage.json", coverage)
-        stages["coverage"] = {
-            "functional_pct": coverage["functional_pct"],
-            "conditional_pct": coverage["conditional_pct"],
-            "report": "coverage.json",
-        }
+    files["coverage.json"] = _json_text(coverage)
+    stages["coverage"] = {
+        "functional_pct": coverage["functional_pct"],
+        "conditional_pct": coverage["conditional_pct"],
+        "report": "coverage.json",
+    }
 
     exit_code = 2 if (gap_count > 0 or coverage["conditional_pct"] < args.threshold) else 0
     manifest = {
         "tool_version": __version__,
         "seed": seed,
         "budget": args.budget,
-        "inputs": dict(sorted(inputs.items())),
+        "inputs": {key: digest for key, (_, digest) in sorted(inputs.items())},
         "stages": stages,
         "exit_code": exit_code,
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    files["manifest.json"] = _json_text(manifest)
+    _write_files(out_dir, files)
     if args.json:
         _print_json(manifest)
     else:

@@ -227,12 +227,6 @@ class ClassDecl:
         refs = (f.type for f in self.fields if isinstance(f.type, RefType))
         return list(dict.fromkeys(ref.class_name for ref in refs))
 
-    def method_named(self, name: str) -> Optional[MethodDecl]:
-        for m in self.methods:
-            if m.name == name:
-                return m
-        return None
-
 
 @dataclass(slots=True)
 class ExternDecl:

@@ -20,6 +20,7 @@ markers, and counts generated and anchored lines, as it emits them.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -36,7 +37,7 @@ _BANNER = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anchor:
     file: str
     line: int  # 1-based line number of the ULTGEN-ANCHOR marker
@@ -45,7 +46,6 @@ class Anchor:
 
 @dataclass(frozen=True)
 class ScaffoldBundle:
-    class_name: str
     files: tuple[tuple[str, str], ...]  # (file name, text), emission order
     anchors: tuple[Anchor, ...]
     auto_line_count: int
@@ -225,38 +225,51 @@ def _emit_mock(dep_name: str, dep: ClassDecl | None, previous: Reader) -> _File:
 
 
 def generate_scaffold(
-    unit: SourceUnit, class_name: str, previous: Reader = _no_previous
+    unit: SourceUnit, *class_names: str, previous: Reader = _no_previous
 ) -> ScaffoldBundle:
-    """Build the scaffold bundle for one class under test.
+    """Build one scaffold bundle for the classes under test: each class's
+    fixture and test class, then one mock per dependency of any of them, in
+    first-reference order. Two files of one name raise UltgenError.
 
     `previous(name)` gives the earlier text of a file the bundle writes, or
     None. Regions carry over by (file name, anchor kind): the last region of
     a kind wins, kinds the new scaffold lacks are dropped, and everything
     outside the markers is regenerated. A region without its END marker
-    raises UltgenError. Byte-identical output for identical input. An
-    extern dependency gets an empty-bodied mock and a note in `warnings`.
+    raises UltgenError. Byte-identical output for identical input. Each
+    extern dependency gets an empty-bodied mock and one note in `warnings`.
     """
-    cls = unit.class_named(class_name)
-    if cls is None:
-        raise UnknownClass(f"class {class_name!r} not found in {unit.path}")
-    files = [_emit_fixture(cls, previous), _emit_test_class(cls, previous)]
-    notes: list[str] = []
-    for dep_name in cls.dependencies:
-        dep = unit.class_named(dep_name)
-        if dep is None:
-            notes.append(
-                f"dependency {dep_name!r} is extern; mock generated from the "
-                "declaration only (no setters, no scripted returns)"
-            )
-        files.append(_emit_mock(dep_name, dep, previous))
-    anchor = sum(f.anchor_line_count for f in files)
+    classes = [unit.class_named(name) for name in class_names]
+    for name, cls in zip(class_names, classes):
+        if cls is None:
+            raise UnknownClass(f"class {name!r} not found in {unit.path}")
+    deps = {name: unit.class_named(name) for cls in classes for name in cls.dependencies}
+    # Each file is rendered as it is emitted, so only one file's lines are
+    # alive at a time, however many classes the bundle holds.
+    emitted = itertools.chain(
+        (emit(cls, previous) for cls in classes
+         for emit in (_emit_fixture, _emit_test_class)),
+        (_emit_mock(name, dep, previous) for name, dep in deps.items()),
+    )
+    texts: dict[str, str] = {}
+    anchors: list[Anchor] = []
+    lines = anchored = 0
+    for f in emitted:
+        if f.name in texts:
+            raise UltgenError(f"conflicting content for {f.name}")
+        texts[f.name] = f.text()
+        anchors.extend(f.anchors)
+        lines += len(f.lines)
+        anchored += f.anchor_line_count
     return ScaffoldBundle(
-        class_name=class_name,
-        files=tuple((f.name, f.text()) for f in files),
-        anchors=tuple(a for f in files for a in f.anchors),
-        auto_line_count=sum(len(f.lines) for f in files) - anchor,
-        anchor_line_count=anchor,
-        warnings=tuple(notes),
+        files=tuple(texts.items()),
+        anchors=tuple(anchors),
+        auto_line_count=lines - anchored,
+        anchor_line_count=anchored,
+        warnings=tuple(
+            f"dependency {name!r} is extern; mock generated from the "
+            "declaration only (no setters, no scripted returns)"
+            for name, dep in deps.items() if dep is None
+        ),
     )
 
 

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import re
 import shutil
+import subprocess
+import sys
 import threading
 import time
 
@@ -26,6 +29,8 @@ from ultgen.schemas import (
     MANIFEST_SCHEMA,
     SCAFFOLD_SCHEMA,
 )
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def _history_args(hist, flag="--coverage"):
@@ -143,6 +148,23 @@ def test_decisions_unknown_class_and_method(invoke, turnstile):
     )
     assert code == 1
     assert "Turnstile.pull" in err
+
+
+def test_decisions_of_an_inherited_method(invoke, tmp_path):
+    """`decisions --method` finds a method the class inherits, as `cases`
+    does, and ids its decisions by the class asked for."""
+    src = tmp_path / "sub.cut"
+    src.write_text(
+        "class Base {\npublic:\n    int f(int x) { if (x > 0) { return 1; } return 0; }\n};\n"
+        "class Sub : public Base {\npublic:\n    int g() { return 2; }\n};\n"
+    )
+    code, out, err = invoke("decisions", src, "--class", "Sub", "--method", "f", "--json")
+    assert (code, err) == (0, "")
+    [method] = json.loads(out)["methods"]
+    assert method["method"] == "f"
+    assert [d["id"] for d in method["decisions"]] == ["Sub.f:D1"]
+    code, _, _ = invoke("cases", src, "--class", "Sub", "--method", "f", "-o", tmp_path / "f.jsonl")
+    assert code == 0
 
 
 def test_decisions_missing_file(invoke):
@@ -1232,6 +1254,101 @@ def test_run_duplicate_class_names_second_file(invoke, tmp_path):
     code, _, err = invoke("run", src, "-o", tmp_path / "out")
     assert code == 1
     assert f"{src / 'b.cut'}:3:1: duplicate class name 'A'" in err
+
+
+def test_run_keeps_configured_cases_of_private_and_inherited_methods(invoke, tmp_path):
+    """`run` fuzzes the public methods, then every other method the config
+    names, as `cases` and `coverage` do; no configured case is dropped."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.cut").write_text(
+        "class A {\npublic:\n    int f(int x) { return x; }\n"
+        "private:\n    int g(int y) { if (y > 3) { return 1; } return 0; }\n};\n"
+        "class B : public A {\npublic:\n    int h() { return 2; }\n};\n"
+    )
+    config = tmp_path / "cases.json"
+    config.write_text(json.dumps({"classes": {
+        "A": {"methods": {"g": {"cases": {"big": {"params": {"y": 9}}}}}},
+        "B": {"methods": {"f": {"cases": {"seven": {"params": {"x": 7}}}}}},
+    }}))
+    out_dir = tmp_path / "out"
+    code, out, _ = invoke("run", src, "-o", out_dir, "--config", config, "--json")
+    assert code == 0
+    assert json.loads(out)["stages"]["cases"]["configured"] == 2
+    records = [json.loads(line) for line in (out_dir / "cases.jsonl").read_text().splitlines()]
+    configured = [(r["target"], r["params"]) for r in records if r["origin"] == "Configured"]
+    assert configured == [(["A", "g"], {"y": 9}), (["B", "f"], {"x": 7})]
+    rows = json.loads((out_dir / "coverage.json").read_text())["methods"]
+    assert [r["method"] for r in rows] == ["A.f", "B.h", "A.g", "B.f"]
+
+
+def test_run_prints_a_shared_extern_note_once(invoke, tmp_path):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "a.cut").write_text(
+        "extern class Log;\n"
+        "class Base {\npublic:\n    Log* log;\n    int f() { return 1; }\n};\n"
+        "class Other {\npublic:\n    Log* log;\n    int g() { return 2; }\n};\n"
+    )
+    out_dir = tmp_path / "out"
+    code, _, err = invoke("run", src, "-o", out_dir)
+    assert code == 0
+    assert err == (
+        "warning: dependency 'Log' is extern; mock generated from the "
+        "declaration only (no setters, no scripted returns)\n"
+    )
+    assert (out_dir / "scaffold" / "mock_log.h").is_file()
+
+
+@pytest.mark.parametrize("clash", ["history", "source"])
+def test_run_rejects_inputs_sharing_a_manifest_key(
+    invoke, project_dir, history_dir, tmp_path, clash
+):
+    """The manifest keys a config or history file by its base name; two
+    inputs under one key would keep one hash for both, so `run` stops
+    before it writes anything and names both files."""
+    src = project_dir / "src"
+    history = _history_args(history_dir, "--coverage-history")
+    if clash == "history":
+        first, second = tmp_path / "d1" / "h.jsonl", tmp_path / "d2" / "h.jsonl"
+        for path, name in ((first, "bugs.jsonl"), (second, "commits.jsonl")):
+            path.parent.mkdir()
+            shutil.copy(history_dir / name, path)
+        extra = ["--bugs", first, "--commits", second, *history[4:]]
+    else:
+        first, second = src / "turnstile.cut", tmp_path / "turnstile.cut"
+        shutil.copy(project_dir / "cases.json", second)
+        extra = ["--config", second, *history]
+    out_dir = tmp_path / "out"
+    code, out, err = invoke("run", src, "-o", out_dir, *extra)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"ultgen: error: {first} and {second} share the manifest key {first.name!r}\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_run_tree_does_not_depend_on_the_hash_seed(project_dir, history_dir, tmp_path):
+    """Two processes under different string-hash seeds write the same tree.
+    Runs inside one process share one hash seed, so they cannot show output
+    that follows the iteration order of a set of strings."""
+    trees = []
+    for hash_seed in ("0", "1"):
+        out_dir = tmp_path / f"out{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(SRC_DIR)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultgen.cli", "run", project_dir / "src", "-o", out_dir,
+             "--config", project_dir / "cases.json",
+             *_history_args(history_dir, "--coverage-history")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        trees.append({
+            path.relative_to(out_dir).as_posix(): path.read_bytes()
+            for path in sorted(out_dir.rglob("*")) if path.is_file()
+        })
+    assert len(trees[0]) == 11
+    assert trees[0] == trees[1]
 
 
 # --- damaged inputs ---------------------------------------------------------

@@ -21,7 +21,7 @@ from ultgen.schemas import DECISIONS_SCHEMA
 
 def method_of(src: str, cls: str = "A", name: str = "f"):
     unit = parse_source(src, path="<test>")
-    return unit.class_named(cls).method_named(name)
+    return unit.class_named(cls).all_methods[name]
 
 
 def decisions_of(src: str, cls: str = "A", name: str = "f"):

@@ -109,6 +109,39 @@ def test_one_mock_per_dependency_class():
     assert names.count("mock_probe.h") == 1
 
 
+def test_bundle_of_classes_sharing_a_mock_counts_its_lines_once(tmp_path):
+    """One bundle for two classes that hold the same dependency writes its
+    mock once, and counts every line it writes exactly once."""
+    unit = parse_source(
+        """
+        class Probe { public: int level; int ping() { return 0; } };
+        class A { public: Probe* p; int f() { return p->ping(); } };
+        class B { public: Probe* q; int g() { return q->ping(); } };
+        """,
+        path="<t>",
+    )
+    bundle = generate_scaffold(unit, "A", "B")
+    names = [name for name, _ in bundle.files]
+    assert names == [
+        "a_test_fixture.h", "test_a.h", "b_test_fixture.h", "test_b.h", "mock_probe.h",
+    ]
+    for name, text in bundle.files:
+        (tmp_path / name).write_text(text)
+    written = sum(len(path.read_text().splitlines()) for path in tmp_path.iterdir())
+    assert bundle.auto_line_count + bundle.anchor_line_count == written
+    assert bundle.anchor_line_count == 2 * len(bundle.anchors)
+
+
+def test_bundle_rejects_two_files_of_one_name():
+    unit = parse_source(
+        "class Foo { public: int f() { return 1; } };"
+        " class FOO { public: int g() { return 2; } };",
+        path="<t>",
+    )
+    with pytest.raises(UltgenError, match="^conflicting content for foo_test_fixture.h$"):
+        generate_scaffold(unit, "Foo", "FOO")
+
+
 def test_extern_dependency_mocked_with_warning():
     unit = parse_source(
         "extern class Relay; class A { public: Relay* r;"
@@ -154,7 +187,7 @@ def test_merge_preserves_user_regions(golden_unit):
         "// ULTGEN-ANCHOR: TestBody(func1)\n",
         "// ULTGEN-ANCHOR: TestBody(func1)\n        func1();\n",
     )
-    merged = generate_scaffold(golden_unit, "A", edited.get)
+    merged = generate_scaffold(golden_unit, "A", previous=edited.get)
     text = dict(merged.files)["test_a.h"]
     assert "        func1();" in text
     # the untouched region stays empty
@@ -163,7 +196,7 @@ def test_merge_preserves_user_regions(golden_unit):
 
 def test_merge_without_edits_is_identity(golden_unit):
     bundle = generate_scaffold(golden_unit, "A")
-    merged = generate_scaffold(golden_unit, "A", dict(bundle.files).get)
+    merged = generate_scaffold(golden_unit, "A", previous=dict(bundle.files).get)
     assert merged.files == bundle.files
     assert merged.auto_line_count == bundle.auto_line_count
     assert merged.anchor_line_count == bundle.anchor_line_count
@@ -176,7 +209,7 @@ def test_merge_counts_user_lines_as_anchor_lines(golden_unit):
         "// ULTGEN-ANCHOR: SetUpBody\n",
         "// ULTGEN-ANCHOR: SetUpBody\n        testA = new Test_A();\n",
     )
-    merged = generate_scaffold(golden_unit, "A", edited.get)
+    merged = generate_scaffold(golden_unit, "A", previous=edited.get)
     assert merged.anchor_line_count == bundle.anchor_line_count + 1
     assert merged.auto_line_count == bundle.auto_line_count
     # markers after the carried line move down by one
@@ -205,7 +238,7 @@ def test_merge_rejects_an_unclosed_region(golden_unit, name, kind, before):
     lines[line] = "        // the END marker was here"
     edited = {**dict(bundle.files), name: "\n".join(lines)}
     with pytest.raises(UltgenError) as info:
-        generate_scaffold(golden_unit, "A", edited.get)
+        generate_scaffold(golden_unit, "A", previous=edited.get)
     assert str(info.value) == (
         f"{name}:{line}: anchor {kind!r} has no '// ULTGEN-END' before {before}"
     )
