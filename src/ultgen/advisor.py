@@ -25,7 +25,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import InsufficientData, SchemaError, UntrainedModel, parse_json, read_text
+from .errors import InsufficientData, SchemaError, UntrainedModel, parse_json
 
 PERIOD_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
@@ -121,9 +121,9 @@ def _require(cond: bool, message: str, file: str, line: Optional[int] = None):
         raise SchemaError(message, file=file, line=line)
 
 
-def _read_jsonl(path: str) -> list[tuple[int, dict]]:
+def _read_jsonl(text: str, path: str) -> list[tuple[int, dict]]:
     out: list[tuple[int, dict]] = []
-    for n, raw in enumerate(read_text(path).split("\n"), start=1):
+    for n, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         data = parse_json(raw, path, n)
@@ -141,11 +141,12 @@ def _pct(value: object, what: str, file: str, line: int) -> float:
     return float(value)
 
 
-def load_bugs(path: str) -> tuple[list[BugRecord], list[str]]:
+def load_bugs(text: str, path: str) -> tuple[list[BugRecord], list[str]]:
+    """The bug records of JSONL `text`, read from `path`, and warnings."""
     records: list[BugRecord] = []
     warnings: list[str] = []
     seen: set[str] = set()
-    for n, data in _read_jsonl(path):
+    for n, data in _read_jsonl(text, path):
         _require(set(data) == {"id", "period", "culprit"},
                  "bug record needs exactly id, period, culprit", path, n)
         _require(isinstance(data["id"], str) and data["id"] != "",
@@ -162,11 +163,12 @@ def load_bugs(path: str) -> tuple[list[BugRecord], list[str]]:
     return records, warnings
 
 
-def load_commits(path: str) -> tuple[list[CommitRecord], list[str]]:
+def load_commits(text: str, path: str) -> tuple[list[CommitRecord], list[str]]:
+    """The commit records of JSONL `text`, read from `path`, and warnings."""
     records: list[CommitRecord] = []
     warnings: list[str] = []
     seen: set[str] = set()
-    for n, data in _read_jsonl(path):
+    for n, data in _read_jsonl(text, path):
         _require(set(data) == {"id", "paths"},
                  "commit record needs exactly id, paths", path, n)
         _require(isinstance(data["id"], str) and data["id"] != "",
@@ -190,11 +192,12 @@ def load_commits(path: str) -> tuple[list[CommitRecord], list[str]]:
     return records, warnings
 
 
-def load_coverage(path: str) -> tuple[list[CoverageSnapshot], list[str]]:
+def load_coverage(text: str, path: str) -> tuple[list[CoverageSnapshot], list[str]]:
+    """The coverage snapshots of JSONL `text`, read from `path`, and warnings."""
     records: list[CoverageSnapshot] = []
     warnings: list[str] = []
     seen: set[tuple[str, str]] = set()
-    for n, data in _read_jsonl(path):
+    for n, data in _read_jsonl(text, path):
         _require(
             set(data) == {"period", "component", "functional_pct", "conditional_pct"},
             "coverage record needs exactly period, component, "
@@ -217,8 +220,9 @@ def load_coverage(path: str) -> tuple[list[CoverageSnapshot], list[str]]:
     return records, warnings
 
 
-def load_component_map(path: str) -> ComponentMap:
-    data = parse_json(read_text(path), path)
+def load_component_map(text: str, path: str) -> ComponentMap:
+    """The component map of JSON `text`, read from `path`."""
+    data = parse_json(text, path)
     _require(isinstance(data, dict) and set(data) == {"rules"},
              "component map needs exactly one key: rules", path)
     _require(isinstance(data["rules"], list) and data["rules"],
@@ -236,13 +240,18 @@ def load_component_map(path: str) -> ComponentMap:
 
 
 def ingest(
-    bugs_path: str, commits_path: str, coverage_path: str, map_path: str
+    bugs_file: tuple[str, str],
+    commits_file: tuple[str, str],
+    coverage_file: tuple[str, str],
+    map_file: tuple[str, str],
 ) -> tuple[list[BugRecord], list[CommitRecord], list[CoverageSnapshot], ComponentMap, list[str]]:
-    """Load and validate all four inputs; returns records plus warnings."""
-    bugs, w1 = load_bugs(bugs_path)
-    commits, w2 = load_commits(commits_path)
-    coverage, w3 = load_coverage(coverage_path)
-    cmap = load_component_map(map_path)
+    """Load and validate all four inputs, each a (text, path) pair: the
+    file's text and the path it was read from. Returns records plus
+    warnings."""
+    bugs, w1 = load_bugs(*bugs_file)
+    commits, w2 = load_commits(*commits_file)
+    coverage, w3 = load_coverage(*coverage_file)
+    cmap = load_component_map(*map_file)
     return bugs, commits, coverage, cmap, w1 + w2 + w3
 
 

@@ -5,8 +5,12 @@ developers pin interesting inputs per method. Fuzz candidates are drawn
 from per-input value pools (boundary values, literals compared in
 conditions with their neighbors, seeded random values) and kept greedily
 when they add condition/decision outcomes or new crash findings. A
-candidate is a bare input vector that greedy selection runs straight on
-the method's compiled runner; only a kept one becomes a TestCase.
+candidate is a plain tuple, the input vector of the method's compiled
+runner: a value per parameter, then a one-value mock script per call
+site, taken from pools built once per method. Greedy selection runs it
+straight on the runner and tests the returned outcome mask against the
+bits not yet covered, so a dropped candidate allocates no dict, list or
+set; only a kept one becomes a TestCase (`fuzzed_case`).
 
 The candidate stream is fully deterministic given (AST, seed, budget):
   phase 0  all-defaults, then each pool value alone;
@@ -23,7 +27,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
@@ -379,26 +383,22 @@ def build_axes(
     return axes
 
 
-class Candidate(NamedTuple):
-    """One fuzz input vector. A NamedTuple rather than a TestCase: the
-    stream builds one per candidate, positionally with `tuple.__new__`,
-    and greedy selection turns only the kept ones into cases."""
-
-    param_values: dict[str, Scalar]
-    mock_plan: dict[MockKey, list[Scalar]]  # one value per call site
-    seed_info: tuple[int, int]  # (seed, candidate index)
-
-    def case(self, target: tuple[str, str]) -> TestCase:
-        """The fuzzed case of this candidate for method `target`."""
-        return TestCase(
-            f"fz-{target[0]}.{target[1]}-{self.seed_info[1]:04d}",
-            target,
-            self.param_values,
-            {},
-            self.mock_plan,
-            FUZZED,
-            self.seed_info,
-        )
+def fuzzed_case(
+    evaluator: CaseEvaluator, inputs: Sequence, seed: int, index: int
+) -> TestCase:
+    """The TestCase of fuzz candidate `inputs`, the input vector at `index`
+    of the stream drawn with `seed` for the evaluator's method."""
+    target = (evaluator.class_name, evaluator.method.name)
+    scripts = inputs[len(evaluator.param_types):]
+    return TestCase(
+        f"fz-{target[0]}.{target[1]}-{index:04d}",
+        target,
+        dict(zip(evaluator.param_types, inputs)),
+        {},
+        {key: list(script) for key, script in zip(evaluator.mock_types, scripts)},
+        FUZZED,
+        (seed, index),
+    )
 
 
 def fuzz_candidates(
@@ -406,9 +406,11 @@ def fuzz_candidates(
     budget: int = DEFAULT_BUDGET,
     seed: int = DEFAULT_SEED,
     pool_overrides: Optional[dict[str, list[Scalar]]] = None,
-) -> Iterator[Candidate]:
+) -> Iterator[tuple]:
     """Deterministic stream of at most `budget` fuzz candidates for the
-    evaluator's method.
+    evaluator's method, each the runner's input vector (see
+    `CaseEvaluator.inputs`) as a tuple: a value per parameter, then a
+    one-value script per mock axis.
 
     The stream ends early when the whole pool product has been enumerated;
     otherwise it is padded to `budget` with random pool-index draws.
@@ -416,33 +418,27 @@ def fuzz_candidates(
     if budget < 1:
         raise ContractViolation("fuzz budget must be >= 1")
     rng = SplitMix64(seed)
-    axes = build_axes(evaluator, rng, pool_overrides)
-    pools = [a.pool for a in axes]
+    # Each pool holds runner inputs: a mock axis's holds one-value scripts.
+    pools = [
+        a.pool if a.kind == "param" else tuple((v,) for v in a.pool)
+        for a in build_axes(evaluator, rng, pool_overrides)
+    ]
     sizes = [len(pool) for pool in pools]
     product = math.prod(sizes)
-    # build_axes puts every param axis before every mock axis.
-    n_params = len(evaluator.param_types)
-    names = [a.name for a in axes[:n_params]]
-    mock_keys = [a.name for a in axes[n_params:]]
-    new = tuple.__new__
 
-    def build(values: list[Scalar], index: int) -> Candidate:
-        mocks = {k: [v] for k, v in zip(mock_keys, values[n_params:])}
-        return new(Candidate, (dict(zip(names, values)), mocks, (seed, index)))
-
-    # `values` holds the pool value at each axis's current index.
+    # `values` holds the input at each axis's current index.
     values = [pool[0] for pool in pools]
     emitted = 0
 
     # phase 0: all defaults, then every pool value alone
-    yield build(values, emitted)
+    yield tuple(values)
     emitted += 1
     for d, pool in enumerate(pools):
         for v in pool[1:]:
             if emitted >= budget:
                 return
             values[d] = v
-            yield build(values, emitted)
+            yield tuple(values)
             emitted += 1
         values[d] = pool[0]
 
@@ -459,7 +455,7 @@ def fuzz_candidates(
     while counter < product and taken < phase1_cap:
         counter += 1
         if nonzero > 1:  # vectors with at most one nonzero came in phase 0
-            yield build(values, emitted)
+            yield tuple(values)
             emitted += 1
             taken += 1
         for d, size in enumerate(sizes):
@@ -479,8 +475,7 @@ def fuzz_candidates(
 
     # phase 2: random pool-index vectors
     while emitted < budget:
-        values = [pool[i] for pool, i in zip(pools, rng.below_each(sizes))]
-        yield build(values, emitted)
+        yield tuple([pool[i] for pool, i in zip(pools, rng.below_each(sizes))])
         emitted += 1
 
 
@@ -495,19 +490,22 @@ class GreedyResult:
 
 
 def greedy_select(
-    candidates: Iterator[Candidate],
+    candidates: Iterator[Sequence],
     evaluator: CaseEvaluator,
     preseed: Sequence[ExecutionTrace] = (),
+    seed: int = DEFAULT_SEED,
 ) -> GreedyResult:
     """Serial fold over candidates, keeping the ones that add something new.
 
     A candidate is kept iff it covers an outcome pair not yet covered or
     crashes with a (kind, site) not yet seen. Traces in `preseed`
     (configured cases) count as already covered. Stops at full syntactic
-    coverage or at the end of the stream. Each candidate runs straight on
-    the evaluator's `runner`, unchecked, so its inputs must be ones the
-    evaluator's `check` accepts, as fuzz candidates' are; only a kept one
-    becomes a TestCase and an ExecutionTrace.
+    coverage or at the end of the stream. Each candidate is an input vector
+    (see `CaseEvaluator.inputs`) that runs straight on the evaluator's
+    `runner`, unchecked, so its inputs must be ones the evaluator's `check`
+    accepts, as fuzz candidates' are. Only a kept one becomes a TestCase
+    (`fuzzed_case`, with `seed`, the seed the stream was drawn with, and
+    the candidate's index in the stream) and an ExecutionTrace.
     """
     valid = evaluator.pairs
     covered: set[tuple[str, bool]] = set()
@@ -521,25 +519,29 @@ def greedy_select(
     ran = 0
     if not covered >= valid:
         runner = evaluator.runner  # compiles the method on first read
+        # The bits of the pairs not yet covered.
+        missing = 0
+        for bit, pair in enumerate(evaluator.pairs_by_bit):
+            if pair not in covered:
+                missing |= 1 << bit
         fuel = evaluator.fuel
-        target = (evaluator.class_name, evaluator.method.name)
         fields: dict[str, Scalar] = {}  # fuzzing sets no fields; runs only read it
-        for cand in candidates:
-            ran += 1
-            outcomes: set[tuple[str, bool]] = set()
-            crash, ret, left = runner(
-                cand.param_values, fields, cand.mock_plan, outcomes, fuel
-            )
-            new_crash = crash is not None and crash.key not in seen_crashes
-            if not new_crash and outcomes <= covered:
-                continue  # nothing new, so `covered` is still short of `valid`
-            kept.append(cand.case(target))
-            traces.append(ExecutionTrace(frozenset(outcomes), crash, fuel - left, ret))
-            covered |= outcomes
-            if new_crash:
+        index = -1
+        for index, inputs in enumerate(candidates):
+            crash, ret, left, mask = runner(inputs, fields, fuel)
+            if not mask & missing:
+                if crash is None or crash.key in seen_crashes:
+                    continue
+            if crash is not None:
                 seen_crashes.add(crash.key)
-            if covered >= valid:
+            kept.append(fuzzed_case(evaluator, inputs, seed, index))
+            traces.append(
+                ExecutionTrace(evaluator.outcomes(mask), crash, fuel - left, ret)
+            )
+            missing &= ~mask
+            if not missing:
                 break
+        ran = index + 1
     coverage = compute_coverage(list(preseed) + traces, evaluator)
     return GreedyResult(
         kept=tuple(kept),

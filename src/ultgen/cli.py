@@ -25,7 +25,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .advisor import (
@@ -234,7 +234,7 @@ def _select_cases(
     candidates = fuzz_candidates(
         evaluator, budget=budget, seed=seed, pool_overrides=entry.pools
     )
-    return greedy_select(candidates, evaluator, preseed=preseed)
+    return greedy_select(candidates, evaluator, preseed=preseed, seed=seed)
 
 
 def cmd_cases(args: argparse.Namespace) -> int:
@@ -384,10 +384,11 @@ def _advise_payload(
     map_path: str,
     tau: float,
     grid: Sequence[int],
+    read: Callable[[str], str] = read_text,
 ) -> dict:
-    bugs, commits, snapshots, cmap, warnings = ingest(
-        bugs_path, commits_path, coverage_path, map_path
-    )
+    """The advice on the four history files, each read once by `read`."""
+    paths = (bugs_path, commits_path, coverage_path, map_path)
+    bugs, commits, snapshots, cmap, warnings = ingest(*((read(p), p) for p in paths))
     trends, trend_warnings = build_trends(bugs, commits, snapshots, cmap)
     model = train_model(trends)
     recs = recommend_all(model, trends, tau=tau, grid=grid)
@@ -573,9 +574,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     gap_count = 0
     if all(advisor_flags):
         with _stage("advise"):
-            advise = _advise_payload(
-                args.bugs, args.commits, args.coverage_history, args.map,
-                args.tau, grid,
+            advise = _advise_payload(  # each text as it was hashed
+                *advisor_flags, args.tau, grid, read=flag_texts.__getitem__
             )
         files["advise.json"] = _json_text(advise)
         gap_count = advise["gap_count"]
@@ -601,6 +601,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             bundle.auto_line_count, bundle.anchor_line_count
         ),
     }
+    del bundle  # only its texts and line counts are needed past this stage
 
     with _stage("cases"):
         all_cases: list[TestCase] = []

@@ -12,30 +12,35 @@ another method by its pairs alone.
 A CaseEvaluator compiles its method into the source of one Python
 function the first time its `runner` is read, and every case runs through
 that function: `run` calls it for a TestCase, and greedy selection calls
-it straight on each fuzz candidate's inputs. Everything a node's
-behaviour depends on is resolved while writing the source: the
-`(id, True)`/`(id, False)` outcome pairs a decision or condition records,
-the operator, whether arithmetic is on int or float, void call sites and
-the crash event (kind and source span) of each assert, division and call
-site. Variables, mock cursors and fuel are the function's locals, and no
-step makes a call to dispatch a node. Fuel is checked once per run of
-quiet statements (assignments and expression statements with no
-value-returning call and no int `/`) together with the statement or loop
-condition check after it, so a loop whose body is quiet pays one check
-per pass. The source holds no text from the input: every value is an
-argument of the function that builds it, so methods of the same shape
-share one source, compiled once per process.
+it straight on each fuzz candidate. The function takes one flat input
+vector: the parameter values in declaration order, then one mock script
+(or None) per value-returning call site. It returns the run's outcome
+pairs as a bit mask, one bit per pair of `pairs_by_bit`, which `outcomes`
+decodes; so a run that greedy selection drops builds no set. Everything a
+node's behaviour depends on is resolved while writing the source: the
+bits of the `(id, True)`/`(id, False)` outcome pairs a decision or
+condition records, the position of each input, the operator, whether
+arithmetic is on int or float, void call sites and the crash event (kind
+and source span) of each assert, division and call site. Variables, mock
+cursors, fuel and the mask are the function's locals, and no step makes a
+call to dispatch a node. Fuel is checked once per run of quiet statements
+(assignments and expression statements with no value-returning call and
+no int `/`) together with the statement or loop condition check after it,
+so a loop whose body is quiet pays one check per pass. The source holds
+no text from the input: every value is an argument of the function that
+builds it, so methods of the same shape share one source, compiled once
+per process.
 
 A shape is the statement and expression tree with its arithmetic
 operators, its comparison operators inside a `while`, and its int/float
-and void choices. Names, literals, outcome pairs, spans and the comparison
-operators outside every loop are values, not shape. Such a comparison
-runs at most once per case, so it is written as a call to a bound operator
-function (`operator.lt`, ...) and the call costs a bounded amount per case.
-Inside a `while` it could run thousands of times per case, so there it
-stays an inline operator. An outcome pair recorded inside a `while` is
-added once per run, guarded by a local flag. The parser bounds how deeply
-a method nests, so every body it accepts compiles.
+and void choices. Names, literals, input positions, pair bits, spans and
+the comparison operators outside every loop are values, not shape. Such a
+comparison runs at most once per case, so it is written as a call to a
+bound operator function (`operator.lt`, ...) and the call costs a bounded
+amount per case. Inside a `while` it could run thousands of times per
+case, so there it stays an inline operator. A branch inside a `while`
+sets its pairs' bits once per run, guarded by a local flag. The parser
+bounds how deeply a method nests, so every body it accepts compiles.
 
 `run` and `runner` trust their inputs: callers pass cases that `check`
 accepted or inputs built from checked values (configured cases, fuzz
@@ -67,7 +72,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .cutlang.nodes import (
     INT_MAX,
@@ -148,11 +153,14 @@ class _Crash(Exception):
         self.event = event
 
 
-# What a method compiles to: (params, fields, scripts, outcomes, fuel) ->
-# (crash, return value, fuel left). `fields` holds only the case's
-# field values, and the run adds its outcome pairs to `outcomes`.
+# What a method compiles to: (inputs, fields, fuel) -> (crash, return
+# value, fuel left, outcome mask). `inputs` is one flat sequence: the
+# parameter values in declaration order, then one mock script (a nonempty
+# sequence, or None for no script) per `mock_types` key. `fields` holds
+# only the case's field values. Bit i of the mask is set when the run
+# covers the evaluator's `pairs_by_bit[i]`.
 _Runner = Callable[
-    [dict, dict, dict, set, int], tuple[Optional[Event], Optional[Scalar], int]
+    [Sequence, dict, int], tuple[Optional[Event], Optional[Scalar], int, int]
 ]
 
 
@@ -236,18 +244,21 @@ _WRAP = (
 class _Emitter:
     """Writes one method body as the source of a single Python function.
 
-    The source is `def _make(k0, k1, ...): def _run(params, fields, scripts,
-    outcomes, fuel): ...; return _run`. Every value taken from the method
-    (literal, outcome pair, crash event, parameter or field name, mock key,
-    field default) is one of the `k<i>` arguments, in the order the emitter
-    meets it, so the text holds only fixed keywords, operators and numbered
-    names. A comparison outside every `while` is a call `k<i>(left, right)`
-    to its bound operator function, so its operator is a value as well.
-    Inside a `while` condition or body (`looped`) it is written inline,
-    because there it can run many times per case. Parameters and fields
-    live in locals `v<i>`, each mock key in a cursor `c<i>` with its last
-    value `l<i>`. A branch that records outcome pairs inside a `while` has
-    a flag `f<i>`, true until the branch first adds its pairs in the run.
+    The source is `def _make(k0, k1, ...): def _run(inputs, fields, fuel):
+    ...; return _run`. Every value taken from the method (literal, pair
+    bits, crash event, input position, field name, field default) is one of
+    the `k<i>` arguments, in the order the emitter meets it, so the text
+    holds only fixed keywords, operators and numbered names. A comparison
+    outside every `while` is a call `k<i>(left, right)` to its bound
+    operator function, so its operator is a value as well. Inside a `while`
+    condition or body (`looped`) it is written inline, because there it can
+    run many times per case. Parameters and fields live in locals `v<i>`, a
+    parameter read from `inputs` at its bound position; each mock key has a
+    cursor `c<i>` over the script at its position, with its last value
+    `l<i>`. Every outcome pair has a bit of the local mask `m` (`bits`),
+    and each branch sets its pairs' bits with one `m |= k<i>`, a walrus
+    inside a condition. A branch inside a `while` has a flag `f<i>`, true
+    until the branch first sets its bits in the run.
     """
 
     def __init__(
@@ -255,12 +266,16 @@ class _Emitter:
         decisions: list[Decision],
         call_types: dict[tuple[str, str], str],
         field_defaults: dict[str, Scalar],
+        positions: dict[object, int],
+        bits: dict[tuple[str, bool], int],
     ):
         # Decision and condition ids keyed by the id() of their AST node.
         self.decision_ids = {id(d.expr): d.id for d in decisions}
         self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
         self.call_types = call_types
         self.field_defaults = field_defaults
+        self.positions = positions  # parameter name or mock key -> input index
+        self.bits = bits  # outcome pair -> its bit of the mask
         self.consts: list[object] = []
         self.prologue: list[str] = []
         self.lines: list[str] = []
@@ -279,14 +294,14 @@ class _Emitter:
         source = "\n".join(
             [
                 f"def _make({', '.join(f'k{i}' for i in range(len(self.consts)))}):",
-                "    def _run(params, fields, scripts, outcomes, fuel):",
-                pad + "add = outcomes.add",
+                "    def _run(inputs, fields, fuel):",
+                pad + "m = 0",
                 *(pad + line for line in self.prologue),
                 pad + "try:",
                 *self.lines,
                 pad + "except _Crash as e:",
-                pad + "    return e.event, None, fuel",
-                pad + "return None, None, fuel",
+                pad + "    return e.event, None, fuel, m",
+                pad + "return None, None, fuel, m",
                 "    return _run",
                 "",
             ]
@@ -334,7 +349,7 @@ class _Emitter:
         """Pay `n` fuel in one check. A run that cannot pay it all would
         have stopped within it, where the trace reads the same."""
         test = "fuel <= 0" if n == 1 else f"fuel < {n}"
-        self.emit(depth, f"if {test}: return _OUT_OF_FUEL, None, 0")
+        self.emit(depth, f"if {test}: return _OUT_OF_FUEL, None, 0, m")
         self.emit(depth, f"fuel -= {n}")
 
     def quiet(self, s: Stmt) -> bool:
@@ -383,11 +398,11 @@ class _Emitter:
             failure = self.const(Event(ASSERT_FAILURE, s.span))
             self.emit(depth, f"if not {test}:")
             self.emit(depth + 1, no)
-            self.emit(depth + 1, f"return {failure}, None, fuel")
+            self.emit(depth + 1, f"return {failure}, None, fuel, m")
             self.emit(depth, yes)
         elif isinstance(s, Return):
             value = self.expr(s.value) if s.value is not None else "None"
-            self.emit(depth, f"return None, {value}, fuel")
+            self.emit(depth, f"return None, {value}, fuel, m")
         elif isinstance(s, Assign):
             self.emit(depth, f"{self.var(s.target)} = {self.expr(s.value)}")
         elif isinstance(s, ExprStmt):
@@ -403,19 +418,23 @@ class _Emitter:
             test, ids = self.expr(cond), [did]
         else:  # a one-condition decision records both pairs in the branch
             test, ids = self._expr(cond), [cond_id, did]
-        yes = self.record([self.const((i, True)) for i in ids])
-        no = self.record([self.const((i, False)) for i in ids])
+        yes = self.record([(i, True) for i in ids])
+        no = self.record([(i, False) for i in ids])
         return test, yes, no
 
-    def record(self, pairs: list[str]) -> str:
-        """The statement that adds a branch's outcome pairs. Outside loops
-        a branch runs at most once per run; inside, its flag makes every
-        later pass skip the adds."""
-        adds = "; ".join(f"add({p})" for p in pairs)
+    def mask(self, pairs: list[tuple[str, bool]]) -> str:
+        """The bound mask of `pairs`' bits."""
+        return self.const(sum(1 << self.bits[p] for p in pairs))
+
+    def record(self, pairs: list[tuple[str, bool]]) -> str:
+        """The statement that sets a branch's outcome pairs' bits. Outside
+        loops a branch runs at most once per run; inside, its flag makes
+        every later pass skip the update."""
+        update = f"m |= {self.mask(pairs)}"
         if not self.looped:
-            return adds
+            return update
         flag = self.flag()
-        return f"if {flag}: {flag} = None; {adds}"
+        return f"if {flag}: {flag} = None; {update}"
 
     # -- expressions -------------------------------------------------------
 
@@ -425,7 +444,8 @@ class _Emitter:
         if name is None:
             name = self.vars[key] = f"v{len(self.vars)}"
             if isinstance(ref, ParamRef):
-                self.prologue.append(f"{name} = params[{self.const(ref.name)}]")
+                position = self.const(self.positions[ref.name])
+                self.prologue.append(f"{name} = inputs[{position}]")
             else:
                 default = self.const(self.field_defaults[ref.name])
                 self.prologue.append(
@@ -438,14 +458,16 @@ class _Emitter:
         cond_id = self.atom_ids.get(id(e))
         if cond_id is None:
             return code
-        t, f = self.const((cond_id, True)), self.const((cond_id, False))
+        t, f = self.mask([(cond_id, True)]), self.mask([(cond_id, False)])
         if not self.looped:
-            return f"((add({t}) or True) if {code} else (add({f}) or False))"
-        # `add` returns None, so each arm keeps its value whatever its flag.
+            # A pair's mask is nonzero, so each arm keeps its value.
+            return f"(((m := m | {t}) and True) if {code} else ((m := m | {f}) and False))"
+        # The flag's walrus yields None, so each arm keeps its value
+        # whatever its flag.
         ft, ff = self.flag(), self.flag()
         return (
-            f"((({ft} and ({ft} := add({t}))) or True) if {code}"
-            f" else (({ff} and ({ff} := add({f}))) or False))"
+            f"((({ft} and ((m := m | {t}) and ({ft} := None))) or True) if {code}"
+            f" else (({ff} and ((m := m | {f}) and ({ff} := None))) or False))"
         )
 
     def _expr(self, e: Expr) -> str:
@@ -469,7 +491,7 @@ class _Emitter:
         if cursor is None:
             cursor = self.cursors[key] = str(len(self.cursors))
             self.prologue += [
-                f"c{cursor} = scripts.get({self.const(key)})",
+                f"c{cursor} = inputs[{self.const(self.positions[key])}]",
                 f"if c{cursor}: l{cursor} = c{cursor}[-1]; c{cursor} = iter(c{cursor})",
                 f"else: c{cursor} = l{cursor} = None",
             ]
@@ -567,10 +589,19 @@ class CaseEvaluator:
             raise ContractViolation(f"no scriptable method for mock key {key}")
         return m.return_type
 
+    @cached_property
+    def pairs_by_bit(self) -> tuple[tuple[str, bool], ...]:
+        """Every pair of `pairs` once, in decision order: bit i of a
+        `runner` mask stands for pair i. Built when the method compiles."""
+        ids = [i for d in self.decisions for i in (d.id, *(c.id for c in d.conditions))]
+        return tuple((i, value) for i in ids for value in (True, False))
+
     def _generate(self) -> tuple[str, list[object]]:
         """The source of the method's `_make` and the values to bind to it."""
         defaults = {name: TYPE_DEFAULTS[t] for name, t in self.field_types.items()}
-        emitter = _Emitter(self.decisions, self.method.call_types, defaults)
+        positions = {key: i for i, key in enumerate([*self.param_types, *self.mock_types])}
+        bits = {pair: i for i, pair in enumerate(self.pairs_by_bit)}
+        emitter = _Emitter(self.decisions, self.method.call_types, defaults, positions, bits)
         return emitter.generate(self.method.body)
 
     @cached_property
@@ -632,11 +663,21 @@ class CaseEvaluator:
 
     # -- execution ---------------------------------------------------------
 
+    def inputs(self, case: "TestCase") -> tuple:
+        """The runner's input vector of a case (see `_Runner`)."""
+        params, scripts = case.param_values, case.mock_plan
+        return (
+            *[params[name] for name in self.param_types],
+            *[scripts.get(key) for key in self.mock_types],
+        )
+
+    def outcomes(self, mask: int) -> frozenset[tuple[str, bool]]:
+        """The outcome pairs of a mask that `runner` returned."""
+        pairs = self.pairs_by_bit
+        return frozenset(pairs[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
     def run(self, case: "TestCase") -> ExecutionTrace:
         """The trace of one case, which must be one that `check` accepts:
         run does not check it."""
-        outcomes: set[tuple[str, bool]] = set()
-        crash, ret, left = self.runner(
-            case.param_values, case.field_values, case.mock_plan, outcomes, self.fuel
-        )
-        return ExecutionTrace(frozenset(outcomes), crash, self.fuel - left, ret)
+        crash, ret, left, mask = self.runner(self.inputs(case), case.field_values, self.fuel)
+        return ExecutionTrace(self.outcomes(mask), crash, self.fuel - left, ret)

@@ -10,6 +10,7 @@ checker-typed trees with real spans.
 """
 
 import math
+import random
 
 from hypothesis import strategies as st
 
@@ -186,3 +187,39 @@ def gen_program(draw):
     fuel = draw(st.one_of(st.integers(min_value=1, max_value=20), st.just(300)))
     cases = draw(st.lists(_gen_case(), min_size=1, max_size=3))
     return text, fuel, cases
+
+
+_ATOMS = [
+    lambda r: f"a {r.choice(_CMP_OPS)} {r.randint(-3, 3)}",
+    lambda r: f"b {r.choice(_CMP_OPS)} {r.randint(-3, 3)}",
+    lambda r: "p",
+    lambda r: f"x {r.choice(_CMP_OPS)} {r.choice(['0.5', '-1.0', '2.0'])}",
+    lambda r: f"d->get() {r.choice(_CMP_OPS)} {r.randint(-3, 3)}",
+    lambda r: "d->ok()",
+    lambda r: f"d->temp() < {r.choice(['0.5', '-1.0'])}",
+    lambda r: f"n == {r.randint(-3, 3)}",
+]
+
+
+def many_conditions_text(seed):
+    """Class G with a method m drawn from `seed`: 12 ifs, then 4 more
+    inside a `while` of at most 20 passes. Each if has three conditions
+    over the parameters, the mocks and a field, so the method has 50
+    conditions and 134 outcome pairs."""
+    r = random.Random(seed)
+
+    def cond():
+        atoms = [r.choice(_ATOMS)(r) for _ in range(3)]
+        atoms = [f"!({atom})" if r.random() < 0.2 else atom for atom in atoms]
+        ops = [r.choice(["&&", "||"]) for _ in range(2)]
+        return f"{atoms[0]} {ops[0]} {atoms[1]} {ops[1]} {atoms[2]}"
+
+    loop = " ".join(f"if ({cond()}) {{ n = n - 1; }}" for _ in range(4))
+    body = [
+        "    int m(int a, int b, bool p, float x) {",
+        *(f"        if ({cond()}) {{ n = n + {i + 1}; }}" for i in range(12)),
+        f"        while (a > 0 && a < 20) {{ a = a - 1; {loop} }}",
+        "        return n;",
+        "    }",
+    ]
+    return _GEN_HEAD + "\n".join(body) + "\n};\n"

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +53,11 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _read(path):
+    """A history file as the loaders take it: (text, path)."""
+    return pathlib.Path(path).read_text(encoding="utf-8"), path
+
+
 def _jsonl(rows):
     return "".join(json.dumps(r) + "\n" for r in rows)
 
@@ -94,7 +100,7 @@ def test_load_bugs_happy(tmp_path):
         _bug("BUG-1", "2025-03", "c9"),
         _bug("BUG-2", "2025-04", "c7"),
     ]))
-    records, warnings = load_bugs(path)
+    records, warnings = load_bugs(*_read(path))
     assert warnings == []
     assert records == [
         BugRecord("BUG-1", "2025-03", "c9"),
@@ -104,7 +110,7 @@ def test_load_bugs_happy(tmp_path):
 
 def test_load_bugs_skips_blank_lines(tmp_path):
     text = json.dumps(_bug("BUG-1")) + "\n\n   \n" + json.dumps(_bug("BUG-2")) + "\n"
-    records, warnings = load_bugs(_write(tmp_path, "bugs.jsonl", text))
+    records, warnings = load_bugs(*_read(_write(tmp_path, "bugs.jsonl", text)))
     assert [r.id for r in records] == ["BUG-1", "BUG-2"]
     assert warnings == []
 
@@ -114,7 +120,7 @@ def test_load_bugs_duplicate_id_keeps_first(tmp_path):
         _bug("BUG-1", culprit="first"),
         _bug("BUG-1", culprit="second"),
     ]))
-    records, warnings = load_bugs(path)
+    records, warnings = load_bugs(*_read(path))
     assert [r.culprit for r in records] == ["first"]
     assert len(warnings) == 1
     assert "BUG-1" in warnings[0]
@@ -126,7 +132,7 @@ def test_load_bugs_rejects_extra_key(tmp_path):
     row["severity"] = "high"
     path = _write(tmp_path, "bugs.jsonl", _jsonl([row]))
     with pytest.raises(SchemaError) as exc:
-        load_bugs(path)
+        load_bugs(*_read(path))
     assert exc.value.file == path
     assert exc.value.line == 1
 
@@ -134,26 +140,26 @@ def test_load_bugs_rejects_extra_key(tmp_path):
 def test_load_bugs_rejects_missing_key(tmp_path):
     path = _write(tmp_path, "bugs.jsonl", _jsonl([{"id": "B", "period": "2025-01"}]))
     with pytest.raises(SchemaError, match="id, period, culprit"):
-        load_bugs(path)
+        load_bugs(*_read(path))
 
 
 def test_load_bugs_rejects_bad_period(tmp_path):
     path = _write(tmp_path, "bugs.jsonl", _jsonl([_bug(period="2025-13")]))
     with pytest.raises(SchemaError, match="YYYY-MM"):
-        load_bugs(path)
+        load_bugs(*_read(path))
 
 
 def test_invalid_json_reports_line(tmp_path):
     text = json.dumps(_bug("BUG-1")) + "\n" + json.dumps(_bug("BUG-2")) + "\n{oops\n"
     with pytest.raises(SchemaError) as exc:
-        load_bugs(_write(tmp_path, "bugs.jsonl", text))
+        load_bugs(*_read(_write(tmp_path, "bugs.jsonl", text)))
     assert exc.value.line == 3
     assert "invalid JSON" in str(exc.value)
 
 
 def test_non_object_record_rejected(tmp_path):
     with pytest.raises(SchemaError, match="must be an object"):
-        load_bugs(_write(tmp_path, "bugs.jsonl", "[1, 2]\n"))
+        load_bugs(*_read(_write(tmp_path, "bugs.jsonl", "[1, 2]\n")))
 
 
 def test_load_commits_happy(tmp_path):
@@ -161,7 +167,7 @@ def test_load_commits_happy(tmp_path):
         _commit("c1", [{"path": "src/a.c", "lines": 3},
                        {"path": "src/b.c", "lines": 0}]),
     ]))
-    records, warnings = load_commits(path)
+    records, warnings = load_commits(*_read(path))
     assert warnings == []
     assert records == [CommitRecord("c1", (("src/a.c", 3), ("src/b.c", 0)))]
 
@@ -171,7 +177,7 @@ def test_load_commits_duplicate_id_keeps_first(tmp_path):
         _commit("c1", [{"path": "a", "lines": 1}]),
         _commit("c1", [{"path": "b", "lines": 2}]),
     ]))
-    records, warnings = load_commits(path)
+    records, warnings = load_commits(*_read(path))
     assert records[0].paths == (("a", 1),)
     assert len(warnings) == 1 and "c1" in warnings[0]
 
@@ -179,7 +185,7 @@ def test_load_commits_duplicate_id_keeps_first(tmp_path):
 def test_load_commits_rejects_empty_paths(tmp_path):
     path = _write(tmp_path, "commits.jsonl", _jsonl([{"id": "c1", "paths": []}]))
     with pytest.raises(SchemaError, match="nonempty array"):
-        load_commits(path)
+        load_commits(*_read(path))
 
 
 @pytest.mark.parametrize("lines", [-1, 2.5, True, "3"])
@@ -190,7 +196,7 @@ def test_load_commits_rejects_bad_lines(tmp_path, lines):
         _jsonl([_commit("c1", [{"path": "a", "lines": lines}])]),
     )
     with pytest.raises(SchemaError, match="lines must be"):
-        load_commits(path)
+        load_commits(*_read(path))
 
 
 def test_load_coverage_happy_and_duplicate(tmp_path):
@@ -199,7 +205,7 @@ def test_load_coverage_happy_and_duplicate(tmp_path):
         _snap(conditional=99.0),  # same (period, component): ignored
         _snap(period="2025-04", conditional=80.0),
     ]))
-    records, warnings = load_coverage(path)
+    records, warnings = load_coverage(*_read(path))
     assert [r.conditional_pct for r in records] == [75.5, 80.0]
     assert len(warnings) == 1 and "2025-03" in warnings[0]
 
@@ -210,7 +216,7 @@ def test_load_coverage_rejects_bad_pct(tmp_path, value):
     row["conditional_pct"] = value
     path = _write(tmp_path, "coverage.jsonl", _jsonl([row]))
     with pytest.raises(SchemaError, match="conditional_pct"):
-        load_coverage(path)
+        load_coverage(*_read(path))
 
 
 def test_load_component_map_happy(tmp_path):
@@ -218,7 +224,7 @@ def test_load_component_map_happy(tmp_path):
         "rules": [{"prefix": "src/core/", "component": "core"},
                   {"prefix": "src/", "component": "misc"}],
     }))
-    cmap = load_component_map(path)
+    cmap = load_component_map(*_read(path))
     assert cmap.rules == (("src/core/", "core"), ("src/", "misc"))
 
 
@@ -232,7 +238,7 @@ def test_load_component_map_happy(tmp_path):
 def test_load_component_map_rejects_bad_shapes(tmp_path, payload):
     path = _write(tmp_path, "map.json", json.dumps(payload))
     with pytest.raises(SchemaError):
-        load_component_map(path)
+        load_component_map(*_read(path))
 
 
 def test_ingest_concatenates_warnings(tmp_path):
@@ -242,19 +248,17 @@ def test_ingest_concatenates_warnings(tmp_path):
     cmap = _write(tmp_path, "map.json", json.dumps(
         {"rules": [{"prefix": "src/", "component": "core"}]}
     ))
-    b, c, cov, m, warnings = ingest(bugs, commits, coverage, cmap)
+    b, c, cov, m, warnings = ingest(*map(_read, (bugs, commits, coverage, cmap)))
     assert (len(b), len(c), len(cov)) == (1, 1, 1)
     assert len(warnings) == 2
     assert "bug" in warnings[0] and "coverage" in warnings[1]
 
 
 def test_ingest_project_fixture_clean(history_dir):
-    b, c, cov, m, warnings = ingest(
-        str(history_dir / "bugs.jsonl"),
-        str(history_dir / "commits.jsonl"),
-        str(history_dir / "coverage.jsonl"),
-        str(history_dir / "map.json"),
-    )
+    b, c, cov, m, warnings = ingest(*(
+        _read(str(history_dir / name))
+        for name in ("bugs.jsonl", "commits.jsonl", "coverage.jsonl", "map.json")
+    ))
     assert warnings == []
     assert len(b) == 8
     assert len(c) == 48

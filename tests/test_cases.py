@@ -1,24 +1,27 @@
 """Value pools, candidate ordering, greedy selection, configuration."""
 
+import importlib.util
 import itertools
 import json
 import math
+import pathlib
 
 import jsonschema
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gen_programs import floats, gen_method, ints, program_text
+from gen_programs import floats, gen_method, ints, many_conditions_text, program_text
+import ultgen.cases as cases_module
 from ultgen.cases import (
     DEFAULT_BUDGET,
-    Candidate,
     FUZZED,
     TestCase,
     build_axes,
     case_from_json,
     case_to_json,
     fuzz_candidates,
+    fuzzed_case,
     greedy_select,
     load_case_config,
 )
@@ -137,10 +140,12 @@ def test_override_replaces_pool_and_skips_rng(evaluator):
 
 def test_first_candidate_is_all_defaults(unit, evaluator):
     first = next(fuzz_candidates(evaluator))
-    assert first.param_values == {"x": 0, "f": 0.0, "go": False}
-    assert first.mock_plan == {("d", "get"): [0]}
-    assert first.seed_info == (42, 0)
-    case = first.case(("A", "steps"))
+    # x, f, go, then a one-value script for d->get()
+    assert first == (0, 0.0, False, (0,))
+    case = fuzzed_case(evaluator, first, 42, 0)
+    assert case.param_values == {"x": 0, "f": 0.0, "go": False}
+    assert case.mock_plan == {("d", "get"): [0]}
+    assert case.seed_info == (42, 0)
     assert case.id == "fz-A.steps-0000"
     assert case.origin == "Fuzzed"
 
@@ -150,9 +155,9 @@ def test_solo_phase_varies_one_axis_at_a_time(unit, evaluator):
     stream = fuzz_candidates(evaluator)
     cases = [next(stream) for _ in range(1 + (len(axes[0].pool) - 1))]
     for c in cases[1:]:
-        assert c.param_values["f"] == 0.0
-        assert c.param_values["go"] is False
-    assert [c.param_values["x"] for c in cases[1:]] == list(axes[0].pool[1:])
+        assert c[1] == 0.0  # f
+        assert c[2] is False  # go
+    assert [c[0] for c in cases[1:]] == list(axes[0].pool[1:])
 
 
 def test_budget_respected(unit, evaluator):
@@ -170,19 +175,13 @@ def test_small_product_enumerates_exactly_once(unit):
         )
     )
     assert len(cases) == 4
-    seen = [c.param_values["x"] for c in cases]
+    seen = [x for (x,) in cases]
     assert sorted(seen) == [0, 1, 2, 3]
 
 
 def test_stream_deterministic(unit, evaluator):
-    a = [
-        c.param_values
-        for c in fuzz_candidates(evaluator, 64, 9)
-    ]
-    b = [
-        c.param_values
-        for c in fuzz_candidates(evaluator, 64, 9)
-    ]
+    a = list(fuzz_candidates(evaluator, 64, 9))
+    b = list(fuzz_candidates(evaluator, 64, 9))
     assert a == b
 
 
@@ -280,7 +279,9 @@ def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go
     evaluator = CaseEvaluator(unit, "A", method)
     overrides = {k: v for k, v in (("x", x), ("f", f), ("go", go)) if v is not None}
     args = (evaluator, budget, seed, overrides)
-    got = _stream_record(c.case(("A", method)) for c in fuzz_candidates(*args))
+    got = _stream_record(
+        fuzzed_case(evaluator, c, seed, i) for i, c in enumerate(fuzz_candidates(*args))
+    )
     assert got == _stream_record(_reference_candidates(*args))
 
 
@@ -331,8 +332,8 @@ def test_every_fuzz_candidate_passes_check(method, pools, budget, seed):
     config = {"classes": {"G": {"methods": {"m": {"pools": pools}}}}}
     overrides = load_case_config(json.dumps(config), unit)[("G", "m")].pools
     evaluator = CaseEvaluator(unit, "G", "m")
-    for candidate in fuzz_candidates(evaluator, budget, seed, overrides):
-        evaluator.check(candidate.case(("G", "m")))
+    for i, candidate in enumerate(fuzz_candidates(evaluator, budget, seed, overrides)):
+        evaluator.check(fuzzed_case(evaluator, candidate, seed, i))
 
 
 def test_build_axes_checks_pool_values(evaluator):
@@ -422,20 +423,17 @@ def test_greedy_pins_kept_invalid_and_traces():
     u = parse_source(HALF_SRC, path="<greedy>")
     evaluator = CaseEvaluator(u, "A", "half")
 
-    def candidate(n, y):
-        return Candidate({"y": y}, {}, (3, n))
-
     stream = [
-        candidate(0, 5),  # D1 false, returns: new pairs
-        candidate(1, 6),  # the same pairs again
-        candidate(2, 0),  # the same pairs, but a new DivByZero
-        candidate(3, 0),  # that crash again
-        candidate(5, 200),  # D1 true: full coverage, so selection stops
-        candidate(6, 7),
+        (5,),  # D1 false, returns: new pairs
+        (6,),  # the same pairs again
+        (0,),  # the same pairs, but a new DivByZero
+        (0,),  # that crash again
+        (200,),  # D1 true: full coverage, so selection stops
+        (7,),
     ]
-    result = greedy_select(iter(stream), evaluator)
-    assert [c.id for c in result.kept] == ["fz-A.half-0000", "fz-A.half-0002", "fz-A.half-0005"]
-    assert result.kept[1] == stream[2].case(("A", "half"))
+    result = greedy_select(iter(stream), evaluator, seed=3)
+    assert [c.id for c in result.kept] == ["fz-A.half-0000", "fz-A.half-0002", "fz-A.half-0004"]
+    assert result.kept[1] == fuzzed_case(evaluator, stream[2], 3, 2)
     assert result.candidates_run == 5
     assert result.traces == tuple(evaluator.run(c) for c in result.kept)
     assert [t.terminal for t in result.traces] == ["Normal", "Crashed", "Normal"]
@@ -443,10 +441,9 @@ def test_greedy_pins_kept_invalid_and_traces():
 
 
 def _reference_select(candidates, evaluator, preseed):
-    """Greedy selection as first written: every candidate becomes a
-    TestCase and runs through `evaluator.run`, then the keep rule.
-    greedy_select must reproduce it exactly."""
-    target = (evaluator.class_name, evaluator.method.name)
+    """Greedy selection as first written: every candidate is a TestCase
+    and runs through `evaluator.run`, then the keep rule. greedy_select
+    must reproduce it exactly."""
     covered = set()
     seen_crashes = set()
     for t in preseed:
@@ -455,9 +452,8 @@ def _reference_select(candidates, evaluator, preseed):
             seen_crashes.add(t.crash.key)
     kept, traces, ran = [], [], 0
     if not covered >= evaluator.pairs:
-        for candidate in candidates:
+        for case in candidates:
             ran += 1
-            case = candidate.case(target)
             trace = evaluator.run(case)
             new_crash = trace.crash is not None and trace.crash.key not in seen_crashes
             if not new_crash and trace.outcomes <= covered:
@@ -478,38 +474,39 @@ def _trace_record(trace):
 
 
 def _assert_selects_as_reference(make_evaluator, budget, seed, preseed_n):
-    """greedy_select over a fresh evaluator equals the reference fold over
-    another. It never calls `run` and builds a TestCase only for a kept
-    candidate, and the runner is compiled only if some candidate ran. The
-    preseed is the traces of `preseed_n` candidates of another seed."""
+    """greedy_select over a fresh evaluator's fuzz candidates equals the
+    reference fold over the reference stream (`_reference_candidates`) on
+    another evaluator. It never calls `run` and builds a TestCase only for a
+    kept candidate, and the runner is compiled only if some candidate ran.
+    The preseed is the traces of `preseed_n` candidates of another seed."""
     reference = make_evaluator()
-    target = (reference.class_name, reference.method.name)
-    preseed = tuple(
-        reference.run(c.case(target))
-        for c in itertools.islice(fuzz_candidates(reference, budget, seed + 1), preseed_n)
-    )
+    other_stream = _reference_candidates(reference, budget, seed + 1, None)
+    preseed = tuple(reference.run(c) for c in itertools.islice(other_stream, preseed_n))
     built = []
 
-    class Recording(Candidate):
-        def case(self, target):
-            built.append(self.seed_info[1])
-            return super().case(target)
+    def recording_fuzzed_case(evaluator, inputs, seed, index):
+        built.append(index)
+        return fuzzed_case(evaluator, inputs, seed, index)
 
     evaluator = make_evaluator()
     evaluator.run = None
-    stream = (Recording(*c) for c in fuzz_candidates(evaluator, budget, seed))
-    result = greedy_select(stream, evaluator, preseed)
+    cases_module.fuzzed_case = recording_fuzzed_case
+    try:
+        result = greedy_select(fuzz_candidates(evaluator, budget, seed), evaluator, preseed, seed)
+    finally:
+        cases_module.fuzzed_case = fuzzed_case
     assert built == [c.seed_info[1] for c in result.kept]
     assert ("runner" in vars(evaluator)) == (result.candidates_run > 0)
     if not evaluator.pairs:
         assert "runner" not in vars(evaluator)
     kept, traces, ran, coverage = _reference_select(
-        fuzz_candidates(reference, budget, seed), reference, preseed
+        _reference_candidates(reference, budget, seed, None), reference, preseed
     )
     assert [case_to_json(c) for c in result.kept] == [case_to_json(c) for c in kept]
     assert [_trace_record(t) for t in result.traces] == [_trace_record(t) for t in traces]
     assert result.candidates_run == ran
     assert result.coverage == coverage
+    return result
 
 
 @given(
@@ -537,6 +534,59 @@ def test_greedy_select_matches_reference_on_every_corpus_method(corpus_unit):
         _assert_selects_as_reference(
             lambda: CaseEvaluator(corpus_unit, *target), DEFAULT_BUDGET, 21, n % 3
         )
+
+
+def test_kept_case_records_its_stream_seed_and_index(evaluator):
+    """Each kept case is the reference stream's case at its index: same
+    id, inputs and `seed_info` of (stream seed, index)."""
+    seed = 7
+    result = greedy_select(fuzz_candidates(evaluator, 256, seed), evaluator, seed=seed)
+    stream = list(_reference_candidates(evaluator, 256, seed, None))
+    assert len(result.kept) > 1
+    for case in result.kept:
+        assert case.seed_info[0] == seed
+        assert case == stream[case.seed_info[1]]
+
+
+@pytest.mark.parametrize("seed", [0, 21])
+def test_greedy_select_matches_reference_beyond_64_pairs(seed):
+    """Masks of more than 64 bits: 50 conditions, 134 pairs, some set
+    once per run inside a loop."""
+    unit = parse_source(many_conditions_text(seed), path="<many>")
+    bits = CaseEvaluator(unit, "G", "m").pairs_by_bit
+    for preseed_n in (0, 2):
+        result = _assert_selects_as_reference(
+            lambda: CaseEvaluator(unit, "G", "m"), DEFAULT_BUDGET, seed, preseed_n
+        )
+        kept_bits = {bits.index(p) for t in result.traces for p in t.outcomes}
+        assert max(kept_bits) >= 64
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, the benchmark's workload generator, imported as it is."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "workload, classes",
+    [("fuzz-wide", ["Wide0", "Wide1", "Wide2"]), ("fuzz-deep", ["Pump0", "Pump1"])],
+)
+def test_greedy_select_matches_reference_on_benchmark_shapes(tmp_path, workload, classes):
+    """The benchmark's own method shapes, at its budget: one-value mock
+    scripts, pairs no candidate reaches and pairs set once per run inside
+    loops."""
+    paths = _perfbench_gen().generate(workload, 21, tmp_path)
+    texts = [p.read_text() for p in sorted(paths["src"].rglob("*.cut"))]
+    unit = parse_source("\n".join(texts), path=workload)
+    for class_name in classes:
+        for method in unit.class_named(class_name).methods:
+            _assert_selects_as_reference(
+                lambda: CaseEvaluator(unit, class_name, method.name), DEFAULT_BUDGET, 21, 0
+            )
 
 
 # --- serialization --------------------------------------------------------

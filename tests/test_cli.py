@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, strategies as st
 from jsonschema import validate
 
+from ultgen.cases import case_from_json, fuzz_candidates, fuzzed_case
 from ultgen.cli import main
+from ultgen.cutlang import parse_source
 from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from ultgen.interp import CaseEvaluator
 from ultgen.scaffold import ANCHOR_START
@@ -545,6 +547,25 @@ def test_cases_writes_file_and_summary(invoke, turnstile, tmp_path):
         validate(case, CASE_SCHEMA)
         assert case["origin"] == "Fuzzed"
         assert case["target"] == ["Turnstile", "push"]
+
+
+def test_cases_records_the_seed_and_index_of_each_fuzzed_case(invoke, turnstile, tmp_path):
+    """Each fuzzed case names the seed of its stream and its index there:
+    drawing the stream again gives the case back."""
+    out_file = tmp_path / "push.jsonl"
+    code, _, _ = invoke(
+        "cases", turnstile, "--class", "Turnstile", "--method", "push",
+        "--seed", "7", "-o", out_file,
+    )
+    assert code == 0
+    evaluator = CaseEvaluator(parse_source(turnstile.read_text(), path="<t>"), "Turnstile", "push")
+    stream = list(fuzz_candidates(evaluator, 256, 7))
+    cases = [case_from_json(json.loads(line)) for line in out_file.read_text().splitlines()]
+    assert len(cases) > 1
+    for case in cases:
+        seed, index = case.seed_info
+        assert seed == 7
+        assert case == fuzzed_case(evaluator, stream[index], 7, index)
 
 
 def test_cases_deterministic_per_seed(invoke, turnstile, tmp_path):
@@ -1076,6 +1097,26 @@ def test_run_full_pipeline(invoke, project_dir, history_dir, tmp_path):
         json.loads((out_dir / "coverage.json").read_text()), COVERAGE_REPORT_SCHEMA
     )
     validate(json.loads((out_dir / "advise.json").read_text()), ADVISE_SCHEMA)
+
+
+def test_run_reads_each_input_file_once(
+    invoke, project_dir, history_dir, tmp_path, monkeypatch
+):
+    """Every stage uses the text that was hashed for the manifest, so a
+    file replaced during the run cannot give advice its hash does not
+    match."""
+    reads = []
+    read_text = pathlib.Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "read_text", counting_read_text)
+    code, out, _ = _run_project(invoke, project_dir, history_dir, tmp_path / "out", "--json")
+    monkeypatch.undo()
+    assert code == 0
+    assert sorted(reads) == sorted(json.loads(out)["inputs"])
 
 
 def test_run_is_reproducible(invoke, project_dir, history_dir, tmp_path):

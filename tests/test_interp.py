@@ -6,9 +6,9 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gen_programs import gen_program, value_for
+from gen_programs import gen_program, many_conditions_text, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
-from ultgen.cases import TestCase, load_case_config
+from ultgen.cases import TestCase, fuzz_candidates, fuzzed_case, load_case_config
 from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
 from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
 from ultgen.errors import ContractViolation, ParseError, UnknownClass, UnknownTarget
@@ -480,6 +480,25 @@ def test_generated_programs_match_oracle(packed):
         assert agree(evaluator.run(c), oracle.run(c)), (text, c)
 
 
+@pytest.mark.parametrize("seed", [0, 21])
+def test_many_conditions_match_oracle(seed):
+    """A method with more outcome pairs than 64 bits hold, some of them in
+    a loop, traces as the oracle does on every fuzz candidate."""
+    unit = parse_source(many_conditions_text(seed), path="<many>")
+    evaluator = CaseEvaluator(unit, "G", "m")
+    oracle = OracleEvaluator(unit, "G", "m")
+    assert sum(len(d.conditions) for d in evaluator.decisions) >= 40
+    assert len(evaluator.pairs) > 80
+    assert sorted(evaluator.pairs_by_bit) == sorted(evaluator.pairs)  # each pair once
+    covered = set()
+    for i, inputs in enumerate(fuzz_candidates(evaluator, 256, seed)):
+        c = fuzzed_case(evaluator, inputs, seed, i)
+        trace = evaluator.run(c)
+        assert agree(trace, oracle.run(c)), c
+        covered |= trace.outcomes
+    assert max(evaluator.pairs_by_bit.index(p) for p in covered) >= 64
+
+
 # Every hazard a merged fuel charge must not cross, each followed by a quiet
 # statement: an assert, a value-returning call, an int `/`, the join after
 # an `if`, and a loop whose body is one merged charge. The cases reach the
@@ -685,9 +704,9 @@ def test_quiet_loop_body_pays_one_fuel_check_per_pass():
             break
         body.append(line)
     # the two assignments and the next condition check, paid at once
-    assert _fuel_checks(body) == ["if fuel < 3: return _OUT_OF_FUEL, None, 0"]
+    assert _fuel_checks(body) == ["if fuel < 3: return _OUT_OF_FUEL, None, 0, m"]
     # the while statement and its first check, paid before the loop
-    assert _fuel_checks(lines[:start]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0"]
+    assert _fuel_checks(lines[:start]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0, m"]
 
 
 def test_int_division_keeps_its_own_fuel_check():
@@ -698,8 +717,8 @@ def test_int_division_keeps_its_own_fuel_check():
     )
     lines = CaseEvaluator(unit, "C", "m")._generate()[0].splitlines()
     division = next(i for i, line in enumerate(lines) if "_div(" in line)
-    assert _fuel_checks(lines[:division]) == ["if fuel <= 0: return _OUT_OF_FUEL, None, 0"]
-    assert _fuel_checks(lines[division:]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0"]
+    assert _fuel_checks(lines[:division]) == ["if fuel <= 0: return _OUT_OF_FUEL, None, 0, m"]
+    assert _fuel_checks(lines[division:]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0, m"]
 
 
 # --- the deepest method the parser accepts --------------------------------
@@ -811,26 +830,37 @@ def test_one_block_deeper_is_a_parse_error(opener):
     )
 
 
-def test_generated_tier_adds_each_pair_once_per_run(monkeypatch):
-    """A loop records the same pairs on every pass, but the generated tier
-    adds each to the run's outcome set once."""
-    added = []
-
-    class CountingSet(set):
-        def add(self, pair):
-            added.append(pair)
-            super().add(pair)
-
-    monkeypatch.setattr(interp, "set", CountingSet, raising=False)
+def test_generated_tier_adds_each_pair_once_per_run():
+    """A loop records the same pairs on every pass, but each branch of the
+    generated tier sets its bits of the run's outcome mask once."""
     unit = parse_source(TIER_SRC, path="<tier>")
     evaluator = CaseEvaluator(unit, "H", "step")
     c = _tier_case(0, {"n": 40, "k": 1}, {("d", "more"): [True], ("d", "get"): [0, 1, 2]})
     trace = evaluator.run(c)
     assert trace.steps > 4 * 40  # 40 passes through the loop
-    assert sorted(added) == sorted(trace.outcomes)
     assert len(trace.outcomes) == 13  # all but D1:T and d->more() false
-    monkeypatch.undo()
     assert agree(trace, OracleEvaluator(unit, "H", "step").run(c))
+
+    # The same source, run with a mask that records every update.
+    updates = []
+
+    class RecordingMask(int):
+        def __or__(self, bits):
+            updates.append(bits)
+            return RecordingMask(int(self) | bits)
+
+    source, consts = evaluator._generate()
+    assert source.count("m = 0\n") == 1
+    namespace = dict(interp._GENERATED_GLOBALS, RecordingMask=RecordingMask)
+    exec(source.replace("m = 0\n", "m = RecordingMask()\n"), namespace)
+    runner = namespace["_make"](*consts)
+    crash, ret, left, mask = runner(evaluator.inputs(c), c.field_values, evaluator.fuel)
+    assert (crash, ret, evaluator.fuel - left) == (trace.crash, trace.return_value, trace.steps)
+    assert evaluator.outcomes(mask) == trace.outcomes
+    # One update per branch taken, each of its own bits, so no bit is set
+    # twice. D1 is one condition, so its branch sets two pairs' bits.
+    assert len(updates) == len(trace.outcomes) - 1
+    assert sum(updates) == mask
 
 
 def test_same_shape_methods_share_one_code_object():
