@@ -12,14 +12,19 @@ straight on the runner and tests the returned outcome mask against the
 bits not yet covered, so a dropped candidate allocates no dict, list or
 set; only a kept one becomes a TestCase (`fuzzed_case`).
 
-The candidate stream is fully deterministic given (AST, seed, budget):
+The candidate stream is fully deterministic given (AST, seed, budget),
+in the phases docs/formats.md numbers 0 to 2:
   phase 0  all-defaults, then each pool value alone;
   phase 1  mixed-radix enumeration of the pool product, first axis fastest
            (capped at 3/4 of the remaining budget when the product is
            larger, so a random tail always follows for big spaces);
   phase 2  random pool-index vectors from the shared SplitMix64 stream.
 Pool construction consumes the stream first: three random values per
-int/float axis, in axis order. docs/formats.md states the exact layout.
+int/float axis, in axis order. Phase 2 then reads the seed's outputs
+from the table that every generator of the seed shares (`SplitMix64.take`),
+so methods whose pools took the same number of draws read the same
+outputs without drawing them again. docs/formats.md states the exact
+layout.
 """
 
 from __future__ import annotations
@@ -473,9 +478,12 @@ def fuzz_candidates(
     if emitted >= product:
         return  # complete enumeration, nothing new can follow
 
-    # phase 2: random pool-index vectors
+    # phase 2: random pool-index vectors, one output of the seed's shared
+    # table per axis, reduced modulo the axis's pool size
+    k = len(pools)
     while emitted < budget:
-        yield tuple([pool[i] for pool, i in zip(pools, rng.below_each(sizes))])
+        draws = rng.take(k)
+        yield tuple([pool[r % n] for pool, n, r in zip(pools, sizes, draws)])
         emitted += 1
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gen_programs import floats, gen_method, ints, many_conditions_text, program_text
 import ultgen.cases as cases_module
+import ultgen.rng as rng_module
 from ultgen.cases import (
     DEFAULT_BUDGET,
     FUZZED,
@@ -219,6 +220,7 @@ def _reference_candidates(evaluator, budget, seed, pool_overrides):
             seed_info=(seed, index),
         )
 
+    # phase 0: all defaults, then every pool index alone
     emitted = 0
     zeros = tuple(0 for _ in axes)
     solo = [zeros]
@@ -230,6 +232,7 @@ def _reference_candidates(evaluator, budget, seed, pool_overrides):
             return
         yield build(vec, emitted)
         emitted += 1
+    # phase 1: the pool product in mixed radix, axis 0 fastest
     remaining = budget - emitted
     phase1_cap = remaining if product <= budget else (remaining * 3) // 4
     counter = 0
@@ -248,6 +251,7 @@ def _reference_candidates(evaluator, budget, seed, pool_overrides):
         taken += 1
     if emitted >= product:
         return
+    # phase 2: a below(n) draw per axis
     while emitted < budget:
         vec = tuple(rng.below(s) for s in sizes)
         yield build(vec, emitted)
@@ -287,24 +291,45 @@ def test_candidate_stream_matches_reference(unit, method, budget, seed, x, f, go
 
 @given(
     seed=st.integers(0, 2**64 - 1),
-    sizes=st.lists(st.integers(1, 2**70), max_size=8),
-    bad=st.none() | st.integers(-2, 0),
+    other=st.integers(0, 2**64 - 1),
+    offset=st.integers(0, 30),
+    k=st.integers(1, 8),
 )
-def test_below_each_draws_as_successive_below(seed, sizes, bad):
-    """The same values and the same state after, an n < 1 included."""
-    if bad is not None:
-        sizes = [*sizes, bad, 3]
-    one, each = SplitMix64(seed), SplitMix64(seed)
-    want = []
-    try:
-        for n in sizes:
-            want.append(one.below(n))
-    except ValueError:
-        with pytest.raises(ValueError):
-            each.below_each(sizes)
-    else:
-        assert each.below_each(sizes) == want
-    assert each.next() == one.next()
+def test_take_reads_successive_outputs_of_the_seed(seed, other, offset, k):
+    """`take(k)` after `offset` draws (the pool draws) gives what `k` calls
+    of `next` give and leaves the same state, and reading another seed's
+    outputs in between changes nothing a later reader of `seed` gets."""
+    def advanced():
+        rng = SplitMix64(seed)
+        for _ in range(offset):
+            rng.next()
+        return rng
+
+    reader, plain = advanced(), advanced()
+    first = list(reader.take(k))
+    assert first == [plain.next() for _ in range(k)]
+    assert vars(reader) == vars(plain)
+    SplitMix64(other).take(k)
+    assert list(advanced().take(k)) == first
+    assert list(reader.take(k)) == [plain.next() for _ in range(k)]
+
+
+def test_random_phase_draws_the_table_no_further_than_it_reads(evaluator):
+    """A stream stopped a few candidates into its random phase has drawn the
+    seed's outputs for those candidates only, not for the rest of a budget
+    of a million."""
+    budget, seed, taken = 10**6, 2024, 5
+    overrides = {"x": list(range(1000)), "f": [i / 8 for i in range(1000)]}
+    sizes = [len(a.pool) for a in axes_of(evaluator, seed, overrides)]
+    assert math.prod(sizes) > budget
+    pool_draws = 3  # the int mock's random values; x and f are overridden
+    solos = 1 + sum(n - 1 for n in sizes)
+    head = solos + (budget - solos) * 3 // 4  # the stream before phase 2
+    SplitMix64(seed + 1).take(1)  # the table now holds another seed
+    stream = fuzz_candidates(evaluator, budget, seed, overrides)
+    assert sum(1 for _ in itertools.islice(stream, head + taken)) == head + taken
+    assert rng_module._table_seed == seed
+    assert len(rng_module._table) <= pool_draws + taken * len(sizes)
 
 
 _JSON_FLOATS = st.one_of(

@@ -1222,6 +1222,108 @@ def test_run_uncovered_matches_coverage_subcommand(invoke, corpus_dir, tmp_path)
     assert any(replayed.values())  # LruCache.admit:D2:F is out of reach
 
 
+# Three methods whose streams reach the random phase (an unset field keeps a
+# pair out of reach, so each spends its budget): `open` and `shut` take the
+# same pool draws and so read the seed's outputs from one position, `turn`
+# takes three more for its fourth int and reads from another.
+_RANDOM_PHASE_SRC = """
+class Left {
+public:
+    bool armed;
+
+    int open(int a, int b, int c) {
+        if (armed) {
+            return 9;
+        }
+        if (b > 5 && c > 5) {
+            return 1;
+        }
+        return a;
+    }
+};
+
+class Right {
+public:
+    bool armed;
+
+    int shut(int a, int b, int c) {
+        if (armed || c < -5 && b < -5) {
+            return 2;
+        }
+        return 0;
+    }
+
+    int turn(int a, int b, int c, int d) {
+        if (armed) {
+            return 3;
+        }
+        if (c > 5 && d < -5) {
+            return 4;
+        }
+        return 0;
+    }
+};
+"""
+_RANDOM_PHASE_METHODS = (("Left", "open"), ("Right", "shut"), ("Right", "turn"))
+
+
+def test_run_fuzzes_each_method_as_cases_does_alone(invoke, tmp_path):
+    """`run` draws every method's random phase in one process from one
+    table of the seed's outputs; each method keeps the cases that `cases`
+    keeps for it alone in a fresh process."""
+    budget, seed = 64, 3
+    src = tmp_path / "src"
+    src.mkdir()
+    source = src / "gates.cut"
+    source.write_text(_RANDOM_PHASE_SRC)
+    out_dir = tmp_path / "out"
+    code, _, err = invoke(
+        "run", src, "-o", out_dir, "--budget", budget, "--seed", seed, "--threshold", "0"
+    )
+    assert code == 0, err
+    by_target: dict = {}
+    for line in (out_dir / "cases.jsonl").read_text().splitlines():
+        by_target.setdefault(tuple(json.loads(line)["target"]), []).append(line)
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    for cls, method in _RANDOM_PHASE_METHODS:
+        alone = tmp_path / f"{method}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "ultgen.cli", "cases", source, "--class", cls,
+             "--method", method, "--budget", str(budget), "--seed", str(seed),
+             "-o", alone],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kept = by_target[(cls, method)]
+        assert kept == alone.read_text().splitlines()
+        # The premise: the method keeps a case from its random phase, which
+        # starts at index 55 (open, shut) or 56 (turn).
+        assert max(json.loads(line)["candidate_index"] for line in kept) >= 56
+
+
+def test_random_phase_does_not_depend_on_method_order():
+    """The streams match the reference whether they are drawn one after
+    another or a candidate of each in turn, in either method order."""
+    from test_cases import _reference_candidates, _stream_record
+
+    unit = parse_source(_RANDOM_PHASE_SRC, path="<gates>")
+    budget, seed = 64, 3
+    evaluators = [CaseEvaluator(unit, cls, method) for cls, method in _RANDOM_PHASE_METHODS]
+
+    def one_after_another(order):
+        return {e: list(fuzz_candidates(e, budget, seed)) for e in order}
+
+    def in_turn(order):
+        rounds = list(zip(*(fuzz_candidates(e, budget, seed) for e in order)))
+        return {e: [candidates[i] for candidates in rounds] for i, e in enumerate(order)}
+
+    for draw, order in ((one_after_another, evaluators), (in_turn, evaluators[::-1])):
+        for evaluator, stream in draw(order).items():
+            got = [fuzzed_case(evaluator, c, seed, i) for i, c in enumerate(stream)]
+            want = _reference_candidates(evaluator, budget, seed, None)
+            assert _stream_record(got) == _stream_record(want)
+
+
 def test_run_expands_configured_cases_once(invoke, project_dir, tmp_path, monkeypatch):
     built = _count_evaluators(monkeypatch)
     out_dir = tmp_path / "out"
