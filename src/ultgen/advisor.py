@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-import statistics
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InsufficientData, SchemaError, UntrainedModel, parse_json
 
@@ -47,48 +45,41 @@ PRIOR_BUG_CAP = 5
 
 # --- records ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BugRecord:
+class BugRecord(NamedTuple):
     id: str
     period: str  # "YYYY-MM"
     culprit: str
 
 
-@dataclass(frozen=True)
-class CommitRecord:
+class CommitRecord(NamedTuple):
     id: str
     paths: tuple[tuple[str, int], ...]  # (path, lines changed)
 
 
-@dataclass(frozen=True)
-class ComponentMap:
+class ComponentMap(NamedTuple):
     rules: tuple[tuple[str, str], ...]  # (path prefix, component), first match wins
 
 
-@dataclass(frozen=True)
-class CoverageSnapshot:
+class CoverageSnapshot(NamedTuple):
     period: str
     component: str
     functional_pct: float
     conditional_pct: float
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(NamedTuple):
     period: str
     bug_count: int
     conditional_pct: float
     churn_lines: int
 
 
-@dataclass(frozen=True)
-class ComponentTrend:
+class ComponentTrend(NamedTuple):
     component: str
     series: tuple[TrendPoint, ...]  # periods strictly increasing
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     weights: tuple[float, float, float]  # (w_cov, w_churn, w_prior)
     bias: float
     churn_max: int  # churn normalization constant
@@ -99,8 +90,7 @@ class ModelParams:
     coverage_varies: bool = True
 
 
-@dataclass(frozen=True)
-class Recommendation:
+class Recommendation(NamedTuple):
     component: str
     recommended_conditional_pct: int
     current_conditional_pct: float
@@ -586,6 +576,15 @@ def predict_risk(
 
 # --- recommendations --------------------------------------------------------
 
+def _median(values: Sequence[float]) -> float:
+    """The middle value once sorted, or the mean of the two middle values."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def zero_bug_median_coverage(trends: Sequence[ComponentTrend]) -> float:
     """Median latest coverage among components that never had a bug."""
     values = [
@@ -595,7 +594,7 @@ def zero_bug_median_coverage(trends: Sequence[ComponentTrend]) -> float:
     ]
     if not values:
         return float(COVERAGE_FLOOR)
-    return float(statistics.median(values))
+    return float(_median(values))
 
 
 def recommend(

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
@@ -53,16 +52,47 @@ DEFAULT_SEED = 42
 _RANDOM_POOL_VALUES = 3
 
 
-@dataclass(slots=True)
 class TestCase:
-    id: str
-    target: tuple[str, str]  # (class, method)
-    param_values: dict[str, Scalar]
-    field_values: dict[str, Scalar]
-    mock_plan: dict[MockKey, list[Scalar]]
-    origin: str  # Configured | Fuzzed
-    seed_info: Optional[tuple[int, int]] = None  # (seed, candidate index)
-    diagnostics: tuple[str, ...] = ()
+    """One case: its inputs and where it came from. Equal when every field
+    is equal; mutable, so unhashable."""
+
+    __slots__ = (
+        "id", "target", "param_values", "field_values", "mock_plan", "origin",
+        "seed_info", "diagnostics",
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        id: str,
+        target: tuple[str, str],  # (class, method)
+        param_values: dict[str, Scalar],
+        field_values: dict[str, Scalar],
+        mock_plan: dict[MockKey, list[Scalar]],
+        origin: str,  # Configured | Fuzzed
+        seed_info: Optional[tuple[int, int]] = None,  # (seed, candidate index)
+        diagnostics: tuple[str, ...] = (),
+    ) -> None:
+        self.id = id
+        self.target = target
+        self.param_values = param_values
+        self.field_values = field_values
+        self.mock_plan = mock_plan
+        self.origin = origin
+        self.seed_info = seed_info
+        self.diagnostics = diagnostics
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return tuple([getattr(self, n) for n in names]) == tuple(
+            [getattr(other, n) for n in names]
+        )
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"TestCase({shown})"
 
 
 # --- serialization (JSONL-friendly dicts) ----------------------------------
@@ -159,8 +189,7 @@ def case_from_json(data: object) -> TestCase:
 
 # --- configuration ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MethodConfig:
+class MethodConfig(NamedTuple):
     """What a case configuration pins for one method."""
 
     cases: tuple[TestCase, ...]  # in file order
@@ -350,8 +379,7 @@ def _build_pool(
     return pool
 
 
-@dataclass(frozen=True)
-class _Axis:
+class _Axis(NamedTuple):
     kind: str  # "param" | "mock"
     name: object  # param name or MockKey
     pool: tuple[Scalar, ...]
@@ -489,8 +517,7 @@ def fuzz_candidates(
 
 # --- greedy selection -------------------------------------------------------
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(NamedTuple):
     kept: tuple[TestCase, ...]
     traces: tuple[ExecutionTrace, ...]  # traces of kept candidates only
     coverage: MethodCoverage

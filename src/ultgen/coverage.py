@@ -9,8 +9,7 @@ no decisions is vacuously at 100%.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 # all_pairs lives in decisions (the evaluator needs it) and is still
 # importable from here.
@@ -30,8 +29,7 @@ BRUTE_FORCE_CAP = 10**6
 _NO_PAIRS: frozenset[tuple[str, bool]] = frozenset()
 
 
-@dataclass(frozen=True)
-class MethodCoverage:
+class MethodCoverage(NamedTuple):
     method: str  # "<Class>.<method>"
     conditions_total: int
     decisions_total: int
@@ -53,8 +51,7 @@ class MethodCoverage:
         return percent_of(len(self.pairs_covered), self.denominator)
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     functional_pct: float
     conditional_pct: float
 

@@ -33,8 +33,8 @@ PUNCT = "-> :: && || == != <= >= < > + - * / % ! = { } ( ) ; , :".split()
 
 
 class Token(NamedTuple):
-    """One token. A NamedTuple rather than a frozen dataclass: the lexer
-    builds one per token, positionally with ``tuple.__new__``."""
+    """One token. The lexer builds one per token, positionally with
+    ``tuple.__new__``."""
 
     kind: str  # "ident", "keyword", "int", "float", "punct", "eof"
     text: str

@@ -9,8 +9,7 @@ call returns, both, or neither (fields/constants only).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .cutlang.nodes import (
     Assert,
@@ -40,8 +39,7 @@ Literal = tuple[str, Union[int, float, bool]]
 CallSite = tuple[str, str]  # (receiver field, method)
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     id: str  # "<Class>.<method>:D<n>.c<i>"
     atom: Expr
     driver: str
@@ -50,8 +48,7 @@ class Condition:
     compared_literals: frozenset[Literal]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     id: str  # "<Class>.<method>:D<n>"
     kind: str  # "if" | "while" | "assert"
     expr: Expr

@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -117,8 +116,7 @@ UNMOCKED_CALL = "UnmockedCall"
 FUEL_EXHAUSTED = "FuelExhausted"
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str
     site: Optional[Span] = None  # FuelExhausted carries no site
 

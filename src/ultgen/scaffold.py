@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cutlang.nodes import ClassDecl, MethodDecl, RefType, SourceUnit
 from .errors import UltgenError, UnknownClass
@@ -37,15 +36,13 @@ _BANNER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Anchor:
+class Anchor(NamedTuple):
     file: str
     line: int  # 1-based line number of the ULTGEN-ANCHOR marker
     kind: str
 
 
-@dataclass(frozen=True)
-class ScaffoldBundle:
+class ScaffoldBundle(NamedTuple):
     files: tuple[tuple[str, str], ...]  # (file name, text), emission order
     anchors: tuple[Anchor, ...]
     auto_line_count: int

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, settings
 from ultgen.cases import TestCase
 from ultgen.cutlang import parse_source
 
-TestCase.__test__ = False  # dataclass, not a pytest class
+TestCase.__test__ = False  # a case record, not a pytest class
 
 settings.register_profile(
     "suite",

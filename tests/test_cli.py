@@ -1494,6 +1494,27 @@ def test_run_tree_does_not_depend_on_the_hash_seed(project_dir, history_dir, tmp
     assert trees[0] == trees[1]
 
 
+def test_start_up_loads_no_code_generating_modules():
+    """Every CLI call first imports the CLI and builds its parser. That
+    loads neither `dataclasses`, which compiles generated methods for each
+    class, nor `inspect`, which it pulls in, nor `statistics`, which pulls in
+    `fractions`, `decimal` and `random`."""
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import ultgen.cli\n"
+        "ultgen.cli.build_parser()\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC_DIR)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ultgen.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "statistics"} == set()
+
+
 # --- damaged inputs ---------------------------------------------------------
 
 _DAMAGE = (None, [], {}, "x", 1.5, True, -1, 10**400)
