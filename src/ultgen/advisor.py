@@ -23,7 +23,7 @@ import math
 import re
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InsufficientData, SchemaError, UntrainedModel, parse_json
+from .errors import InsufficientData, JsonReader, UntrainedModel
 
 PERIOD_RE = re.compile(r"^\d{4}-(0[1-9]|1[0-2])$")
 
@@ -106,126 +106,79 @@ class Recommendation(NamedTuple):
 
 # --- ingestion --------------------------------------------------------------
 
-def _require(cond: bool, message: str, file: str, line: Optional[int] = None):
-    if not cond:
-        raise SchemaError(message, file=file, line=line)
-
-
-def _read_jsonl(text: str, path: str) -> list[tuple[int, dict]]:
-    out: list[tuple[int, dict]] = []
-    for n, raw in enumerate(text.split("\n"), start=1):
-        if not raw.strip():
-            continue
-        data = parse_json(raw, path, n)
-        _require(isinstance(data, dict), "record must be an object", path, n)
-        out.append((n, data))
-    return out
-
-
-def _pct(value: object, what: str, file: str, line: int) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"{what} must be a number", file, line,
-    )
-    _require(0 <= value <= 100, f"{what} must be within [0, 100]", file, line)
-    return float(value)
-
-
 def load_bugs(text: str, path: str) -> tuple[list[BugRecord], list[str]]:
     """The bug records of JSONL `text`, read from `path`, and warnings."""
-    records: list[BugRecord] = []
+    bugs: dict[str, BugRecord] = {}  # the first record of each id
     warnings: list[str] = []
-    seen: set[str] = set()
-    for n, data in _read_jsonl(text, path):
-        _require(set(data) == {"id", "period", "culprit"},
-                 "bug record needs exactly id, period, culprit", path, n)
-        _require(isinstance(data["id"], str) and data["id"] != "",
-                 "bug id must be a nonempty string", path, n)
-        _require(isinstance(data["period"], str) and PERIOD_RE.match(data["period"]),
-                 "period must be 'YYYY-MM'", path, n)
-        _require(isinstance(data["culprit"], str) and data["culprit"] != "",
-                 "culprit commit id must be a nonempty string", path, n)
-        if data["id"] in seen:
-            warnings.append(f"{path}:{n}: duplicate bug id {data['id']!r} ignored")
-            continue
-        seen.add(data["id"])
-        records.append(BugRecord(data["id"], data["period"], data["culprit"]))
-    return records, warnings
+    r = JsonReader(path)
+    for data in r.records(text):
+        r.object(data, "", {"id", "period", "culprit"})
+        bug = BugRecord(
+            r.string(data["id"], "id"),
+            r.string(data["period"], "period", PERIOD_RE, "'YYYY-MM'"),
+            r.string(data["culprit"], "culprit"),
+        )
+        if bug.id in bugs:
+            warnings.append(f"{path}:{r.line}: duplicate bug id {bug.id!r} ignored")
+        else:
+            bugs[bug.id] = bug
+    return list(bugs.values()), warnings
 
 
 def load_commits(text: str, path: str) -> tuple[list[CommitRecord], list[str]]:
     """The commit records of JSONL `text`, read from `path`, and warnings."""
-    records: list[CommitRecord] = []
+    commits: dict[str, CommitRecord] = {}  # the first record of each id
     warnings: list[str] = []
-    seen: set[str] = set()
-    for n, data in _read_jsonl(text, path):
-        _require(set(data) == {"id", "paths"},
-                 "commit record needs exactly id, paths", path, n)
-        _require(isinstance(data["id"], str) and data["id"] != "",
-                 "commit id must be a nonempty string", path, n)
-        _require(isinstance(data["paths"], list) and data["paths"],
-                 "paths must be a nonempty array", path, n)
+    r = JsonReader(path)
+    for data in r.records(text):
+        r.object(data, "", {"id", "paths"})
+        commit_id = r.string(data["id"], "id")
         paths: list[tuple[str, int]] = []
-        for entry in data["paths"]:
-            _require(isinstance(entry, dict) and set(entry) == {"path", "lines"},
-                     "each path entry needs exactly path, lines", path, n)
-            _require(isinstance(entry["path"], str) and entry["path"] != "",
-                     "path must be a nonempty string", path, n)
-            _require(type(entry["lines"]) is int and entry["lines"] >= 0,
-                     "lines must be an integer >= 0", path, n)
-            paths.append((entry["path"], entry["lines"]))
-        if data["id"] in seen:
-            warnings.append(f"{path}:{n}: duplicate commit id {data['id']!r} ignored")
-            continue
-        seen.add(data["id"])
-        records.append(CommitRecord(data["id"], tuple(paths)))
-    return records, warnings
+        for i, entry in enumerate(r.array(data["paths"], "paths")):
+            r.object(entry, ("paths", i), {"path", "lines"})
+            paths.append((
+                r.string(entry["path"], ("paths", i, "path")),
+                r.count(entry["lines"], ("paths", i, "lines")),
+            ))
+        if commit_id in commits:
+            warnings.append(f"{path}:{r.line}: duplicate commit id {commit_id!r} ignored")
+        else:
+            commits[commit_id] = CommitRecord(commit_id, tuple(paths))
+    return list(commits.values()), warnings
 
 
 def load_coverage(text: str, path: str) -> tuple[list[CoverageSnapshot], list[str]]:
     """The coverage snapshots of JSONL `text`, read from `path`, and warnings."""
-    records: list[CoverageSnapshot] = []
+    snapshots: dict[tuple[str, str], CoverageSnapshot] = {}  # the first of each key
     warnings: list[str] = []
-    seen: set[tuple[str, str]] = set()
-    for n, data in _read_jsonl(text, path):
-        _require(
-            set(data) == {"period", "component", "functional_pct", "conditional_pct"},
-            "coverage record needs exactly period, component, "
-            "functional_pct, conditional_pct", path, n,
+    r = JsonReader(path)
+    for data in r.records(text):
+        r.object(data, "", {"period", "component", "functional_pct", "conditional_pct"})
+        snapshot = CoverageSnapshot(
+            r.string(data["period"], "period", PERIOD_RE, "'YYYY-MM'"),
+            r.string(data["component"], "component"),
+            r.number(data["functional_pct"], "functional_pct", 0, 100),
+            r.number(data["conditional_pct"], "conditional_pct", 0, 100),
         )
-        _require(isinstance(data["period"], str) and PERIOD_RE.match(data["period"]),
-                 "period must be 'YYYY-MM'", path, n)
-        _require(isinstance(data["component"], str) and data["component"] != "",
-                 "component must be a nonempty string", path, n)
-        functional = _pct(data["functional_pct"], "functional_pct", path, n)
-        conditional = _pct(data["conditional_pct"], "conditional_pct", path, n)
-        key = (data["period"], data["component"])
-        if key in seen:
-            warnings.append(f"{path}:{n}: duplicate coverage for {key} ignored")
-            continue
-        seen.add(key)
-        records.append(
-            CoverageSnapshot(data["period"], data["component"], functional, conditional)
-        )
-    return records, warnings
+        key = (snapshot.period, snapshot.component)
+        if key in snapshots:
+            warnings.append(f"{path}:{r.line}: duplicate coverage for {key} ignored")
+        else:
+            snapshots[key] = snapshot
+    return list(snapshots.values()), warnings
 
 
 def load_component_map(text: str, path: str) -> ComponentMap:
     """The component map of JSON `text`, read from `path`."""
-    data = parse_json(text, path)
-    _require(isinstance(data, dict) and set(data) == {"rules"},
-             "component map needs exactly one key: rules", path)
-    _require(isinstance(data["rules"], list) and data["rules"],
-             "rules must be a nonempty array", path)
+    r = JsonReader(path)
+    data = r.object(r.document(text), "", {"rules"})
     rules: list[tuple[str, str]] = []
-    for entry in data["rules"]:
-        _require(isinstance(entry, dict) and set(entry) == {"prefix", "component"},
-                 "each rule needs exactly prefix, component", path)
-        _require(isinstance(entry["prefix"], str) and entry["prefix"] != "",
-                 "rule prefix must be a nonempty string", path)
-        _require(isinstance(entry["component"], str) and entry["component"] != "",
-                 "rule component must be a nonempty string", path)
-        rules.append((entry["prefix"], entry["component"]))
+    for i, entry in enumerate(r.array(data["rules"], "rules")):
+        r.object(entry, ("rules", i), {"prefix", "component"})
+        rules.append((
+            r.string(entry["prefix"], ("rules", i, "prefix")),
+            r.string(entry["component"], ("rules", i, "component")),
+        ))
     return ComponentMap(tuple(rules))
 
 

@@ -29,14 +29,13 @@ layout.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
 from .decisions import Decision
-from .errors import ContractViolation, SchemaError, UnknownTarget, parse_json
+from .errors import ContractViolation, JsonReader, UnknownTarget
 from .interp import CaseEvaluator, ExecutionTrace, TYPE_DEFAULTS, check_values
 from .rng import SplitMix64
 
@@ -131,50 +130,52 @@ def case_to_json(case: TestCase) -> dict:
     return out
 
 
-def _inputs_from_json(data: dict) -> tuple[dict, dict, dict]:
-    """The params, fields and mock plan of a case record or a configured
-    case, decoded but not checked. Its shape is checked: TypeError unless
-    params, fields and mocks are objects and each mock script an array."""
-    for key in ("params", "fields", "mocks"):
-        if not isinstance(data.get(key, {}), dict):
-            raise TypeError(f"{key} must be an object")
-    mocks: dict[MockKey, list] = {}
-    for dotted, script in data.get("mocks", {}).items():
-        if not isinstance(script, list):
-            raise TypeError(f"mock script {dotted!r} must be an array")
+def _inputs_from_json(data: dict, r: JsonReader, path: tuple) -> tuple[dict, dict, dict]:
+    """The params, fields and mock plan of `data`, a case record or a
+    configured case at `path`: `r` checks their shape, and their values are
+    left unchecked."""
+    params, fields, mocks = [
+        r.object(data.get(key, {}), path + (key,)) for key in ("params", "fields", "mocks")
+    ]
+    plan: dict[MockKey, list] = {}
+    for dotted, script in mocks.items():
+        r.array(script, path + ("mocks", dotted), nonempty=False)
         f, _, m = dotted.partition(".")
-        mocks[(f, m)] = [_scalar_from_json(v) for v in script]
-    params = {k: _scalar_from_json(v) for k, v in data.get("params", {}).items()}
-    fields = {k: _scalar_from_json(v) for k, v in data.get("fields", {}).items()}
-    return params, fields, mocks
+        plan[(f, m)] = [_scalar_from_json(v) for v in script]
+    return (
+        {k: _scalar_from_json(v) for k, v in params.items()},
+        {k: _scalar_from_json(v) for k, v in fields.items()},
+        plan,
+    )
 
 
-def case_from_json(data: object) -> TestCase:
-    """A case read back from `case_to_json`'s form. A record of the wrong
-    shape (see CASE_SCHEMA) is a TypeError that says what is wrong; its
-    input values are left for `CaseEvaluator.check`."""
-    if not isinstance(data, dict):
-        raise TypeError("a case record must be a JSON object")
-    for key in ("id", "target"):
-        if key not in data:
-            raise TypeError(f"missing key {key!r}")
-    target = data["target"]
-    if not isinstance(target, list) or [type(name) for name in target] != [str, str]:
-        raise TypeError(f"target must be [class, method], got {target!r}")
+def case_from_json(data: object, r: Optional[JsonReader] = None) -> TestCase:
+    """A case read back from `case_to_json`'s form, its shape checked by
+    `r` (see docs/formats.md): a SchemaError says what is wrong. Its input
+    values are left for `CaseEvaluator.check`."""
+    r = r or JsonReader("<case record>")
+    r.object(data, "", {"id", "target"}, (
+        "origin", "params", "fields", "mocks", "seed", "candidate_index", "diagnostics"
+    ))
     if type(data["id"]) is not str:
-        raise TypeError(f"id must be a string, got {data['id']!r}")
+        r.fail("id", "must be a string")
+    target = data["target"]
+    if type(target) is not list or [type(name) for name in target] != [str, str]:
+        r.fail("target", "must be [class, method]")
     origin = data.get("origin", FUZZED)
     if origin not in (CONFIGURED, FUZZED):
-        raise TypeError(f"origin must be {CONFIGURED!r} or {FUZZED!r}, got {origin!r}")
-    params, fields, mocks = _inputs_from_json(data)
+        r.fail("origin", f"must be {CONFIGURED!r} or {FUZZED!r}")
     seed_info = None
     if "seed" in data:
-        seed_info = (data["seed"], data.get("candidate_index", 0))
-        if any(type(v) is not int for v in seed_info):
-            raise TypeError("seed and candidate_index must be integers")
-    diagnostics = data.get("diagnostics", [])
-    if not isinstance(diagnostics, list) or any(type(d) is not str for d in diagnostics):
-        raise TypeError("diagnostics must be an array of strings")
+        if type(data["seed"]) is not int:
+            r.fail("seed", "must be an integer")
+        seed_info = (data["seed"], r.count(data.get("candidate_index", 0), "candidate_index"))
+    elif "candidate_index" in data:
+        r.fail("", "missing key 'seed'")
+    diagnostics = r.array(data.get("diagnostics", []), "diagnostics", nonempty=False)
+    if any(type(d) is not str for d in diagnostics):
+        r.fail("diagnostics", "must be an array of strings")
+    params, fields, mocks = _inputs_from_json(data, r, ())
     return TestCase(
         id=data["id"],
         target=tuple(target),
@@ -196,116 +197,6 @@ class MethodConfig(NamedTuple):
     pools: dict[str, list[Scalar]]  # parameter -> replacement fuzz pool
 
 
-class _ConfigReader:
-    """Validates the config JSON read from `file` against a parsed unit,
-    eagerly. Each configured case is decoded as a case record is, then
-    default-filled and checked by its method's evaluator."""
-
-    def __init__(self, unit: SourceUnit, file: str):
-        self.unit = unit
-        self.file = file
-
-    def read(self, data: object) -> dict[tuple[str, str], MethodConfig]:
-        if not isinstance(data, dict):
-            raise SchemaError("config root must be a JSON object", self.file)
-        unknown = set(data) - {"classes"}
-        if unknown:
-            raise SchemaError(f"unknown config keys: {sorted(unknown)}", self.file)
-        config: dict[tuple[str, str], MethodConfig] = {}
-        classes = data.get("classes", {})
-        if not isinstance(classes, dict):
-            raise SchemaError("'classes' must be an object", self.file)
-        for class_name, class_cfg in classes.items():
-            cls = self.unit.class_named(class_name)
-            if cls is None:
-                raise UnknownTarget(class_name)
-            if not isinstance(class_cfg, dict):
-                raise SchemaError(f"{class_name}: class entry must be an object", self.file)
-            bad = set(class_cfg) - {"methods"}
-            if bad:
-                raise SchemaError(f"{class_name}: unknown keys {sorted(bad)}", self.file)
-            methods = class_cfg.get("methods", {})
-            if not isinstance(methods, dict):
-                raise SchemaError(f"{class_name}: 'methods' must be an object", self.file)
-            for method_name, method_cfg in methods.items():
-                path = f"{class_name}.{method_name}"
-                evaluator = CaseEvaluator(self.unit, class_name, method_name)
-                config[(class_name, method_name)] = self._read_method(
-                    evaluator, method_cfg, path
-                )
-        return config
-
-    def _read_method(self, evaluator, cfg, path) -> MethodConfig:
-        if not isinstance(cfg, dict):
-            raise SchemaError(f"{path}: method entry must be an object", self.file)
-        unknown = set(cfg) - {"cases", "pools"}
-        if unknown:
-            raise SchemaError(f"{path}: unknown keys {sorted(unknown)}", self.file)
-        param_types = evaluator.param_types
-        target = (evaluator.class_name, evaluator.method.name)
-        case_entries = cfg.get("cases", {})
-        pool_entries = cfg.get("pools", {})
-        if not isinstance(case_entries, dict) or not isinstance(pool_entries, dict):
-            raise SchemaError(f"{path}: 'cases' and 'pools' must be objects", self.file)
-        cases: list[TestCase] = []
-        pools: dict[str, list[Scalar]] = {}
-        for case_name, case_cfg in case_entries.items():
-            cpath = f"{path}.{case_name}"
-            if not isinstance(case_cfg, dict):
-                raise SchemaError(f"{cpath}: case entry must be an object", self.file)
-            bad = set(case_cfg) - {"params", "fields", "mocks"}
-            if bad:
-                raise SchemaError(f"{cpath}: unknown keys {sorted(bad)}", self.file)
-            try:
-                params, fields, mocks = _inputs_from_json(case_cfg)
-            except TypeError as e:
-                raise SchemaError(f"{cpath}: {e}", self.file) from None
-            # Unset parameters and value-returning call sites take type
-            # defaults, each flagged in the case's diagnostics.
-            diagnostics: list[str] = []
-            for name, type_name in param_types.items():
-                if name not in params:
-                    params[name] = TYPE_DEFAULTS[type_name]
-                    diagnostics.append(f"DefaultFilled: param {name}")
-            for key, ret in evaluator.mock_types.items():
-                if key not in mocks:
-                    mocks[key] = [TYPE_DEFAULTS[ret]]
-                    diagnostics.append(f"DefaultFilled: mock {key[0]}->{key[1]}()")
-            case = TestCase(
-                id=f"cfg-{target[0]}.{target[1]}-{case_name}",
-                target=target,
-                param_values=params,
-                field_values=fields,
-                mock_plan=mocks,
-                origin=CONFIGURED,
-                diagnostics=tuple(diagnostics),
-            )
-            with self._at(cpath):
-                evaluator.check(case)
-            cases.append(case)
-        for name, pool in pool_entries.items():
-            ppath = f"{path}.pools.{name}"
-            if name not in param_types:
-                raise UnknownTarget(ppath)
-            if not isinstance(pool, list) or not pool:
-                raise SchemaError(f"{ppath}: pool must be a nonempty array", self.file)
-            values = [_scalar_from_json(v) for v in pool]
-            with self._at(ppath):
-                pools[name] = check_values(
-                    param_types[name], values, f"pool value of parameter {name!r}"
-                )
-        return MethodConfig(tuple(cases), pools)
-
-    @contextlib.contextmanager
-    def _at(self, where: str):
-        """Prefix a ContractViolation raised inside with the config's file
-        and the dotted path `where`."""
-        try:
-            yield
-        except ContractViolation as e:
-            raise ContractViolation(f"{self.file}: {where}: {e}") from None
-
-
 def load_case_config(
     text: str, unit: SourceUnit, path: str = "<string>"
 ) -> dict[tuple[str, str], MethodConfig]:
@@ -313,15 +204,86 @@ def load_case_config(
     at `path` into one MethodConfig per named (class, method): a TestCase
     per named case, in file order, and the pool overrides.
 
-    Unknown classes, methods and pool parameters raise UnknownTarget. A
-    structural problem raises SchemaError, and a case or pool value its
-    evaluator's check rejects ContractViolation, each naming `path` and
-    the dotted path in the document. Missing parameters take type
-    defaults (int 0, bool false, float 0.0) and missing mock scripts a
-    single type-default value; both are flagged in the case's diagnostics.
-    Unset fields keep their type defaults unflagged.
+    Every error names `path`. A structural problem raises SchemaError, and
+    a case or pool value its evaluator's check rejects ContractViolation,
+    each after the dotted path in the document (`A.f.case`, `A.f.pools.x`).
+    Unknown classes, methods and pool parameters raise UnknownTarget.
+    Missing parameters take type defaults (int 0, bool false, float 0.0)
+    and missing mock scripts a single type-default value; both are flagged
+    in the case's diagnostics. Unset fields keep their type defaults
+    unflagged.
     """
-    return _ConfigReader(unit, path).read(parse_json(text, path))
+    r = JsonReader(path)
+    doc = r.object(r.document(text), "", set(), ("classes",))
+    config: dict[tuple[str, str], MethodConfig] = {}
+    for class_name, class_cfg in r.object(doc.get("classes", {}), "classes").items():
+        if unit.class_named(class_name) is None:
+            raise r.locate(UnknownTarget(class_name))
+        r.object(class_cfg, (class_name,), set(), ("methods",))
+        methods = r.object(class_cfg.get("methods", {}), (class_name, "methods"))
+        for method_name, method_cfg in methods.items():
+            try:
+                evaluator = CaseEvaluator(unit, class_name, method_name)
+            except UnknownTarget as e:
+                raise r.locate(e) from None
+            config[(class_name, method_name)] = _method_config(
+                r, evaluator, method_cfg, (class_name, method_name)
+            )
+    return config
+
+
+def _method_config(
+    r: JsonReader, evaluator: CaseEvaluator, cfg: object, path: tuple
+) -> MethodConfig:
+    """The MethodConfig of method entry `cfg` at `path`. Each configured
+    case is decoded as a case record is, then default-filled and checked by
+    the method's evaluator."""
+    r.object(cfg, path, set(), ("cases", "pools"))
+    param_types = evaluator.param_types
+    target = (evaluator.class_name, evaluator.method.name)
+    cases: list[TestCase] = []
+    for case_name, case_cfg in r.object(cfg.get("cases", {}), path + ("cases",)).items():
+        case_path = path + (case_name,)
+        r.object(case_cfg, case_path, set(), ("params", "fields", "mocks"))
+        params, fields, mocks = _inputs_from_json(case_cfg, r, case_path)
+        # Unset parameters and value-returning call sites take type
+        # defaults, each flagged in the case's diagnostics.
+        diagnostics: list[str] = []
+        for name, type_name in param_types.items():
+            if name not in params:
+                params[name] = TYPE_DEFAULTS[type_name]
+                diagnostics.append(f"DefaultFilled: param {name}")
+        for key, ret in evaluator.mock_types.items():
+            if key not in mocks:
+                mocks[key] = [TYPE_DEFAULTS[ret]]
+                diagnostics.append(f"DefaultFilled: mock {key[0]}->{key[1]}()")
+        case = TestCase(
+            id=f"cfg-{target[0]}.{target[1]}-{case_name}",
+            target=target,
+            param_values=params,
+            field_values=fields,
+            mock_plan=mocks,
+            origin=CONFIGURED,
+            diagnostics=tuple(diagnostics),
+        )
+        try:
+            evaluator.check(case)
+        except ContractViolation as e:
+            raise r.locate(e, case_path) from None
+        cases.append(case)
+    pools: dict[str, list[Scalar]] = {}
+    for name, pool in r.object(cfg.get("pools", {}), path + ("pools",)).items():
+        pool_path = path + ("pools", name)
+        if name not in param_types:
+            raise r.locate(UnknownTarget(".".join(pool_path)))
+        values = [_scalar_from_json(v) for v in r.array(pool, pool_path)]
+        try:
+            pools[name] = check_values(
+                param_types[name], values, f"pool value of parameter {name!r}"
+            )
+        except ContractViolation as e:
+            raise r.locate(e, pool_path) from None
+    return MethodConfig(tuple(cases), pools)
 
 
 # --- fuzzing ----------------------------------------------------------------

@@ -55,11 +55,10 @@ from .cutlang.parser import parse_source
 from .decisions import decisions_table, extract_decisions
 from .errors import (
     CutlangError,
-    SchemaError,
+    JsonReader,
     UltgenError,
     UnknownClass,
     UnknownTarget,
-    parse_json,
     read_text,
 )
 from .interp import CaseEvaluator
@@ -290,20 +289,6 @@ def _target_methods(classes: Sequence[ClassDecl], named: Iterable) -> list[tuple
     return list(targets)
 
 
-def _load_case_file(path: str) -> list[TestCase]:
-    cases = []
-    for n, raw in enumerate(read_text(path).split("\n"), start=1):
-        if not raw.strip():
-            continue
-        try:
-            cases.append(case_from_json(parse_json(raw, path, n)))
-        except SchemaError as e:
-            raise UltgenError(f"{path}:{n}: bad case record: {e.message}") from None
-        except TypeError as e:
-            raise UltgenError(f"{path}:{n}: bad case record: {e}") from None
-    return cases
-
-
 def _method_row(mc: MethodCoverage) -> dict:
     """One method's row of a coverage report."""
     return {
@@ -337,23 +322,24 @@ def _coverage_payload(methods: Sequence[MethodCoverage], threshold: float) -> di
 def cmd_coverage(args: argparse.Namespace) -> int:
     _check_threshold(args.threshold)
     unit = _parse_file(args.src)
-    cases = _load_case_file(args.cases)
-    by_target: dict[tuple[str, str], list[TestCase]] = {}
-    for case in cases:
-        by_target.setdefault(case.target, []).append(case)
-
-    evaluators = {  # an unknown target raises here
-        target: CaseEvaluator(unit, *target)
-        for target in _target_methods(unit.classes, by_target)
-    }
+    evaluators: dict[tuple[str, str], CaseEvaluator] = {}
+    traces: dict[tuple[str, str], list] = {}
+    reader = JsonReader(args.cases)
+    for data in reader.records(read_text(args.cases)):
+        case = case_from_json(data, reader)
+        try:  # a case file may hold anything: each record is checked as it is read
+            evaluator = evaluators.get(case.target)
+            if evaluator is None:
+                evaluator = evaluators[case.target] = CaseEvaluator(unit, *case.target)
+            evaluator.check(case)
+        except UltgenError as e:
+            raise reader.locate(e) from None
+        traces.setdefault(case.target, []).append(evaluator.run(case))
 
     methods: list[MethodCoverage] = []
-    for target, evaluator in evaluators.items():
-        traces = []
-        for case in by_target.get(target, []):
-            evaluator.check(case)  # a case file may hold anything
-            traces.append(evaluator.run(case))
-        methods.append(compute_coverage(traces, evaluator))
+    for target in _target_methods(unit.classes, traces):
+        evaluator = evaluators.get(target) or CaseEvaluator(unit, *target)
+        methods.append(compute_coverage(traces.get(target, []), evaluator))
 
     payload = _coverage_payload(methods, args.threshold)
     rows = payload["methods"]

@@ -139,7 +139,7 @@ def test_load_bugs_rejects_extra_key(tmp_path):
 
 def test_load_bugs_rejects_missing_key(tmp_path):
     path = _write(tmp_path, "bugs.jsonl", _jsonl([{"id": "B", "period": "2025-01"}]))
-    with pytest.raises(SchemaError, match="id, period, culprit"):
+    with pytest.raises(SchemaError, match="bugs.jsonl:1: missing key 'culprit'"):
         load_bugs(*_read(path))
 
 
@@ -195,7 +195,7 @@ def test_load_commits_rejects_bad_lines(tmp_path, lines):
         tmp_path, "commits.jsonl",
         _jsonl([_commit("c1", [{"path": "a", "lines": lines}])]),
     )
-    with pytest.raises(SchemaError, match="lines must be"):
+    with pytest.raises(SchemaError, match=r"paths\[0\]\.lines: must be an integer >= 0"):
         load_commits(*_read(path))
 
 

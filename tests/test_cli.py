@@ -287,8 +287,8 @@ def test_integer_past_the_digit_limit_is_an_error_naming_the_file(
 
 
 def test_case_file_integer_past_the_digit_limit_is_a_bad_record(invoke, turnstile, tmp_path):
-    """A case file words it as the other JSON readers do, after its own
-    `bad case record` prefix."""
+    """A case file words it as the other JSON readers do, at the record's
+    line."""
     case_file = tmp_path / "cases.jsonl"
     good = json.dumps(_manual_case(["Turnstile", "push"], {"coins": 1}))
     case_file.write_text(
@@ -298,8 +298,7 @@ def test_case_file_integer_past_the_digit_limit_is_a_bad_record(invoke, turnstil
     code, stdout, err = invoke("coverage", turnstile, "--cases", case_file)
     assert (code, stdout) == (1, "")
     assert err == (
-        f"ultgen: error: {case_file}:2: bad case record: "
-        "invalid JSON: an integer has too many digits\n"
+        f"ultgen: error: {case_file}:2: invalid JSON: an integer has too many digits\n"
     )
 
 
@@ -318,7 +317,7 @@ def test_deeply_nested_json_is_an_error_naming_the_file(
     first_bug = (history_dir / "bugs.jsonl").read_text().split("\n")[0]
     bad, where, text = {
         "cases --config": (tmp_path / "cases.json", "", deep),
-        "coverage --cases": (tmp_path / "cases.jsonl", ":1: bad case record", deep + "\n"),
+        "coverage --cases": (tmp_path / "cases.jsonl", ":1", deep + "\n"),
         "advise --bugs": (hist / "bugs.jsonl", ":2", f"{first_bug}\n{deep}\n"),
         "advise --map": (hist / "map.json", "", f'{{"rules": {deep}}}'),
     }[entry]
@@ -726,31 +725,38 @@ def test_coverage_reports_inherited_case_target(
 def test_coverage_bad_case_file(invoke, turnstile, tmp_path):
     case_file = tmp_path / "cases.jsonl"
     case_file.write_text('{"id": "ok"}\n{broken\n')
-    code, _, err = invoke("coverage", turnstile, "--cases", case_file)
-    assert code == 1
-    assert "bad case record" in err
-    assert ":1" in err
+    code, out, err = invoke("coverage", turnstile, "--cases", case_file)
+    assert (code, out) == (1, "")
+    assert err == f"ultgen: error: {case_file}:1: missing key 'target'\n"
     # Records of the wrong shape, each after a good one, as CASE_SCHEMA has it.
     good = json.dumps(_manual_case(["Turnstile", "push"], {"coins": 1}))
     for record, reason in [
-        ("[1]", "a case record must be a JSON object"),
+        ("[1]", "must be an object"),
         (
             '{"id": "x", "target": ["Turnstile", "push", 5]}',
-            "target must be [class, method], got ['Turnstile', 'push', 5]",
+            "target: must be [class, method]",
         ),
-        ('{"id": "x", "target": "Af"}', "target must be [class, method], got 'Af'"),
+        ('{"id": "x", "target": "Af"}', "target: must be [class, method]"),
         ('{"id": "x", "target": ["Turnstile", "push"], "mocks": [1]}',
-         "mocks must be an object"),
-        ('{"id": 5, "target": ["Turnstile", "push"]}', "id must be a string, got 5"),
+         "mocks: must be an object"),
+        ('{"id": 5, "target": ["Turnstile", "push"]}', "id: must be a string"),
         ('{"id": "x", "target": ["Turnstile", "push"], "origin": "Bogus"}',
-         "origin must be 'Configured' or 'Fuzzed', got 'Bogus'"),
+         "origin: must be 'Configured' or 'Fuzzed'"),
         ('{"id": "x", "target": ["Turnstile", "push"], "origin": null}',
-         "origin must be 'Configured' or 'Fuzzed', got None"),
+         "origin: must be 'Configured' or 'Fuzzed'"),
+        ('{"id": "x", "target": ["Turnstile", "push"], "params": {"coins": 1}, "bogus": 1}',
+         "unknown key 'bogus'"),
+        ('{"id": "x", "target": ["Turnstile", "push"], "params": {"coins": 1}, '
+         '"seed": 1, "candidate_index": -5}',
+         "candidate_index: must be an integer >= 0"),
+        ('{"id": "x", "target": ["Turnstile", "push"], "params": {"coins": 1}, '
+         '"candidate_index": "zz"}',
+         "missing key 'seed'"),
     ]:
         case_file.write_text(good + "\n" + record + "\n")
-        code, out, err = invoke("coverage", turnstile, "--cases", case_file)
+        code, out, err = invoke("coverage", turnstile, "--cases", case_file, "--threshold", "0")
         assert (code, out) == (1, "")
-        assert err == f"ultgen: error: {case_file}:2: bad case record: {reason}\n"
+        assert err == f"ultgen: error: {case_file}:2: {reason}\n"
 
 
 def test_coverage_case_id_with_unicode_line_separator(invoke, turnstile, tmp_path):
@@ -865,11 +871,11 @@ def test_run_rejects_bad_inputs_before_writing(
         ),
         "config class": (
             project_dir / "src", ["--config", config, *history],
-            "stage 'cases': unknown target 'Nope'",
+            f"stage 'cases': {config}: unknown target 'Nope'",
         ),
         "bug record": (
             project_dir / "src", ["--bugs", bugs, *history[2:]],
-            f"stage 'advise': {bugs}:{bad_line}: bug record needs exactly id, period, culprit",
+            f"stage 'advise': {bugs}:{bad_line}: missing key 'culprit'",
         ),
         "scaffold collision": (
             twins, [], "stage 'scaffold': conflicting content for foo_test_fixture.h",
@@ -893,14 +899,14 @@ def test_coverage_rejects_malformed_case(
     invoke, turnstile, tmp_path, target, params, mocks, message
 ):
     """A case file is checked where it enters, with the evaluator's
-    ContractViolation messages."""
+    ContractViolation messages at the record's line."""
     record = _manual_case(["Turnstile", target], params)
     record["mocks"] = mocks
     case_file = _write_cases(tmp_path / "cases.jsonl", [record])
     code, out, err = invoke("coverage", turnstile, "--cases", case_file)
     assert code == 1
     assert out == ""
-    assert err == f"ultgen: error: {message}\n"
+    assert err == f"ultgen: error: {case_file}:1: {message}\n"
 
 
 # --- advise -----------------------------------------------------------------

@@ -162,3 +162,32 @@ def test_every_import_has_a_use():
             if (name_of, name) not in imported_from:
                 unused.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert unused == []
+
+
+def _json_decodes(node: ast.AST, scope: str):
+    """The scope, a dotted class and def name, of every read of `json.load`
+    or `json.loads` under `node`, and of every import of either name."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, _DEFS):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        if (
+            isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
+            and isinstance(child.value, ast.Name) and child.value.id == "json"
+        ) or (
+            isinstance(child, ast.ImportFrom) and child.module == "json"
+            and any(alias.name in ("load", "loads") for alias in child.names)
+        ):
+            yield scope
+        yield from _json_decodes(child, inner)
+
+
+def test_json_is_decoded_in_one_place():
+    """Every JSON input goes through `errors.JsonReader`, so each one's
+    errors name the file, line and path alike."""
+    found = [
+        (path.relative_to(PACKAGE).as_posix(), scope)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for scope in _json_decodes(ast.parse(path.read_text(encoding="utf-8")), "")
+    ]
+    assert found == [("errors.py", "JsonReader.document")]
