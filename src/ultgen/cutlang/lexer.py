@@ -14,12 +14,17 @@ a line one more. Only a line-break run or a block comment moves ``line``
 and ``line_start``; a token's column is its offset from ``line_start``.
 A character that starts no token is a match of its own, which the loop
 reports as an error at its position.
+
+A token is a plain tuple ``(kind, text, pos, line, column, value)``:
+kind "ident", "keyword", "int", "float", "punct" or "eof", the offset and
+1-based line and column of ``text``, and the number of an "int" or
+"float" token, else None. CPython's garbage collector stops tracking such
+a tuple at the first collection that sees it, but never a NamedTuple.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union
 
 from ..errors import ParseError
 
@@ -31,44 +36,34 @@ KEYWORDS = frozenset(
 # Longest first so "<=" wins over "<" and "->" over "-".
 PUNCT = "-> :: && || == != <= >= < > + - * / % ! = { } ( ) ; , :".split()
 
-
-class Token(NamedTuple):
-    """One token. The lexer builds one per token, positionally with
-    ``tuple.__new__``."""
-
-    kind: str  # "ident", "keyword", "int", "float", "punct", "eof"
-    text: str
-    pos: int
-    line: int
-    column: int
-    value: Optional[Union[int, float]] = None
-
+Token = tuple[str, str, int, int, int, int | float | None]  # see above
 
 # Blanks of the line, then one alternative per token class, each a single
-# capturing group whose number is the match's ``lastindex``. Comment
-# openers come before the "/" of PUNCT, which keeps its longest-first
-# order. Identifiers and numbers are ASCII only, as docs/cutlang.md defines
-# them. The last alternative takes any other character but a blank, so the
-# matches of a source follow one another up to its trailing blanks.
+# capturing group whose number is the match's ``lastindex``. The most
+# frequent classes are tried first; comment openers come before the "/"
+# of PUNCT, which keeps its longest-first order. Identifiers and numbers
+# are ASCII only, as docs/cutlang.md defines them. The last alternative
+# takes any other character but a blank, so the matches of a source
+# follow one another up to its trailing blanks.
 _TOKEN_RE = re.compile(
     r"[ \t\r]*(?:"
     + "|".join(
         [
+            r"([A-Za-z_][A-Za-z0-9_]*)",
+            r"(\n[ \t\r\n]*)",
+            r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)",
             r"(//[^\n]*)",
             r"(/\*[\s\S]*?\*/)",
             r"(/\*)",
-            r"([A-Za-z_][A-Za-z0-9_]*)",
             "(" + "|".join(map(re.escape, PUNCT)) + ")",
-            r"(\n[ \t\r\n]*)",
-            r"([0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)",
             r"(#[^\n]*)",
             r"([^ \t\r\n])",
         ]
     )
     + ")"
 )
-(_LINE_COMMENT, _BLOCK_COMMENT, _UNTERMINATED, _WORD, _PUNCT,
- _NEWLINES, _NUMBER, _HASH_LINE) = range(1, 9)  # 9: any other character
+(_WORD, _NEWLINES, _NUMBER, _LINE_COMMENT, _BLOCK_COMMENT, _UNTERMINATED,
+ _PUNCT, _HASH_LINE) = range(1, 9)  # 9: any other character
 _INF = float("inf")
 # A number may not run straight into an identifier or a second point.
 _NUMBER_TAIL = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.")
@@ -77,7 +72,6 @@ _NUMBER_TAIL = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_.
 def tokenize(source: str, path: str = "<string>") -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
-    new = tuple.__new__
     line = 1
     line_start = 0
     n = len(source)
@@ -89,10 +83,10 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
             text = m[group]
             pos = m.start(group)
             kind = "keyword" if text in KEYWORDS else "ident"
-            append(new(Token, (kind, text, pos, line, pos - line_start + 1, None)))
+            append((kind, text, pos, line, pos - line_start + 1, None))
         elif group == _PUNCT:
             pos = m.start(group)
-            append(new(Token, ("punct", m[group], pos, line, pos - line_start + 1, None)))
+            append(("punct", m[group], pos, line, pos - line_start + 1, None))
         elif group == _NEWLINES:
             pos, end = m.span(group)
             line += source.count("\n", pos, end)
@@ -106,7 +100,7 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
                 message = f"malformed number {text + source[end]!r}"
                 raise ParseError(message, line=line, column=column, path=path)
             if text.isdigit():
-                append(new(Token, ("int", text, pos, line, column, int(text))))
+                append(("int", text, pos, line, column, int(text)))
             else:
                 value = float(text)
                 if value == _INF:
@@ -114,7 +108,7 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
                         "float literal out of double range",
                         line=line, column=column, path=path,
                     )
-                append(new(Token, ("float", text, pos, line, column, value)))
+                append(("float", text, pos, line, column, value))
         elif group == _LINE_COMMENT or (
             group == _HASH_LINE and m.start(group) == line_start
         ):
@@ -138,5 +132,5 @@ def tokenize(source: str, path: str = "<string>") -> list[Token]:
                 line=line, column=pos - line_start + 1, path=path,
             )
 
-    append(new(Token, ("eof", "", n, line, n - line_start + 1, None)))
+    append(("eof", "", n, line, n - line_start + 1, None))
     return tokens

@@ -3,11 +3,14 @@
 Nodes are plain classes with `__slots__`, so a node is one object rather
 than one plus a `__dict__`, and `walk` reads its fields from `__slots__`.
 Each class lists its fields there in declaration order: the constructor's
-fields, then the resolver's tables. A `Span` is a NamedTuple of ints,
-which the garbage collector stops tracking. Source spans and
-checker-derived types are excluded from equality so structural comparison
-ignores layout: two parses of differently formatted but identical programs
-compare equal.
+fields, then the resolver's tables. Source spans and checker-derived
+types are excluded from equality so structural comparison ignores layout:
+two parses of differently formatted but identical programs compare equal.
+
+A `Span` is a plain tuple `(lo, hi, line, column)`: the node's source
+text is [lo, hi), and lo is at the 1-based line and column. Like a token
+(lexer.py), it is an exact tuple, which the garbage collector stops
+tracking; a NamedTuple would stay tracked as long as its node lives.
 
 The parser's resolver fills in what name resolution finds, once, and later
 stages read it instead of walking the tree again: each expression's
@@ -28,18 +31,8 @@ INT_MAX = (1 << 63) - 1
 
 SCALAR_TYPES = ("int", "bool", "float")
 
-
-class Span(NamedTuple):
-    """Half-open byte range [lo, hi) plus the 1-based line/column of lo.
-    A NamedTuple, like the lexer's Token: the parser builds one per node."""
-
-    lo: int
-    hi: int
-    line: int
-    column: int
-
-
-NO_SPAN = Span(0, 0, 0, 0)
+Span = tuple[int, int, int, int]  # (lo, hi, line, column)
+NO_SPAN = (0, 0, 0, 0)
 
 
 class RefType(NamedTuple):

@@ -5,10 +5,11 @@ then a resolution pass that binds names (parameter vs field), checks types,
 and enforces unit-level invariants. Grammar reference: docs/cutlang.md.
 
 The syntax pass reads the token list through a cursor: `_Parser.cur` is
-a plain attribute that `advance` moves on. Token texts of different
-kinds never coincide (no identifier spells a keyword, no punctuation is
+a plain attribute that `advance` moves on, and a token's fields (lexer.py)
+are read by position: `tok[1]` is its text. Token texts of different kinds
+never coincide (no identifier spells a keyword, no punctuation is
 alphanumeric), so a keyword or punctuation token is matched by its text
-alone, and each node's span is a NamedTuple built positionally.
+alone, and each node's span is a tuple display `(lo, hi, line, column)`.
 
 The resolution pass is the one place that resolves names, and it keeps
 what it finds on the tree: every expression's `type_`, each class's
@@ -56,8 +57,6 @@ from .nodes import (
     While,
 )
 
-_new = tuple.__new__  # builds a NamedTuple positionally, without its __new__
-
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 # How deeply a method may nest, set so that every method the parser accepts
@@ -100,37 +99,35 @@ class _Parser:
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
         tok = tok or self.cur
-        return ParseError(message, line=tok.line, column=tok.column, path=self.path)
+        return ParseError(message, line=tok[3], column=tok[4], path=self.path)
 
     def expect_punct(self, text: str) -> Token:
-        if self.cur.text != text:
+        if self.cur[1] != text:
             raise self.error(f"expected {text!r}, found {self._describe(self.cur)}")
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> Token:
-        if self.cur.kind != "ident":
+        if self.cur[0] != "ident":
             raise self.error(f"expected {what}, found {self._describe(self.cur)}")
         return self.advance()
 
     @staticmethod
     def _describe(tok: Token) -> str:
-        if tok.kind == "eof":
-            return "end of input"
-        return repr(tok.text)
+        return "end of input" if tok[0] == "eof" else repr(tok[1])
 
     def span_from(self, start: Token) -> Span:
         """From `start` to the last token consumed."""
         end = self.tokens[self.i - 1]
-        return _new(Span, (start.pos, end.pos + len(end.text), start.line, start.column))
+        return (start[2], end[2] + len(end[1]), start[3], start[4])
 
     # -- declarations ------------------------------------------------------
 
     def parse_unit(self) -> SourceUnit:
         decls: list[Decl] = []
-        while self.cur.kind != "eof":
-            if self.cur.text == "extern":
+        while self.cur[0] != "eof":
+            if self.cur[1] == "extern":
                 decls.append(self.parse_extern())
-            elif self.cur.text == "class":
+            elif self.cur[1] == "class":
                 decls.append(self.parse_class())
             else:
                 raise self.error(
@@ -140,7 +137,7 @@ class _Parser:
 
     def parse_extern(self) -> ExternDecl:
         start = self.advance()  # extern
-        if self.cur.text != "class":
+        if self.cur[1] != "class":
             raise self.error("expected 'class' after 'extern'")
         self.advance()
         name = self.parse_class_name()
@@ -148,29 +145,29 @@ class _Parser:
         return ExternDecl(name, self.span_from(start))
 
     def parse_class_name(self) -> str:
-        name = self.expect_ident("class name").text
-        if self.cur.text == "::":
+        name = self.expect_ident("class name")[1]
+        if self.cur[1] == "::":
             raise self.error("qualified names are not supported here")
         return name
 
     def parse_class(self) -> ClassDecl:
         start = self.advance()  # class
-        name = self.expect_ident("class name").text
+        name = self.expect_ident("class name")[1]
         base: Optional[str] = None
-        if self.cur.text == ":":
+        if self.cur[1] == ":":
             self.advance()
-            if self.cur.text == "public":
+            if self.cur[1] == "public":
                 self.advance()
             base = self.parse_class_name()
         self.expect_punct("{")
         fields: list[FieldDecl] = []
         methods: list[MethodDecl] = []
         access = "public"
-        while self.cur.text != "}":
-            if self.cur.text in _ACCESS:
-                if self.peek().text != ":":
+        while self.cur[1] != "}":
+            if self.cur[1] in _ACCESS:
+                if self.peek()[1] != ":":
                     raise self.error("expected ':' after access label", self.peek())
-                access = self.advance().text
+                access = self.advance()[1]
                 self.advance()
                 continue
             self.parse_member(fields, methods, access)
@@ -182,32 +179,32 @@ class _Parser:
         self, fields: list[FieldDecl], methods: list[MethodDecl], access: str
     ) -> None:
         start = self.cur
-        if start.text == "virtual":
+        if start[1] == "virtual":
             self.advance()
             start = self.cur
-        if start.text in _MEMBER_TYPES:
-            type_name = self.advance().text
+        if start[1] in _MEMBER_TYPES:
+            type_name = self.advance()[1]
             name_tok = self.expect_ident("member name")
-            if self.cur.text == "(":
+            if self.cur[1] == "(":
                 methods.append(self.parse_method(start, type_name, name_tok, access))
                 return
             if type_name == "void":
                 raise self.error("fields cannot have type void", name_tok)
             self.expect_punct(";")
             fields.append(
-                FieldDecl(name_tok.text, type_name, access, self.span_from(start))
+                FieldDecl(name_tok[1], type_name, access, self.span_from(start))
             )
             return
-        if start.kind == "ident":
+        if start[0] == "ident":
             class_name = self.parse_class_name()
             self.expect_punct("*")
             name_tok = self.expect_ident("field name")
-            if self.cur.text == "(":
+            if self.cur[1] == "(":
                 raise self.error("methods must return a scalar type or void", name_tok)
             self.expect_punct(";")
             fields.append(
                 FieldDecl(
-                    name_tok.text, RefType(class_name), access, self.span_from(start)
+                    name_tok[1], RefType(class_name), access, self.span_from(start)
                 )
             )
             return
@@ -218,24 +215,24 @@ class _Parser:
     ) -> MethodDecl:
         self.advance()  # (
         params: list[Param] = []
-        if self.cur.text != ")":
+        if self.cur[1] != ")":
             while True:
                 p_start = self.cur
-                if p_start.text not in SCALAR_TYPES:
+                if p_start[1] not in SCALAR_TYPES:
                     raise self.error("expected a scalar parameter type")
-                p_type = self.advance().text
+                p_type = self.advance()[1]
                 p_name = self.expect_ident("parameter name")
-                params.append(Param(p_name.text, p_type, self.span_from(p_start)))
-                if self.cur.text == ",":
+                params.append(Param(p_name[1], p_type, self.span_from(p_start)))
+                if self.cur[1] == ",":
                     self.advance()
                     continue
                 break
         self.expect_punct(")")
-        if self.cur.text == ";":
+        if self.cur[1] == ";":
             raise self.error("method bodies are required (use '{}' for an empty body)")
         body = self.parse_block()
         return MethodDecl(
-            name_tok.text, params, return_type, body, access, self.span_from(start)
+            name_tok[1], params, return_type, body, access, self.span_from(start)
         )
 
     # -- statements --------------------------------------------------------
@@ -244,18 +241,18 @@ class _Parser:
         """A block `inside` if/while statements deep."""
         start = self.expect_punct("{")
         stmts: list[Stmt] = []
-        while self.cur.text != "}":
+        while self.cur[1] != "}":
             stmts.append(self.parse_stmt(inside))
         self.advance()
         return Block(stmts, self.span_from(start))
 
     def parse_stmt(self, inside: int) -> Stmt:
         tok = self.cur
-        text = tok.text
+        text = tok[1]
         if text == "return":
             self.advance()
             value = None
-            if self.cur.text != ";":
+            if self.cur[1] != ";":
                 value = self.parse_expr()
             self.expect_punct(";")
             return Return(value, self.span_from(tok))
@@ -272,9 +269,9 @@ class _Parser:
             if text == "while":
                 return While(cond, body, self.span_from(tok))
             els = None
-            if self.cur.text == "else":
+            if self.cur[1] == "else":
                 self.advance()
-                if self.cur.text != "{":
+                if self.cur[1] != "{":
                     raise self.error("'else' requires a braced block")
                 els = self.parse_block(inside + 1)
             return If(cond, body, els, self.span_from(tok))
@@ -288,7 +285,7 @@ class _Parser:
         if text == "{":
             raise self.error("bare blocks are not statements")
         expr = self.parse_expr()
-        if self.cur.text == "=":
+        if self.cur[1] == "=":
             if not isinstance(expr, FieldRef):
                 raise self.error("assignment target must be a name", tok)
             self.advance()
@@ -323,42 +320,41 @@ class _Parser:
         binds more loosely than `min_level`."""
         start = self.cur
         left, depth = self.parse_unary(around)
-        level = _PRECEDENCE.get(self.cur.text)
+        level = _PRECEDENCE.get(self.cur[1])
         while level is not None and level >= min_level:
             op = self.cur
-            if op.text == "%":
+            if op[1] == "%":
                 raise self.error("operator '%' is not supported")
             if around + depth >= MAX_EXPR_DEPTH:
                 raise self.too_deep(op)
             self.advance()
             right, right_depth = self.parse_binary(around + 1, level + 1)
-            left = Binary(op.text, left, right, self.span_from(start))
+            left = Binary(op[1], left, right, self.span_from(start))
             depth = 1 + max(depth, right_depth)
-            level = _PRECEDENCE.get(self.cur.text)
+            level = _PRECEDENCE.get(self.cur[1])
         return left, depth
 
     def parse_unary(self, around: int) -> tuple[Expr, int]:
         """An operand: a unary expression or a primary, and its depth."""
         tok = self.cur
-        kind = tok.kind
+        kind, text, _, _, _, value = tok
         if kind == "ident":
             self.advance()
-            ref = FieldRef(tok.text, self.span_from(tok))
-            if self.cur.text == "->":
+            ref = FieldRef(text, self.span_from(tok))
+            if self.cur[1] == "->":
                 self.advance()
-                method = self.expect_ident("method name").text
+                method = self.expect_ident("method name")[1]
                 self.expect_punct("(")
                 self.expect_punct(")")
                 return CallExpr(ref, method, self.span_from(tok)), 1
-            if self.cur.text == "(":
+            if self.cur[1] == "(":
                 raise self.error("free function calls are not supported", tok)
             return ref, 1
         if kind == "int":
             self.advance()
-            if tok.value > INT_MAX:
+            if value > INT_MAX:
                 raise self.error("integer literal out of 64-bit range", tok)
-            return IntLit(tok.value, self.span_from(tok)), 1
-        text = tok.text
+            return IntLit(value, self.span_from(tok)), 1
         if text == "(":
             if around + 2 > MAX_EXPR_DEPTH:
                 raise self.too_deep(tok)
@@ -366,16 +362,16 @@ class _Parser:
             expr, depth = self.parse_binary(around + 1, 0)
             self.expect_punct(")")
             return expr, depth + 1
-        if text == "-" and self.peek().kind in _NUMBER_KINDS:
+        if text == "-" and self.peek()[0] in _NUMBER_KINDS:
             self.advance()
             lit = self.advance()
             span = self.span_from(tok)
-            if lit.kind == "int":
-                value = -lit.value
+            if lit[0] == "int":
+                value = -lit[5]
                 if value < INT_MIN:
                     raise self.error("integer literal out of 64-bit range", lit)
                 return IntLit(value, span), 1
-            return FloatLit(-lit.value, span), 1
+            return FloatLit(-lit[5], span), 1
         if text == "!":
             if around + 2 > MAX_EXPR_DEPTH:
                 raise self.too_deep(tok)
@@ -384,7 +380,7 @@ class _Parser:
             return Unary("!", operand, self.span_from(tok)), depth + 1
         if kind == "float":
             self.advance()
-            return FloatLit(tok.value, self.span_from(tok)), 1
+            return FloatLit(value, self.span_from(tok)), 1
         if text == "true" or text == "false":
             self.advance()
             return BoolLit(text == "true", self.span_from(tok)), 1
@@ -403,7 +399,7 @@ class _Resolver:
         self.extern_names: set[str] = set()
 
     def err(self, cls: type, message: str, span: Span) -> Exception:
-        return cls(message, line=span.line, column=span.column, path=self.path)
+        return cls(message, line=span[2], column=span[3], path=self.path)
 
     def run(self) -> None:
         self.collect_names()

@@ -107,6 +107,15 @@ def _where(file: str, line: int) -> str:
     return f"{file}:{line}: " if line else f"{file}: "
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's pairs as a dict; KeyError(key) if a key repeats."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        seen = set()  # seen.add returns None: next() stops at a second sighting
+        raise KeyError(next(k for k, _ in pairs if k in seen or seen.add(k)))
+    return value
+
+
 class JsonReader:
     """Decodes the JSON of one input file and checks its shape in place.
 
@@ -118,16 +127,24 @@ class JsonReader:
     value it passed.
     """
 
+    # Shared: making a decoder costs more than decoding a short record.
+    _decoder = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
     def __init__(self, file: str):
         self.file = file
         self.line = 0
 
     def document(self, text: str) -> object:
         """`text`, the whole file or its record at `line`, as JSON."""
+        if text.startswith("\ufeff"):  # json.loads checks this; decode does not
+            message = "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+            raise SchemaError(message, self.file, self.line or 1)
         try:
-            return json.loads(text)
+            return self._decoder.decode(text)
         except json.JSONDecodeError as e:
             message, line = f"invalid JSON: {e.msg}", self.line or e.lineno
+        except KeyError as e:  # a key given twice; see _unique_keys
+            message, line = f"duplicate key {e.args[0]!r}", self.line
         except ValueError:  # an integer longer than the int-to-str digit limit
             message, line = "invalid JSON: an integer has too many digits", self.line
         except RecursionError:

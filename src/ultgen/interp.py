@@ -122,10 +122,10 @@ class Event(NamedTuple):
 
     @property
     def key(self) -> tuple:
-        """Identity used for "new finding" bookkeeping: kind + location."""
+        """Identity used for "new finding" bookkeeping: kind, line, column."""
         if self.site is None:
             return (self.kind,)
-        return (self.kind, self.site.line, self.site.column)
+        return (self.kind, self.site[2], self.site[3])
 
 
 class ExecutionTrace(NamedTuple):

@@ -5,12 +5,13 @@ kind of record (a case-file record, a class, method, case or pool of the
 case configuration, a bug, a commit, a commit's path entry, a coverage
 snapshot and a component-map rule) is damaged in turn: the whole record
 or one of its values (an array's first item) replaced by a value of
-another type, one key dropped, one unknown key added, the record renamed
-to an unknown name where a name keys it, and a few damages particular to
-the kind. A golden record keeps the kind, the damage, the error type, the
-exact message and the exit code of the command that reads the input, or
-a null type and message when the damaged input is still accepted. The
-test runs every damaged input through the CLI again and compares.
+another type, one key dropped, one unknown key added, its first key
+given a second time, the record renamed to an unknown name where a name
+keys it, and a few damages particular to the kind. A golden record keeps
+the kind, the damage, the error type, the exact message and the exit
+code of the command that reads the input, or a null type and message
+when the damaged input is still accepted. The test runs every damaged
+input through the CLI again and compares.
 
 Regenerate the golden file only when a message is meant to change:
 
@@ -88,6 +89,9 @@ KINDS = [
 ]
 
 _DROP = object()
+# A key ending in this is written as the same key without it (see `_text`),
+# so an object can give one key twice.
+_REPEAT = "\0"
 
 
 def _documents() -> dict[str, object]:
@@ -107,8 +111,10 @@ def _documents() -> dict[str, object]:
 
 def _text(name: str, doc: object) -> str:
     if name.endswith(".jsonl"):
-        return "".join(json.dumps(record) + "\n" for record in doc)
-    return json.dumps(doc)
+        text = "".join(json.dumps(record) + "\n" for record in doc)
+    else:
+        text = json.dumps(doc)
+    return text.replace(json.dumps(_REPEAT)[1:], '"')
 
 
 def _wrong(value: object) -> object:
@@ -151,6 +157,8 @@ def damaged(doc: object, path: tuple, extra: list) -> list[tuple[str, object]]:
         out.append((f"{key} of a wrong type", _edited(doc, path + (key,), _wrong(record[key]))))
     if isinstance(record, dict):
         out.append(("unknown key", _edited(doc, path + ("zz",), 1)))
+        first = keys[0]
+        out.append(("repeated key", _edited(doc, path + (first + _REPEAT,), record[first])))
     if isinstance(path[-1], str):
         out.append(("unknown name", _edited(doc, path, "zz", rename=True)))
     for label, below, value in extra:

@@ -634,7 +634,7 @@ def test_tier_scenarios_match_oracle():
         assert agree(trace, oracle.run(c)), c
         traces.append(trace)
     crashes = {
-        (t.crash.kind, t.crash.site.line if t.crash.site else None)
+        (t.crash.kind, t.crash.site[2] if t.crash.site else None)
         for t in traces if t.crash
     }
     assert crashes == {

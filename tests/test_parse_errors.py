@@ -48,12 +48,12 @@ def generate() -> list[dict]:
     for path in CORPUS:
         text = path.read_text(encoding="utf-8")
         tokens = tokenize(text, path.name)
-        for i, tok in enumerate(tokens):
-            lo, hi = tok.pos, tok.pos + len(tok.text)
+        for i, (kind, token_text, lo, *_) in enumerate(tokens):
+            hi = lo + len(token_text)
             ops = []
             if i % STRIDE == 0:
                 ops.append("prefix")
-            if i % STRIDE == DELETE_OFFSET and tok.kind != "eof":
+            if i % STRIDE == DELETE_OFFSET and kind != "eof":
                 ops.append("delete")
             for op in ops:
                 error, message = outcome(damaged(text, op, lo, hi), path.name)

@@ -1,5 +1,6 @@
 """Front-end behavior: lexing, parsing, static checks, printing."""
 
+import gc
 import math
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gen_programs import gen_method, program_text
+import ultgen.cutlang.parser as parser_module
 from ultgen.cutlang import (
     INT_MAX,
     INT_MIN,
@@ -39,7 +41,7 @@ def parse(src: str) -> SourceUnit:
 
 def test_tokenize_skips_comments_and_trivia():
     toks = tokenize("int x; // line\n/* block\n还 */ bool\n#pragma once\nfloat")
-    kinds = [(t.kind, t.text) for t in toks if t.kind != "eof"]
+    kinds = [(t[0], t[1]) for t in toks if t[0] != "eof"]
     assert kinds == [
         ("keyword", "int"),
         ("ident", "x"),
@@ -51,8 +53,8 @@ def test_tokenize_skips_comments_and_trivia():
 
 def test_tokenize_reports_position():
     toks = tokenize("class A {\n  int x;\n};")
-    x = [t for t in toks if t.text == "x"][0]
-    assert (x.line, x.column) == (2, 7)
+    x = [t for t in toks if t[1] == "x"][0]
+    assert (x[3], x[4]) == (2, 7)
 
 
 def test_unterminated_block_comment_rejected():
@@ -62,13 +64,13 @@ def test_unterminated_block_comment_rejected():
 
 def test_eof_column_after_trailing_comment():
     source = "class A { int f() { return 1; } // tail"
-    assert tokenize(source)[-1].column == len(source) + 1
+    assert tokenize(source)[-1][4] == len(source) + 1
     with pytest.raises(ParseError) as info:
         parse_source(source, path="t.cut")
     assert str(info.value) == (
         "t.cut:1:40: expected a member declaration, found end of input"
     )
-    assert tokenize("int x;\n#pragma once")[-1].column == 13
+    assert tokenize("int x;\n#pragma once")[-1][4] == 13
 
 
 def test_trailing_blanks_take_linear_time():
@@ -76,7 +78,7 @@ def test_trailing_blanks_take_linear_time():
     start = time.perf_counter()
     eof = tokenize(source)[-1]
     assert time.perf_counter() - start < 1.0
-    assert (eof.pos, eof.line, eof.column) == (len(source), 1, len(source) + 1)
+    assert eof[2:5] == (len(source), 1, len(source) + 1)
 
 
 @pytest.mark.parametrize(
@@ -206,12 +208,12 @@ def test_tokenize_positions_match_source(drawn, lead, trailer, fault):
     source = "".join(parts)
     tokens = tokenize(source)
     expected = [token for token, _ in drawn] + [("eof", "")]
-    assert [(t.kind, t.text) for t in tokens] == expected
-    for t in tokens:
-        assert source[t.pos : t.pos + len(t.text)] == t.text
-        assert t.line == source.count("\n", 0, t.pos) + 1
-        assert t.column == t.pos - (source.rfind("\n", 0, t.pos) + 1) + 1
-    assert tokens[-1].pos == len(source)
+    assert [(t[0], t[1]) for t in tokens] == expected
+    for _, text, pos, line, column, _ in tokens:
+        assert source[pos : pos + len(text)] == text
+        assert line == source.count("\n", 0, pos) + 1
+        assert column == pos - (source.rfind("\n", 0, pos) + 1) + 1
+    assert tokens[-1][2] == len(source)
 
 
 # --- basic declarations ---------------------------------------------------
@@ -313,8 +315,9 @@ def test_spans_point_into_source():
     src = "class A {\npublic:\n    int f(int n) { return n; }\n};"
     unit = parse(src)
     m = unit.classes[0].methods[0]
-    assert m.span.line == 3
-    assert src[m.span.lo:m.span.hi].startswith("int f")
+    lo, hi, line, _ = m.span
+    assert line == 3
+    assert src[lo:hi].startswith("int f")
 
 
 # --- static checks --------------------------------------------------------
@@ -411,6 +414,34 @@ def test_corpus_token_and_node_counts(corpus_dir, corpus_unit):
     texts = [p.read_text() for p in sorted(corpus_dir.glob("*.cut"))]
     assert len(tokenize("\n".join(texts))) == 1790
     assert sum(1 for _ in walk(corpus_unit)) == 906
+
+
+def test_parse_source_lexes_once_through_the_module_name(corpus_dir, monkeypatch):
+    """perfbench times the lexer by wrapping `parser.tokenize` and counts
+    `len()` of its result as the token count."""
+    text = "\n".join(p.read_text() for p in sorted(corpus_dir.glob("*.cut")))
+    results = []
+
+    def counted(*args):
+        results.append(tokenize(*args))
+        return results[-1]
+
+    monkeypatch.setattr(parser_module, "tokenize", counted)
+    parse_source(text, path="<corpus>")
+    assert [len(r) for r in results] == [1790]
+
+
+def test_tokens_and_spans_are_not_tracked_by_the_garbage_collector(corpus_dir):
+    """Tokens and spans are exact tuples of atoms, which a collection stops
+    tracking, so a large tree does not make every later collection slower."""
+    text = "\n".join(p.read_text() for p in sorted(corpus_dir.glob("*.cut")))
+    tokens = tokenize(text)
+    unit = parse_source(text)
+    gc.collect()
+    assert [t for t in tokens if gc.is_tracked(t)] == []
+    spans = [node.span for node in walk(unit) if hasattr(node, "span")]
+    assert len(spans) == 906 - 1  # every node but the unit
+    assert [s for s in spans if gc.is_tracked(s)] == []
 
 
 def test_round_trip_corpus_files(corpus_dir):

@@ -18,7 +18,6 @@ from ultgen.cutlang import (
     ParamRef,
     RefType,
     Return,
-    Span,
     parse_source,
 )
 from ultgen.interp import Event
@@ -61,7 +60,7 @@ def test_nodes_differing_only_in_span_compare_equal():
 
 
 def test_nodes_differing_only_in_type_compare_equal():
-    assert IntLit(1, Span(0, 1, 1, 1), "int") == IntLit(1)
+    assert IntLit(1, (0, 1, 1, 1), "int") == IntLit(1)
     assert ParamRef("x", type_="int") == ParamRef("x", type_="float")
     assert FieldRef("r", type_=RefType("B")) == FieldRef("r")
 
@@ -96,7 +95,7 @@ def test_nodes_are_unhashable():
 
 def test_node_repr_names_fields_but_not_tables():
     assert repr(IntLit(1)) == (
-        "IntLit(value=1, span=Span(lo=0, hi=0, line=0, column=0), type_=None)"
+        "IntLit(value=1, span=(0, 0, 0, 0), type_=None)"
     )
     method = _method(SOURCE)
     assert method.call_types == {}
@@ -117,7 +116,7 @@ def _coverage():
 
 
 @pytest.mark.parametrize("record, field", [
-    (Event("AssertFailure", Span(1, 2, 3, 4)), "kind"),
+    (Event("AssertFailure", (1, 2, 3, 4)), "kind"),
     (Event("FuelExhausted"), "site"),
     (_coverage(), "pairs_covered"),
     (Anchor("a.h", 3, "test"), "line"),
@@ -130,7 +129,7 @@ def test_record_fields_cannot_be_assigned(record, field):
 
 
 def test_equal_records_hash_equal():
-    site = Span(1, 2, 3, 4)
+    site = (1, 2, 3, 4)
     cov = _coverage()
     cases = [
         (Event("DivByZero", site), Event("DivByZero", site), ("DivByZero", site)),

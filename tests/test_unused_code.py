@@ -164,19 +164,23 @@ def test_every_import_has_a_use():
     assert unused == []
 
 
+_DECODERS = ("load", "loads", "JSONDecoder")
+
+
 def _json_decodes(node: ast.AST, scope: str):
-    """The scope, a dotted class and def name, of every read of `json.load`
-    or `json.loads` under `node`, and of every import of either name."""
+    """The scope, a dotted class and def name, of every read of `json.load`,
+    `json.loads` or `json.JSONDecoder` under `node`, and of every import of
+    one of these names."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, _DEFS):
             inner = f"{scope}.{child.name}" if scope else child.name
         if (
-            isinstance(child, ast.Attribute) and child.attr in ("load", "loads")
+            isinstance(child, ast.Attribute) and child.attr in _DECODERS
             and isinstance(child.value, ast.Name) and child.value.id == "json"
         ) or (
             isinstance(child, ast.ImportFrom) and child.module == "json"
-            and any(alias.name in ("load", "loads") for alias in child.names)
+            and any(alias.name in _DECODERS for alias in child.names)
         ):
             yield scope
         yield from _json_decodes(child, inner)
@@ -190,4 +194,21 @@ def test_json_is_decoded_in_one_place():
         for path in sorted(PACKAGE.rglob("*.py"))
         for scope in _json_decodes(ast.parse(path.read_text(encoding="utf-8")), "")
     ]
-    assert found == [("errors.py", "JsonReader.document")]
+    assert found == [("errors.py", "JsonReader")]
+
+
+def test_gc_is_never_imported():
+    """The program leaves the garbage collector as Python sets it: it makes
+    its data cheap to collect instead of pausing or tuning collection."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "gc" for m in modules):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []
