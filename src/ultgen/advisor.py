@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InsufficientData, JsonReader, UntrainedModel
 
@@ -200,18 +200,37 @@ def ingest(
 
 # --- trend building ---------------------------------------------------------
 
+def component_matcher(cmap: ComponentMap) -> Callable[[str], str]:
+    """The component of a path: the first rule whose prefix starts it
+    wins, and a path no rule matches is UNMAPPED. One anchored alternation
+    of the escaped prefixes, in rule order, finds that rule in one match."""
+    names: dict[str, str] = {}
+    for prefix, name in cmap.rules:
+        names.setdefault(prefix, name)
+    # With no rules, "(?!)" is a pattern that matches nothing.
+    match = re.compile("|".join(map(re.escape, names)) if names else "(?!)").match
+
+    def component_of(path: str) -> str:
+        m = match(path)
+        return UNMAPPED if m is None else names[m.group()]
+
+    return component_of
+
+
 def map_commit_to_components(
     commit: CommitRecord, cmap: ComponentMap
 ) -> dict[str, int]:
     """Lines changed per component; first matching prefix rule wins,
     unmatched paths land in UNMAPPED."""
+    return _lines_per_component(commit, component_matcher(cmap))
+
+
+def _lines_per_component(
+    commit: CommitRecord, component_of: Callable[[str], str]
+) -> dict[str, int]:
     out: dict[str, int] = {}
     for path, lines in commit.paths:
-        component = UNMAPPED
-        for prefix, name in cmap.rules:
-            if path.startswith(prefix):
-                component = name
-                break
+        component = component_of(path)
         out[component] = out.get(component, 0) + lines
     return out
 
@@ -231,7 +250,8 @@ def build_trends(
     snapshot are excluded with a warning.
     """
     warnings: list[str] = []
-    commit_components = {c.id: map_commit_to_components(c, cmap) for c in commits}
+    component_of = component_matcher(cmap)
+    commit_components = {c.id: _lines_per_component(c, component_of) for c in commits}
 
     bug_counts: dict[tuple[str, str], int] = {}
     period_culprits: dict[str, set[str]] = {}

@@ -25,12 +25,23 @@ from the table that every generator of the seed shares (`SplitMix64.take`),
 so methods whose pools took the same number of draws read the same
 outputs without drawing them again. docs/formats.md states the exact
 layout.
+
+The stream chains the phases, and each phase is built from itertools
+when the stream reaches it, so a stream that is never read (that of a
+method with no decisions) builds no pools and draws nothing. Phase 0 is
+a list; phase 1 is `itertools.product` over the pools, filtered by a
+mask of the vectors phase 0 gave; phase 2 is a chunk at a time, a `zip`
+of one pool lookup per axis over the chunk's draws, each chunk as long
+as what the shared table already holds and one vector more, so the
+table is drawn no further than the stream is read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from itertools import chain, compress, islice, product, repeat
+from operator import itemgetter, mod
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .coverage import MethodCoverage, compute_coverage
 from .cutlang.nodes import INT_MAX, INT_MIN, SourceUnit
@@ -408,8 +419,20 @@ def fuzz_candidates(
     one-value script per mock axis.
 
     The stream ends early when the whole pool product has been enumerated;
-    otherwise it is padded to `budget` with random pool-index draws.
+    otherwise it is padded to `budget` with random pool-index draws. It
+    builds the pools, and draws, only when it is first read.
     """
+    return chain.from_iterable(_phases(evaluator, budget, seed, pool_overrides))
+
+
+def _phases(
+    evaluator: CaseEvaluator,
+    budget: int,
+    seed: int,
+    pool_overrides: Optional[dict[str, list[Scalar]]],
+) -> Iterator[Iterable[tuple]]:
+    """The phases of `fuzz_candidates`' stream, each made when the stream
+    has read the one before."""
     if budget < 1:
         raise ContractViolation("fuzz budget must be >= 1")
     rng = SplitMix64(seed)
@@ -418,63 +441,52 @@ def fuzz_candidates(
         a.pool if a.kind == "param" else tuple((v,) for v in a.pool)
         for a in build_axes(evaluator, rng, pool_overrides)
     ]
-    sizes = [len(pool) for pool in pools]
-    product = math.prod(sizes)
-
-    # `values` holds the input at each axis's current index.
-    values = [pool[0] for pool in pools]
-    emitted = 0
 
     # phase 0: all defaults, then every pool value alone
-    yield tuple(values)
-    emitted += 1
+    first = tuple([pool[0] for pool in pools])
+    solo = [first]
     for d, pool in enumerate(pools):
-        for v in pool[1:]:
-            if emitted >= budget:
-                return
-            values[d] = v
-            yield tuple(values)
-            emitted += 1
-        values[d] = pool[0]
+        head, tail = first[:d], first[d + 1 :]
+        solo += [head + (v,) + tail for v in pool[1:]]
+    skip = len(solo)  # the product's vectors with at most one nonzero index
+    del solo[budget:]
+    yield solo
 
-    # phase 1: mixed-radix count, axis 0 fastest, skipping phase-0 vectors.
-    # `vec` is an odometer over the pool product, `values` follows its
-    # digits, and `nonzero` counts its nonzero digits; a digit of a size-1
-    # axis is always 0.
-    remaining = budget - emitted
-    phase1_cap = remaining if product <= budget else (remaining * 3) // 4
-    vec = [0] * len(pools)
-    counter = 0
-    taken = 0
-    nonzero = 0
-    while counter < product and taken < phase1_cap:
-        counter += 1
-        if nonzero > 1:  # vectors with at most one nonzero came in phase 0
-            yield tuple(values)
-            emitted += 1
-            taken += 1
-        for d, size in enumerate(sizes):
-            digit = vec[d] + 1
-            if digit < size:
-                vec[d] = digit
-                values[d] = pools[d][digit]
-                if digit == 1:
-                    nonzero += 1
-                break
-            if vec[d]:
-                nonzero -= 1
-            vec[d] = 0
-            values[d] = pools[d][0]
-    if emitted >= product:
+    # phase 1: the pool product in mixed radix, axis 0 fastest, less the
+    # vectors of phase 0. `product` turns its last pool fastest, so it runs
+    # over the pools reversed and each vector is reversed back. `keep` masks
+    # out index 0 and each `j * stride` (one axis's index j alone); its
+    # first `cap + skip` indexes hold at least `cap` kept vectors.
+    total = math.prod(map(len, pools))
+    left = budget - len(solo)
+    cap = left if total <= budget else left * 3 // 4
+    if cap:
+        keep = bytearray(b"\1") * min(total, cap + skip)
+        keep[0] = 0
+        stride = 1
+        for pool in pools:
+            end = min(len(pool) * stride, len(keep))
+            keep[stride:end:stride] = bytes(len(range(stride, end, stride)))
+            stride *= len(pool)
+        reverse = itemgetter(slice(None, None, -1))
+        yield islice(compress(map(reverse, product(*pools[::-1])), keep), cap)
+    if total <= budget:
         return  # complete enumeration, nothing new can follow
 
     # phase 2: random pool-index vectors, one output of the seed's shared
-    # table per axis, reduced modulo the axis's pool size
+    # table per axis, reduced modulo the axis's pool size. Each chunk reads
+    # what the table holds and one vector more, so the table is drawn no
+    # further than the stream is read.
+    left -= cap
     k = len(pools)
-    while emitted < budget:
-        draws = rng.take(k)
-        yield tuple([pool[r % n] for pool, n, r in zip(pools, sizes, draws)])
-        emitted += 1
+    while left:
+        n = min(left, rng.held() // k + 1)
+        draws = rng.take(n * k)
+        yield zip(*[
+            map(pool.__getitem__, map(mod, draws[d::k], repeat(len(pool))))
+            for d, pool in enumerate(pools)
+        ])
+        left -= n
 
 
 # --- greedy selection -------------------------------------------------------
@@ -522,12 +534,18 @@ def greedy_select(
             if pair not in covered:
                 missing |= 1 << bit
         fuel = evaluator.fuel
-        fields: dict[str, Scalar] = {}  # fuzzing sets no fields; runs only read it
+        fields = evaluator.fields({})  # fuzzing sets no fields
+        dropped = None  # the crash last dropped as seen before
         index = -1
         for index, inputs in enumerate(candidates):
             crash, ret, left, mask = runner(inputs, fields, fuel)
             if not mask & missing:
-                if crash is None or crash.key in seen_crashes:
+                # A site's crash is one Event object, so a crash dropped
+                # again needs no key.
+                if crash is None or crash is dropped:
+                    continue
+                if crash.key in seen_crashes:
+                    dropped = crash
                     continue
             if crash is not None:
                 seen_crashes.add(crash.key)

@@ -14,9 +14,13 @@ function the first time its `runner` is read, and every case runs through
 that function: `run` calls it for a TestCase, and greedy selection calls
 it straight on each fuzz candidate. The function takes one flat input
 vector: the parameter values in declaration order, then one mock script
-(or None) per value-returning call site. It returns the run's outcome
-pairs as a bit mask, one bit per pair of `pairs_by_bit`, which `outcomes`
-decodes; so a run that greedy selection drops builds no set. Everything a
+(or None) per value-returning call site; and a field vector, a value per
+scalar field with defaults filled in, which greedy selection builds once
+per method. Both are read by position, and a one-value script, such as
+every fuzz candidate's, is read as a value, with no iterator made per
+run and no `next` per call. It returns the run's outcome pairs as a bit
+mask, one bit per pair of `pairs_by_bit`, which `outcomes` decodes; so a
+run that greedy selection drops builds no set. Everything a
 node's behaviour depends on is resolved while writing the source: the
 bits of the `(id, True)`/`(id, False)` outcome pairs a decision or
 condition records, the position of each input, the operator, whether
@@ -154,11 +158,12 @@ class _Crash(Exception):
 # What a method compiles to: (inputs, fields, fuel) -> (crash, return
 # value, fuel left, outcome mask). `inputs` is one flat sequence: the
 # parameter values in declaration order, then one mock script (a nonempty
-# sequence, or None for no script) per `mock_types` key. `fields` holds
-# only the case's field values. Bit i of the mask is set when the run
-# covers the evaluator's `pairs_by_bit[i]`.
+# sequence, or None for no script) per `mock_types` key. `fields` is a
+# value per scalar field, in `field_types` order, defaults included
+# (`CaseEvaluator.fields`). Bit i of the mask is set when the run covers
+# the evaluator's `pairs_by_bit[i]`.
 _Runner = Callable[
-    [Sequence, dict, int], tuple[Optional[Event], Optional[Scalar], int, int]
+    [Sequence, Sequence, int], tuple[Optional[Event], Optional[Scalar], int, int]
 ]
 
 
@@ -207,6 +212,10 @@ def _unmocked(event: Event) -> Scalar:
     raise _Crash(event)
 
 
+# The cursor of a mock key with no script.
+_UNSCRIPTED = object()
+
+
 # The only names generated source reads besides its own numbered ones.
 _GENERATED_GLOBALS = {
     "_Crash": _Crash,
@@ -214,6 +223,7 @@ _GENERATED_GLOBALS = {
     "_div": _int_div,
     "_fdiv": _float_div,
     "_unmocked": _unmocked,
+    "_UNSCRIPTED": _UNSCRIPTED,
 }
 
 # Operators are looked up here, never copied from the AST, so the source
@@ -244,18 +254,21 @@ class _Emitter:
 
     The source is `def _make(k0, k1, ...): def _run(inputs, fields, fuel):
     ...; return _run`. Every value taken from the method (literal, pair
-    bits, crash event, input position, field name, field default) is one of
-    the `k<i>` arguments, in the order the emitter meets it, so the text
-    holds only fixed keywords, operators and numbered names. A comparison
+    bits, crash event, input or field position) is one of the `k<i>`
+    arguments, in the order the emitter meets it, so the text holds only
+    fixed keywords, operators and numbered names. A comparison
     outside every `while` is a call `k<i>(left, right)` to its bound
     operator function, so its operator is a value as well. Inside a `while`
     condition or body (`looped`) it is written inline, because there it can
-    run many times per case. Parameters and fields live in locals `v<i>`, a
-    parameter read from `inputs` at its bound position; each mock key has a
-    cursor `c<i>` over the script at its position, with its last value
-    `l<i>`. Every outcome pair has a bit of the local mask `m` (`bits`),
-    and each branch sets its pairs' bits with one `m |= k<i>`, a walrus
-    inside a condition. A branch inside a `while` has a flag `f<i>`, true
+    run many times per case. Parameters and fields live in locals `v<i>`,
+    each read by its bound position from `inputs` (a parameter) or `fields`
+    (a field). Each mock key's script, at its position in `inputs`, gives a
+    value `l<i>` and a cursor `c<i>`: for a one-value script its value and
+    None, so a call reads `l<i>` and calls nothing; for a longer one its
+    last value and an iterator over it; for no script, `_UNSCRIPTED`.
+    Every outcome pair has a bit of the local mask `m` (`bits`), and each
+    branch sets its pairs' bits with one `m |= k<i>`, a walrus inside a
+    condition. A branch inside a `while` has a flag `f<i>`, true
     until the branch first sets its bits in the run.
     """
 
@@ -263,7 +276,6 @@ class _Emitter:
         self,
         decisions: list[Decision],
         call_types: dict[tuple[str, str], str],
-        field_defaults: dict[str, Scalar],
         positions: dict[object, int],
         bits: dict[tuple[str, bool], int],
     ):
@@ -271,14 +283,15 @@ class _Emitter:
         self.decision_ids = {id(d.expr): d.id for d in decisions}
         self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
         self.call_types = call_types
-        self.field_defaults = field_defaults
-        self.positions = positions  # parameter name or mock key -> input index
+        # (ParamRef, name) or mock key -> its index in `inputs`, and
+        # (FieldRef, name) -> its index in `fields`.
+        self.positions = positions
         self.bits = bits  # outcome pair -> its bit of the mask
         self.consts: list[object] = []
         self.prologue: list[str] = []
         self.lines: list[str] = []
         self.vars: dict[tuple[type, str], str] = {}
-        self.cursors: dict[tuple[str, str], str] = {}
+        self.cursors: dict[tuple[str, str], int] = {}
         self.flags = 0
         self.looped = False  # emitting a while's condition or body
 
@@ -441,14 +454,9 @@ class _Emitter:
         name = self.vars.get(key)
         if name is None:
             name = self.vars[key] = f"v{len(self.vars)}"
-            if isinstance(ref, ParamRef):
-                position = self.const(self.positions[ref.name])
-                self.prologue.append(f"{name} = inputs[{position}]")
-            else:
-                default = self.const(self.field_defaults[ref.name])
-                self.prologue.append(
-                    f"{name} = fields.get({self.const(ref.name)}, {default})"
-                )
+            source = "inputs" if isinstance(ref, ParamRef) else "fields"
+            position = self.const(self.positions[key])
+            self.prologue.append(f"{name} = {source}[{position}]")
         return name
 
     def expr(self, e: Expr) -> str:
@@ -485,17 +493,18 @@ class _Emitter:
         key = (e.receiver.name, e.method)
         if self.call_types.get(key) == "void":
             return "None"
-        cursor = self.cursors.get(key)
-        if cursor is None:
-            cursor = self.cursors[key] = str(len(self.cursors))
+        n = self.cursors.get(key)
+        if n is None:
+            n = self.cursors[key] = len(self.cursors)
             self.prologue += [
-                f"c{cursor} = inputs[{self.const(self.positions[key])}]",
-                f"if c{cursor}: l{cursor} = c{cursor}[-1]; c{cursor} = iter(c{cursor})",
-                f"else: c{cursor} = l{cursor} = None",
+                f"c{n} = inputs[{self.const(self.positions[key])}]",
+                f"if c{n} is None: c{n} = _UNSCRIPTED",
+                f"elif len(c{n}) == 1: l{n} = c{n}[0]; c{n} = None",
+                f"else: l{n} = c{n}[-1]; c{n} = iter(c{n})",
             ]
         unmocked = self.const(Event(UNMOCKED_CALL, e.span))
         return (
-            f"(next(c{cursor}, l{cursor}) if c{cursor} is not None"
+            f"(l{n} if c{n} is None else next(c{n}, l{n}) if c{n} is not _UNSCRIPTED"
             f" else _unmocked({unmocked}))"
         )
 
@@ -596,10 +605,11 @@ class CaseEvaluator:
 
     def _generate(self) -> tuple[str, list[object]]:
         """The source of the method's `_make` and the values to bind to it."""
-        defaults = {name: TYPE_DEFAULTS[t] for name, t in self.field_types.items()}
-        positions = {key: i for i, key in enumerate([*self.param_types, *self.mock_types])}
+        inputs = [*[(ParamRef, name) for name in self.param_types], *self.mock_types]
+        positions = {key: i for i, key in enumerate(inputs)}
+        positions.update({(FieldRef, name): i for i, name in enumerate(self.field_types)})
         bits = {pair: i for i, pair in enumerate(self.pairs_by_bit)}
-        emitter = _Emitter(self.decisions, self.method.call_types, defaults, positions, bits)
+        emitter = _Emitter(self.decisions, self.method.call_types, positions, bits)
         return emitter.generate(self.method.body)
 
     @cached_property
@@ -669,6 +679,12 @@ class CaseEvaluator:
             *[scripts.get(key) for key in self.mock_types],
         )
 
+    def fields(self, values: dict[str, Scalar]) -> list[Scalar]:
+        """The runner's field vector (see `_Runner`): each scalar field's
+        value in `values`, or its type default."""
+        types = self.field_types
+        return list(map(values.get, types, map(TYPE_DEFAULTS.__getitem__, types.values())))
+
     def outcomes(self, mask: int) -> frozenset[tuple[str, bool]]:
         """The outcome pairs of a mask that `runner` returned."""
         pairs = self.pairs_by_bit
@@ -677,5 +693,6 @@ class CaseEvaluator:
     def run(self, case: "TestCase") -> ExecutionTrace:
         """The trace of one case, which must be one that `check` accepts:
         run does not check it."""
-        crash, ret, left, mask = self.runner(self.inputs(case), case.field_values, self.fuel)
+        fields = self.fields(case.field_values)
+        crash, ret, left, mask = self.runner(self.inputs(case), fields, self.fuel)
         return ExecutionTrace(self.outcomes(mask), crash, self.fuel - left, ret)

@@ -75,6 +75,11 @@ class SplitMix64:
             return _outputs(self._seed, end)[start:end]
         return _table[start:end]
 
+    def held(self) -> int:
+        """How many of the next outputs the shared table already holds,
+        which `take` reads without drawing."""
+        return max(len(_table) - self._drawn, 0) if self._seed == _table_seed else 0
+
     def below(self, n: int) -> int:
         """Uniform-ish value in [0, n) via modulo reduction (documented bias)."""
         if n <= 0:

@@ -25,6 +25,7 @@ from ultgen.advisor import (
     Recommendation,
     TrendPoint,
     build_trends,
+    component_matcher,
     gap_report,
     ingest,
     load_bugs,
@@ -286,6 +287,22 @@ def test_map_commit_groups_by_component():
         ("src/net/c.c", 7),
     ))
     assert map_commit_to_components(commit, cmap) == {"core": 11, "net": 7}
+
+
+# Prefixes and paths over a small alphabet overlap often; "" and regex
+# metacharacters are among them.
+_PATH_TEXT = st.text("ab/.*", max_size=4)
+
+
+@given(
+    rules=st.lists(st.tuples(_PATH_TEXT, st.sampled_from(["x", "y", "z"])), max_size=6),
+    paths=st.lists(_PATH_TEXT, max_size=8),
+)
+def test_component_matcher_matches_the_linear_scan(rules, paths):
+    component_of = component_matcher(ComponentMap(tuple(rules)))
+    for path in paths:
+        expected = next((name for prefix, name in rules if path.startswith(prefix)), UNMAPPED)
+        assert component_of(path) == expected
 
 
 # --- trend assembly ---------------------------------------------------------

@@ -332,6 +332,83 @@ def test_random_phase_draws_the_table_no_further_than_it_reads(evaluator):
     assert len(rng_module._table) <= pool_draws + taken * len(sizes)
 
 
+@pytest.mark.parametrize("table", [None, 0, 5, 20, 10_000])
+@pytest.mark.parametrize("replaced_after", [None, 1, 199, 200, 230])
+def test_stream_matches_reference_whatever_the_shared_table_holds(
+    evaluator, table, replaced_after
+):
+    """The random phase reads the shared table in chunks sized by what it
+    holds. Before the stream starts the table holds another seed's outputs
+    (None) or the first `table` outputs of the stream's seed; after
+    `replaced_after` candidates (phase 2 starts at 199) another seed's
+    read replaces it."""
+    budget, seed = 256, 77
+    sizes = [len(a.pool) for a in axes_of(evaluator, seed)]
+    solos = 1 + sum(n - 1 for n in sizes)
+    assert math.prod(sizes) > budget
+    assert solos + (budget - solos) * 3 // 4 == 199
+    if table is None:
+        SplitMix64(seed + 1).take(1)
+    else:
+        SplitMix64(seed).take(table)
+    stream = fuzz_candidates(evaluator, budget, seed)
+    head = list(itertools.islice(stream, replaced_after or 0))
+    if replaced_after is not None:
+        SplitMix64(seed + 1).take(3)
+    got = _stream_record(
+        fuzzed_case(evaluator, c, seed, i) for i, c in enumerate(head + list(stream))
+    )
+    assert got == _stream_record(_reference_candidates(evaluator, budget, seed, None))
+
+
+NO_INPUTS_SRC = """
+class B {
+public:
+    int one() { return 1; }
+};
+"""
+
+
+# Phase 0 of `steps` holds 8 vectors with x, f and go pinned to one value
+# each (the mock's 8-value pool varies alone), and 9 with x given two; the
+# products are 8 and 16.
+@pytest.mark.parametrize("budget", [1, 7, 8, 9, 12, 16, 17, 40])
+@pytest.mark.parametrize("x", [[1], [1, 2]])
+def test_stream_matches_reference_with_size_one_pools(unit, budget, x):
+    evaluator = CaseEvaluator(unit, "A", "steps")
+    args = (evaluator, budget, 42, {"x": x, "f": [0.5], "go": [True]})
+    got = _stream_record(
+        fuzzed_case(evaluator, c, 42, i) for i, c in enumerate(fuzz_candidates(*args))
+    )
+    assert got == _stream_record(_reference_candidates(*args))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 256])
+def test_stream_of_a_method_without_inputs_is_one_empty_vector(budget):
+    evaluator = CaseEvaluator(parse_source(NO_INPUTS_SRC, path="<b>"), "B", "one")
+    got = list(fuzz_candidates(evaluator, budget, 42))
+    assert got == [()]
+    assert _stream_record(fuzzed_case(evaluator, c, 42, i) for i, c in enumerate(got)) == (
+        _stream_record(_reference_candidates(evaluator, budget, 42, None))
+    )
+
+
+def test_stream_builds_and_draws_nothing_before_it_is_read(evaluator, monkeypatch):
+    built = []
+
+    def recording_build_axes(*args):
+        built.append(args)
+        return build_axes(*args)
+
+    monkeypatch.setattr(cases_module, "build_axes", recording_build_axes)
+    SplitMix64(5).take(3)  # the table holds another seed's outputs
+    stream = fuzz_candidates(evaluator, 10**6, 42)
+    assert built == []
+    assert (rng_module._table_seed, len(rng_module._table)) == (5, 3)
+    next(stream)
+    assert len(built) == 1
+
+
 _JSON_FLOATS = st.one_of(
     floats, st.integers(-5, 5), st.sampled_from(["Infinity", "-Infinity", "NaN"])
 )

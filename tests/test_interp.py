@@ -854,7 +854,8 @@ def test_generated_tier_adds_each_pair_once_per_run():
     namespace = dict(interp._GENERATED_GLOBALS, RecordingMask=RecordingMask)
     exec(source.replace("m = 0\n", "m = RecordingMask()\n"), namespace)
     runner = namespace["_make"](*consts)
-    crash, ret, left, mask = runner(evaluator.inputs(c), c.field_values, evaluator.fuel)
+    fields = evaluator.fields(c.field_values)
+    crash, ret, left, mask = runner(evaluator.inputs(c), fields, evaluator.fuel)
     assert (crash, ret, evaluator.fuel - left) == (trace.crash, trace.return_value, trace.steps)
     assert evaluator.outcomes(mask) == trace.outcomes
     # One update per branch taken, each of its own bits, so no bit is set

@@ -5,13 +5,16 @@ each corpus file cut off just before a token ("prefix"), or with one token
 deleted ("delete"), for every STRIDE-th token. A record keeps the cut
 (`lo`, `hi` as character offsets into the file), the error type and the
 exact `str(error)`, or null for both when the damaged source still
-parses. The test re-parses every record and compares.
+parses. The test generates every file's records again and compares them
+with the golden ones, so it pins both the messages and the damage the
+generator makes.
 
 Regenerate the golden file only when a message is meant to change:
 
     PYTHONPATH=src python tests/test_parse_errors.py
 """
 
+import itertools
 import json
 import pathlib
 
@@ -43,9 +46,9 @@ def outcome(source: str, name: str) -> tuple:
     return None, None
 
 
-def generate() -> list[dict]:
+def generate(paths: list[pathlib.Path] = CORPUS) -> list[dict]:
     records = []
-    for path in CORPUS:
+    for path in paths:
         text = path.read_text(encoding="utf-8")
         tokens = tokenize(text, path.name)
         for i, (kind, token_text, lo, *_) in enumerate(tokens):
@@ -71,15 +74,18 @@ def _golden() -> list[dict]:
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.name)
 def test_parse_errors_match_golden(path):
-    text = path.read_text(encoding="utf-8")
+    """`generate` yields exactly the file's golden records: the same cuts,
+    in order, with the same errors."""
     records = [r for r in _golden() if r["file"] == path.name]
     assert records
-    mismatches = []
-    for r in records:
-        got = outcome(damaged(text, r["op"], r["lo"], r["hi"]), path.name)
-        if got != (r["error"], r["message"]):
-            mismatches.append((r, got))
-    assert mismatches == []
+    assert generate([path]) == records
+
+
+def test_golden_file_is_generated_file_by_file():
+    """The golden records come file by file in corpus order, so with the
+    test above they are exactly what `generate()` yields."""
+    files = [name for name, _ in itertools.groupby(r["file"] for r in _golden())]
+    assert files == [path.name for path in CORPUS]
 
 
 if __name__ == "__main__":
