@@ -367,25 +367,25 @@ def build_axes(
     declaration order, then its value-returning call sites in body
     pre-order of first use. Pool overrides replace the derived pool for the
     named parameter. Consumes three values from `rng` per non-overridden
-    int/float axis, in axis order. Every pool value is checked against its
-    input's type here, once, so the cases built from the axes need no
+    int/float axis, in axis order. A derived pool holds only values of its
+    input's type; an override comes from outside and is checked here
+    against its parameter's type, so the cases built from the axes need no
     check of their own."""
     overrides = pool_overrides or {}
     decisions = evaluator.decisions
     axes: list[_Axis] = []
     for name, type_name in evaluator.param_types.items():
         if name in overrides:
-            pool = overrides[name]
+            pool = check_values(
+                type_name, overrides[name], f"pool value of parameter {name!r}"
+            )
         else:
             lits = _literals_for(decisions, type_name, param=name)
             pool = _build_pool(type_name, lits, rng)
-        pool = check_values(type_name, pool, f"pool value of parameter {name!r}")
         axes.append(_Axis("param", name, tuple(pool)))
     for key, ret in evaluator.mock_types.items():
         lits = _literals_for(decisions, ret, call=key)
-        pool = _build_pool(ret, lits, rng)
-        pool = check_values(ret, pool, f"pool value of mock {key[0]}->{key[1]}()")
-        axes.append(_Axis("mock", key, tuple(pool)))
+        axes.append(_Axis("mock", key, tuple(_build_pool(ret, lits, rng))))
     return axes
 
 

@@ -63,6 +63,7 @@ from .errors import (
 )
 from .interp import CaseEvaluator
 from .scaffold import (
+    ScaffoldBundle,
     generate_scaffold,
     measure_generation_ratio,
     public_methods,
@@ -181,33 +182,48 @@ def cmd_decisions(args: argparse.Namespace) -> int:
 
 # --- scaffold ---------------------------------------------------------------
 
-def cmd_scaffold(args: argparse.Namespace) -> int:
-    unit = _parse_file(args.src)
-    out_dir = Path(args.out)
+def _scaffold(
+    unit: SourceUnit, class_names: Iterable[str], out_dir: Path
+) -> tuple[ScaffoldBundle, dict[str, str], dict]:
+    """The scaffold of `class_names` for `out_dir`, carrying over the
+    anchored regions of the files already there, with its warnings printed.
+    Returns the bundle, the earlier text of each file that supplied user
+    lines, and the summary that `scaffold` and `run` report."""
+    try:
+        present = set(os.listdir(out_dir))
+    except FileNotFoundError:
+        present = set()
+    earlier: dict[str, str] = {}
 
     def previous(name: str) -> Optional[str]:
-        path = out_dir / name
-        return read_text(str(path)) if args.merge and path.exists() else None
+        if name in present:
+            earlier[name] = read_text(str(out_dir / name))
+        return earlier.get(name)
 
-    bundle = generate_scaffold(unit, args.class_name, previous=previous)
-    files = dict(bundle.files)
-    _write_files(out_dir, files)
-    payload = {
-        "class": args.class_name,
-        "files": list(files),
+    bundle = generate_scaffold(unit, *class_names, previous=previous)
+    for warning in bundle.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    summary = {
+        "files": [name for name, _ in bundle.files],
         "auto_line_count": bundle.auto_line_count,
         "anchor_line_count": bundle.anchor_line_count,
         "generation_ratio": measure_generation_ratio(
             bundle.auto_line_count, bundle.anchor_line_count
         ),
-        "warnings": list(bundle.warnings),
     }
-    for warning in bundle.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    return bundle, {name: earlier[name] for name in bundle.kept_from}, summary
+
+
+def cmd_scaffold(args: argparse.Namespace) -> int:
+    unit = _parse_file(args.src)
+    out_dir = Path(args.out)
+    bundle, _, summary = _scaffold(unit, [args.class_name], out_dir)
+    _write_files(out_dir, dict(bundle.files))
+    payload = {"class": args.class_name, **summary, "warnings": list(bundle.warnings)}
     if args.json:
         _print_json(payload)
     else:
-        for name in files:
+        for name in payload["files"]:
             print(f"wrote {out_dir / name}")
         print(
             f"generated {payload['auto_line_count']} lines, "
@@ -572,22 +588,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         }
 
     classes = sorted(unit.classes, key=lambda cls: cls.name)
+    scaffold_dir = out_dir / "scaffold"
     with _stage("scaffold"):
-        bundle = generate_scaffold(unit, *(cls.name for cls in classes))
-    for warning in bundle.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        bundle, kept, summary = _scaffold(unit, (cls.name for cls in classes), scaffold_dir)
+    # A file that gave user lines is an input of the tree written now.
+    for name, text in kept.items():
+        _add_input(inputs, f"scaffold/{name}", str(scaffold_dir / name), text)
     scaffold_files = {f"scaffold/{name}": text for name, text in sorted(bundle.files)}
     files.update(scaffold_files)
+    # "files" keeps its place after "classes", now as the paths under `out_dir`
     stages["scaffold"] = {
-        "classes": [cls.name for cls in classes],
-        "files": list(scaffold_files),
-        "auto_line_count": bundle.auto_line_count,
-        "anchor_line_count": bundle.anchor_line_count,
-        "generation_ratio": measure_generation_ratio(
-            bundle.auto_line_count, bundle.anchor_line_count
-        ),
+        "classes": [cls.name for cls in classes], **summary, "files": list(scaffold_files)
     }
-    del bundle  # only its texts and line counts are needed past this stage
+    del bundle, kept  # only the texts are needed past this stage
 
     with _stage("cases"):
         all_cases: list[TestCase] = []
@@ -677,8 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src")
     p.add_argument("--class", dest="class_name", required=True)
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--merge", action="store_true",
-                   help="carry anchored edits over from existing files")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_scaffold)
 

@@ -32,7 +32,7 @@ ANCHOR_END = "// ULTGEN-END"
 
 _BANNER = (
     "// Auto-generated unit test scaffolding. Edit only between",
-    "// ULTGEN-ANCHOR markers; regeneration with --merge keeps those regions.",
+    "// ULTGEN-ANCHOR markers; regeneration keeps those regions.",
 )
 
 
@@ -48,6 +48,7 @@ class ScaffoldBundle(NamedTuple):
     auto_line_count: int
     anchor_line_count: int
     warnings: tuple[str, ...] = ()
+    kept_from: tuple[str, ...] = ()  # files whose earlier text gave user lines
 
 
 def fixture_file_name(class_name: str) -> str:
@@ -232,8 +233,10 @@ def generate_scaffold(
     None. Regions carry over by (file name, anchor kind): the last region of
     a kind wins, kinds the new scaffold lacks are dropped, and everything
     outside the markers is regenerated. A region without its END marker
-    raises UltgenError. Byte-identical output for identical input. Each
-    extern dependency gets an empty-bodied mock and one note in `warnings`.
+    raises UltgenError. `kept_from` names, in emission order, the files
+    whose earlier text supplied at least one carried line. Byte-identical
+    output for identical input. Each extern dependency gets an
+    empty-bodied mock and one note in `warnings`.
     """
     classes = [unit.class_named(name) for name in class_names]
     for name, cls in zip(class_names, classes):
@@ -249,6 +252,7 @@ def generate_scaffold(
     )
     texts: dict[str, str] = {}
     anchors: list[Anchor] = []
+    kept_from: list[str] = []
     lines = anchored = 0
     for f in emitted:
         if f.name in texts:
@@ -257,6 +261,8 @@ def generate_scaffold(
         anchors.extend(f.anchors)
         lines += len(f.lines)
         anchored += f.anchor_line_count
+        if f.anchor_line_count > 2 * len(f.anchors):  # more than the markers
+            kept_from.append(f.name)
     return ScaffoldBundle(
         files=tuple(texts.items()),
         anchors=tuple(anchors),
@@ -267,6 +273,7 @@ def generate_scaffold(
             "declaration only (no setters, no scripted returns)"
             for name, dep in deps.items() if dep is None
         ),
+        kept_from=tuple(kept_from),
     )
 
 

@@ -1,5 +1,5 @@
 // Auto-generated unit test scaffolding. Edit only between
-// ULTGEN-ANCHOR markers; regeneration with --merge keeps those regions.
+// ULTGEN-ANCHOR markers; regeneration keeps those regions.
 #ifndef ULTGEN_MOCK_C_H
 #define ULTGEN_MOCK_C_H
 

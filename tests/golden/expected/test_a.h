@@ -1,5 +1,5 @@
 // Auto-generated unit test scaffolding. Edit only between
-// ULTGEN-ANCHOR markers; regeneration with --merge keeps those regions.
+// ULTGEN-ANCHOR markers; regeneration keeps those regions.
 #ifndef ULTGEN_TEST_A_H
 #define ULTGEN_TEST_A_H
 

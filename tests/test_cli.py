@@ -1,6 +1,7 @@
 """End-to-end CLI tests: every subcommand, exit codes, and determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -178,29 +179,33 @@ def test_decisions_missing_file(invoke):
 @pytest.mark.parametrize(
     "entry",
     [
-        "decisions", "scaffold", "scaffold --merge", "cases", "cases --config",
+        "decisions", "scaffold", "scaffold -o", "cases", "cases --config",
         "coverage", "coverage --cases", "run", "run --config", "run --map",
-        "advise --bugs", "advise --commits", "advise --coverage", "advise --map",
+        "run -o/scaffold", "advise --bugs", "advise --commits", "advise --coverage",
+        "advise --map",
     ],
 )
 def test_non_utf8_input_is_an_error_naming_the_file(
     invoke, turnstile, project_dir, history_dir, golden_dir, tmp_path, entry
 ):
+    """An earlier output file that a scaffold write would carry regions
+    from is an input too; `run` reads it in its scaffold stage."""
     hist = tmp_path / "history"
     shutil.copytree(history_dir, hist)
     out = tmp_path / "out"
     bad = {
         "--bugs": hist / "bugs.jsonl", "--commits": hist / "commits.jsonl",
         "--coverage": hist / "coverage.jsonl", "--map": hist / "map.json",
-        "--merge": out / "a_test_fixture.h",  # an old output file
+        "-o": out / "a_test_fixture.h",  # old output files
+        "-o/scaffold": out / "scaffold" / "turnstile_test_fixture.h",
     }.get(entry.split(" ")[-1], tmp_path / "src" / "bad.cut")
-    bad.parent.mkdir(exist_ok=True)
-    bad.write_bytes(b"class A { };\n// \xff\n")
+    bad.parent.mkdir(parents=True, exist_ok=True)
+    data = b"class A { };\n// \xff\n"
+    bad.write_bytes(data)
     args = {
         "decisions": ("decisions", bad, "--class", "A"),
         "scaffold": ("scaffold", bad, "--class", "A", "-o", out),
-        "scaffold --merge": ("scaffold", golden_dir / "class_a.cut", "--class", "A",
-                             "-o", out, "--merge"),
+        "scaffold -o": ("scaffold", golden_dir / "class_a.cut", "--class", "A", "-o", out),
         "cases": ("cases", bad, "--class", "A", "--method", "f", "-o", out / "c.jsonl"),
         "cases --config": ("cases", turnstile, "--class", "Turnstile", "--method",
                            "push", "--config", bad, "-o", out / "c.jsonl"),
@@ -210,12 +215,16 @@ def test_non_utf8_input_is_an_error_naming_the_file(
         "run --config": ("run", project_dir / "src", "-o", out, "--config", bad),
         "run --map": ("run", project_dir / "src", "-o", out,
                       *_history_args(hist, flag="--coverage-history")),
+        "run -o/scaffold": ("run", project_dir / "src", "-o", out),
     }.get(entry, ("advise", *_history_args(hist)))
+    before = sorted(out.rglob("*"))
     code, stdout, err = invoke(*args)
     assert (code, stdout) == (1, "")
+    stage = "stage 'scaffold': " if entry == "run -o/scaffold" else ""
     assert err == (
-        f"ultgen: error: {bad}: not UTF-8 text (invalid start byte at byte 16)\n"
+        f"ultgen: error: {stage}{bad}: not UTF-8 text (invalid start byte at byte 16)\n"
     )
+    assert (sorted(out.rglob("*")), bad.read_bytes()) == (before, data)
 
 
 @pytest.mark.parametrize(
@@ -230,8 +239,8 @@ def test_missing_input_is_an_error_naming_the_file(
     invoke, turnstile, project_dir, history_dir, tmp_path, entry
 ):
     """Every entry point reads its files with the same reader and message;
-    `scaffold --merge` reads only files that exist, and `run` takes a
-    directory."""
+    a scaffold write reads only the earlier files that exist, and `run`
+    takes a directory."""
     hist = tmp_path / "history"
     shutil.copytree(history_dir, hist)
     out = tmp_path / "out"
@@ -473,11 +482,9 @@ def test_scaffold_merge_preserves_anchor_edits(invoke, golden_dir, tmp_path):
     assert edited != text
     fixture.write_text(edited)
 
-    assert invoke("scaffold", src, "--class", "A", "-o", out_dir, "--merge")[0] == 0
-    assert "warmCache();" in fixture.read_text()
-
-    assert invoke("scaffold", src, "--class", "A", "-o", out_dir)[0] == 0
-    assert "warmCache();" not in fixture.read_text()
+    for _ in range(2):  # every regeneration keeps the region
+        assert invoke("scaffold", src, "--class", "A", "-o", out_dir)[0] == 0
+        assert fixture.read_text() == edited
 
 
 def test_scaffold_merge_keeps_form_feed_line_verbatim(invoke, golden_dir, tmp_path):
@@ -492,7 +499,7 @@ def test_scaffold_merge_keeps_form_feed_line_verbatim(invoke, golden_dir, tmp_pa
     assert marker in text
     test_file.write_text(text.replace(marker, marker + kept))
 
-    assert invoke("scaffold", src, "--class", "A", "-o", out_dir, "--merge")[0] == 0
+    assert invoke("scaffold", src, "--class", "A", "-o", out_dir)[0] == 0
     assert marker + kept in test_file.read_text()
 
 
@@ -1164,6 +1171,95 @@ def test_run_again_into_the_source_tree(invoke, project_dir, history_dir, tmp_pa
         "display.cut", "turnstile.cut", "cases.json",
         "bugs.jsonl", "commits.jsonl", "coverage.jsonl", "map.json",
     }
+
+
+def _tree(out_dir):
+    return {
+        path.relative_to(out_dir).as_posix(): path.read_bytes()
+        for path in sorted(out_dir.rglob("*")) if path.is_file()
+    }
+
+
+def test_run_again_keeps_anchored_edits(invoke, corpus_dir, tmp_path):
+    """A second `run` carries the user lines of the first one's scaffold
+    over byte for byte, and the manifest records the file they came from as
+    an input. Nothing else in the tree moves."""
+    out_dir = tmp_path / "out"
+    args = ("run", corpus_dir, "-o", out_dir, "--threshold", "0", "--json")
+    assert invoke(*args)[0] == 0
+    first = _tree(out_dir)
+    fixture = out_dir / "scaffold" / "account_test_fixture.h"
+    marker = "// ULTGEN-ANCHOR: SetUpBody\n"
+    edited = fixture.read_text().replace(marker, marker + "        ledger.open();\t// kept\n")
+    fixture.write_text(edited)
+
+    code, out, _ = invoke(*args)
+    assert code == 0
+    second = _tree(out_dir)
+    assert second.pop("scaffold/account_test_fixture.h") == edited.encode()
+    del first["scaffold/account_test_fixture.h"]
+    before, after = (json.loads(tree.pop("manifest.json")) for tree in (first, second))
+    assert second == first
+    assert after["inputs"] == {
+        **before["inputs"],
+        "scaffold/account_test_fixture.h": hashlib.sha256(edited.encode()).hexdigest(),
+    }
+    counts = before["stages"]["scaffold"]
+    assert after["stages"]["scaffold"]["anchor_line_count"] == counts["anchor_line_count"] + 1
+
+
+def test_run_again_hashes_each_earlier_scaffold_text_as_read(
+    invoke, project_dir, history_dir, tmp_path, monkeypatch
+):
+    """A second run reads each earlier scaffold file once, and the manifest
+    holds the digest of the text it carried regions from, of only the file
+    that gave user lines."""
+    out_dir = tmp_path / "out"
+    assert _run_project(invoke, project_dir, history_dir, out_dir)[0] == 0
+    test_file = out_dir / "scaffold" / "test_turnstile.h"
+    marker = "// ULTGEN-ANCHOR: TestBody(push)\n"
+    test_file.write_text(test_file.read_text().replace(marker, marker + "        push(1);\n"))
+    reads = []
+    read_text = pathlib.Path.read_text
+
+    def recording_read_text(self, *args, **kwargs):
+        text = read_text(self, *args, **kwargs)
+        reads.append((self, text))
+        return text
+
+    monkeypatch.setattr(pathlib.Path, "read_text", recording_read_text)
+    code, out, _ = _run_project(invoke, project_dir, history_dir, out_dir, "--json")
+    monkeypatch.undo()
+    assert code == 0
+    earlier = [(path.name, text) for path, text in reads if path.parent == out_dir / "scaffold"]
+    names = [name for name, _ in earlier]
+    assert sorted(names) == sorted(path.name for path in test_file.parent.iterdir())
+    inputs = json.loads(out)["inputs"]
+    assert {key: digest for key, digest in inputs.items() if key.startswith("scaffold/")} == {
+        "scaffold/test_turnstile.h": hashlib.sha256(
+            dict(earlier)["test_turnstile.h"].encode()
+        ).hexdigest()
+    }
+    assert "        push(1);\n" in dict(earlier)["test_turnstile.h"]
+
+
+def test_run_with_an_unclosed_region_writes_nothing(invoke, corpus_dir, tmp_path):
+    out_dir = tmp_path / "out"
+    args = ("run", corpus_dir, "-o", out_dir, "--threshold", "0")
+    assert invoke(*args)[0] == 0
+    fixture = out_dir / "scaffold" / "account_test_fixture.h"
+    text = fixture.read_text()
+    line = text.split("\n").index("        // ULTGEN-ANCHOR: SetUpBody") + 1
+    fixture.write_text(text.replace("// ULTGEN-END", "// END", 1))
+    (out_dir / "cases.jsonl").unlink()  # a run that got through would write it
+    before = _tree(out_dir)
+    code, out, err = invoke(*args)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"ultgen: error: stage 'scaffold': account_test_fixture.h:{line}: anchor "
+        "'SetUpBody' has no '// ULTGEN-END' before the next anchor\n"
+    )
+    assert _tree(out_dir) == before
 
 
 def test_run_counts_each_written_scaffold_line_once(invoke, corpus_dir, tmp_path):

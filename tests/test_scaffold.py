@@ -254,7 +254,7 @@ def test_corpus_scaffolds_generate_cleanly(corpus_unit):
 
 
 def test_merge_rules_through_the_cli(invoke, golden_dir, tmp_path):
-    """`scaffold --merge` matches regions by file and kind: the last copy of
+    """`scaffold` matches regions by file and kind: the last copy of
     a duplicated kind wins, a kind the new scaffold lacks is dropped, blank
     user lines are kept, and a file with no earlier text is written fresh.
     The --json line counts include the carried lines."""
@@ -279,7 +279,7 @@ def test_merge_rules_through_the_cli(invoke, golden_dir, tmp_path):
     (out_dir / "mock_c.h").unlink()
 
     code, out, _ = invoke(
-        "scaffold", src, "--class", "A", "-o", out_dir, "--merge", "--json"
+        "scaffold", src, "--class", "A", "-o", out_dir, "--json"
     )
     assert code == 0
     merged = json.loads(out)
@@ -303,7 +303,7 @@ def test_merge_with_an_unclosed_region_writes_nothing(invoke, golden_dir, tmp_pa
     broken = fixture.read_text().replace("// ULTGEN-END", "// END", 1)
     fixture.write_text(broken)
     (out_dir / "mock_c.h").unlink()
-    code, _, err = invoke("scaffold", src, "--class", "A", "-o", out_dir, "--merge")
+    code, _, err = invoke("scaffold", src, "--class", "A", "-o", out_dir)
     assert code == 1
     assert "a_test_fixture.h:14: anchor 'SetUpBody' has no '// ULTGEN-END'" in err
     assert fixture.read_text() == broken
