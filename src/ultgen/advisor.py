@@ -217,17 +217,11 @@ def component_matcher(cmap: ComponentMap) -> Callable[[str], str]:
     return component_of
 
 
-def map_commit_to_components(
-    commit: CommitRecord, cmap: ComponentMap
-) -> dict[str, int]:
-    """Lines changed per component; first matching prefix rule wins,
-    unmatched paths land in UNMAPPED."""
-    return _lines_per_component(commit, component_matcher(cmap))
-
-
-def _lines_per_component(
+def lines_per_component(
     commit: CommitRecord, component_of: Callable[[str], str]
 ) -> dict[str, int]:
+    """Lines changed per component; `component_of` (see component_matcher)
+    gives each path's component."""
     out: dict[str, int] = {}
     for path, lines in commit.paths:
         component = component_of(path)
@@ -251,7 +245,7 @@ def build_trends(
     """
     warnings: list[str] = []
     component_of = component_matcher(cmap)
-    commit_components = {c.id: _lines_per_component(c, component_of) for c in commits}
+    commit_components = {c.id: lines_per_component(c, component_of) for c in commits}
 
     bug_counts: dict[tuple[str, str], int] = {}
     period_culprits: dict[str, set[str]] = {}

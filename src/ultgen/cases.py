@@ -62,47 +62,18 @@ DEFAULT_SEED = 42
 _RANDOM_POOL_VALUES = 3
 
 
-class TestCase:
-    """One case: its inputs and where it came from. Equal when every field
-    is equal; mutable, so unhashable."""
+class TestCase(NamedTuple):
+    """One case: its inputs and where it came from. Its dicts are mutable,
+    so it is unhashable."""
 
-    __slots__ = (
-        "id", "target", "param_values", "field_values", "mock_plan", "origin",
-        "seed_info", "diagnostics",
-    )
-    __hash__ = None
-
-    def __init__(
-        self,
-        id: str,
-        target: tuple[str, str],  # (class, method)
-        param_values: dict[str, Scalar],
-        field_values: dict[str, Scalar],
-        mock_plan: dict[MockKey, list[Scalar]],
-        origin: str,  # Configured | Fuzzed
-        seed_info: Optional[tuple[int, int]] = None,  # (seed, candidate index)
-        diagnostics: tuple[str, ...] = (),
-    ) -> None:
-        self.id = id
-        self.target = target
-        self.param_values = param_values
-        self.field_values = field_values
-        self.mock_plan = mock_plan
-        self.origin = origin
-        self.seed_info = seed_info
-        self.diagnostics = diagnostics
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = self.__slots__
-        return tuple([getattr(self, n) for n in names]) == tuple(
-            [getattr(other, n) for n in names]
-        )
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"TestCase({shown})"
+    id: str
+    target: tuple[str, str]  # (class, method)
+    param_values: dict[str, Scalar]
+    field_values: dict[str, Scalar]
+    mock_plan: dict[MockKey, list[Scalar]]
+    origin: str  # Configured | Fuzzed
+    seed_info: Optional[tuple[int, int]] = None  # (seed, candidate index)
+    diagnostics: tuple[str, ...] = ()
 
 
 # --- serialization (JSONL-friendly dicts) ----------------------------------

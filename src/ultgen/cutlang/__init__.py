@@ -1,71 +1,1 @@
 """CUT-lang front end: lexer, parser, AST nodes, canonical printer."""
-
-from .lexer import Token, tokenize
-from .nodes import (
-    INT_MAX,
-    INT_MIN,
-    Assert,
-    Assign,
-    Binary,
-    Block,
-    BoolLit,
-    CallExpr,
-    ClassDecl,
-    Expr,
-    ExternDecl,
-    FieldDecl,
-    FieldRef,
-    FloatLit,
-    If,
-    IntLit,
-    MethodDecl,
-    Param,
-    ParamRef,
-    RefType,
-    Return,
-    SourceUnit,
-    Span,
-    Stmt,
-    Unary,
-    While,
-    walk,
-)
-from .parser import parse_source
-from .printer import print_class, print_expr, print_method, print_unit
-
-__all__ = [
-    "INT_MAX",
-    "INT_MIN",
-    "Assert",
-    "Assign",
-    "Binary",
-    "Block",
-    "BoolLit",
-    "CallExpr",
-    "ClassDecl",
-    "Expr",
-    "ExternDecl",
-    "FieldDecl",
-    "FieldRef",
-    "FloatLit",
-    "If",
-    "IntLit",
-    "MethodDecl",
-    "Param",
-    "ParamRef",
-    "RefType",
-    "Return",
-    "SourceUnit",
-    "Span",
-    "Stmt",
-    "Token",
-    "Unary",
-    "While",
-    "parse_source",
-    "print_class",
-    "print_expr",
-    "print_method",
-    "print_unit",
-    "tokenize",
-    "walk",
-]

@@ -67,7 +67,7 @@ MAX_EXPR_DEPTH = 64  # counted as in _Parser.too_deep
 
 # Binding strength of each binary operator, loosest first; all associate
 # left. '%' is lexed, and rejected where it would bind.
-_PRECEDENCE = {
+PRECEDENCE = {
     "||": 0, "&&": 1, "==": 2, "!=": 2, "<": 3, "<=": 3, ">": 3, ">=": 3,
     "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
 }
@@ -296,7 +296,7 @@ class _Parser:
         return ExprStmt(expr, self.span_from(tok))
 
     # -- expressions -------------------------------------------------------
-    # Precedence climbing over _PRECEDENCE; `around` is how many levels
+    # Precedence climbing over PRECEDENCE; `around` is how many levels
     # enclose the expression being parsed, so a node `d` deep in it sits
     # `around + d` deep in its statement's expression.
 
@@ -320,7 +320,7 @@ class _Parser:
         binds more loosely than `min_level`."""
         start = self.cur
         left, depth = self.parse_unary(around)
-        level = _PRECEDENCE.get(self.cur[1])
+        level = PRECEDENCE.get(self.cur[1])
         while level is not None and level >= min_level:
             op = self.cur
             if op[1] == "%":
@@ -331,7 +331,7 @@ class _Parser:
             right, right_depth = self.parse_binary(around + 1, level + 1)
             left = Binary(op[1], left, right, self.span_from(start))
             depth = 1 + max(depth, right_depth)
-            level = _PRECEDENCE.get(self.cur[1])
+            level = PRECEDENCE.get(self.cur[1])
         return left, depth
 
     def parse_unary(self, around: int) -> tuple[Expr, int]:

@@ -1,8 +1,12 @@
 """Canonical pretty-printer for CUT-lang ASTs.
 
 The output re-parses to a structurally equal tree (round-trip stability) and
-is byte-stable for identical trees. The decisions table renders expressions
-with it. Style: 4-space indent, braces on their own lines.
+is byte-stable for identical trees. A class prints its fields, then its
+methods, each in declaration order; an access label (`private:`,
+`protected:`, `public:`) precedes each member whose access differs from the
+member before it, and the body opens public. Expressions are parenthesised
+by the parser's own precedence table. The decisions table renders
+expressions with it. Style: 4-space indent, braces on their own lines.
 """
 
 from __future__ import annotations
@@ -30,26 +34,16 @@ from .nodes import (
     Unary,
     While,
 )
+from .parser import PRECEDENCE
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-}
-_UNARY_PREC = 7
+# A whole expression sits below every operator; `!` binds one above the
+# tightest binary operator.
+_TOP_LEVEL = -1
+_UNARY_LEVEL = max(PRECEDENCE.values()) + 1
 
 
 def print_expr(e: Expr) -> str:
-    return _expr(e, 0)
+    return _expr(e, _TOP_LEVEL)
 
 
 def _expr(e: Expr, parent_prec: int, right_of_same: bool = False) -> str:
@@ -64,10 +58,10 @@ def _expr(e: Expr, parent_prec: int, right_of_same: bool = False) -> str:
     if isinstance(e, CallExpr):
         return f"{e.receiver.name}->{e.method}()"
     if isinstance(e, Unary):
-        inner = _expr(e.operand, _UNARY_PREC)
+        inner = _expr(e.operand, _UNARY_LEVEL)
         return f"!{inner}"
     if isinstance(e, Binary):
-        prec = _PREC[e.op]
+        prec = PRECEDENCE[e.op]
         left = _expr(e.left, prec)
         right = _expr(e.right, prec, right_of_same=True)
         text = f"{left} {e.op} {right}"
@@ -139,13 +133,17 @@ def print_class(c: ClassDecl) -> str:
         head += f" : public {c.base}"
     out.append(head)
     out.append("{")
-    for f in c.fields:
-        if isinstance(f.type, RefType):
-            out.append(f"    {f.type.class_name}* {f.name};")
+    access = "public"
+    for member in (*c.fields, *c.methods):
+        if member.access != access:
+            access = member.access
+            out.append(f"{access}:")
+        if isinstance(member, MethodDecl):
+            out.append(print_method(member, indent=1))
+        elif isinstance(member.type, RefType):
+            out.append(f"    {member.type.class_name}* {member.name};")
         else:
-            out.append(f"    {f.type} {f.name};")
-    for m in c.methods:
-        out.append(print_method(m, indent=1))
+            out.append(f"    {member.type} {member.name};")
     out.append("};")
     return "\n".join(out)
 

@@ -27,6 +27,7 @@ from .cutlang.nodes import (
     While,
     walk,
 )
+from .cutlang.printer import print_expr
 
 PARAMETER_DRIVEN = "ParameterDriven"
 CALL_DRIVEN = "CallDriven"
@@ -166,8 +167,6 @@ def all_pairs(decisions: Sequence[Decision]) -> frozenset[tuple[str, bool]]:
 
 def decisions_table(decisions: list[Decision]) -> list[dict]:
     """JSON-friendly rendering used by the CLI and reports."""
-    from .cutlang.printer import print_expr
-
     rows = []
     for d in decisions:
         rows.append(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from ultgen.cases import TestCase
-from ultgen.cutlang import parse_source
+from ultgen.cutlang.parser import parse_source
 
 TestCase.__test__ = False  # a case record, not a pytest class
 

@@ -1,8 +1,8 @@
 """Hypothesis strategies for random well-typed CUT-lang methods and cases.
 
 Random methods of one class G: params a, b (int), p (bool) and x (float),
-fields n (int), on (bool) and level (float), and a dependency with int,
-bool, float and void methods. Extreme literals make int64 wrap and float
+fields n (int), on (bool, private) and level (float, protected), and a
+dependency with int, bool, float and void methods. Extreme literals make int64 wrap and float
 overflow likely, and `/` meets zero divisors from the cases. While
 conditions are random, so loops that never end run into a fuel limit drawn
 small. Programs are printed and re-parsed, so the evaluators see
@@ -15,8 +15,9 @@ import random
 from hypothesis import strategies as st
 
 from ultgen.cases import TestCase
-from ultgen.cutlang import INT_MAX, INT_MIN, print_method
 from ultgen.cutlang.nodes import (
+    INT_MAX,
+    INT_MIN,
     Assert,
     Assign,
     Binary,
@@ -35,6 +36,7 @@ from ultgen.cutlang.nodes import (
     Unary,
     While,
 )
+from ultgen.cutlang.printer import print_method
 
 ints = st.one_of(
     st.integers(min_value=INT_MIN, max_value=INT_MAX),
@@ -67,8 +69,11 @@ class G {
 public:
     Dep* d;
     int n;
+private:
     bool on;
+protected:
     float level;
+public:
 """
 
 _GEN_PARAMS = {"a": "int", "b": "int", "p": "bool", "x": "float"}

@@ -28,13 +28,13 @@ from ultgen.advisor import (
     component_matcher,
     gap_report,
     ingest,
+    lines_per_component,
     load_bugs,
     load_commits,
     load_component_map,
     load_coverage,
     loss_gradient_hessian,
     make_samples,
-    map_commit_to_components,
     newton_step,
     predict_risk,
     recommend,
@@ -276,7 +276,8 @@ def test_map_commit_first_rule_wins_and_sums():
         ("src/net/b.c", 7),
         ("docs/readme.md", 2),
     ))
-    assert map_commit_to_components(commit, cmap) == {"wide": 12, UNMAPPED: 2}
+    lines = lines_per_component(commit, component_matcher(cmap))
+    assert lines == {"wide": 12, UNMAPPED: 2}
 
 
 def test_map_commit_groups_by_component():
@@ -286,7 +287,8 @@ def test_map_commit_groups_by_component():
         ("src/core/b.c", 6),
         ("src/net/c.c", 7),
     ))
-    assert map_commit_to_components(commit, cmap) == {"core": 11, "net": 7}
+    lines = lines_per_component(commit, component_matcher(cmap))
+    assert lines == {"core": 11, "net": 7}
 
 
 # Prefixes and paths over a small alphabet overlap often; "" and regex

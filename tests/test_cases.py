@@ -27,7 +27,8 @@ from ultgen.cases import (
     load_case_config,
 )
 from ultgen.coverage import compute_coverage
-from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
+from ultgen.cutlang.nodes import INT_MAX, INT_MIN
+from ultgen.cutlang.parser import parse_source
 from ultgen.errors import ContractViolation, SchemaError, UnknownTarget
 from ultgen.interp import CaseEvaluator
 from ultgen.rng import SplitMix64

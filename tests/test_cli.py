@@ -19,8 +19,7 @@ from jsonschema import validate
 
 from ultgen.cases import case_from_json, fuzz_candidates, fuzzed_case
 from ultgen.cli import main
-from ultgen.cutlang import parse_source
-from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
+from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse_source
 from ultgen.interp import CaseEvaluator
 from ultgen.scaffold import ANCHOR_START
 from ultgen.schemas import (

@@ -10,7 +10,7 @@ from ultgen.coverage import (
     compute_coverage,
     percent_of,
 )
-from ultgen.cutlang import parse_source
+from ultgen.cutlang.parser import parse_source
 from ultgen.errors import DomainTooLarge, EmptyDomain, MixedTargets
 from ultgen.interp import CaseEvaluator
 

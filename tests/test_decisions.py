@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracle_eval import atoms_of
-from ultgen.cutlang import Binary, BoolLit, ParamRef, Unary, parse_source
+from ultgen.cutlang.nodes import Binary, BoolLit, ParamRef, Unary
+from ultgen.cutlang.parser import parse_source
 from ultgen.decisions import (
     CALL_DRIVEN,
     FIELD_DRIVEN,

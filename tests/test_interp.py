@@ -9,8 +9,8 @@ from hypothesis import example, given, strategies as st
 from gen_programs import gen_program, many_conditions_text, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
 from ultgen.cases import TestCase, fuzz_candidates, fuzzed_case, load_case_config
-from ultgen.cutlang import INT_MAX, INT_MIN, parse_source
-from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH
+from ultgen.cutlang.nodes import INT_MAX, INT_MIN
+from ultgen.cutlang.parser import MAX_BLOCK_DEPTH, MAX_EXPR_DEPTH, parse_source
 from ultgen.errors import ContractViolation, ParseError, UnknownClass, UnknownTarget
 from ultgen import interp
 from ultgen.interp import CaseEvaluator

@@ -20,7 +20,8 @@ import pathlib
 
 import pytest
 
-from ultgen.cutlang import parse_source, tokenize
+from ultgen.cutlang.lexer import tokenize
+from ultgen.cutlang.parser import parse_source
 from ultgen.errors import CutlangError
 
 TESTS_DIR = pathlib.Path(__file__).parent

@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 
 from gen_programs import gen_method, program_text
 import ultgen.cutlang.parser as parser_module
-from ultgen.cutlang import (
+from ultgen.cutlang.lexer import KEYWORDS, PUNCT, tokenize
+from ultgen.cutlang.nodes import (
     INT_MAX,
     INT_MIN,
     ClassDecl,
@@ -19,12 +20,10 @@ from ultgen.cutlang import (
     RefType,
     SourceUnit,
     Unary,
-    parse_source,
-    print_unit,
-    tokenize,
     walk,
 )
-from ultgen.cutlang.lexer import KEYWORDS, PUNCT
+from ultgen.cutlang.parser import parse_source
+from ultgen.cutlang.printer import print_unit
 from ultgen.errors import (
     CutlangError,
     DuplicateName,
@@ -455,6 +454,38 @@ def test_round_trip_golden(golden_dir):
     text = (golden_dir / "class_a.cut").read_text()
     unit = parse_source(text, path="golden")
     assert parse_source(print_unit(unit), path="golden").decls == unit.decls
+
+
+def test_round_trip_keeps_access_labels():
+    """A label is printed where a member's access differs from the one
+    before it; the class body opens public."""
+    text = """class B {
+public:
+    int get() { return 1; }
+};
+
+class A : public B {
+private:
+    int n;
+    B* dep;
+protected:
+    bool on;
+public:
+    float level;
+private:
+    int twice(int x) { return x + x; }
+protected:
+    void reset() { n = 0; }
+public:
+    int f(int x) { return x; }
+};
+"""
+    unit = parse_source(text)
+    printed = print_unit(unit)
+    assert parse_source(printed).decls == unit.decls
+    assert [line for line in printed.splitlines() if line.endswith(":")] == [
+        "private:", "protected:", "public:", "private:", "protected:", "public:",
+    ]
 
 
 @given(gen_method())

@@ -3,13 +3,15 @@
 Nodes compare by class and structure: spans and checker-derived types are
 ignored, everything else counts. They are mutable and so unhashable.
 Records are immutable tuples: equal records hash equal, to the hash of
-their field tuple, so sets and dicts of them keep their order.
+their field tuple, so sets and dicts of them keep their order. A
+TestCase holds dicts, so it is unhashable.
 """
 
 import pytest
 
+from ultgen.cases import TestCase
 from ultgen.coverage import MethodCoverage
-from ultgen.cutlang import (
+from ultgen.cutlang.nodes import (
     Binary,
     Block,
     BoolLit,
@@ -18,8 +20,8 @@ from ultgen.cutlang import (
     ParamRef,
     RefType,
     Return,
-    parse_source,
 )
+from ultgen.cutlang.parser import parse_source
 from ultgen.interp import Event
 from ultgen.scaffold import Anchor
 
@@ -120,6 +122,7 @@ def _coverage():
     (Event("FuelExhausted"), "site"),
     (_coverage(), "pairs_covered"),
     (Anchor("a.h", 3, "test"), "line"),
+    (TestCase("fz-A.f-0001", ("A", "f"), {"x": 1}, {}, {}, "Fuzzed"), "id"),
 ])
 def test_record_fields_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):
@@ -145,3 +148,18 @@ def test_equal_records_hash_equal():
         assert hash(a) == hash(b) == hash(fields)
     assert len({Event("DivByZero", site), Event("DivByZero", site)}) == 1
     assert cov.denominator == 6
+
+
+def test_test_case_is_unhashable_and_shows_every_field():
+    def case(x):
+        return TestCase("fz-A.f-0001", ("A", "f"), {"x": x}, {}, {("d", "g"): [2]},
+                        "Fuzzed", (7, 1))
+
+    with pytest.raises(TypeError):
+        hash(case(1))
+    assert repr(case(1)) == (
+        "TestCase(id='fz-A.f-0001', target=('A', 'f'), param_values={'x': 1}, "
+        "field_values={}, mock_plan={('d', 'g'): [2]}, origin='Fuzzed', "
+        "seed_info=(7, 1), diagnostics=())"
+    )
+    assert case(1) == case(1) and case(1) != case(2)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ultgen.cutlang import parse_source
+from ultgen.cutlang.parser import parse_source
 from ultgen.errors import UltgenError, UnknownClass
 from ultgen.scaffold import (
     fixture_file_name,
