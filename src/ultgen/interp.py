@@ -36,15 +36,24 @@ builds it, so methods of the same shape share one source, compiled once
 per process.
 
 A shape is the statement and expression tree with its arithmetic
-operators, its comparison operators inside a `while`, and its int/float
-and void choices. Names, literals, input positions, pair bits, spans and
+operators, its comparison operators inside a `while`, its int/float and
+void choices, and the side of the int64 range that each int `+` or `-`
+with a literal operand tests. Such a sum can leave the range on one side
+only, which the literal's sign fixes, so it is written with one
+comparison and one correction by 2**64; any other int `+`, `-` or `*`
+tests both sides. Names, literals, input positions, pair bits, spans and
 the comparison operators outside every loop are values, not shape. Such a
 comparison runs at most once per case, so it is written as a call to a
 bound operator function (`operator.lt`, ...) and the call costs a bounded
 amount per case. Inside a `while` it could run thousands of times per
 case, so there it stays an inline operator. A branch inside a `while`
-sets its pairs' bits once per run, guarded by a local flag. The parser
-bounds how deeply a method nests, so every body it accepts compiles.
+sets its pairs' bits once per run, guarded by a local flag. A `while`
+whose condition is an `&&` chain of conditions has no flag per condition:
+entering its body sets every true pair with one flagged update, and a
+false condition sets the pairs of that exit (its own false pair, the true
+pairs before it, the decision's false pair) in one update on each exit.
+The parser bounds how deeply a method nests, so every body it accepts
+compiles.
 
 `run` and `runner` trust their inputs: callers pass cases that `check`
 accepted or inputs built from checked values (configured cases, fuzz
@@ -241,12 +250,44 @@ _COMPARE_FN = {
     ">=": operator.ge,
 }
 _PY_ARITH = {"+": "+", "-": "-", "*": "*"}
-# In-range results skip the mask; `t` is read right after each assignment.
+# The int64 wrap of `*` and of a `+` or `-` of two non-literals: in-range
+# results skip the mask; `t` is read right after each assignment. A `+` or
+# `-` with a literal operand can leave the range on one side only, which
+# the literal's sign fixes (`_wrap_form`), so it tests that side and
+# corrects by 2**64 once.
 _WRAP = (
     "(t if -9223372036854775808 <= (t := {}) <= 9223372036854775807"
     " else ((t + 9223372036854775808) & 18446744073709551615)"
     " - 9223372036854775808)"
 )
+_WRAP_ABOVE = "(t if (t := {}) <= 9223372036854775807 else t - 18446744073709551616)"
+_WRAP_BELOW = "(t if (t := {}) >= -9223372036854775808 else t + 18446744073709551616)"
+
+
+def _wrap_form(e: Binary) -> str:
+    """The wrap of int `e`: one-sided for a `+` or `-` with a literal
+    operand L, whose other operand x lies in the int64 range. x + L and
+    L + x leave it above for L >= 0 and below for L < 0; x - L the other
+    way round; L - x above for L >= 0 and below for L <= -1."""
+    if e.op != "*":
+        if isinstance(e.right, IntLit):
+            above = (e.right.value >= 0) == (e.op == "+")
+            return _WRAP_ABOVE if above else _WRAP_BELOW
+        if isinstance(e.left, IntLit):
+            return _WRAP_ABOVE if e.left.value >= 0 else _WRAP_BELOW
+    return _WRAP
+
+
+def _conjuncts(e: Expr) -> list[Expr]:
+    """The operands of an `&&` chain, left to right; [e] if `e` is no `&&`."""
+    if isinstance(e, Binary) and e.op == "&&":
+        return _conjuncts(e.left) + _conjuncts(e.right)
+    return [e]
+
+
+def _int_division(node: object) -> bool:
+    """Whether `node` is an int `/`, which can crash with DivByZero."""
+    return isinstance(node, Binary) and node.op == "/" and node.type_ != "float"
 
 
 class _Emitter:
@@ -269,7 +310,8 @@ class _Emitter:
     Every outcome pair has a bit of the local mask `m` (`bits`), and each
     branch sets its pairs' bits with one `m |= k<i>`, a walrus inside a
     condition. A branch inside a `while` has a flag `f<i>`, true
-    until the branch first sets its bits in the run.
+    until the branch first sets its bits in the run; the conditions of a
+    `while`'s `&&` chain have none (`conjunction`).
     """
 
     def __init__(
@@ -294,6 +336,9 @@ class _Emitter:
         self.cursors: dict[tuple[str, str], int] = {}
         self.flags = 0
         self.looped = False  # emitting a while's condition or body
+        # True pairs an unmocked call's crash sets: those of the conditions
+        # before it in a `while`'s `&&` chain (see `conjunction`).
+        self.passed: list[tuple[str, bool]] = []
 
     def generate(self, body: Block) -> tuple[str, list[object]]:
         """The source of `_make` for a body and the values of its k<i>."""
@@ -378,7 +423,7 @@ class _Emitter:
             if isinstance(node, CallExpr):
                 if self.call_types.get((node.receiver.name, node.method)) != "void":
                     return False
-            elif isinstance(node, Binary) and node.op == "/" and node.type_ != "float":
+            elif _int_division(node):
                 return False
         return True
 
@@ -394,12 +439,13 @@ class _Emitter:
                 self.block(s.els, depth + 1)
         elif isinstance(s, While):
             outer, self.looped = self.looped, True
-            test, yes, no = self.decision(s.cond)
+            test, yes, no = self.conjunction(s.cond) or self.decision(s.cond)
             # The statement's charge paid for the first check; the body
             # pays for each later one.
             self.emit(depth, "while True:")
             self.emit(depth + 1, f"if not {test}:")
-            self.emit(depth + 2, no)
+            if no:
+                self.emit(depth + 2, no)
             self.emit(depth + 2, "break")
             self.emit(depth + 1, yes)
             self.block(s.body, depth + 1, then=1)
@@ -432,6 +478,38 @@ class _Emitter:
         yes = self.record([(i, True) for i in ids])
         no = self.record([(i, False) for i in ids])
         return test, yes, no
+
+    def conjunction(self, cond: Expr) -> Optional[tuple[str, str, str]]:
+        """(test, statement on true, no statement on false) of a `while`
+        condition that is an `&&` chain of two or more conditions, none
+        after the first holding an int `/`; None for any other predicate.
+        Each condition is written `(A or ((m := m | K) and False))`: when A
+        is false, one update sets its false pair, the true pairs of the
+        conditions before it and the decision's false pair, so an exit
+        needs no flag. Entering the body sets every true pair, once per
+        run. A value-returning call after the first condition sets the
+        true pairs before it as it crashes unmocked (`passed`), so a crash
+        inside the condition records what per-condition updates would. An
+        int `/` there could crash where no update reaches, so such a chain
+        keeps the per-condition form."""
+        atoms = _conjuncts(cond)
+        if (
+            len(atoms) < 2
+            or not all(id(atom) in self.atom_ids for atom in atoms)
+            or any(_int_division(node) for atom in atoms[1:] for node in walk(atom))
+        ):
+            return None
+        did = self.decision_ids[id(cond)]
+        ids = [self.atom_ids[id(atom)] for atom in atoms]
+        tests = []
+        for i, atom in enumerate(atoms):
+            self.passed = [(c, True) for c in ids[:i]]
+            code = self._expr(atom)
+            exit_ = self.mask([*self.passed, (ids[i], False), (did, False)])
+            tests.append(f"({code} or ((m := m | {exit_}) and False))")
+        self.passed = []
+        yes = self.record([*((c, True) for c in ids), (did, True)])
+        return f"({' and '.join(tests)})", yes, ""
 
     def mask(self, pairs: list[tuple[str, bool]]) -> str:
         """The bound mask of `pairs`' bits."""
@@ -502,10 +580,12 @@ class _Emitter:
                 f"elif len(c{n}) == 1: l{n} = c{n}[0]; c{n} = None",
                 f"else: l{n} = c{n}[-1]; c{n} = iter(c{n})",
             ]
-        unmocked = self.const(Event(UNMOCKED_CALL, e.span))
+        crash = f"_unmocked({self.const(Event(UNMOCKED_CALL, e.span))})"
+        if self.passed:
+            crash = f"((m := m | {self.mask(self.passed)}) and {crash})"
         return (
             f"(l{n} if c{n} is None else next(c{n}, l{n}) if c{n} is not _UNSCRIPTED"
-            f" else _unmocked({unmocked}))"
+            f" else {crash})"
         )
 
     def _binary(self, e: Binary) -> str:
@@ -527,7 +607,7 @@ class _Emitter:
         if e.type_ != "int":
             raise AssertionError(f"arithmetic on {e.type_} slipped past the checker")
         if op in _PY_ARITH:
-            return _WRAP.format(f"{left} {_PY_ARITH[op]} {right}")
+            return _wrap_form(e).format(f"{left} {_PY_ARITH[op]} {right}")
         return f"_div({left}, {right}, {self.const(Event(DIV_BY_ZERO, e.span))})"
 
 

@@ -1,7 +1,9 @@
 """Runtime semantics, checked directly and against the independent oracle."""
 
+import functools
 import json
 import math
+import operator
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -648,6 +650,72 @@ def test_tier_scenarios_match_oracle():
     assert any(t.crash is None and t.return_value > 0 for t in traces)
 
 
+AND_LOOPS_SRC = """
+class Dep { public: bool ok() { return true; } };
+class L {
+public:
+    Dep* d;
+    int acc;
+
+    int guard(int n) {
+        while (n > 0 && n < 100 && d->ok()) {
+            n = n - 1;
+        }
+        return n;
+    }
+
+    int nested(int n, int a, int b) {
+        while (n > 0 && a < 100) {
+            b = a;
+            while (b > 0 && b < 50) {
+                b = b - 7;
+            }
+            n = n - 1;
+            a = a + 3;
+        }
+        return b;
+    }
+
+    int spin(int n, bool go) {
+        while (n != 0 && go) {
+            n = n + 1;
+            acc = acc + 1;
+        }
+        return n;
+    }
+};
+"""
+
+_AND_LOOP_CASES = [
+    # (method, params, mocks, fuel): a later condition crashing unmocked on
+    # the first pass, or passing, or ending the loop
+    *(("guard", {"n": n}, mocks, 10000)
+      for n in (-1, 0, 1, 50, 99, 100, 150)
+      for mocks in ({}, {("d", "ok"): [True]}, {("d", "ok"): [True, False]})),
+    # an inner loop that exits on every pass of the outer one
+    *(("nested", {"n": n, "a": a, "b": 0}, {}, 10000)
+      for n in (0, 1, 3, 40) for a in (-5, 20, 99)),
+    # a pass that runs out of fuel
+    *(("spin", {"n": n, "go": go}, {}, fuel)
+      for n, go in ((1, True), (-3, True), (5, False)) for fuel in (2, 7, 8, 50)),
+]
+
+
+def test_and_loop_conditions_record_as_the_oracle_does():
+    """A `while` whose condition is an `&&` chain records its pairs once per
+    run and once per exit, and a later condition crashing mid-chain still
+    records the true pairs of those before it."""
+    unit = parse_source(AND_LOOPS_SRC, path="<and>")
+    crashed = set()
+    for method, params, mocks, fuel in _AND_LOOP_CASES:
+        c = TestCase("c", ("L", method), params, {}, mocks, "Configured")
+        trace = CaseEvaluator(unit, "L", method, fuel=fuel).run(c)
+        assert agree(trace, OracleEvaluator(unit, "L", method, fuel=fuel).run(c)), c
+        if trace.crash:
+            crashed.add((method, trace.crash.kind))
+    assert crashed == {("guard", "UnmockedCall"), ("spin", "FuelExhausted")}
+
+
 def test_generated_source_holds_no_input_text():
     """Methods that differ only in names and literals share one source."""
     text = """
@@ -719,6 +787,35 @@ def test_int_division_keeps_its_own_fuel_check():
     division = next(i for i, line in enumerate(lines) if "_div(" in line)
     assert _fuel_checks(lines[:division]) == ["if fuel <= 0: return _OUT_OF_FUEL, None, 0, m"]
     assert _fuel_checks(lines[division:]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0, m"]
+
+
+# x + L, L + x, x - L and L - x, each with L in the source text.
+_LITERAL_FORMS = {"xpl": "x + {}", "lpx": "{} + x", "xml": "x - {}", "lmx": "{} - x"}
+_LITERALS = [INT_MIN, -2, -1, 0, 1, INT_MAX]
+
+
+def test_int_plus_minus_literal_wraps_as_the_oracle_does():
+    """An int `+` or `-` with a literal operand tests only the side of the
+    int64 range that the literal's sign picks, and wraps as the oracle does
+    at every extreme, straight-line and inside a loop body."""
+    methods = []
+    for form, text in _LITERAL_FORMS.items():
+        for i, literal in enumerate(_LITERALS):
+            e = text.format(literal)
+            methods.append(f"int {form}{i}(int x) {{ return {e}; }}")
+            methods.append(
+                f"int {form}{i}w(int x, bool go)"
+                f" {{ while (go) {{ x = {e}; go = false; }} return x; }}"
+            )
+    unit = parse_source("class W { public: " + " ".join(methods) + " };", path="<wrap>")
+    for form in _LITERAL_FORMS:
+        for i in range(len(_LITERALS)):
+            for x in (INT_MIN, -1, 0, 1, INT_MAX):
+                _run_against_oracle(unit, "W", f"{form}{i}", {"x": x})
+                _run_against_oracle(unit, "W", f"{form}{i}w", {"x": x, "go": True})
+    # x = x + 1 compares with one bound of the range
+    source = CaseEvaluator(unit, "W", f"xpl{_LITERALS.index(1)}w")._generate()[0]
+    assert source.count("922337203685477580") == 1
 
 
 # --- the deepest method the parser accepts --------------------------------
@@ -830,16 +927,14 @@ def test_one_block_deeper_is_a_parse_error(opener):
     )
 
 
-def test_generated_tier_adds_each_pair_once_per_run():
-    """A loop records the same pairs on every pass, but each branch of the
-    generated tier sets its bits of the run's outcome mask once."""
+def test_generated_tier_mask_updates_do_not_grow_with_passes():
+    """A loop records the same pairs on every pass, but each branch inside
+    it sets its bits of the run's outcome mask once per run, and an exit
+    from the `&&` loop condition sets its pairs once per exit, so the number
+    of mask updates does not grow with the passes."""
     unit = parse_source(TIER_SRC, path="<tier>")
     evaluator = CaseEvaluator(unit, "H", "step")
-    c = _tier_case(0, {"n": 40, "k": 1}, {("d", "more"): [True], ("d", "get"): [0, 1, 2]})
-    trace = evaluator.run(c)
-    assert trace.steps > 4 * 40  # 40 passes through the loop
-    assert len(trace.outcomes) == 13  # all but D1:T and d->more() false
-    assert agree(trace, OracleEvaluator(unit, "H", "step").run(c))
+    oracle = OracleEvaluator(unit, "H", "step")
 
     # The same source, run with a mask that records every update.
     updates = []
@@ -854,14 +949,22 @@ def test_generated_tier_adds_each_pair_once_per_run():
     namespace = dict(interp._GENERATED_GLOBALS, RecordingMask=RecordingMask)
     exec(source.replace("m = 0\n", "m = RecordingMask()\n"), namespace)
     runner = namespace["_make"](*consts)
-    fields = evaluator.fields(c.field_values)
-    crash, ret, left, mask = runner(evaluator.inputs(c), fields, evaluator.fuel)
-    assert (crash, ret, evaluator.fuel - left) == (trace.crash, trace.return_value, trace.steps)
-    assert evaluator.outcomes(mask) == trace.outcomes
-    # One update per branch taken, each of its own bits, so no bit is set
-    # twice. D1 is one condition, so its branch sets two pairs' bits.
-    assert len(updates) == len(trace.outcomes) - 1
-    assert sum(updates) == mask
+    counts = []
+    for n in (40, 80):
+        c = _tier_case(0, {"n": n, "k": 1}, {("d", "more"): [True], ("d", "get"): [0, 1, 2]})
+        trace = evaluator.run(c)
+        assert trace.steps > 4 * n  # n passes through the loop
+        assert len(trace.outcomes) == 13  # all but D1:T and d->more() false
+        assert agree(trace, oracle.run(c))
+        updates.clear()
+        fields = evaluator.fields(c.field_values)
+        crash, ret, left, mask = runner(evaluator.inputs(c), fields, evaluator.fuel)
+        steps = evaluator.fuel - left
+        assert (crash, ret, steps) == (trace.crash, trace.return_value, trace.steps)
+        assert evaluator.outcomes(mask) == trace.outcomes
+        assert functools.reduce(operator.or_, updates) == mask
+        counts.append(len(updates))
+    assert counts[0] == counts[1]
 
 
 def test_same_shape_methods_share_one_code_object():
@@ -888,6 +991,30 @@ def test_same_shape_methods_share_one_code_object():
     assert run(q, "x", 720).return_value == 36  # 4 passes of + 9
     assert p.runner.__code__ is q.runner.__code__
     assert p.runner is not q.runner
+
+
+def test_wrap_side_of_a_literal_sum_is_shape():
+    """The sign of an int `+` literal picks the side of the range that the
+    sum tests, so methods that differ in it keep distinct code, and methods
+    that differ only in its magnitude share one code object."""
+    unit = parse_source(
+        """
+        class S { public:
+            int up(int x) { return x + 5; }
+            int far(int x) { return x + 70000; }
+            int down(int x) { return x + -5; } };
+        """,
+        path="<sides>",
+    )
+    for method, x, wrapped in (
+        ("up", INT_MAX - 4, INT_MIN),
+        ("far", INT_MAX, INT_MIN + 69999),
+        ("down", INT_MIN + 4, INT_MAX),
+    ):
+        assert _run_against_oracle(unit, "S", method, {"x": x}).return_value == wrapped
+    up, far, down = (CaseEvaluator(unit, "S", m).runner for m in ("up", "far", "down"))
+    assert up.__code__ is far.__code__
+    assert up.__code__ is not down.__code__
 
 
 # Operand values per type, and the comparisons the checker allows on it
