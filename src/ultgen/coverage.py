@@ -9,16 +9,13 @@ no decisions is vacuously at 100%.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, NamedTuple, Optional, Sequence, Union
 
-# all_pairs lives in decisions (the evaluator needs it) and is still
-# importable from here.
+# all_pairs lives in decisions (the evaluator needs it); perfbench/check.py
+# imports it from here.
 from .decisions import all_pairs  # noqa: F401
 from .errors import DomainTooLarge, EmptyDomain, MixedTargets
 from .interp import CaseEvaluator, ExecutionTrace, check_values
-
-if TYPE_CHECKING:
-    from .cases import TestCase
 
 Scalar = Union[int, float, bool]
 
@@ -64,7 +61,7 @@ def percent_of(pairs_covered: int, denominator: int) -> float:
 
 def _method_coverage(
     evaluator: CaseEvaluator,
-    covered: set[tuple[str, bool]],
+    covered: AbstractSet[tuple[str, bool]],
     has_passing_case: bool,
     combos: Optional[int] = None,
 ) -> MethodCoverage:
@@ -128,54 +125,40 @@ def brute_force_max_coverage(
 
     Every method parameter needs a nonempty domain and every value-returning
     call site a nonempty mock domain (one scripted value per combination),
-    of values of its type. Scalar fields stay at their type defaults,
-    matching the fuzzer.
+    of values of its type. Each combination is one runner input vector (see
+    `CaseEvaluator.inputs`), as fuzz candidates are. Scalar fields stay at
+    their type defaults, matching the fuzzer.
     """
-    from .cases import TestCase
-
-    axes: list[tuple[str, object, Sequence[Scalar]]] = []
+    pools: list[Sequence] = []
     for name, type_name in evaluator.param_types.items():
         values = domains.get(name)
         if not values:
             raise EmptyDomain(f"no domain for parameter {name!r}")
-        values = check_values(type_name, values, f"domain value of parameter {name!r}")
-        axes.append(("param", name, values))
+        pools.append(check_values(type_name, values, f"domain value of parameter {name!r}"))
     for key, ret in evaluator.mock_types.items():
         values = mock_domains.get(key)
         if not values:
             raise EmptyDomain(f"no mock domain for call site {key}")
         values = check_values(ret, values, f"domain value of mock {key[0]}->{key[1]}()")
-        axes.append(("mock", key, values))
+        pools.append([(v,) for v in values])
 
     total = 1
-    for _, _, values in axes:
-        total *= len(values)
+    for pool in pools:
+        total *= len(pool)
         if total > cap:
             raise DomainTooLarge(f"domain product exceeds {cap}")
 
-    valid = evaluator.pairs
-    covered: set[tuple[str, bool]] = set()
+    runner = evaluator.runner
+    fields = evaluator.fields({})
+    fuel = evaluator.fuel
+    full = (1 << len(evaluator.pairs_by_bit)) - 1
+    mask = 0
     has_passing = False
-    for combo in itertools.product(*(values for _, _, values in axes)):
-        params: dict[str, Scalar] = {}
-        mocks: dict[tuple[str, str], list[Scalar]] = {}
-        for (kind, name, _), value in zip(axes, combo):
-            if kind == "param":
-                params[name] = value
-            else:
-                mocks[name] = [value]
-        case = TestCase(
-            id="brute",
-            target=(evaluator.class_name, evaluator.method.name),
-            param_values=params,
-            field_values={},
-            mock_plan=mocks,
-            origin="Fuzzed",
-        )
-        trace = evaluator.run(case)
-        covered.update(trace.outcomes)
-        has_passing = has_passing or trace.passed
-        if len(covered) == len(valid) and has_passing:
+    for inputs in itertools.product(*pools):
+        crash, _, _, run_mask = runner(inputs, fields, fuel)
+        mask |= run_mask
+        has_passing = has_passing or crash is None
+        if mask == full and has_passing:
             break  # provably maximal already
 
-    return _method_coverage(evaluator, covered, has_passing, combos=total)
+    return _method_coverage(evaluator, evaluator.outcomes(mask), has_passing, combos=total)

@@ -31,6 +31,9 @@ INT_MAX = (1 << 63) - 1
 
 SCALAR_TYPES = ("int", "bool", "float")
 
+# The type of every call on an extern dependency, whose surface is unknown.
+EXTERN_CALL_TYPE = "int"
+
 Span = tuple[int, int, int, int]  # (lo, hi, line, column)
 NO_SPAN = (0, 0, 0, 0)
 

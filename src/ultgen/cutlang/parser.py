@@ -26,6 +26,7 @@ from typing import Optional, Union
 from ..errors import DuplicateName, ParseError, TypeCheckError
 from .lexer import Token, tokenize
 from .nodes import (
+    EXTERN_CALL_TYPE,
     INT_MAX,
     INT_MIN,
     SCALAR_TYPES,
@@ -661,8 +662,7 @@ class _MethodChecker:
                 )
             e.type_ = m.return_type
         else:
-            # Extern surface is unknown; int is the documented assumption.
-            e.type_ = "int"
+            e.type_ = EXTERN_CALL_TYPE
         self.method.call_types.setdefault((name, e.method), e.type_)
         return e
 

@@ -11,14 +11,15 @@ another method by its pairs alone.
 
 A CaseEvaluator compiles its method into the source of one Python
 function the first time its `runner` is read, and every case runs through
-that function: `run` calls it for a TestCase, and greedy selection calls
-it straight on each fuzz candidate. The function takes one flat input
-vector: the parameter values in declaration order, then one mock script
-(or None) per value-returning call site; and a field vector, a value per
-scalar field with defaults filled in, which greedy selection builds once
-per method. Both are read by position, and a one-value script, such as
-every fuzz candidate's, is read as a value, with no iterator made per
-run and no `next` per call. It returns the run's outcome pairs as a bit
+that function: `run` calls it for a TestCase, and greedy selection and
+the brute-force oracle call it straight on each input vector. The
+function takes one flat input vector: the parameter values in
+declaration order, then one mock script (or None) per value-returning
+call site; and a field vector, a value per scalar field with defaults
+filled in, which greedy selection and the oracle build once per method.
+Both are read by position, and a one-value script, such as every fuzz
+candidate's, is read as a value, with no iterator made per run and no
+`next` per call. It returns the run's outcome pairs as a bit
 mask, one bit per pair of `pairs_by_bit`, which `outcomes` decodes; so a
 run that greedy selection drops builds no set. Everything a
 node's behaviour depends on is resolved while writing the source: the
@@ -87,6 +88,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .cutlang.nodes import (
+    EXTERN_CALL_TYPE,
     INT_MAX,
     INT_MIN,
     Assert,
@@ -670,7 +672,7 @@ class CaseEvaluator:
             raise ContractViolation(f"mock key {key} names no reference field")
         dep = self.unit.class_named(ref.type.class_name)
         if dep is None:
-            return "int"  # extern dependency: documented assumption
+            return EXTERN_CALL_TYPE
         m = dep.all_methods.get(m_name)
         if m is None or m.return_type == "void":
             raise ContractViolation(f"no scriptable method for mock key {key}")

@@ -128,6 +128,7 @@ CASE_SCHEMA = {
         "candidate_index": {"type": "integer", "minimum": 0},
         "diagnostics": {"type": "array", "items": {"type": "string"}},
     },
+    "dependentRequired": {"candidate_index": ["seed"]},
 }
 
 CASES_SUMMARY_SCHEMA = {

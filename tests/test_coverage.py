@@ -1,8 +1,15 @@
 """Pair accounting, aggregation, and the exhaustive-domain oracle."""
 
-import pytest
+import itertools
+import json
+import math
 
-from ultgen.cases import TestCase, fuzz_candidates, greedy_select
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gen_programs import floats, gen_method, ints, program_text
+from ultgen.cases import TestCase, _scalar_from_json, fuzz_candidates, greedy_select
 from ultgen.coverage import (
     aggregate_report,
     all_pairs,
@@ -181,3 +188,68 @@ def test_fuzzer_matches_brute_force_on_small_product(unit):
         {},
     )
     assert result.coverage.percent == brute.percent == 100.0
+
+
+def _reference_brute_force(evaluator, domains, mock_domains):
+    """The oracle spelled out, as the spec: one TestCase per combination
+    of the domains, run through `CaseEvaluator.run`, stopping once every
+    pair is covered and some run passed. (covered, uncovered, has a
+    passing run, combinations)."""
+    axes = [("param", name, domains[name]) for name in evaluator.param_types]
+    axes += [("mock", key, mock_domains[key]) for key in evaluator.mock_types]
+    target = (evaluator.class_name, evaluator.method.name)
+    covered, has_passing = set(), False
+    for combo in itertools.product(*(values for _, _, values in axes)):
+        params = {name: v for (kind, name, _), v in zip(axes, combo) if kind == "param"}
+        mocks = {key: [v] for (kind, key, _), v in zip(axes, combo) if kind == "mock"}
+        trace = evaluator.run(TestCase("brute", target, params, {}, mocks, "Fuzzed"))
+        covered |= trace.outcomes
+        has_passing = has_passing or trace.passed
+        if covered == evaluator.pairs and has_passing:
+            break
+    combos = math.prod(len(values) for _, _, values in axes)
+    return covered, evaluator.pairs - covered, has_passing, combos
+
+
+def _assert_brute_force_matches_reference(evaluator, domains, mock_domains):
+    cov = brute_force_max_coverage(evaluator, domains, mock_domains)
+    got = (cov.pairs_covered, cov.uncovered, cov.has_passing_case, cov.combos)
+    assert got == _reference_brute_force(evaluator, domains, mock_domains)
+
+
+# Two or three values per input; every int domain holds 0, a zero divisor.
+_int_domain = st.lists(ints, min_size=1, max_size=2).map(lambda vs: [0, *vs])
+_float_domain = st.lists(floats, min_size=2, max_size=3)
+_bool_domain = st.lists(st.booleans(), min_size=2, max_size=3)
+
+
+@given(
+    method=gen_method(),
+    fuel=st.one_of(st.integers(1, 20), st.just(300)),
+    domains=st.fixed_dictionaries(
+        {"a": _int_domain, "b": _int_domain, "p": _bool_domain, "x": _float_domain}
+    ),
+    mock_domains=st.fixed_dictionaries(
+        {("d", "get"): _int_domain, ("d", "ok"): _bool_domain, ("d", "temp"): _float_domain}
+    ),
+)
+def test_brute_force_matches_reference_on_generated_methods(
+    method, fuel, domains, mock_domains
+):
+    """Loops that never end run out of the small fuel; `/` meets the zero
+    divisors of the domains."""
+    unit = parse_source(program_text(method), path="<gen>")
+    evaluator = CaseEvaluator(unit, "G", "m", fuel=fuel)
+    _assert_brute_force_matches_reference(evaluator, domains, mock_domains)
+
+
+def test_brute_force_matches_reference_on_corpus_domains(corpus_unit, corpus_dir):
+    domains = json.loads((corpus_dir / "domains.json").read_text())
+    for name, entry in domains.items():
+        evaluator = CaseEvaluator(corpus_unit, *name.split("."))
+        _assert_brute_force_matches_reference(
+            evaluator,
+            {k: [_scalar_from_json(v) for v in vs] for k, vs in entry["params"].items()},
+            {tuple(k.split(".", 1)): [_scalar_from_json(v) for v in vs]
+             for k, vs in entry["mocks"].items()},
+        )

@@ -26,10 +26,12 @@ import pathlib
 import shutil
 import tempfile
 
+import jsonschema
 import pytest
 
 from ultgen.cli import build_parser, main
 from ultgen.errors import UltgenError
+from ultgen.schemas import CASE_SCHEMA
 
 TESTS_DIR = pathlib.Path(__file__).parent
 FIXTURE = TESTS_DIR / "fixtures" / "project"
@@ -236,6 +238,29 @@ def test_input_errors_match_golden(kind, tmp_path, monkeypatch):
             mismatches.append((damage, r, printed))
     assert mismatches == []
     assert golden == {}  # every golden record was probed
+
+
+# Case-record damages a schema cannot judge: names checked against the
+# method, and a key given twice, which decoding has already merged.
+_BEYOND_SCHEMA = {"unknown target", "unknown class", "unknown parameter", "repeated key"}
+
+
+def test_case_schema_and_reader_disagree_only_on_optional_keys():
+    """CASE_SCHEMA describes the records ultgen writes, which always hold
+    params, fields, mocks and origin; the reader also accepts records
+    without them. On every other shape damage of the sweep the two agree."""
+    validator = jsonschema.Draft202012Validator(CASE_SCHEMA)
+    accepted = {r["damage"]: r["error"] is None
+                for r in _golden() if r["kind"] == "case record"}
+    disagree = []
+    for damage, files, _ in probes("case record"):
+        if damage in _BEYOND_SCHEMA:
+            continue
+        record = json.loads(files["cases.jsonl"].splitlines()[1])
+        if validator.is_valid(record) != accepted[damage]:
+            disagree.append(damage)
+    assert disagree == ["drop params", "drop fields", "drop mocks", "drop origin"]
+    assert all(accepted[damage] for damage in disagree)
 
 
 if __name__ == "__main__":
