@@ -20,10 +20,8 @@ import argparse
 import contextlib
 import hashlib
 import json
-import math
 import os
 import sys
-import time
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -421,9 +419,10 @@ def _advise_payload(
     }
 
 
-def _advise_once(args: argparse.Namespace, grid: Sequence[int]) -> int:
+def cmd_advise(args: argparse.Namespace) -> int:
+    _check_tau(args.tau)
     payload = _advise_payload(
-        args.bugs, args.commits, args.coverage, args.map, args.tau, grid
+        args.bugs, args.commits, args.coverage, args.map, args.tau, _parse_grid(args.grid)
     )
     if args.json:
         _print_json(payload)
@@ -441,44 +440,6 @@ def _advise_once(args: argparse.Namespace, grid: Sequence[int]) -> int:
         print()
         print(render_gap_table({"gaps": payload["gaps"]}), end="")
     return 2 if payload["gap_count"] > 0 else 0
-
-
-def _dir_snapshot(path: Path) -> dict[str, tuple[float, int]]:
-    snap = {}
-    for p in sorted(path.rglob("*")):
-        if p.is_file():
-            st = p.stat()
-            snap[str(p)] = (st.st_mtime, st.st_size)
-    return snap
-
-
-def cmd_advise(args: argparse.Namespace) -> int:
-    _check_tau(args.tau)
-    if not (math.isfinite(args.watch_interval) and args.watch_interval >= 0):
-        raise UltgenError(
-            f"--watch-interval must be a finite number >= 0, got {args.watch_interval}"
-        )
-    if args.watch_count is not None and args.watch_count < 0:
-        raise UltgenError(f"--watch-count must be >= 0, got {args.watch_count}")
-    if args.watch is not None and not Path(args.watch).is_dir():
-        raise UltgenError(f"--watch {args.watch}: not a directory")
-    grid = _parse_grid(args.grid)
-    code = _advise_once(args, grid)
-    if args.watch is None:
-        return code
-    watch_dir = Path(args.watch)
-    remaining = args.watch_count
-    snapshot = _dir_snapshot(watch_dir)
-    while remaining is None or remaining > 0:
-        time.sleep(args.watch_interval)
-        current = _dir_snapshot(watch_dir)
-        if current == snapshot:
-            continue
-        snapshot = current
-        code = _advise_once(args, grid)
-        if remaining is not None:
-            remaining -= 1
-    return code
 
 
 # --- run --------------------------------------------------------------------
@@ -718,10 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--grid", default=",".join(str(g) for g in COVERAGE_GRID))
-    p.add_argument("--watch", help="directory to watch; re-advise on change")
-    p.add_argument("--watch-count", type=int, default=None,
-                   help="stop after this many re-runs (default: forever)")
-    p.add_argument("--watch-interval", type=float, default=0.25)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_advise)
 

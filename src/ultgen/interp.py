@@ -56,6 +56,19 @@ pairs before it, the decision's false pair) in one update on each exit.
 The parser bounds how deeply a method nests, so every body it accepts
 compiles.
 
+A counting `while` (`_Emitter.fast_forward`: bool invariants and int
+comparisons in its condition, a body that adds a fixed step to each of some
+int locals) ends each pass with a call of `_fast_forward` while a flag set
+on entry holds. With one-value mock scripts its passes differ only in those
+locals, which move linearly, so the helper finds in closed form how many
+more passes keep every condition true, leave fuel for one more and let no
+condition read a wrapped local; the runner adds that many steps to each
+local and takes that many passes' fuel. Those passes record no pair the
+first pass did not, cannot crash and pay whole charges, so the trace is the
+one that running them gives. When the int64 range limited a skip, its last
+pass wrapped a local that a condition reads; the flag stays set, and the
+next pass may skip again.
+
 `run` and `runner` trust their inputs: callers pass cases that `check`
 accepted or inputs built from checked values (configured cases, fuzz
 pools).
@@ -227,6 +240,40 @@ def _unmocked(event: Event) -> Scalar:
 _UNSCRIPTED = object()
 
 
+def _fast_forward(fuel, cost, cursors, tests, steps):
+    """A counting loop (`_Emitter.fast_forward`) at the end of a pass of
+    `cost` fuel: (again, fuel, *locals) after the largest k more passes that
+    leave fuel for one more, whose conditions hold and read no wrapped
+    local. A test is `(op, a, a's step, b, b's step)`, a local `(value,
+    step)`, wrapped in closed form. A cursor that is not None (a script of
+    several values) makes passes differ: k = 0. `again` is whether the int64
+    range limited k, so that a skip may follow the wrap; a step of 2**58 or
+    more leaves at most 64 passes between wraps, too few to pay for another
+    call, so then it stays False."""
+    k = fuel // cost - 1 if all(c is None for c in cursors) else 0
+    for op, a, da, b, db in tests:
+        d, s = a - b, da - db  # pass j tests (d + j * s) op 0
+        if op == "==":
+            k = 0 if d or s else k  # false now or on the next pass
+        elif op == "!=":
+            k = 0 if d == 0 else min(k, -d // s) if d * s < 0 and d % s == 0 else k
+        else:
+            if op[0] == "<":
+                d, s = -d, -s
+            if len(op) == 1:
+                d -= 1  # now pass j needs d + j * s >= 0
+            k = 0 if d < 0 else k if s >= 0 else min(k, d // -s + 1)
+    again = False
+    for x, dx in [side for test in tests for side in (test[1:3], test[3:])]:
+        if dx:
+            room = 1 + ((INT_MAX - x) // dx if dx > 0 else (x - INT_MIN) // -dx)
+            if room <= k:
+                k, again = room, abs(dx) < 2**58
+    k = max(k, 0)
+    wrapped = [(x + k * dx - INT_MIN) % 2**64 + INT_MIN for x, dx in steps]
+    return (again, fuel - k * cost, *wrapped)
+
+
 # The only names generated source reads besides its own numbered ones.
 _GENERATED_GLOBALS = {
     "_Crash": _Crash,
@@ -235,6 +282,7 @@ _GENERATED_GLOBALS = {
     "_fdiv": _float_div,
     "_unmocked": _unmocked,
     "_UNSCRIPTED": _UNSCRIPTED,
+    "_ff": _fast_forward,
 }
 
 # Operators are looked up here, never copied from the AST, so the source
@@ -285,6 +333,11 @@ def _conjuncts(e: Expr) -> list[Expr]:
     if isinstance(e, Binary) and e.op == "&&":
         return _conjuncts(e.left) + _conjuncts(e.right)
     return [e]
+
+
+def _local(e: Expr) -> Optional[tuple[type, str]]:
+    """The key of a parameter or field, None for any other expression."""
+    return (type(e), e.name) if isinstance(e, (ParamRef, FieldRef)) else None
 
 
 def _int_division(node: object) -> bool:
@@ -444,6 +497,7 @@ class _Emitter:
             test, yes, no = self.conjunction(s.cond) or self.decision(s.cond)
             # The statement's charge paid for the first check; the body
             # pays for each later one.
+            start = len(self.lines)
             self.emit(depth, "while True:")
             self.emit(depth + 1, f"if not {test}:")
             if no:
@@ -451,6 +505,7 @@ class _Emitter:
             self.emit(depth + 2, "break")
             self.emit(depth + 1, yes)
             self.block(s.body, depth + 1, then=1)
+            self.fast_forward(s, depth, start)
             self.looped = outer
         elif isinstance(s, Assert):
             test, yes, no = self.decision(s.cond)
@@ -512,6 +567,68 @@ class _Emitter:
         self.passed = []
         yes = self.record([*((c, True) for c in ids), (did, True)])
         return f"({' and '.join(tests)})", yes, ""
+
+    def fast_forward(self, loop: While, depth: int, start: int) -> None:
+        """Make a counting loop, emitted at depth `depth` from line `start`
+        on, end each pass with a call of `_fast_forward` while the flag
+        `skip`, set on entry, holds. Its condition is one condition or an
+        `&&` chain, each a bool literal, local or call, or an int comparison
+        of int literals, locals and calls. Its body assigns each of some int
+        locals once, `x = x + e`, `x = x - e` or `x = e + x`, where `e` is an
+        int literal, a call or a local the body does not assign. A call is
+        read as its one-value script's value, which the helper checks."""
+        leaves = (IntLit, BoolLit, ParamRef, FieldRef, CallExpr)
+        steps: dict[tuple[type, str], tuple[str, Expr]] = {}
+        for s in loop.body.stmts:
+            e = s.value if isinstance(s, Assign) else None
+            if not (isinstance(e, Binary) and e.op in ("+", "-") and e.type_ == "int"):
+                return
+            x = s.target
+            step = e.right if e.left == x else e.left if e.right == x and e.op == "+" else None
+            if not isinstance(step, leaves) or _local(x) in steps:
+                return
+            steps[_local(x)] = ("-" if e.op == "-" else "", step)
+        if any(_local(e) in steps for _, e in steps.values()):
+            return
+        tests = []
+        for atom in _conjuncts(loop.cond):
+            if atom.type_ == "bool" and isinstance(atom, leaves):
+                continue  # the body assigns no bool
+            if not (
+                isinstance(atom, Binary)
+                and atom.op in _PY_COMPARE
+                and atom.left.type_ == "int"
+                and isinstance(atom.left, leaves)
+                and isinstance(atom.right, leaves)
+            ):
+                return
+            if _local(atom.left) in steps or _local(atom.right) in steps:
+                tests.append(atom)
+
+        def value(e: Expr) -> str:
+            if isinstance(e, CallExpr):
+                return f"l{self.cursors[(e.receiver.name, e.method)]}"
+            return self._expr(e)
+
+        deltas = {key: sign + value(e) for key, (sign, e) in steps.items()}
+
+        def side(e: Expr) -> str:
+            return f"{value(e)}, {deltas.get(_local(e), 0)}"
+
+        cursors = dict.fromkeys(
+            f"c{self.cursors[(e.receiver.name, e.method)]}, "
+            for e in walk(loop)
+            if isinstance(e, CallExpr)
+        )
+        tested = [f"({self.const(t.op)}, {side(t.left)}, {side(t.right)}), " for t in tests]
+        pairs = [f"({self.vars[key]}, {delta}), " for key, delta in deltas.items()]
+        names = ", ".join(["skip", "fuel", *(self.vars[key] for key in steps)])
+        self.lines.insert(start, "    " * depth + "skip = True")
+        self.emit(
+            depth + 1,
+            f"if skip: {names} = _ff(fuel, {len(loop.body.stmts) + 1}, ({''.join(cursors)}),"
+            f" ({''.join(tested)}), ({''.join(pairs)}))",
+        )
 
     def mask(self, pairs: list[tuple[str, bool]]) -> str:
         """The bound mask of `pairs`' bits."""

@@ -5,15 +5,19 @@ fields n (int), on (bool, private) and level (float, protected), and a
 dependency with int, bool, float and void methods. Extreme literals make int64 wrap and float
 overflow likely, and `/` meets zero divisors from the cases. While
 conditions are random, so loops that never end run into a fuel limit drawn
-small. Programs are printed and re-parsed, so the evaluators see
-checker-typed trees with real spans.
+small. `gen_program` builds half its methods around a counting loop
+instead (`gen_counting_method`), with fuel up to 10,000. Programs are
+printed and re-parsed, so the evaluators see checker-typed trees with real
+spans.
 """
 
 import math
+import operator
 import random
 
 from hypothesis import strategies as st
 
+from oracle_eval import wrap64
 from ultgen.cases import TestCase
 from ultgen.cutlang.nodes import (
     INT_MAX,
@@ -185,13 +189,127 @@ def _gen_case(draw):
     )
 
 
+# Counting loops (interp._Emitter.fast_forward) and near misses. The int
+# locals a, b and n count; each starts at a case value or at a literal of
+# _MARKS, and conditions compare them with _MARKS too, so loops run out of
+# fuel from the extremes, end after a few passes or wrap on the way.
+_COUNTERS = ["a", "b", "n"]
+_MARKS = [INT_MIN, INT_MIN + 2, -1, 0, 3, 20, INT_MAX - 2, INT_MAX]
+
+
+def _counter(name):
+    return FieldRef(name) if name == "n" else ParamRef(name)
+
+
+# A step: 0, +-1, a large literal, a mock call or a local (which the body
+# may also assign: a near miss).
+_gen_step = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -3]).map(IntLit),
+    st.sampled_from([1 << 62, INT_MAX, INT_MIN]).map(IntLit),
+    st.builds(_dep_call, st.just("get")),
+    st.sampled_from(_COUNTERS).map(_counter),
+)
+
+_gen_operand = st.one_of(
+    st.sampled_from(_MARKS).map(IntLit),
+    st.sampled_from(_COUNTERS).map(_counter),
+    st.builds(_dep_call, st.just("get")),
+)
+
+MIRRORED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+
+_HOLDS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+_BOOL_LEAVES = [ParamRef("p"), FieldRef("on"), _dep_call("ok"), BoolLit(True)]
+
+
+def _step_assign(name, form, step):
+    """`x = x + e`, `x = x - e` or `x = e + x`, as `form` reads, for counter
+    `name` and step `e`."""
+    x = _counter(name)
+    if form == "e + x":
+        return Assign(x, Binary("+", step, x))
+    return Assign(x, Binary(form[2], x, step))
+
+
+# Statements that make a loop no counting loop.
+_NEAR_MISSES = [
+    Assign(ParamRef("a"), Binary("-", ParamRef("a"), IntLit(1))),  # a local assigned twice
+    Assign(ParamRef("b"), Binary("/", ParamRef("b"), IntLit(2))),  # an int `/`
+    Assign(ParamRef("b"), Binary("*", ParamRef("b"), IntLit(-1))),  # an int `*`
+    Assign(ParamRef("x"), Binary("+", ParamRef("x"), FloatLit(1.0))),  # a float local
+    If(ParamRef("p"), Block([Assign(FieldRef("n"), IntLit(0))]), None),  # an `if`
+    Assert(Binary("!=", ParamRef("a"), IntLit(7))),  # an `assert`
+    Assign(ParamRef("a"), Binary("-", IntLit(5), ParamRef("a"))),  # x = e - x
+]
+
+
+@st.composite
+def gen_counting_method(draw):
+    """One method G.m around a counting `while` loop or a near miss: start
+    values, the loop, then a return. Most loops whose body counts open
+    their condition with a test of the first counter that turns after a few
+    passes (or never, for some operators and steps)."""
+    names = draw(st.lists(st.sampled_from(_COUNTERS), max_size=3, unique=True))
+    starts = {name: draw(st.sampled_from(_MARKS)) for name in names if draw(st.integers(0, 3))}
+    steps = {name: draw(_gen_step) for name in names}
+    forms = {name: draw(st.sampled_from(["x + e", "x - e", "e + x"])) for name in names}
+    ops = st.sampled_from(_CMP_OPS)
+    counters = st.sampled_from(names or _COUNTERS).map(_counter)
+    condition = st.one_of(
+        st.builds(Binary, ops, counters, _gen_operand),
+        st.builds(Binary, ops, _gen_operand, _gen_operand),
+        st.sampled_from(_BOOL_LEAVES),
+    )
+    atoms = draw(st.lists(condition, min_size=1, max_size=2))
+    if names and draw(st.integers(0, 3)):
+        x = names[0]
+        start, step = draw(st.sampled_from(_MARKS)), draw(st.sampled_from([1, -1, 2, -3]))
+        starts[x], steps[x], forms[x] = start, IntLit(step), "x + e"
+        j = draw(st.integers(0, 30) | st.integers(31, 10_000))
+        turn = wrap64(start + step * j)
+        # mostly an operator that holds from the start until the turn (or
+        # for its first 64 passes); across a wrap only `!=` does, and such
+        # a loop may run out of fuel on the far side
+        seen = [wrap64(start + step * i) for i in range(min(j, 64))]
+        holding = [op for op in _CMP_OPS if all(_HOLDS[op](v, turn) for v in seen)]
+        op = draw(st.sampled_from(holding) | ops)
+        if draw(st.booleans()):
+            atoms[0] = Binary(op, _counter(x), IntLit(turn))
+        else:
+            atoms[0] = Binary(MIRRORED[op], IntLit(turn), _counter(x))
+    body = [_step_assign(name, forms[name], steps[name]) for name in names]
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(body)))
+        body.insert(at, draw(st.sampled_from(_NEAR_MISSES)))
+    cond = atoms[0]
+    for atom in atoms[1:]:
+        cond = Binary(draw(st.sampled_from(["&&", "&&", "&&", "||"])), cond, atom)
+    stmts = [
+        *(_gen_assign(name, IntLit(value)) for name, value in starts.items()),
+        While(cond, Block(body)),
+        Return(draw(_gen_int)),
+    ]
+    params = [Param(name, t) for name, t in _GEN_PARAMS.items()]
+    return MethodDecl("m", params, "int", Block(stmts))
+
+
 @st.composite
 def gen_program(draw):
-    """(source text, fuel, cases) for one generated method G.m."""
-    text = program_text(draw(gen_method()))
-    fuel = draw(st.one_of(st.integers(min_value=1, max_value=20), st.just(300)))
+    """(source text, fuel, cases) for one generated method G.m: a random
+    method, or one around a counting loop, whose fuel may reach the default
+    of 10,000."""
+    if draw(st.booleans()):
+        method = draw(gen_counting_method())
+        fuel = draw(st.integers(1, 40) | st.integers(100, 10_000))
+    else:
+        method = draw(gen_method())
+        fuel = draw(st.one_of(st.integers(min_value=1, max_value=20), st.just(300)))
     cases = draw(st.lists(_gen_case(), min_size=1, max_size=3))
-    return text, fuel, cases
+    return program_text(method), fuel, cases
 
 
 _ATOMS = [

@@ -10,8 +10,6 @@ import re
 import shutil
 import subprocess
 import sys
-import threading
-import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -1002,72 +1000,6 @@ def test_advise_insufficient_history(invoke, tmp_path):
     code, _, err = invoke("advise", *_history_args(tmp_path))
     assert code == 1
     assert "need >= 20" in err
-
-
-def test_advise_watch_requires_directory(invoke, history_dir, tmp_path):
-    code, out, err = invoke(
-        "advise", *_history_args(history_dir), "--watch", tmp_path / "missing"
-    )
-    assert (code, out) == (1, "")  # rejected before any advice is printed
-    assert "not a directory" in err
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [
-        ("--watch-interval", "-0.5"),
-        ("--watch-interval", "nan"),
-        ("--watch-interval", "inf"),
-        ("--watch-count", "-1"),
-    ],
-)
-def test_advise_rejects_bad_watch_settings_before_advising(
-    invoke, history_dir, tmp_path, flag, value
-):
-    code, out, err = invoke(
-        "advise", *_history_args(history_dir), "--watch", tmp_path, flag, value
-    )
-    assert (code, out) == (1, "")
-    assert err.startswith(f"ultgen: error: {flag} must be ")
-    assert err.count("\n") == 1
-
-
-def test_advise_watch_rereads_after_change(invoke, history_dir, tmp_path):
-    hist = tmp_path / "history"
-    shutil.copytree(history_dir, hist)
-    gap_rows = []
-    for raw in (hist / "coverage.jsonl").read_text().splitlines():
-        row = json.loads(raw)
-        if row["component"] == "core" and row["period"] == "2025-12":
-            row["conditional_pct"] = 60.0
-        gap_rows.append(json.dumps(row))
-    gap_text = "\n".join(gap_rows) + "\n"
-
-    stop = threading.Event()
-
-    def mutate():
-        # keep rewriting (atomically, growing) until the watcher exits, so
-        # the change cannot slip in before the first directory snapshot
-        pad = 0
-        while not stop.is_set():
-            pad += 1
-            tmp = hist / "coverage.jsonl.tmp"
-            tmp.write_text(gap_text + "\n" * pad)
-            os.replace(tmp, hist / "coverage.jsonl")
-            time.sleep(0.1)
-
-    thread = threading.Thread(target=mutate)
-    thread.start()
-    try:
-        code, out, _ = invoke(
-            "advise", *_history_args(hist), "--watch", hist,
-            "--watch-count", "1", "--watch-interval", "0.05",
-        )
-    finally:
-        stop.set()
-        thread.join()
-    assert code == 2
-    assert "<-- raise" in out
 
 
 # --- run --------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Runtime semantics, checked directly and against the independent oracle."""
 
 import functools
+import itertools
 import json
 import math
 import operator
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gen_programs import gen_program, many_conditions_text, value_for
+from gen_programs import MIRRORED, gen_program, many_conditions_text, value_for
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
 from ultgen.cases import TestCase, fuzz_candidates, fuzzed_case, load_case_config
 from ultgen.cutlang.nodes import INT_MAX, INT_MIN
@@ -543,13 +545,15 @@ def _sweep_case(b, p, mocks):
 ]))
 def test_every_fuel_limit_matches_oracle(packed):
     """Each case runs out of fuel at every point it can, up to one past the
-    fuel it needs (at most 64): the evaluator, which pays several charges
-    in one check, stops with the trace the oracle's one-by-one charges give."""
+    fuel it needs (at most 64), and at the last five points of a longer run:
+    the evaluator, which pays several charges in one check and skips the
+    passes of a counting loop, stops with the trace the oracle's one-by-one
+    charges give."""
     text, _, cases = packed
     unit = parse_source(text, path="<sweep>")
     for c in cases:
         steps = CaseEvaluator(unit, "G", "m").run(c).steps
-        for fuel in range(1, min(steps + 1, 64) + 1):
+        for fuel in {*range(1, min(steps + 1, 64) + 1), *range(max(steps - 3, 1), steps + 2)}:
             trace = CaseEvaluator(unit, "G", "m", fuel=fuel).run(c)
             result = OracleEvaluator(unit, "G", "m", fuel=fuel).run(c)
             assert agree(trace, result), (text, c, fuel)
@@ -1026,11 +1030,12 @@ _COMPARED = {
 }
 
 
-def _run_against_oracle(unit, class_name, method, params):
+def _run_against_oracle(unit, class_name, method, params, mocks=None, fuel=10000):
     """The method's trace for `params`, checked against the oracle's."""
-    c = TestCase("c", (class_name, method), params, {}, {}, "Configured")
-    trace = CaseEvaluator(unit, class_name, method).run(c)
-    assert agree(trace, OracleEvaluator(unit, class_name, method).run(c)), (method, params)
+    c = TestCase("c", (class_name, method), params, {}, mocks or {}, "Configured")
+    trace = CaseEvaluator(unit, class_name, method, fuel=fuel).run(c)
+    result = OracleEvaluator(unit, class_name, method, fuel=fuel).run(c)
+    assert agree(trace, result), (method, params)
     return trace
 
 
@@ -1078,3 +1083,194 @@ def test_methods_differing_in_a_while_operator_keep_distinct_code():
     below = CaseEvaluator(unit, "W", "below").runner
     upto = CaseEvaluator(unit, "W", "upto").runner
     assert below.__code__ is not upto.__code__
+
+
+# --- counting loops -------------------------------------------------------
+#
+# A counting `while` (interp._Emitter.fast_forward) skips passes in closed
+# form; every trace must still be the oracle's, pass by pass.
+
+def _counting_methods():
+    """Loops over `a` that hold from a start until a turn `j` passes on
+    (before the first pass, after a few, across a wrap or never), for every
+    comparison on either side, with steps of each sign; `k` counts passes."""
+    methods = []
+    for op, step, start, j in itertools.product(
+        ("==", "!=", "<", "<=", ">", ">="), (1, -1, 3, -2), (0, INT_MAX - 4, INT_MIN + 4),
+        range(-1, 6),
+    ):
+        turn = wrap64(start + step * j)
+        for cond in (f"a {op} {turn}", f"{turn} {MIRRORED[op]} a"):
+            methods.append(
+                f"a = {start}; while ({cond} && go) {{ a = a + {step}; k = k + 1; }} return k;"
+            )
+    return methods
+
+
+def test_counting_loops_turn_and_wrap_where_the_oracle_does():
+    methods = _counting_methods()
+    unit = parse_source(
+        "class L { public: int k; "
+        + " ".join(f"int m{i}(int a, bool go) {{ {body} }}" for i, body in enumerate(methods))
+        + " };",
+        path="<turns>",
+    )
+    turned = 0  # loops that end by their condition after a few passes
+    for i in range(len(methods)):
+        trace = _run_against_oracle(unit, "L", f"m{i}", {"a": 0, "go": True}, fuel=400)
+        turned += trace.steps < 400 and trace.return_value > 2
+    assert turned > 100
+
+
+COUNTING_SRC = """
+class Dep { public: int get() { return 0; } bool ok() { return true; } void nudge() {} };
+class K {
+public:
+    Dep* d;
+    int n;
+    bool on;
+    int m(int a, int b, bool p, float x) { %s return a + b + n; }
+};
+"""
+
+# id: (loop, params, mock scripts, whether its generated source calls the
+# fast-forward helper). Counting loops, then near misses.
+_LOOP_TABLE = {
+    "count-down": ("while (a > 0) { a = a - 1; n = n + 2; }", {"a": INT_MAX}, {}, True),
+    "mock-step": (
+        "while (a != b && p) { a = a + d->get(); b = b - 1; }",
+        {"a": 0, "b": 9000, "p": True}, {("d", "get"): [2]}, True,
+    ),
+    "bool-guards": (
+        "while (a <= 100 && on && d->ok()) { a = 3 + a; }",
+        {"a": INT_MIN}, {("d", "ok"): [True]}, True,
+    ),
+    "equal": ("while (a == b) { n = n - a; }", {"a": -1, "b": -1}, {}, True),
+    "empty-body": ("while (p) { }", {"p": True}, {}, True),
+    "unread-wraps": (
+        "while (a < 0) { a = a + 1; n = n + 4611686018427387904; }", {"a": -2000}, {}, True,
+    ),
+    # a mock the loop reads has several values: the helper skips nothing
+    "several-values-step": (
+        "while (a > 0) { a = a - d->get(); }", {"a": 50}, {("d", "get"): [1, 2, 3]}, True,
+    ),
+    "several-values-bound": (
+        "while (a > d->get()) { a = a - 1; }", {"a": 90}, {("d", "get"): [-5, 40]}, True,
+    ),
+    "reads-assigned-local": ("while (a > 0) { a = a - 1; b = b + a; }", {"a": 3000}, {}, False),
+    "assigned-twice": ("while (a > 0) { a = a - 1; a = a - 1; }", {"a": INT_MAX}, {}, False),
+    "int-division": ("while (a > 0) { a = a - 1; b = b / 2; }", {"a": 3000, "b": 7}, {}, False),
+    "if": ("while (a > 0) { a = a - 1; if (p) { n = n + 1; } }", {"a": 3000}, {}, False),
+    "assert": ("while (a > 0) { a = a - 1; assert(a != 5); }", {"a": 3000}, {}, False),
+    "float-local": (
+        "while (a > 0) { a = a - 1; x = x + 1.0; }", {"a": 3000, "x": 0.5}, {}, False,
+    ),
+    "or": ("while (a > 0 || p) { a = a - 1; }", {"a": 3000}, {}, False),
+    "not": ("while (!(a <= 0)) { a = a - 1; }", {"a": 3000}, {}, False),
+    "times": ("while (a > 0) { a = a * 1; }", {"a": 3000}, {}, False),
+    "subtracted-from": ("while (a > 0) { a = 10 - a; }", {"a": 3}, {}, False),
+}
+
+
+@pytest.mark.parametrize("name", _LOOP_TABLE)
+def test_counting_loops_and_near_misses_match_oracle(name):
+    loop, params, mocks, fast = _LOOP_TABLE[name]
+    unit = parse_source(COUNTING_SRC % loop, path="<loops>")
+    full = {"a": 0, "b": 0, "p": False, "x": 0.0, **params}
+    _run_against_oracle(unit, "K", "m", full, mocks)
+    assert ("_ff(" in CaseEvaluator(unit, "K", "m")._generate()[0]) == fast
+
+
+FILL_SRC = """
+class Limits { public: bool ready() { return true; } };
+class Pump {
+public:
+    Limits* lim;
+    int level;
+    int mode;
+    int fill(int n, bool go) {
+        assert(n != 71);
+        while (n != 0 && go && lim->ready()) {
+            level = level + 1;
+            n = n - 1;
+        }
+        if (n > 23 || mode == 4) {
+            return -1;
+        }
+        return level / n;
+    }
+};
+"""
+
+
+def _generated_lines(evaluator, case):
+    """The trace of `case` and the line events its run makes in generated
+    code. A run stops with an AssertionError past 100,000 events, so a
+    runner that takes every pass of a long loop fails instead of hanging."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != "<ultgen generated>":
+            return None
+        count += event == "line"
+        assert count <= 100_000, "the loop's passes ran one by one"
+        return tracer
+
+    evaluator.runner  # compile outside the trace
+    sys.settrace(tracer)
+    try:
+        trace = evaluator.run(case)
+    finally:
+        sys.settrace(None)
+    return trace, count
+
+
+def test_counting_loops_skip_their_passes(corpus_unit):
+    """At the default fuel of 10,000 a counting loop from an extreme start
+    runs a few passes and skips the rest, with the oracle's trace, and so
+    does one that wraps the local its condition reads on the way."""
+    fill = parse_source(FILL_SRC, path="<fill>")
+    spin = parse_source(
+        "class S { public: int f(int n) { while (n != 0) { n = n + 1; } return n; } };",
+        path="<spin>",
+    )
+    runs = [
+        (corpus_unit, "Tokenizer", "consume", {"n": INT_MAX}, {}),
+        (fill, "Pump", "fill", {"n": INT_MIN, "go": True}, {("lim", "ready"): [True]}),
+        (spin, "S", "f", {"n": INT_MAX - 50}, {}),
+    ]
+    for unit, class_name, method, params, mocks in runs:
+        c = TestCase("c", (class_name, method), params, {}, mocks, "Configured")
+        trace, lines = _generated_lines(CaseEvaluator(unit, class_name, method), c)
+        assert agree(trace, OracleEvaluator(unit, class_name, method).run(c))
+        assert trace.crash == interp.Event(interp.FUEL_EXHAUSTED)
+        assert lines < 64, (method, lines)
+
+
+@pytest.mark.parametrize("scale", [60, 10**14])
+def test_counting_loops_run_to_their_end_in_closed_form(corpus_unit, scale):
+    """Runs of about 3 * scale steps give the steps, return value and crash
+    that counting their passes gives; at the smaller scale the oracle agrees,
+    and at fuel 10**15 only skipped passes can finish."""
+    fill = parse_source(FILL_SRC, path="<fill>")
+    wrap = parse_source(
+        "class W { public: int up(int n) { while (n >= 0) { n = n + 1; } return n; } };",
+        path="<wrap>",
+    )
+    runs = [
+        # scale passes of 3: the while and its first check, the return
+        (corpus_unit, "Tokenizer", "consume", {"n": scale}, {}, (3 * scale + 3, scale, None)),
+        # the assert, the loop, the if and the return, which divides by n = 0
+        (fill, "Pump", "fill", {"n": scale, "go": True}, {("lim", "ready"): [True]},
+         (3 * scale + 5, None, interp.DIV_BY_ZERO)),
+        # scale + 1 passes of 2, the last of which wraps n to INT_MIN
+        (wrap, "W", "up", {"n": INT_MAX - scale}, {}, (2 * scale + 5, INT_MIN, None)),
+    ]
+    for unit, class_name, method, params, mocks, (steps, ret, crash) in runs:
+        c = TestCase("c", (class_name, method), params, {}, mocks, "Configured")
+        trace, _ = _generated_lines(CaseEvaluator(unit, class_name, method, fuel=10**15), c)
+        assert (trace.steps, trace.return_value) == (steps, ret), method
+        assert (trace.crash.kind if trace.crash else None) == crash
+        if scale < 1000:
+            assert agree(trace, OracleEvaluator(unit, class_name, method, fuel=10**15).run(c))
