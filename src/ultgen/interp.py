@@ -19,42 +19,33 @@ call site; and a field vector, a value per scalar field with defaults
 filled in, which greedy selection and the oracle build once per method.
 Both are read by position, and a one-value script, such as every fuzz
 candidate's, is read as a value, with no iterator made per run and no
-`next` per call. It returns the run's outcome pairs as a bit
-mask, one bit per pair of `pairs_by_bit`, which `outcomes` decodes; so a
-run that greedy selection drops builds no set. Everything a
-node's behaviour depends on is resolved while writing the source: the
-bits of the `(id, True)`/`(id, False)` outcome pairs a decision or
-condition records, the position of each input, the operator, whether
-arithmetic is on int or float, void call sites and the crash event (kind
-and source span) of each assert, division and call site. Variables, mock
-cursors, fuel and the mask are the function's locals, and no step makes a
-call to dispatch a node. Fuel is checked once per run of quiet statements
-(assignments and expression statements with no value-returning call and
-no int `/`) together with the statement or loop condition check after it,
-so a loop whose body is quiet pays one check per pass. The source holds
-no text from the input: every value is an argument of the function that
-builds it, so methods of the same shape share one source, compiled once
-per process.
+`next` per call. It returns the run's outcome pairs as a bit mask, one
+bit per pair of `pairs_by_bit`, which `outcomes` decodes; so a run that
+greedy selection drops builds no set. Variables, mock cursors, fuel and
+the mask are the function's locals, and no step makes a call to dispatch
+a node. Fuel is checked once per run of quiet statements (assignments
+and expression statements with no value-returning call and no int `/`)
+together with the statement or loop condition check after it, so a loop
+whose body is quiet pays one check per pass.
 
-A shape is the statement and expression tree with its arithmetic
-operators, its comparison operators inside a `while`, its int/float and
-void choices, and the side of the int64 range that each int `+` or `-`
-with a literal operand tests. Such a sum can leave the range on one side
-only, which the literal's sign fixes, so it is written with one
-comparison and one correction by 2**64; any other int `+`, `-` or `*`
-tests both sides. Names, literals, input positions, pair bits, spans and
-the comparison operators outside every loop are values, not shape. Such a
-comparison runs at most once per case, so it is written as a call to a
-bound operator function (`operator.lt`, ...) and the call costs a bounded
-amount per case. Inside a `while` it could run thousands of times per
-case, so there it stays an inline operator. A branch inside a `while`
-sets its pairs' bits once per run, guarded by a local flag. A `while`
-whose condition is an `&&` chain of conditions has no flag per condition:
-entering its body sets every true pair with one flagged update, and a
-false condition sets the pairs of that exit (its own false pair, the true
-pairs before it, the decision's false pair) in one update on each exit.
-The parser bounds how deeply a method nests, so every body it accepts
-compiles.
+A method is a shape and values, which one walk of the body gives
+(`CaseEvaluator._walk`): a key for the shape and the values in walk
+order. The shape is the statement and expression tree with its
+arithmetic operators, its comparison operators inside a `while`, its
+int/float and void choices, which locals and mock keys are the same, and
+the side of the int64 range that each int `+` or `-` with a literal
+operand tests (`_wrap_form`). It fixes the decisions and the bits of
+their outcome pairs, so the source writes pair masks as literals. The
+values are literals, input and field positions, crash events (kind and
+span) and the comparison operators outside every loop: such a comparison
+runs at most once per case, so a call to its bound operator function
+(`operator.lt`, ...) costs a bounded amount, while inside a `while` it
+could run thousands of times and stays inline. Each value is an argument
+of the function that builds the runner, so the source holds no text from
+the input, and methods of one shape share one source, written and
+compiled once per process (`_MAKERS`). Branches inside a `while` record
+once per run (`_Emitter.record`, `_Emitter.conjunction`). The parser
+bounds how deeply a method nests, so every body it accepts compiles.
 
 A counting `while` (`_Emitter.fast_forward`: bool invariants and int
 comparisons in its condition, a body that adds a fixed step to each of some
@@ -349,54 +340,49 @@ class _Emitter:
     """Writes one method body as the source of a single Python function.
 
     The source is `def _make(k0, k1, ...): def _run(inputs, fields, fuel):
-    ...; return _run`. Every value taken from the method (literal, pair
-    bits, crash event, input or field position) is one of the `k<i>`
-    arguments, in the order the emitter meets it, so the text holds only
-    fixed keywords, operators and numbered names. A comparison
+    ...; return _run`. Each value of the method is the argument `k<i>` of
+    its slot i (`CaseEvaluator._walk`), so the text holds only fixed
+    keywords, operators, numbered names and pair masks. A comparison
     outside every `while` is a call `k<i>(left, right)` to its bound
-    operator function, so its operator is a value as well. Inside a `while`
-    condition or body (`looped`) it is written inline, because there it can
-    run many times per case. Parameters and fields live in locals `v<i>`,
-    each read by its bound position from `inputs` (a parameter) or `fields`
-    (a field). Each mock key's script, at its position in `inputs`, gives a
-    value `l<i>` and a cursor `c<i>`: for a one-value script its value and
-    None, so a call reads `l<i>` and calls nothing; for a longer one its
-    last value and an iterator over it; for no script, `_UNSCRIPTED`.
-    Every outcome pair has a bit of the local mask `m` (`bits`), and each
-    branch sets its pairs' bits with one `m |= k<i>`, a walrus inside a
-    condition. A branch inside a `while` has a flag `f<i>`, true
-    until the branch first sets its bits in the run; the conditions of a
-    `while`'s `&&` chain have none (`conjunction`).
+    operator function. Inside a `while` condition or body (`looped`) it is
+    written inline, because there it can run many times per case.
+    Parameters and fields live in locals `v<i>`, read from `inputs` (a
+    parameter) or `fields` (a field) at the position bound at slot i. Each
+    mock key's script, at its position in `inputs`, gives a value `l<i>`
+    and a cursor `c<i>`: for a one-value script its value and None, so a
+    call reads `l<i>` and calls nothing; for a longer one its last value
+    and an iterator over it; for no script, `_UNSCRIPTED`. Every outcome
+    pair has a bit of the local mask `m` (`bits`), and each branch sets its
+    pairs' bits with one `m |= <mask>`, a walrus inside a condition. A
+    branch inside a `while` has a flag `f<i>`, true until the branch first
+    sets its bits in the run; the conditions of a `while`'s `&&` chain have
+    none (`conjunction`).
     """
 
     def __init__(
         self,
         decisions: list[Decision],
         call_types: dict[tuple[str, str], str],
-        positions: dict[object, int],
+        slots: dict[object, int],
         bits: dict[tuple[str, bool], int],
     ):
         # Decision and condition ids keyed by the id() of their AST node.
         self.decision_ids = {id(d.expr): d.id for d in decisions}
         self.atom_ids = {id(c.atom): c.id for d in decisions for c in d.conditions}
         self.call_types = call_types
-        # (ParamRef, name) or mock key -> its index in `inputs`, and
-        # (FieldRef, name) -> its index in `fields`.
-        self.positions = positions
+        self.slots = slots  # where `CaseEvaluator._walk` bound each value
         self.bits = bits  # outcome pair -> its bit of the mask
-        self.consts: list[object] = []
         self.prologue: list[str] = []
         self.lines: list[str] = []
-        self.vars: dict[tuple[type, str], str] = {}
-        self.cursors: dict[tuple[str, str], int] = {}
+        self.named: set[int] = set()  # slots of the locals and cursors read
         self.flags = 0
         self.looped = False  # emitting a while's condition or body
         # True pairs an unmocked call's crash sets: those of the conditions
         # before it in a `while`'s `&&` chain (see `conjunction`).
         self.passed: list[tuple[str, bool]] = []
 
-    def generate(self, body: Block) -> tuple[str, list[object]]:
-        """The source of `_make` for a body and the values of its k<i>."""
+    def generate(self, body: Block) -> str:
+        """The source of `_make` for a body."""
         self.block(body, 3)
         if self.flags:
             flags = " = ".join(f"f{i}" for i in range(self.flags))
@@ -404,7 +390,7 @@ class _Emitter:
         pad = " " * 8
         source = "\n".join(
             [
-                f"def _make({', '.join(f'k{i}' for i in range(len(self.consts)))}):",
+                f"def _make({', '.join(f'k{i}' for i in range(len(self.slots)))}):",
                 "    def _run(inputs, fields, fuel):",
                 pad + "m = 0",
                 *(pad + line for line in self.prologue),
@@ -417,11 +403,7 @@ class _Emitter:
                 "",
             ]
         )
-        return source, self.consts
-
-    def const(self, value: object) -> str:
-        self.consts.append(value)
-        return f"k{len(self.consts) - 1}"
+        return source
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
@@ -509,7 +491,7 @@ class _Emitter:
             self.looped = outer
         elif isinstance(s, Assert):
             test, yes, no = self.decision(s.cond)
-            failure = self.const(Event(ASSERT_FAILURE, s.span))
+            failure = f"k{self.slots[id(s)]}"
             self.emit(depth, f"if not {test}:")
             self.emit(depth + 1, no)
             self.emit(depth + 1, f"return {failure}, None, fuel, m")
@@ -607,7 +589,7 @@ class _Emitter:
 
         def value(e: Expr) -> str:
             if isinstance(e, CallExpr):
-                return f"l{self.cursors[(e.receiver.name, e.method)]}"
+                return f"l{self.slots[(e.receiver.name, e.method)]}"
             return self._expr(e)
 
         deltas = {key: sign + value(e) for key, (sign, e) in steps.items()}
@@ -616,13 +598,13 @@ class _Emitter:
             return f"{value(e)}, {deltas.get(_local(e), 0)}"
 
         cursors = dict.fromkeys(
-            f"c{self.cursors[(e.receiver.name, e.method)]}, "
+            f"c{self.slots[(e.receiver.name, e.method)]}, "
             for e in walk(loop)
             if isinstance(e, CallExpr)
         )
-        tested = [f"({self.const(t.op)}, {side(t.left)}, {side(t.right)}), " for t in tests]
-        pairs = [f"({self.vars[key]}, {delta}), " for key, delta in deltas.items()]
-        names = ", ".join(["skip", "fuel", *(self.vars[key] for key in steps)])
+        tested = [f"({t.op!r}, {side(t.left)}, {side(t.right)}), " for t in tests]
+        pairs = [f"(v{self.slots[key]}, {delta}), " for key, delta in deltas.items()]
+        names = ", ".join(["skip", "fuel", *(f"v{self.slots[key]}" for key in steps)])
         self.lines.insert(start, "    " * depth + "skip = True")
         self.emit(
             depth + 1,
@@ -631,8 +613,8 @@ class _Emitter:
         )
 
     def mask(self, pairs: list[tuple[str, bool]]) -> str:
-        """The bound mask of `pairs`' bits."""
-        return self.const(sum(1 << self.bits[p] for p in pairs))
+        """The mask of `pairs`' bits, as a literal."""
+        return str(sum(1 << self.bits[p] for p in pairs))
 
     def record(self, pairs: list[tuple[str, bool]]) -> str:
         """The statement that sets a branch's outcome pairs' bits. Outside
@@ -647,14 +629,12 @@ class _Emitter:
     # -- expressions -------------------------------------------------------
 
     def var(self, ref: Union[ParamRef, FieldRef]) -> str:
-        key = (type(ref), ref.name)
-        name = self.vars.get(key)
-        if name is None:
-            name = self.vars[key] = f"v{len(self.vars)}"
+        n = self.slots[(type(ref), ref.name)]
+        if n not in self.named:
+            self.named.add(n)
             source = "inputs" if isinstance(ref, ParamRef) else "fields"
-            position = self.const(self.positions[key])
-            self.prologue.append(f"{name} = {source}[{position}]")
-        return name
+            self.prologue.append(f"v{n} = {source}[k{n}]")
+        return f"v{n}"
 
     def expr(self, e: Expr) -> str:
         code = self._expr(e)
@@ -675,7 +655,7 @@ class _Emitter:
 
     def _expr(self, e: Expr) -> str:
         if isinstance(e, (IntLit, FloatLit, BoolLit)):
-            return self.const(e.value)
+            return f"k{self.slots[id(e)]}"
         if isinstance(e, (ParamRef, FieldRef)):
             return self.var(e)
         if isinstance(e, CallExpr):
@@ -690,16 +670,16 @@ class _Emitter:
         key = (e.receiver.name, e.method)
         if self.call_types.get(key) == "void":
             return "None"
-        n = self.cursors.get(key)
-        if n is None:
-            n = self.cursors[key] = len(self.cursors)
+        n = self.slots[key]
+        if n not in self.named:
+            self.named.add(n)
             self.prologue += [
-                f"c{n} = inputs[{self.const(self.positions[key])}]",
+                f"c{n} = inputs[k{n}]",
                 f"if c{n} is None: c{n} = _UNSCRIPTED",
                 f"elif len(c{n}) == 1: l{n} = c{n}[0]; c{n} = None",
                 f"else: l{n} = c{n}[-1]; c{n} = iter(c{n})",
             ]
-        crash = f"_unmocked({self.const(Event(UNMOCKED_CALL, e.span))})"
+        crash = f"_unmocked(k{self.slots[id(e)]})"
         if self.passed:
             crash = f"((m := m | {self.mask(self.passed)}) and {crash})"
         return (
@@ -718,7 +698,7 @@ class _Emitter:
         if op in _PY_COMPARE:
             if self.looped:
                 return f"({left} {_PY_COMPARE[op]} {right})"
-            return f"{self.const(_COMPARE_FN[op])}({left}, {right})"
+            return f"k{self.slots[id(e)]}({left}, {right})"
         if e.type_ == "float":
             if op == "/":
                 return f"_fdiv({left}, {right})"
@@ -727,12 +707,14 @@ class _Emitter:
             raise AssertionError(f"arithmetic on {e.type_} slipped past the checker")
         if op in _PY_ARITH:
             return _wrap_form(e).format(f"{left} {_PY_ARITH[op]} {right}")
-        return f"_div({left}, {right}, {self.const(Event(DIV_BY_ZERO, e.span))})"
+        return f"_div({left}, {right}, k{self.slots[id(e)]})"
 
 
-# `_make` per generated source. A source holds no input text, so methods of
-# the same shape share one entry, each binding its own values to it.
-_MAKERS: dict[str, Callable[..., _Runner]] = {}
+# `_make` per shape key (`CaseEvaluator._walk`) and per source, so keys that
+# write one text share one compiled function, each method binding its own
+# values to it. A key finer than the shape costs one more text pass; a
+# coarser one would bind a method to another shape's runner.
+_MAKERS: dict[Union[tuple, str], Callable[..., _Runner]] = {}
 
 
 class CaseEvaluator:
@@ -769,10 +751,14 @@ class CaseEvaluator:
         # condition, the syntactic coverage denominator.
         self.pairs = all_pairs(self.decisions)
         # What a case may set: parameters in declaration order, and scalar
-        # fields (inherited ones included) by name.
+        # fields (`field_types`).
         self.param_types = {p.name: p.type for p in method.params}
-        fields = cls.all_fields.values()
-        self.field_types = {f.name: f.type for f in fields if type(f.type) is str}
+
+    @cached_property
+    def field_types(self) -> dict[str, str]:
+        """The scalar fields a case may set, inherited ones included, by name."""
+        fields = self.cls.all_fields.values()
+        return {f.name: f.type for f in fields if type(f.type) is str}
 
     @cached_property
     def mock_types(self) -> dict[tuple[str, str], str]:
@@ -798,31 +784,104 @@ class CaseEvaluator:
     @cached_property
     def pairs_by_bit(self) -> tuple[tuple[str, bool], ...]:
         """Every pair of `pairs` once, in decision order: bit i of a
-        `runner` mask stands for pair i. Built when the method compiles."""
+        `runner` mask stands for pair i. Built on first use."""
         ids = [i for d in self.decisions for i in (d.id, *(c.id for c in d.conditions))]
         return tuple((i, value) for i in ids for value in (True, False))
 
-    def _generate(self) -> tuple[str, list[object]]:
-        """The source of the method's `_make` and the values to bind to it."""
+    def _walk(self) -> tuple[tuple, list[object], dict[object, int]]:
+        """One pre-order walk of the body: its shape key, its values in walk
+        order and each value's slot (index) by the id() of its node or, for
+        a position, by its local or mock key. The key holds each node's
+        class and `type_`, block lengths, None for a missing `else` or
+        return value, each `Binary`'s operator (None for a comparison outside
+        every `while`) and int wrap form, and each local's and mock key's
+        slot (None for a void call). It fixes the text `_source` writes."""
         inputs = [*[(ParamRef, name) for name in self.param_types], *self.mock_types]
         positions = {key: i for i, key in enumerate(inputs)}
         positions.update({(FieldRef, name): i for i, name in enumerate(self.field_types)})
+        call_types = self.method.call_types
+        key: list[object] = []
+        values: list[object] = []
+        slots: dict[object, int] = {}
+        add = key.append
+
+        def bind(at: object, value: object) -> None:
+            if at not in slots:  # a local or mock key binds at first use
+                slots[at] = len(values)
+                values.append(value)
+
+        def expr(e: Expr, looped: bool) -> None:
+            cls = type(e)
+            add(cls)
+            add(e.type_)
+            if cls is Binary:
+                if e.op in _COMPARE_FN and not looped:
+                    add(None)
+                    bind(id(e), _COMPARE_FN[e.op])
+                else:
+                    add(e.op)
+                    if e.type_ == "int" and e.op == "/":
+                        bind(id(e), Event(DIV_BY_ZERO, e.span))
+                    elif e.type_ == "int":
+                        add(_wrap_form(e))
+                expr(e.left, looped)
+                expr(e.right, looped)
+            elif cls is Unary:
+                expr(e.operand, looped)
+            elif cls is CallExpr:
+                site = (e.receiver.name, e.method)
+                if call_types.get(site) != "void":
+                    bind(site, positions[site])
+                    bind(id(e), Event(UNMOCKED_CALL, e.span))
+                add(slots.get(site))
+            elif cls is ParamRef or cls is FieldRef:
+                bind((cls, e.name), positions[(cls, e.name)])
+                add(slots[(cls, e.name)])
+            else:  # a literal
+                bind(id(e), e.value)
+
+        def block(b: Block, looped: bool) -> None:
+            add(len(b.stmts))
+            for s in b.stmts:
+                cls = type(s)
+                add(cls)
+                if cls is Assert:
+                    bind(id(s), Event(ASSERT_FAILURE, s.span))
+                inner = looped or cls is While
+                for name in cls.__slots__[:-1]:  # its fields before `span`
+                    part = getattr(s, name)
+                    if part is None:  # no `else`, or no return value
+                        add(None)
+                    elif type(part) is Block:
+                        block(part, inner)
+                    else:
+                        expr(part, inner)
+
+        block(self.method.body, False)
+        return tuple(key), values, slots
+
+    def _source(self, slots: dict[object, int]) -> str:
+        """The source of the method's `_make`, whose arguments are the values
+        that `_walk` bound at `slots`."""
         bits = {pair: i for i, pair in enumerate(self.pairs_by_bit)}
-        emitter = _Emitter(self.decisions, self.method.call_types, positions, bits)
+        emitter = _Emitter(self.decisions, self.method.call_types, slots, bits)
         return emitter.generate(self.method.body)
 
     @cached_property
     def runner(self) -> _Runner:
         """The method compiled (see `_Runner`): its values bound to its
-        shape's `_make`, compiling the shape's source if no method has yet.
-        Like `run`, it trusts its inputs."""
-        source, consts = self._generate()
-        make = _MAKERS.get(source)
+        shape's `_make`, writing and compiling the shape's source if no
+        method has yet. Like `run`, it trusts its inputs."""
+        key, values, slots = self._walk()
+        make = _MAKERS.get(key)
         if make is None:
-            namespace = dict(_GENERATED_GLOBALS)
-            exec(compile(source, "<ultgen generated>", "exec"), namespace)
-            make = _MAKERS[source] = namespace["_make"]
-        return make(*consts)
+            source = self._source(slots)
+            if source not in _MAKERS:
+                namespace = dict(_GENERATED_GLOBALS)
+                exec(compile(source, "<ultgen generated>", "exec"), namespace)
+                _MAKERS[source] = namespace["_make"]
+            make = _MAKERS[key] = _MAKERS[source]
+        return make(*values)
 
     # -- case validation ---------------------------------------------------
 

@@ -8,9 +8,12 @@ conditions are random, so loops that never end run into a fuel limit drawn
 small. `gen_program` builds half its methods around a counting loop
 instead (`gen_counting_method`), with fuel up to 10,000. Programs are
 printed and re-parsed, so the evaluators see checker-typed trees with real
-spans.
+spans. `file_text` lays classes like G out in one source file, and
+`SHAPE_NEAR_MISSES` and `gen_siblings` give methods one feature of shape
+(or one value) apart.
 """
 
+import copy
 import math
 import operator
 import random
@@ -39,6 +42,7 @@ from ultgen.cutlang.nodes import (
     Return,
     Unary,
     While,
+    walk,
 )
 from ultgen.cutlang.printer import print_method
 
@@ -60,15 +64,18 @@ def value_for(type_name, draw):
     return draw(st.booleans())
 
 
-_GEN_HEAD = """
+_DEP_TEXT = """
 class Dep {
 public:
     int get() { return 0; }
+    int num() { return 0; }
     bool ok() { return true; }
     float temp() { return 0.0; }
     void nudge() {}
 };
+"""
 
+_CLASS_HEAD = """
 class G {
 public:
     Dep* d;
@@ -161,7 +168,60 @@ def gen_method(draw):
 
 def program_text(method):
     """The source of class G (and Dep) holding `method`."""
-    return _GEN_HEAD + print_method(method, indent=1) + "\n};\n"
+    return file_text({"G": [print_method(method, indent=1) + "\n"]})
+
+
+def file_text(classes, dep="Dep"):
+    """A source file: class Dep named `dep`, then per entry of `classes` a
+    class like G, named by its key, holding the method texts of its value."""
+    text = _DEP_TEXT.replace("Dep", dep)
+    for name, methods in classes.items():
+        head = _CLASS_HEAD.replace("class G", f"class {name}").replace("Dep*", f"{dep}*")
+        text += head + "".join(methods) + "};\n"
+    return text
+
+
+def method_text(name, body):
+    """Method `name` of a class like G, with G.m's parameters, over `body`."""
+    return f"    int {name}(int a, int b, bool p, float x) {{ {body} }}\n"
+
+
+# Pairs of method bodies one shape feature apart (interp.CaseEvaluator._walk
+# keeps each apart), each ending in a branch that the difference moves.
+SHAPE_NEAR_MISSES = {
+    "while-operator": (
+        "while (a < 3) { a = a + 1; } if (a == 3) { return 1; } return 0;",
+        "while (a <= 3) { a = a + 1; } if (a == 3) { return 1; } return 0;",
+    ),
+    "plus-sign": (
+        "n = a + 5; if (n < 0) { return 1; } return 0;",
+        "n = a + -5; if (n < 0) { return 1; } return 0;",
+    ),
+    "mock-keys": (
+        "if (d->get() > 0 && d->num() < d->get()) { return 1; } return 0;",
+        "if (d->get() > 0 && d->num() < d->num()) { return 1; } return 0;",
+    ),
+    "locals": (
+        "n = a - b; if (n > 0) { return 1; } return 0;",
+        "n = a - a; if (n > 0) { return 1; } return 0;",
+    ),
+    "void-call": (
+        "d->nudge(); if (a > 0) { return 1; } return 0;",
+        "d->get(); if (a > 0) { return 1; } return 0;",
+    ),
+    "param-field": (
+        "if (a > 0) { return 1; } return 0;",
+        "if (n > 0) { return 1; } return 0;",
+    ),
+    "int-float": (
+        "if (a * a > a) { return 1; } return 0;",
+        "if (x * x > x) { return 1; } return 0;",
+    ),
+    "counting-loop": (
+        "while (a > 0) { a = a - 1; n = n + b; } if (n > 100) { return 1; } return 0;",
+        "while (a > 0) { a = a - 1; n = n + a; } if (n > 100) { return 1; } return 0;",
+    ),
+}
 
 
 @st.composite
@@ -297,6 +357,47 @@ def gen_counting_method(draw):
     return MethodDecl("m", params, "int", Block(stmts))
 
 
+_ORDERINGS = ["<", "<=", ">", ">="]
+
+
+def _mutable(node):
+    """Whether `_mutate` can change `node`."""
+    return (
+        (isinstance(node, Binary) and node.op in _CMP_OPS)
+        or isinstance(node, IntLit)
+        or (isinstance(node, ParamRef) and node.name in ("a", "b"))
+        or (isinstance(node, CallExpr) and node.method == "get")
+    )
+
+
+def _mutate(node, draw):
+    """Change one feature of `node` and keep the method well typed: a
+    comparison's operator, an int literal's sign or magnitude, parameter a
+    for b or back, a `get` call for `num`."""
+    if isinstance(node, Binary):
+        group = ["==", "!="] if node.op in ("==", "!=") else _ORDERINGS
+        node.op = draw(st.sampled_from([op for op in group if op != node.op]))
+    elif isinstance(node, IntLit):
+        node.value = draw(st.sampled_from([-node.value - 1, node.value // 2]))
+    elif isinstance(node, ParamRef):
+        node.name = "b" if node.name == "a" else "a"
+    else:
+        node.method = "num"
+
+
+@st.composite
+def gen_siblings(draw):
+    """(method, sibling): a method as `gen_program` draws them, counting
+    loops included, and a copy of it with one node changed (`_mutate`),
+    which may or may not change its shape."""
+    method = draw(gen_counting_method() if draw(st.booleans()) else gen_method())
+    sibling = copy.deepcopy(method)
+    nodes = [node for node in walk(sibling.body) if _mutable(node)]
+    if nodes:
+        _mutate(draw(st.sampled_from(nodes)), draw)
+    return method, sibling
+
+
 @st.composite
 def gen_program(draw):
     """(source text, fuel, cases) for one generated method G.m: a random
@@ -345,4 +446,4 @@ def many_conditions_text(seed):
         "        return n;",
         "    }",
     ]
-    return _GEN_HEAD + "\n".join(body) + "\n};\n"
+    return file_text({"G": ["\n".join(body) + "\n"]})

@@ -10,7 +10,17 @@ import sys
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gen_programs import MIRRORED, gen_program, many_conditions_text, value_for
+from gen_programs import (
+    MIRRORED,
+    SHAPE_NEAR_MISSES,
+    file_text,
+    gen_program,
+    gen_siblings,
+    many_conditions_text,
+    method_text,
+    program_text,
+    value_for,
+)
 from oracle_eval import OracleEvaluator, scalars_equal, trunc_div, wrap64
 from ultgen.cases import TestCase, fuzz_candidates, fuzzed_case, load_case_config
 from ultgen.cutlang.nodes import INT_MAX, INT_MIN
@@ -720,6 +730,12 @@ def test_and_loop_conditions_record_as_the_oracle_does():
     assert crashed == {("guard", "UnmockedCall"), ("spin", "FuelExhausted")}
 
 
+def _generate(evaluator):
+    """The source of the evaluator's `_make` and the values it binds."""
+    _, values, slots = evaluator._walk()
+    return evaluator._source(slots), values
+
+
 def test_generated_source_holds_no_input_text():
     """Methods that differ only in names and literals share one source."""
     text = """
@@ -749,7 +765,7 @@ def test_generated_source_holds_no_input_text():
     unit = parse_source(text, path="<same>")
     generated = []
     for class_name, method in (("P", "first"), ("Q", "second")):
-        generated.append(CaseEvaluator(unit, class_name, method)._generate())
+        generated.append(_generate(CaseEvaluator(unit, class_name, method)))
     (source_p, consts_p), (source_q, consts_q) = generated
     assert source_p == source_q
     assert consts_p != consts_q
@@ -767,7 +783,7 @@ def test_quiet_loop_body_pays_one_fuel_check_per_pass():
         " int m(int n) { while (n > 0) { n = n - 1; acc = acc + 2; } return acc; } };",
         path="<quiet>",
     )
-    lines = CaseEvaluator(unit, "C", "m")._generate()[0].splitlines()
+    lines = _generate(CaseEvaluator(unit, "C", "m"))[0].splitlines()
     start = next(i for i, line in enumerate(lines) if line.strip() == "while True:")
     indent = len(lines[start]) - len(lines[start].lstrip())
     body = []
@@ -787,7 +803,7 @@ def test_int_division_keeps_its_own_fuel_check():
         " { x = a / b; y = 1; return y; } };",
         path="<div>",
     )
-    lines = CaseEvaluator(unit, "C", "m")._generate()[0].splitlines()
+    lines = _generate(CaseEvaluator(unit, "C", "m"))[0].splitlines()
     division = next(i for i, line in enumerate(lines) if "_div(" in line)
     assert _fuel_checks(lines[:division]) == ["if fuel <= 0: return _OUT_OF_FUEL, None, 0, m"]
     assert _fuel_checks(lines[division:]) == ["if fuel < 2: return _OUT_OF_FUEL, None, 0, m"]
@@ -818,7 +834,7 @@ def test_int_plus_minus_literal_wraps_as_the_oracle_does():
                 _run_against_oracle(unit, "W", f"{form}{i}", {"x": x})
                 _run_against_oracle(unit, "W", f"{form}{i}w", {"x": x, "go": True})
     # x = x + 1 compares with one bound of the range
-    source = CaseEvaluator(unit, "W", f"xpl{_LITERALS.index(1)}w")._generate()[0]
+    source = _generate(CaseEvaluator(unit, "W", f"xpl{_LITERALS.index(1)}w"))[0]
     assert source.count("922337203685477580") == 1
 
 
@@ -948,7 +964,7 @@ def test_generated_tier_mask_updates_do_not_grow_with_passes():
             updates.append(bits)
             return RecordingMask(int(self) | bits)
 
-    source, consts = evaluator._generate()
+    source, consts = _generate(evaluator)
     assert source.count("m = 0\n") == 1
     namespace = dict(interp._GENERATED_GLOBALS, RecordingMask=RecordingMask)
     exec(source.replace("m = 0\n", "m = RecordingMask()\n"), namespace)
@@ -1085,6 +1101,71 @@ def test_methods_differing_in_a_while_operator_keep_distinct_code():
     assert below.__code__ is not upto.__code__
 
 
+@given(gen_siblings())
+def test_equal_shape_keys_write_equal_sources(siblings):
+    """Two methods whose shape keys are equal write the same `_make`
+    source, so either may run on the other's compiled function: a method
+    and a copy of it with one comparison operator, int literal, parameter
+    or mock key changed."""
+    keys, sources = [], []
+    for method in siblings:
+        evaluator = CaseEvaluator(parse_source(program_text(method), path="<gen>"), "G", "m")
+        key, _, slots = evaluator._walk()
+        keys.append(key)
+        sources.append(evaluator._source(slots))
+    assert keys[0] != keys[1] or sources[0] == sources[1]
+
+
+# Inputs for each method of SHAPE_NEAR_MISSES: the int extremes, one-value
+# mock scripts of either order and both signs of x * x > x.
+_NEAR_MISS_INPUTS = [
+    ({"a": a, "b": b, "p": True, "x": x}, {("d", "get"): [g], ("d", "num"): [u]})
+    for a in (INT_MIN, -1, 0, 3, INT_MAX)
+    for b in (0, 2)
+    for x in (0.5, 2.0)
+    for g, u in ((1, 0), (3, 5))
+]
+
+
+@pytest.mark.parametrize("name", SHAPE_NEAR_MISSES)
+def test_near_miss_shapes_run_as_the_oracle_does_in_either_order(name):
+    """Methods one shape feature apart each run on their own compiled
+    function, whichever of them compiles first in the process."""
+    unit = parse_source(
+        file_text({c: [method_text("m", body)] for c, body in zip("AB", SHAPE_NEAR_MISSES[name])}),
+        path="<near>",
+    )
+    for order in ("AB", "BA"):
+        interp._MAKERS.clear()
+        for class_name in order:
+            for params, mocks in _NEAR_MISS_INPUTS:
+                _run_against_oracle(unit, class_name, "m", params, mocks, fuel=300)
+
+
+def test_one_text_pass_per_shape_in_a_run(tmp_path, invoke, monkeypatch):
+    """`ultgen run` over 20 methods of one shape, differing in literals,
+    comparison operators and names, writes one source."""
+    ops = list(interp._COMPARE_FN)
+    bodies = [
+        f"if (a {ops[(i + j) % 6]} {i * 7 - j}) {{ return {j}; }} return b;"
+        for i in range(4) for j in range(5)
+    ]
+    classes = {
+        f"C{i}": [method_text(f"m{j}", bodies[5 * i + j]) for j in range(5)] for i in range(4)
+    }
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "one.cut").write_text(file_text(classes))
+    passes = []
+    generate = interp._Emitter.generate
+    monkeypatch.setattr(interp, "_MAKERS", {})
+    monkeypatch.setattr(
+        interp._Emitter, "generate", lambda self, body: passes.append(1) or generate(self, body)
+    )
+    code, _, err = invoke("run", tmp_path / "src", "-o", tmp_path / "out", "--threshold", "0")
+    assert code == 0, err
+    assert len(passes) == 1
+
+
 # --- counting loops -------------------------------------------------------
 #
 # A counting `while` (interp._Emitter.fast_forward) skips passes in closed
@@ -1178,7 +1259,7 @@ def test_counting_loops_and_near_misses_match_oracle(name):
     unit = parse_source(COUNTING_SRC % loop, path="<loops>")
     full = {"a": 0, "b": 0, "p": False, "x": 0.0, **params}
     _run_against_oracle(unit, "K", "m", full, mocks)
-    assert ("_ff(" in CaseEvaluator(unit, "K", "m")._generate()[0]) == fast
+    assert ("_ff(" in _generate(CaseEvaluator(unit, "K", "m"))[0]) == fast
 
 
 FILL_SRC = """
