@@ -623,18 +623,24 @@ def recommend_all(
     ]
 
 
+def recommendation_row(r: Recommendation, gap: bool = False) -> dict:
+    """`r` as a row of `advise.json`: a `components` row, or with `gap` a
+    `gaps` row, which holds the gap where the other holds the highlight."""
+    return {
+        "component": r.component,
+        "current_conditional_pct": r.current_conditional_pct,
+        "recommended_conditional_pct": r.recommended_conditional_pct,
+        **({"gap": r.gap} if gap else {"highlight": r.highlight}),
+        "risk_at_current": r.risk_at_current,
+        "risk_at_recommended": r.risk_at_recommended,
+        "fallback_used": r.fallback_used,
+    }
+
+
 def gap_report(recommendations: Sequence[Recommendation]) -> dict:
     """Highlighted components sorted by gap descending, then name."""
     rows = [
-        {
-            "component": r.component,
-            "current_conditional_pct": r.current_conditional_pct,
-            "recommended_conditional_pct": r.recommended_conditional_pct,
-            "gap": r.gap,
-            "risk_at_current": r.risk_at_current,
-            "risk_at_recommended": r.risk_at_recommended,
-            "fallback_used": r.fallback_used,
-        }
+        recommendation_row(r, gap=True)
         for r in sorted(
             (r for r in recommendations if r.highlight),
             key=lambda r: (-r.gap, r.component),

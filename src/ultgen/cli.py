@@ -33,6 +33,7 @@ from .advisor import (
     gap_report,
     ingest,
     recommend_all,
+    recommendation_row,
     render_gap_table,
     train_model,
 )
@@ -110,18 +111,6 @@ def _check_tau(tau: float) -> None:
 def _check_budget(budget: int) -> None:
     if budget < 1:
         raise UltgenError(f"--budget must be >= 1, got {budget}")
-
-
-def _resolve_seed(flag: Optional[int]) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get("ULTGEN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UltgenError(f"ULTGEN_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
 
 
 def _parse_grid(text: str) -> tuple[int, ...]:
@@ -253,13 +242,12 @@ def _select_cases(
 def cmd_cases(args: argparse.Namespace) -> int:
     _check_budget(args.budget)
     unit = _parse_file(args.src)
-    seed = _resolve_seed(args.seed)
     config = {}
     if args.config is not None:
         config = load_case_config(read_text(args.config), unit, args.config)
     entry = config.get((args.class_name, args.method), MethodConfig((), {}))
     result = _select_cases(
-        unit, args.class_name, args.method, entry, args.budget, seed
+        unit, args.class_name, args.method, entry, args.budget, args.seed
     )
     out_path = Path(args.out)
     _write_files(
@@ -269,7 +257,7 @@ def cmd_cases(args: argparse.Namespace) -> int:
     payload = {
         "target": target,
         "budget": args.budget,
-        "seed": seed,
+        "seed": args.seed,
         "configured": len(entry.cases),
         "kept": len(result.kept),
         "candidates_run": result.candidates_run,
@@ -394,18 +382,7 @@ def _advise_payload(
     recs = recommend_all(model, trends, tau=tau, grid=grid)
     report = gap_report(recs)
     return {
-        "components": [
-            {
-                "component": r.component,
-                "current_conditional_pct": r.current_conditional_pct,
-                "recommended_conditional_pct": r.recommended_conditional_pct,
-                "highlight": r.highlight,
-                "risk_at_current": r.risk_at_current,
-                "risk_at_recommended": r.risk_at_recommended,
-                "fallback_used": r.fallback_used,
-            }
-            for r in recs
-        ],
+        "components": [recommendation_row(r) for r in recs],
         "gaps": report["gaps"],
         "gap_count": report["gap_count"],
         "model": {
@@ -507,7 +484,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             "and --map together"
         )
     grid = _parse_grid(args.grid)
-    seed = _resolve_seed(args.seed)
     out_dir = Path(args.out)
 
     # A scaffold written by an earlier run into the source tree is output,
@@ -570,7 +546,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for cls_name, method_name in _target_methods(classes, config):
             entry = config.get((cls_name, method_name), MethodConfig((), {}))
             result = _select_cases(
-                unit, cls_name, method_name, entry, args.budget, seed
+                unit, cls_name, method_name, entry, args.budget, args.seed
             )
             all_cases.extend(entry.cases)
             all_cases.extend(result.kept)
@@ -598,7 +574,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     exit_code = 2 if (gap_count > 0 or coverage["conditional_pct"] < args.threshold) else 0
     manifest = {
         "tool_version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "budget": args.budget,
         "inputs": {key: digest for key, (_, digest) in sorted(inputs.items())},
         "stages": stages,
@@ -659,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="class_name", required=True)
     p.add_argument("--method", required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--config", help="configured cases and pool overrides (JSON)")
     p.add_argument("-o", "--out", required=True, help="case file to write (JSONL)")
     p.add_argument("--json", action="store_true")
@@ -691,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coverage-history", dest="coverage_history")
     p.add_argument("--map")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--tau", type=float, default=DEFAULT_TAU)
     p.add_argument("--grid", default=",".join(str(g) for g in COVERAGE_GRID))
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)

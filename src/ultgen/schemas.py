@@ -17,6 +17,50 @@ _SCALAR = {
 }
 
 _PCT = {"type": "number", "minimum": 0, "maximum": 100}
+_FRACTION = {"type": "number", "minimum": 0, "maximum": 1}
+_COUNT = {"type": "integer", "minimum": 0}
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+
+# Field sets that two records share, each declared once: a subcommand's
+# output and the manifest's stage of the same name hold the counts and the
+# percentages; the `cases` output and the manifest both hold seed and budget.
+_SEED_BUDGET = {"seed": {"type": "integer"}, "budget": {"type": "integer", "minimum": 1}}
+_SCAFFOLD_COUNTS = {
+    "files": _STRINGS,
+    "auto_line_count": _COUNT,
+    "anchor_line_count": _COUNT,
+    "generation_ratio": _FRACTION,
+}
+_CASE_COUNTS = {
+    "configured": _COUNT,
+    "candidates_run": _COUNT,
+    "case_file": {"type": "string"},
+}
+_COVERAGE_PCTS = {"functional_pct": _PCT, "conditional_pct": _PCT}
+
+
+def _recommendation_rows(fourth: str, schema: dict) -> dict:
+    """A list of `advise.json` rows. A `components` row holds `highlight` as
+    its fourth key and a `gaps` row the `gap`; all else is shared."""
+    row = {
+        "component": {"type": "string"},
+        "current_conditional_pct": _PCT,
+        "recommended_conditional_pct": {"type": "integer", "minimum": 70, "maximum": 95},
+        fourth: schema,
+        "risk_at_current": _FRACTION,
+        "risk_at_recommended": _FRACTION,
+        "fallback_used": {"type": "boolean"},
+    }
+    return {
+        "type": "array",
+        "items": {
+            "type": "object",
+            "required": [*row],
+            "additionalProperties": False,
+            "properties": row,
+        },
+    }
+
 
 CONDITION_SCHEMA = {
     "type": "object",
@@ -28,8 +72,8 @@ CONDITION_SCHEMA = {
         "driver": {
             "enum": ["ParameterDriven", "CallDriven", "FieldDriven", "Mixed"]
         },
-        "params": {"type": "array", "items": {"type": "string"}},
-        "calls": {"type": "array", "items": {"type": "string"}},
+        "params": _STRINGS,
+        "calls": _STRINGS,
         "literals": {
             # (type name, literal repr) pairs
             "type": "array",
@@ -86,18 +130,12 @@ SCAFFOLD_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "ultgen scaffold output",
     "type": "object",
-    "required": [
-        "class", "files", "auto_line_count", "anchor_line_count",
-        "generation_ratio", "warnings",
-    ],
+    "required": ["class", *_SCAFFOLD_COUNTS, "warnings"],
     "additionalProperties": False,
     "properties": {
         "class": {"type": "string"},
-        "files": {"type": "array", "items": {"type": "string"}},
-        "auto_line_count": {"type": "integer", "minimum": 0},
-        "anchor_line_count": {"type": "integer", "minimum": 0},
-        "generation_ratio": {"type": "number", "minimum": 0, "maximum": 1},
-        "warnings": {"type": "array", "items": {"type": "string"}},
+        **_SCAFFOLD_COUNTS,
+        "warnings": _STRINGS,
     },
 }
 
@@ -125,8 +163,8 @@ CASE_SCHEMA = {
             },
         },
         "seed": {"type": "integer"},
-        "candidate_index": {"type": "integer", "minimum": 0},
-        "diagnostics": {"type": "array", "items": {"type": "string"}},
+        "candidate_index": _COUNT,
+        "diagnostics": _STRINGS,
     },
     "dependentRequired": {"candidate_index": ["seed"]},
 }
@@ -135,20 +173,14 @@ CASES_SUMMARY_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "ultgen cases output",
     "type": "object",
-    "required": [
-        "target", "budget", "seed", "configured", "kept", "candidates_run",
-        "conditional_pct", "case_file",
-    ],
+    "required": ["target", *_SEED_BUDGET, *_CASE_COUNTS, "kept", "conditional_pct"],
     "additionalProperties": False,
     "properties": {
         "target": {"type": "string"},
-        "budget": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
-        "configured": {"type": "integer", "minimum": 0},
-        "kept": {"type": "integer", "minimum": 0},
-        "candidates_run": {"type": "integer", "minimum": 0},
+        **_SEED_BUDGET,
+        **_CASE_COUNTS,
+        "kept": _COUNT,
         "conditional_pct": _PCT,
-        "case_file": {"type": "string"},
     },
 }
 
@@ -161,13 +193,13 @@ METHOD_COVERAGE_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "method": {"type": "string"},
-        "conditions": {"type": "integer", "minimum": 0},
-        "decisions": {"type": "integer", "minimum": 0},
-        "pairs_covered": {"type": "integer", "minimum": 0},
-        "pairs_total": {"type": "integer", "minimum": 0},
+        "conditions": _COUNT,
+        "decisions": _COUNT,
+        "pairs_covered": _COUNT,
+        "pairs_total": _COUNT,
         "conditional_pct": _PCT,
         "has_passing_case": {"type": "boolean"},
-        "uncovered": {"type": "array", "items": {"type": "string"}},
+        "uncovered": _STRINGS,
     },
 }
 
@@ -175,12 +207,11 @@ COVERAGE_REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "ultgen coverage output",
     "type": "object",
-    "required": ["methods", "functional_pct", "conditional_pct", "threshold"],
+    "required": ["methods", *_COVERAGE_PCTS, "threshold"],
     "additionalProperties": False,
     "properties": {
         "methods": {"type": "array", "items": METHOD_COVERAGE_SCHEMA},
-        "functional_pct": _PCT,
-        "conditional_pct": _PCT,
+        **_COVERAGE_PCTS,
         "threshold": _PCT,
     },
 }
@@ -192,51 +223,9 @@ ADVISE_SCHEMA = {
     "required": ["components", "gaps", "gap_count", "model", "warnings"],
     "additionalProperties": False,
     "properties": {
-        "components": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "component", "current_conditional_pct",
-                    "recommended_conditional_pct", "highlight",
-                    "risk_at_current", "risk_at_recommended", "fallback_used",
-                ],
-                "additionalProperties": False,
-                "properties": {
-                    "component": {"type": "string"},
-                    "current_conditional_pct": _PCT,
-                    "recommended_conditional_pct": {
-                        "type": "integer", "minimum": 70, "maximum": 95,
-                    },
-                    "highlight": {"type": "boolean"},
-                    "risk_at_current": {"type": "number", "minimum": 0, "maximum": 1},
-                    "risk_at_recommended": {"type": "number", "minimum": 0, "maximum": 1},
-                    "fallback_used": {"type": "boolean"},
-                },
-            },
-        },
-        "gaps": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [
-                    "component", "current_conditional_pct",
-                    "recommended_conditional_pct", "gap",
-                    "risk_at_current", "risk_at_recommended", "fallback_used",
-                ],
-                "additionalProperties": False,
-                "properties": {
-                    "component": {"type": "string"},
-                    "current_conditional_pct": _PCT,
-                    "recommended_conditional_pct": {"type": "integer"},
-                    "gap": {"type": "number"},
-                    "risk_at_current": {"type": "number"},
-                    "risk_at_recommended": {"type": "number"},
-                    "fallback_used": {"type": "boolean"},
-                },
-            },
-        },
-        "gap_count": {"type": "integer", "minimum": 0},
+        "components": _recommendation_rows("highlight", {"type": "boolean"}),
+        "gaps": _recommendation_rows("gap", {"type": "number"}),
+        "gap_count": _COUNT,
         "model": {
             "type": "object",
             "required": [
@@ -249,12 +238,12 @@ ADVISE_SCHEMA = {
                     "minItems": 3, "maxItems": 3,
                 },
                 "bias": {"type": "number"},
-                "churn_max": {"type": "integer", "minimum": 0},
+                "churn_max": _COUNT,
                 "n_samples": {"type": "integer", "minimum": 20},
                 "final_loss": {"type": "number", "minimum": 0},
             },
         },
-        "warnings": {"type": "array", "items": {"type": "string"}},
+        "warnings": _STRINGS,
     },
 }
 
@@ -262,14 +251,11 @@ MANIFEST_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "ultgen run manifest",
     "type": "object",
-    "required": [
-        "tool_version", "seed", "budget", "inputs", "stages", "exit_code",
-    ],
+    "required": ["tool_version", *_SEED_BUDGET, "inputs", "stages", "exit_code"],
     "additionalProperties": False,
     "properties": {
         "tool_version": {"type": "string"},
-        "seed": {"type": "integer"},
-        "budget": {"type": "integer", "minimum": 1},
+        **_SEED_BUDGET,
         "inputs": {
             # path -> sha256 of content; no timestamps anywhere
             "type": "object",
@@ -287,55 +273,28 @@ MANIFEST_SCHEMA = {
                     "required": ["gap_count", "highlighted", "report"],
                     "additionalProperties": False,
                     "properties": {
-                        "gap_count": {"type": "integer", "minimum": 0},
-                        "highlighted": {
-                            "type": "array", "items": {"type": "string"},
-                        },
+                        "gap_count": _COUNT,
+                        "highlighted": _STRINGS,
                         "report": {"type": "string"},
                     },
                 },
                 "scaffold": {
                     "type": "object",
-                    "required": [
-                        "classes", "files", "auto_line_count",
-                        "anchor_line_count", "generation_ratio",
-                    ],
+                    "required": ["classes", *_SCAFFOLD_COUNTS],
                     "additionalProperties": False,
-                    "properties": {
-                        "classes": {"type": "array", "items": {"type": "string"}},
-                        "files": {"type": "array", "items": {"type": "string"}},
-                        "auto_line_count": {"type": "integer", "minimum": 0},
-                        "anchor_line_count": {"type": "integer", "minimum": 0},
-                        "generation_ratio": {
-                            "type": "number", "minimum": 0, "maximum": 1,
-                        },
-                    },
+                    "properties": {"classes": _STRINGS, **_SCAFFOLD_COUNTS},
                 },
                 "cases": {
                     "type": "object",
-                    "required": [
-                        "configured", "fuzzed_kept", "candidates_run",
-                        "case_file",
-                    ],
+                    "required": [*_CASE_COUNTS, "fuzzed_kept"],
                     "additionalProperties": False,
-                    "properties": {
-                        "configured": {"type": "integer", "minimum": 0},
-                        "fuzzed_kept": {"type": "integer", "minimum": 0},
-                        "candidates_run": {"type": "integer", "minimum": 0},
-                        "case_file": {"type": "string"},
-                    },
+                    "properties": {**_CASE_COUNTS, "fuzzed_kept": _COUNT},
                 },
                 "coverage": {
                     "type": "object",
-                    "required": [
-                        "functional_pct", "conditional_pct", "report",
-                    ],
+                    "required": [*_COVERAGE_PCTS, "report"],
                     "additionalProperties": False,
-                    "properties": {
-                        "functional_pct": _PCT,
-                        "conditional_pct": _PCT,
-                        "report": {"type": "string"},
-                    },
+                    "properties": {**_COVERAGE_PCTS, "report": {"type": "string"}},
                 },
             },
         },

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 from hypothesis import given, strategies as st
-from jsonschema import validate
+from jsonschema import ValidationError, validate
 
 from ultgen.cases import case_from_json, fuzz_candidates, fuzzed_case
 from ultgen.cli import main
@@ -584,7 +584,7 @@ def test_cases_deterministic_per_seed(invoke, turnstile, tmp_path):
     assert files[0] == files[1]
 
 
-def test_cases_seed_precedence(invoke, turnstile, tmp_path, monkeypatch):
+def test_cases_seed_precedence(invoke, turnstile, tmp_path):
     def summary(*extra):
         code, out, _ = invoke(
             "cases", turnstile, "--class", "Turnstile", "--method", "push",
@@ -594,19 +594,24 @@ def test_cases_seed_precedence(invoke, turnstile, tmp_path, monkeypatch):
         return json.loads(out)["seed"]
 
     assert summary() == 42  # library default
+    assert summary("--seed", "7") == 7
+
+
+def test_cases_seed_ignores_the_environment(invoke, turnstile, tmp_path, monkeypatch):
+    """`--seed` is the only way to set the seed: an `ULTGEN_SEED` left in
+    the shell moves no output byte."""
+    def case_file(name):
+        code, out, _ = invoke(
+            "cases", turnstile, "--class", "Turnstile", "--method", "push",
+            "-o", tmp_path / name, "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["seed"] == 42
+        return (tmp_path / name).read_bytes()
+
+    plain = case_file("plain.jsonl")
     monkeypatch.setenv("ULTGEN_SEED", "9")
-    assert summary() == 9
-    assert summary("--seed", "7") == 7  # flag beats environment
-
-
-def test_cases_bad_seed_env(invoke, turnstile, tmp_path, monkeypatch):
-    monkeypatch.setenv("ULTGEN_SEED", "many")
-    code, _, err = invoke(
-        "cases", turnstile, "--class", "Turnstile", "--method", "push",
-        "-o", tmp_path / "c.jsonl",
-    )
-    assert code == 1
-    assert "ULTGEN_SEED" in err
+    assert case_file("env.jsonl") == plain
 
 
 def test_cases_config_preseeds(invoke, project_dir, tmp_path):
@@ -948,6 +953,44 @@ def test_advise_gap_exits_two(invoke, history_dir, tmp_path):
     assert code == 2
     assert "<-- raise" in out
     assert "core" in out
+
+
+def test_advise_gap_rows_are_their_component_rows(invoke, history_dir, tmp_path):
+    """A `gaps` row is the `components` row of its component with the gap in
+    place of the highlight, key order included."""
+    code, out, _ = invoke(
+        "advise", *_history_args(_gap_history(tmp_path, history_dir)), "--json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    validate(payload, ADVISE_SCHEMA)
+    components = {row["component"]: row for row in payload["components"]}
+    assert payload["gaps"]
+    for gap in payload["gaps"]:
+        row = components[gap["component"]]
+        assert row["highlight"] is True
+        assert gap["gap"] == row["recommended_conditional_pct"] - row["current_conditional_pct"]
+        assert list(gap.items()) == [
+            ("gap", gap["gap"]) if key == "highlight" else (key, value)
+            for key, value in row.items()
+        ]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("recommended_conditional_pct", 60), ("risk_at_current", 1.5)]
+)
+def test_advise_schema_bounds_gap_rows_as_component_rows(
+    invoke, history_dir, tmp_path, key, value
+):
+    code, out, _ = invoke(
+        "advise", *_history_args(_gap_history(tmp_path, history_dir)), "--json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    validate(payload, ADVISE_SCHEMA)
+    payload["gaps"][0][key] = value
+    with pytest.raises(ValidationError):
+        validate(payload, ADVISE_SCHEMA)
 
 
 def test_advise_schema_error_names_file_and_line(invoke, history_dir, tmp_path):

@@ -106,3 +106,21 @@ def test_scanner_reads_nested_imports_and_skips_type_checking():
     modules = {"p.q.a", "p.q.b", "p.q.c", "p.d", "p.q.e", "p.q"}
     assert _edges("p.q.a", False, tree, modules) == {"p.q.c", "p.d", "p.q.e", "p.q"}
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_no_ultgen_module_imports_schemas():
+    """`ultgen.schemas` serves the tests and the bench; no module of the
+    package imports it, relatively or by its full name, so start-up does not
+    build its dicts."""
+    graph = import_graph()
+    assert "ultgen.schemas" in graph
+    assert [name for name, targets in graph.items() if "ultgen.schemas" in targets] == []
+    for path in sorted((SRC / "ultgen").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [f"{node.module}.{a.name}" for a in node.names] + [node.module]
+            else:
+                continue
+            assert "ultgen.schemas" not in names, path

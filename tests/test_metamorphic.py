@@ -12,6 +12,15 @@ Trees come from `gen_programs.py`: random methods and their siblings one
 node apart, several classes per file and repeated across files with other
 literals, so that shapes repeat; and the pairs of `SHAPE_NEAR_MISSES`,
 one shape feature apart, each side in its own file.
+
+*print:* the tree printed by `print_unit` gives a byte-identical
+`cases.jsonl` and an equal `coverage.json`, on the corpus and on one
+generated class of many conditions: printing keeps every decision, id and
+value that the cases and pairs are made of.
+
+*budget:* on the corpus, budgets 8, 16, 32 and 64 in turn never lose a
+covered pair or a crash key; the crash keys come from replaying the kept
+cases.
 """
 
 import contextlib
@@ -27,25 +36,35 @@ from gen_programs import (
     SHAPE_NEAR_MISSES,
     file_text,
     gen_siblings,
+    many_conditions_text,
     method_text,
 )
 from ultgen import interp
+from ultgen.cases import case_from_json
 from ultgen.cli import main
+from ultgen.coverage import compute_coverage
 from ultgen.cutlang.nodes import IntLit, walk
-from ultgen.cutlang.printer import print_method
+from ultgen.cutlang.parser import parse_source
+from ultgen.cutlang.printer import print_method, print_unit
 
 BUDGET = 24
 
 
-def _records(src, out):
-    """The case records and coverage rows of `ultgen run` over `src`, by
-    class, from a process with no compiled shape."""
+def _run(src, out, budget=BUDGET):
+    """`ultgen run` over `src` into `out`, from a process with no compiled
+    shape."""
     interp._MAKERS.clear()
-    argv = ["run", str(src), "-o", str(out), "--seed", "21", "--budget", str(BUDGET),
+    argv = ["run", str(src), "-o", str(out), "--seed", "21", "--budget", str(budget),
             "--threshold", "0"]
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
         assert main(argv) == 0, printed.getvalue()
+
+
+def _records(src, out):
+    """The case records and coverage rows of `ultgen run` over `src`, by
+    class."""
+    _run(src, out)
     records = {}
     for line in (out / "cases.jsonl").read_text().splitlines():
         records.setdefault(json.loads(line)["target"][0], []).append(line)
@@ -106,3 +125,63 @@ def test_split_on_shape_near_misses():
                    for name, pair in SHAPE_NEAR_MISSES.items()]
         files[f"side{side}"] = file_text({f"Near{side}": methods}, dep=f"Dep{side}")
     _assert_split(files)
+
+
+def _assert_print(files):
+    """The tree of `files` ({file name: text}) and the same tree with each
+    file printed by `print_unit` give the same case file, byte for byte,
+    and equal coverage reports."""
+    with tempfile.TemporaryDirectory() as work:
+        root = pathlib.Path(work)
+        for tree in ("tree", "printed"):
+            (root / tree).mkdir()
+        for name, text in files.items():
+            (root / "tree" / name).write_text(text)
+            (root / "printed" / name).write_text(print_unit(parse_source(text, path=name)))
+        outputs = []
+        for tree in ("tree", "printed"):
+            _run(root / tree, root / f"out-{tree}")
+            outputs.append((
+                (root / f"out-{tree}" / "cases.jsonl").read_bytes(),
+                json.loads((root / f"out-{tree}" / "coverage.json").read_text()),
+            ))
+        assert outputs[0] == outputs[1]
+
+
+def test_print_on_the_corpus(corpus_dir):
+    _assert_print({p.name: p.read_text() for p in sorted(corpus_dir.glob("*.cut"))})
+
+
+def test_print_on_a_generated_tree():
+    _assert_print({"many.cut": many_conditions_text(3)})
+
+
+def _findings(src, out):
+    """The covered pairs and the crash keys of the cases that `out`, a
+    `run` over `src`, kept, each under its method."""
+    unit = parse_source(
+        "\n".join(p.read_text() for p in sorted(src.glob("*.cut"))), path=str(src)
+    )
+    traces = {}
+    for line in (out / "cases.jsonl").read_text().splitlines():
+        case = case_from_json(json.loads(line))
+        evaluator, runs = traces.setdefault(
+            case.target, (interp.CaseEvaluator(unit, *case.target), [])
+        )
+        runs.append(evaluator.run(case))
+    found = set()
+    for target, (evaluator, runs) in traces.items():
+        found.update((target, pair) for pair in compute_coverage(runs, evaluator).pairs_covered)
+        found.update((target, t.crash.key) for t in runs if t.crash is not None)
+    return found
+
+
+def test_budget_doubling_loses_no_pair_or_crash_key(corpus_dir):
+    with tempfile.TemporaryDirectory() as work:
+        root = pathlib.Path(work)
+        before = set()
+        for budget in (8, 16, 32, 64):
+            _run(corpus_dir, root / f"b{budget}", budget)
+            found = _findings(corpus_dir, root / f"b{budget}")
+            assert before <= found, (budget, sorted(before - found))
+            before = found
